@@ -21,12 +21,12 @@ test:
 # fragment and for index scans vs. full scans), the cost-based
 # join-order floor (>= 2x vs. the greedy FROM-order chain on a skewed
 # four-table corpus), then the partition-parallel scan floor (>= 1.8x
-# at 4 partitions with the process backend, asserted on >= 4 usable
+# at 4 partitions with the pool backend, asserted on >= 4 usable
 # cores, reported otherwise), the vectorized-execution floor (>= 2x on
 # a 200k-row scan+filter+aggregate, asserted unconditionally), and the
-# worker-pool throughput floor (>= 2x over fork-per-query on a
-# repeated-query stream, asserted unconditionally — the floor is
-# overhead-based, not CPU-scaling).  Perf regressions surface in
+# worker-pool throughput floor (a warm pool >= 2x over a pool forked
+# per query on a repeated-query stream, asserted unconditionally — the
+# floor is overhead-based, not CPU-scaling).  Perf regressions surface in
 # seconds.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_synthesis_speed.py --smoke
@@ -52,7 +52,7 @@ bench-parallel-scan:
 bench-vectorized-scan:
 	$(PYTHON) benchmarks/bench_vectorized_scan.py
 
-# Persistent worker pool vs. fork-per-query at full size.
+# Warm worker pool vs. a pool forked per query at full size.
 bench-worker-pool:
 	$(PYTHON) benchmarks/bench_worker_pool.py
 
@@ -87,19 +87,21 @@ serve-smoke:
 	$(PYTHON) -m repro.service.cli status --fragments w40,w42,i2 \
 		--cache-dir "$$dir"
 
-# Chaos canary: deterministic fault injection against both execution
-# substrates — scheduler retries / circuit breaker / deadlines /
+# Chaos canary: deterministic fault injection against both callers of
+# the worker pool — scheduler retries / circuit breaker / deadlines /
 # shutdown escalation, and the SQL engine's degradation ladder
-# (processes -> threads -> serial) staying answer-identical.
+# (pool -> threads -> serial) staying answer-identical.
 chaos-smoke:
 	$(PYTHON) -m pytest tests/service/test_faults.py \
 		tests/sql/test_parallel_faults.py -q
 
 # Worker-pool canary: the pool's full test surface — protocol/LRU unit
 # tests, seeded worker-kill chaos (respawn + retry with exact attempt
-# counts), and battery/corpus equivalence through the pool backend.
+# counts) for queries and for the scheduler's QBS batches, and
+# battery/corpus equivalence through the pool backend.
 pool-smoke:
 	$(PYTHON) -m pytest tests/service/test_pool.py \
+		tests/service/test_faults.py \
 		tests/sql/test_pool_faults.py \
 		tests/sql/test_parallel_equivalence.py -q
 
@@ -113,7 +115,7 @@ obs-smoke:
 # collapsed-stack file must come out non-empty), then the profiler's
 # own contract suite — off-path byte-identity, masked span-universe
 # goldens (serial == K=1; K=4 attributes to the serial span set over
-# threads and fork), and the cross-process sample transport.
+# threads and pool workers), and the cross-process sample transport.
 profile-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(PYTHON) -m repro.service.cli run --fragments w40 --workers 1 \

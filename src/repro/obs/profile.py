@@ -26,16 +26,17 @@ statistical, but the set of spans entered while profiling
 run — that is what the masked golden tests compare
 (:func:`format_summary` with ``mask_counts=True``).
 
-**Forked partition workers.**  A sampler thread does not survive
-``fork``, so a child that inherits an installed profiler (stale: its
-``pid`` no longer matches) starts a fresh one of its own and ships the
-(picklable, plain-data) :meth:`Profiler.payload` home beside its
-result — the same transport partition stats and detached spans already
-ride — where the driver merges it with :meth:`Profiler.absorb`.
+**Partition workers.**  A sampler thread does not survive ``fork``,
+so a pool worker running a profiled query's partition starts a fresh
+profiler of its own (replacing any stale one it inherited, whose
+``pid`` no longer matches) and ships the (picklable, plain-data)
+:meth:`Profiler.payload` home beside its result — the same transport
+partition stats and detached spans already ride — where the driver
+merges it with :meth:`Profiler.absorb`.
 :func:`call_profiled` / :func:`absorb_shipped` package exactly that
-for :func:`repro.sql.plan.parallel.run_tasks`'s process rung; the
-threads rung needs nothing, because the parent's sampler already sees
-every thread.
+for the worker pool (:meth:`repro.service.pool.WorkerPool.run_jobs`);
+the threads rung needs nothing, because the parent's sampler already
+sees every thread.
 
 Surfaces: ``Database.execute(sql, profile=...)``, ``repro-qbs run
 --profile out.txt``, and ``Synthesizer.synthesize(profiler=...)`` for
@@ -301,27 +302,17 @@ def format_summary(summary: Dict[str, Any], mask_counts: bool = False) -> str:
     return "\n".join(lines)
 
 
-# -- fork-worker plumbing ----------------------------------------------------
+# -- worker-process plumbing -------------------------------------------------
 
 
-def fork_child_profiler() -> Optional["Profiler"]:
-    """In a forked child whose parent had a profiler installed, a fresh
-    (not yet started) child profiler mirroring the parent's interval;
-    None when no profiler is installed or this *is* the parent process
-    (whose own sampler thread already sees every thread)."""
-    parent = _INSTALLED
-    if parent is None or parent.pid == os.getpid():
-        return None
-    return Profiler(interval_seconds=parent.interval_seconds)
-
-
-def call_profiled(task) -> Dict[str, Any]:
-    """Run one fan-out task under a child profiler when this is a
-    forked worker; the sample buffer rides home beside the result
-    (unwrap with :func:`absorb_shipped`)."""
-    child = fork_child_profiler()
-    if child is None:
+def call_profiled(task, interval: Optional[float] = None) -> Dict[str, Any]:
+    """Run one fan-out task in a worker process under a fresh profiler
+    sampling every ``interval`` seconds (the driver's interval; None
+    runs it unprofiled).  The sample buffer rides home beside the
+    result (unwrap with :func:`absorb_shipped`)."""
+    if interval is None:
         return {"result": task(), "profile": None}
+    child = Profiler(interval_seconds=interval)
     child.start()
     try:
         result = task()

@@ -5,9 +5,13 @@ Modules:
 * :mod:`repro.service.jobs` — content-addressed job model and JSON
   result transport;
 * :mod:`repro.service.cache` — persistent on-disk result store;
-* :mod:`repro.service.scheduler` — worker-pool fan-out with per-job
-  timeouts and an in-process fallback, plus ``fork_map``, the generic
-  fork primitive the SQL engine's partial aggregation reuses;
+* :mod:`repro.service.scheduler` — QBS batch fan-out with per-job
+  timeouts, retries and an in-process path for ``workers=1``;
+* :mod:`repro.service.pool` — :class:`~repro.service.pool.WorkerPool`,
+  the one worker-process substrate: forked workers, one dispatch loop
+  (crash respawn, timeouts, deadline, retries) and per-worker table
+  caching.  The scheduler forks one per run; the SQL engine's ``pool``
+  backend shares one process-wide;
 * :mod:`repro.service.faults` — the resilience layer both substrates
   share: the failure taxonomy, :class:`RetryPolicy`,
   :class:`Deadline`, and the deterministic fault-injection harness

@@ -1,9 +1,9 @@
 """The resilience layer: failure taxonomy, retries, deadlines, chaos.
 
-Both execution substrates — the service scheduler's worker pool and the
-SQL engine's partition-parallel fan-out — fail in the same small set of
-ways, so this module gives them one shared vocabulary and one set of
-policies:
+Both callers of the worker pool — the service scheduler's QBS batches
+and the SQL engine's partition-parallel fan-out — fail in the same small
+set of ways, so this module gives them one shared vocabulary and one set
+of policies:
 
 * a **failure taxonomy** (`TIMEOUT | CRASH | CORRUPT_PAYLOAD |
   TRANSIENT_EXHAUSTED | PERMANENT`) with typed exceptions
@@ -123,6 +123,16 @@ class PermanentFault(TaskFault):
     kind = PERMANENT
 
 
+class JobFailed(TaskFault):
+    """A job's own failure, classified inside the worker where the
+    exception lives.  The pool ships it home as plain data (the
+    original exception may not pickle) and retries it by ``kind``."""
+
+    def __init__(self, kind: str, detail: str):
+        super().__init__(detail)
+        self.kind = kind
+
+
 class SubstrateUnavailable(TaskFault):
     """A parallel substrate could not start (fork refused, thread
     limit) — the degradation ladder's cue to fall back, never a final
@@ -234,8 +244,8 @@ _ATTEMPT = threading.local()
 
 
 def mark_child_process() -> None:
-    """Record that this process is a forked worker (set by the
-    scheduler's worker main and by ``fork_map`` children)."""
+    """Record that this process is a forked worker (set by the worker
+    pool's worker main)."""
     global _IN_CHILD_PROCESS
     _IN_CHILD_PROCESS = True
 
@@ -430,12 +440,12 @@ def error_payload(kind: str, detail: str) -> Dict[str, str]:
     return {"kind": kind, "detail": detail}
 
 
+_FAULT_TYPES = {TIMEOUT: TaskTimeout, CRASH: WorkerCrash,
+                CORRUPT_PAYLOAD: CorruptPayload, TRANSIENT: TransientFault}
+
+
 def fault_from_payload(payload: Mapping[str, str]) -> TaskFault:
     """Rebuild the typed fault a child shipped as plain data."""
     kind = payload.get("kind", PERMANENT)
     detail = payload.get("detail", "unknown child failure")
-    if kind == CORRUPT_PAYLOAD:
-        return CorruptPayload(detail)
-    if kind == TRANSIENT:
-        return TransientFault(detail)
-    return PermanentFault(detail)
+    return _FAULT_TYPES.get(kind, PermanentFault)(detail)

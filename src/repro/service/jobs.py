@@ -34,6 +34,7 @@ from repro.corpus.registry import (
 )
 from repro.frontend import FrontendRejection
 from repro.kernel.pretty import pretty_fragment
+from repro.service import faults
 
 #: bump when the serialized result layout changes incompatibly.
 JOB_SCHEMA_VERSION = 1
@@ -117,14 +118,47 @@ def execute_job(fragment_id: str,
                 options_dict: Dict[str, Any]) -> Dict[str, Any]:
     """Run one job to a JSON result payload.
 
-    This is the function worker processes execute; everything it takes
-    and returns is picklable-by-value, so no AST ever crosses the
-    process boundary.
+    This is the function pool workers execute (through
+    :class:`PoolJob`); everything it takes and returns is
+    picklable-by-value, so no AST ever crosses the process boundary.
     """
     corpus_fragment = fragment_by_id(fragment_id)
     qbs = QBS(options_from_payload(options_dict))
     result = run_fragment_through_qbs(corpus_fragment, qbs)
     return result.to_json_dict()
+
+
+class PoolJob:
+    """One fragment's QBS run in the picklable form a pool worker runs.
+
+    The runner is looked up in the worker at run time
+    (``scheduler._JOB_RUNNER``), so a swap made before the scheduler
+    forked its pool reaches the workers.  A failure is classified
+    inside the worker, where the exception lives, and travels home as
+    a :class:`~repro.service.faults.JobFailed` (kind plus message): the
+    exception itself may not pickle, and its kind decides the retry.
+    """
+
+    __slots__ = ("fragment_id", "options")
+
+    #: pool-job protocol: no tables, no size estimate, no partition.
+    digest_map: Dict[str, str] = {}
+    est = 0
+    part = 0
+
+    def __init__(self, fragment_id: str, options: Dict[str, Any]):
+        self.fragment_id = fragment_id
+        self.options = options
+
+    def run_in_worker(self, cache: Dict[str, Any]) -> Dict[str, Any]:
+        from repro.service import scheduler
+
+        try:
+            return scheduler._JOB_RUNNER(self.fragment_id, self.options)
+        except Exception as exc:
+            raise faults.JobFailed(
+                faults.classify_exception(exc),
+                "%s: %s" % (type(exc).__name__, exc)) from None
 
 
 def result_from_payload(payload: Dict[str, Any]) -> QBSResult:

@@ -1,57 +1,61 @@
-"""Persistent worker pool: spawn once, dispatch many.
+"""The worker-process substrate: forked workers, one dispatch loop.
 
-The ``processes`` parallel backend pays a fresh ``fork_map`` per query
-— per-query child forks, whole-heap copy-on-write, one result pipe per
-partition.  For a stream of repeated parallel queries that startup cost
-dominates.  :class:`WorkerPool` amortizes it: a fixed set of long-lived
-worker processes, forked once, each speaking a length-prefixed pickle
-protocol over a dedicated pipe pair.
+Everything in this repo that runs work in another process runs it
+here: partition-parallel queries (the ``pool`` rung of
+:func:`repro.sql.plan.parallel.run_tasks`, on the process-wide pool of
+:func:`get_pool`) and QBS corpus batches (``Scheduler(workers>1)``,
+which forks a pool per run and closes it at the end).  A
+:class:`WorkerPool` is a fixed set of forked workers, each speaking a
+length-prefixed pickle protocol over a dedicated pipe pair.
 
 **Wire protocol.**  Every frame is a 4-byte big-endian length followed
 by a pickle of ``(kind, payload)``:
 
 * ``("store", (digest, table))`` — driver → worker: cache ``table``
   under its content ``digest``.  No reply.
-* ``("run", (job, plan, key, attempt))`` — driver → worker: execute
-  ``job.run_in_worker(cache)`` after applying the shipped fault
-  ``plan`` for ``(key, attempt)``.  Exactly one reply frame:
-  ``("ok", result)``, ``("exc", exception)`` or ``("error", payload)``
-  (:func:`repro.service.faults.error_payload`, when the real reply
-  will not pickle).
+* ``("run", (job, plan, key, attempt, profile))`` — driver → worker:
+  execute ``job.run_in_worker(cache)`` after applying the shipped fault
+  ``plan`` for ``(key, attempt)``, under a child profiler sampling
+  every ``profile`` seconds when the driver is profiling.  Exactly one
+  reply frame: ``("ok", result)``, ``("exc", exception)`` or
+  ``("error", payload)`` (:func:`repro.service.faults.error_payload`:
+  a failure the job classified itself, or a reply that will not
+  pickle).
 * ``("drop", digest)`` — driver → worker: evict one cached table.
 * ``("shutdown", None)`` — driver → worker: exit cleanly.
 
-**Catalog caching.**  Jobs carry only plan fragments plus a
-``digest_map`` naming the tables they need by content digest
-(:meth:`repro.sql.catalog.Table.content_digest`, versioned by the
-catalog's schema version — together the ``(catalog_version, content
-hash)`` cache key).  The driver tracks which digests each worker
-holds and ships a table at most once per worker per content version:
-a warm pool re-ships **zero** rows for an unchanged catalog.  Cache
+**Catalog caching.**  Jobs carry a ``digest_map`` naming the tables
+they read by content digest
+(:meth:`repro.sql.catalog.Table.content_digest`).  A worker forked for
+a dispatch starts with that dispatch's tables already in its cache,
+inherited by fork; later the driver tracks which digests each worker
+holds and ships a table at most once per worker per content version,
+so a warm pool re-ships **zero** rows for an unchanged catalog.  Cache
 slots are bounded (:data:`CACHE_TABLES_PER_WORKER`); the driver owns
-the LRU decision and sends explicit ``drop`` frames so both sides
-stay in sync.
+the LRU decision, never evicts a table the dispatched job reads, and
+sends explicit ``drop`` frames so both sides stay in sync.
 
-**Faults.**  The pool is a substrate, so it degrades instead of
-failing: a worker that dies mid-job (pipe EOF) is respawned and the
-job retried under the pool's :class:`~repro.service.faults.RetryPolicy`;
-a reply that will not decode retries as :data:`~repro.service.faults.
-CORRUPT_PAYLOAD` without a respawn (the worker finished the frame —
-it is healthy).  Exhausted budgets raise the typed fault, which the
-degradation ladder in :func:`repro.sql.plan.parallel.run_tasks`
-catches to fall one rung down (``pool → processes``).  Application
-exceptions and deadline expiry propagate immediately, exactly like
-the other backends.  Because pool workers are forked *once*, they do
-not inherit fault plans installed after pool creation — the plan
-rides inside each ``run`` frame and is applied worker-side, keeping
-the chaos suites' per-partition injection semantics identical to
-``fork_map``.
+**Faults.**  :meth:`WorkerPool.stream` is the one dispatch loop.  A
+worker that dies mid-job (pipe EOF) or runs past the per-job timeout
+is killed and replaced, and the job retried under the pool's
+:class:`~repro.service.faults.RetryPolicy`; a reply that will not
+decode retries without a respawn (the worker finished the frame — it
+is healthy); a failure the job classified itself retries by its kind.
+A job's plain exception is final at once, and so is every unfinished
+job when the deadline expires.  The caller picks what a final failure
+means: :meth:`WorkerPool.run_jobs` raises it (a partition query, whose
+substrate faults the degradation ladder then absorbs), while the
+scheduler records it as a classified ``JobOutcome`` and carries on.
+Workers forked before a fault plan was installed never see it, so the
+plan rides inside each ``run`` frame and is applied worker-side.
 
 Everything here is stdlib-only.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import multiprocessing
 import os
 import pickle
@@ -59,7 +63,8 @@ import select
 import struct
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import (Any, Dict, Iterator, List, Mapping, NamedTuple,
+                    Optional, Sequence)
 
 from repro.obs import metrics as obs_metrics
 from repro.service import faults
@@ -68,16 +73,18 @@ from repro.service import faults
 #: bounds worker memory across long query streams over many databases.
 CACHE_TABLES_PER_WORKER = 64
 
-#: grace period for a clean worker shutdown before SIGKILL.
+#: grace given at each shutdown escalation step (shutdown frame,
+#: SIGTERM) before moving on to the next; SIGKILL ends the ladder.
 _JOIN_GRACE = 5.0
 
 _HEADER = struct.Struct(">I")
 
 _WORKERS = obs_metrics.gauge(
-    "repro_pool_workers", "Live worker processes in the persistent pool.")
+    "repro_pool_workers",
+    "Live worker processes in the process-wide query pool.")
 _DISPATCHES = obs_metrics.counter(
     "repro_pool_dispatches_total",
-    "Partition jobs dispatched to pool workers.")
+    "Jobs dispatched to pool workers.")
 _CACHE_HITS = obs_metrics.counter(
     "repro_pool_cache_hits_total",
     "Table ships skipped because the worker already cached the digest.")
@@ -89,7 +96,7 @@ _ROWS_SHIPPED = obs_metrics.counter(
     "Table rows serialized to pool workers (0 on a warm pool).")
 _RESPAWNS = obs_metrics.counter(
     "repro_pool_respawns_total",
-    "Pool workers respawned after dying mid-job.")
+    "Pool workers respawned after dying or timing out mid-job.")
 _RETRIES = obs_metrics.counter(
     "repro_pool_retries_total",
     "Pool job retries, labelled by failure kind.")
@@ -143,16 +150,32 @@ def _read_frame(fd: int) -> Optional[bytes]:
 # -- worker side ---------------------------------------------------------------
 
 
-def _worker_main(recv_fd: int, send_fd: int) -> None:
-    """Long-lived worker loop: read frames until shutdown/EOF."""
+def _run_job(job, cache, plan, key, attempt, profile):
+    faults.set_current_attempt(attempt)
+    poisoned = faults.perturb(plan, key, attempt)
+    if poisoned is not None:
+        return poisoned
+    if profile is None:
+        return job.run_in_worker(cache)
+    from repro.obs import profile as obs_profile
+
+    return obs_profile.call_profiled(lambda: job.run_in_worker(cache),
+                                     interval=profile)
+
+
+def _worker_main(recv_fd: int, send_fd: int, cache: Dict[str, Any]) -> None:
+    """Long-lived worker loop: read frames until shutdown/EOF.
+    ``cache`` holds the tables the worker was forked with."""
     faults.mark_child_process()
+    # Keep the collector off the heap inherited from the driver: a full
+    # collection would walk all of it and copy every page on write.
+    gc.freeze()
     # The worker was forked from the driver and may have inherited an
     # ambient trace span; partition spans must be detached, never
     # children of a stale driver-side tree.
     from repro.obs import trace as obs_trace
     obs_trace._ACTIVE.set(None)
 
-    cache: Dict[str, Any] = {}
     while True:
         try:
             frame = _read_frame(recv_fd)
@@ -181,26 +204,29 @@ def _worker_main(recv_fd: int, send_fd: int) -> None:
             cache.pop(payload, None)
             continue
         # kind == "run"
-        job, plan, key, attempt = payload
-        faults.set_current_attempt(attempt)
+        job, plan, key, attempt, profile = payload
         try:
-            poisoned = faults.perturb(plan, key, attempt)
-            result = poisoned if poisoned is not None \
-                else job.run_in_worker(cache)
-            reply = ("ok", result)
+            reply = ("ok", _run_job(job, cache, plan, key, attempt,
+                                    profile))
+        except faults.JobFailed as exc:
+            reply = ("error", faults.error_payload(exc.kind, str(exc)))
         except BaseException as exc:  # ship it home, never die silently
             reply = ("exc", exc)
         try:
             encoded = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
-            tag = reply[0]
-            kind_code = faults.CORRUPT_PAYLOAD if tag == "ok" \
-                else faults.PERMANENT
-            encoded = pickle.dumps(
-                ("error", faults.error_payload(
-                    kind_code, "pool reply for %r will not pickle: %s"
-                    % (key, exc))),
-                protocol=pickle.HIGHEST_PROTOCOL)
+            tag, value = reply
+            if tag == "ok":
+                payload = faults.error_payload(
+                    faults.CORRUPT_PAYLOAD,
+                    "pool reply for %r will not pickle: %s" % (key, exc))
+            else:
+                payload = faults.error_payload(
+                    faults.PERMANENT,
+                    "%s: %s (exception did not pickle: %s)"
+                    % (type(value).__name__, value, exc))
+            encoded = pickle.dumps(("error", payload),
+                                   protocol=pickle.HIGHEST_PROTOCOL)
         _write_frame(send_fd, encoded)
 
 
@@ -210,13 +236,13 @@ def _worker_main(recv_fd: int, send_fd: int) -> None:
 class _PoolWorker:
     """One live worker process plus the driver's view of its cache."""
 
-    def __init__(self, context) -> None:
+    def __init__(self, context, preload: Mapping[str, Any]) -> None:
         job_read, job_write = os.pipe()
         result_read, result_write = os.pipe()
         try:
             self.process = context.Process(
-                target=_worker_main, args=(job_read, result_write),
-                daemon=True)
+                target=_worker_main,
+                args=(job_read, result_write, dict(preload)), daemon=True)
             self.process.start()
         except BaseException:
             for fd in (job_read, job_write, result_read, result_write):
@@ -230,49 +256,59 @@ class _PoolWorker:
         self.send_fd = job_write
         self.recv_fd = result_read
         #: digests this worker caches, in LRU order (oldest first).
-        self.cached: "OrderedDict[str, None]" = OrderedDict()
+        self.cached: "OrderedDict[str, None]" = OrderedDict.fromkeys(preload)
 
     def send(self, kind: str, payload: Any) -> None:
         _write_frame(self.send_fd, pickle.dumps(
             (kind, payload), protocol=pickle.HIGHEST_PROTOCOL))
 
-    def close_fds(self) -> None:
+    def stop(self, graceful: bool) -> None:
+        """Reap the worker, escalating until it is gone: the shutdown
+        frame (when ``graceful``), then SIGTERM, then SIGKILL.  A worker
+        that ignores SIGTERM must not outlive :meth:`WorkerPool.close`:
+        multiprocessing's exit hook would join it without a timeout."""
+        if graceful:
+            try:
+                self.send("shutdown", None)
+            except OSError:
+                pass
         for fd in (self.send_fd, self.recv_fd):
             try:
                 os.close(fd)
             except OSError:
                 pass
-
-    def kill(self) -> None:
-        self.close_fds()
+        if graceful:
+            self.process.join(_JOIN_GRACE)
         if self.process.is_alive():
             self.process.terminate()
             self.process.join(_JOIN_GRACE)
-            if self.process.is_alive():  # pragma: no cover - stuck worker
+            if self.process.is_alive():
                 self.process.kill()
-                self.process.join(_JOIN_GRACE)
+        self.process.join()
 
-    def shutdown(self) -> None:
-        try:
-            self.send("shutdown", None)
-        except OSError:
-            pass
-        self.close_fds()
-        self.process.join(_JOIN_GRACE)
-        if self.process.is_alive():  # pragma: no cover - stuck worker
-            self.process.terminate()
-            self.process.join(_JOIN_GRACE)
+
+class Finished(NamedTuple):
+    """One job's final outcome, as :meth:`WorkerPool.stream` yields it."""
+
+    index: int
+    value: Any = None
+    #: the final failure (classify with
+    #: :func:`~repro.service.faults.classify_exception`); None on success.
+    error: Optional[BaseException] = None
+    #: the attempt number the job ended on (0 = never started).
+    attempts: int = 0
+    #: wall time of the last attempt.
+    seconds: float = 0.0
 
 
 class WorkerPool:
-    """A fixed-size pool of long-lived partition workers.
+    """A fixed-size pool of forked, long-lived workers.
 
-    ``run_jobs`` is the one execution entry point: picklable jobs in,
-    results in job order out, with table shipping, retries, respawns
-    and deadline handling inside.  Jobs are dispatched
+    :meth:`stream` is the one dispatch loop; :meth:`run_jobs` is its
+    raising form for partition queries.  Jobs are dispatched
     longest-estimate-first (``job.est``), so on a busy pool the heavy
-    partitions start earliest; results are slotted back by job index,
-    which is what keeps pool output order-pinned to serial.
+    partitions start earliest; ``run_jobs`` slots results back by job
+    index, which is what keeps pool output order-pinned to serial.
     """
 
     def __init__(self, size: Optional[int] = None,
@@ -286,55 +322,74 @@ class WorkerPool:
         self.size = size
         self.retry = retry if retry is not None else faults.RetryPolicy()
         self.cache_tables_per_worker = cache_tables_per_worker
+        #: raises ValueError where fork is unavailable.
         self._context = multiprocessing.get_context("fork")
         self._workers: List[_PoolWorker] = []
         self.closed = False
+        #: whether this pool reports on ``repro_pool_workers``; a
+        #: scheduler's per-run pool turns it off.
+        self.gauged = True
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _spawn(self) -> _PoolWorker:
+    def _spawn(self, preload: Mapping[str, Any]) -> _PoolWorker:
         try:
-            return _PoolWorker(self._context)
+            worker = _PoolWorker(self._context, preload)
         except Exception as exc:
             raise faults.SubstrateUnavailable(
                 "cannot spawn pool worker: %s" % exc)
+        self._workers.append(worker)
+        self._publish()
+        return worker
 
-    def ensure_workers(self) -> None:
-        """Bring the pool up to ``size`` live workers."""
+    def _publish(self) -> None:
+        if self.gauged:
+            _WORKERS.set(float(len(self._workers)))
+
+    def ensure_workers(self,
+                       preload: Optional[Mapping[str, Any]] = None) -> None:
+        """Bring the pool up to ``size`` live workers; new workers are
+        forked holding the ``preload`` tables (digest -> Table)."""
         if self.closed:
             raise faults.SubstrateUnavailable("worker pool is closed")
         while len(self._workers) < self.size:
-            self._workers.append(self._spawn())
-        _WORKERS.set(float(len(self._workers)))
+            self._spawn(preload or {})
 
-    def _scrap(self, worker: _PoolWorker) -> Optional[_PoolWorker]:
+    def _scrap(self, worker: _PoolWorker,
+               preload: Mapping[str, Any]) -> Optional[_PoolWorker]:
         """Kill a worker whose pipe state is unknown and replace it.
         Returns the replacement (None when respawn itself failed)."""
-        worker.kill()
-        if worker in self._workers:
-            self._workers.remove(worker)
+        worker.stop(graceful=False)
+        self._workers.remove(worker)
         _RESPAWNS.inc()
-        replacement = None
         try:
-            replacement = self._spawn()
-            self._workers.append(replacement)
+            return self._spawn(preload)
         except faults.SubstrateUnavailable:
-            pass  # pool runs degraded; ensure_workers retries next time
-        _WORKERS.set(float(len(self._workers)))
-        return replacement
+            self._publish()     # runs degraded; ensure_workers retries
+            return None
 
     def close(self) -> None:
         for worker in self._workers:
-            worker.shutdown()
+            worker.stop(graceful=True)
         self._workers = []
         self.closed = True
-        _WORKERS.set(0.0)
+        self._publish()
 
     # -- dispatch ----------------------------------------------------------
 
+    def _preload(self, jobs: Sequence[Any],
+                 tables: Mapping[str, Any]) -> Dict[str, Any]:
+        """The tables a worker forked for this dispatch starts with:
+        every digest the jobs read, up to the cache bound."""
+        digests = dict.fromkeys(digest for job in jobs
+                                for digest in job.digest_map.values())
+        return {digest: tables[digest] for digest in
+                list(digests)[:self.cache_tables_per_worker]}
+
     def _ship_tables(self, worker: _PoolWorker, job: Any,
                      tables: Mapping[str, Any]) -> None:
-        for digest in job.digest_map.values():
+        needed = job.digest_map.values()
+        for digest in needed:
             if digest in worker.cached:
                 worker.cached.move_to_end(digest)
                 _CACHE_HITS.inc()
@@ -344,165 +399,206 @@ class WorkerPool:
             _ROWS_SHIPPED.inc(float(len(table.rows)))
             worker.send("store", (digest, table))
             worker.cached[digest] = None
-            while len(worker.cached) > self.cache_tables_per_worker:
-                evicted, _ = worker.cached.popitem(last=False)
-                worker.send("drop", evicted)
+        excess = len(worker.cached) - self.cache_tables_per_worker
+        if excess > 0:
+            for digest in [d for d in worker.cached
+                           if d not in needed][:excess]:
+                del worker.cached[digest]
+                worker.send("drop", digest)
 
-    def _dispatch(self, worker: _PoolWorker, job: Any,
-                  tables: Mapping[str, Any], plan, attempt: int) -> None:
-        self._ship_tables(worker, job, tables)
-        worker.send("run", (job, plan, "part:%d" % job.part, attempt))
-        _DISPATCHES.inc()
-
-    def _collect(self, worker: _PoolWorker):
-        """One reply from ``worker``: ``(tag, value)`` with tag
-        ``ok``/``exc``/``error``, or a :class:`~repro.service.faults.
-        TaskFault` instance when the transport itself failed."""
+    def _collect(self, worker: _PoolWorker) -> tuple:
+        """One reply from ``worker`` as ``(tag, value)``: ``("ok",
+        result)``, ``("exc", exception)``, ``("error", fault)`` for a
+        classified failure, or ``("lost", WorkerCrash)`` when the worker
+        died."""
         try:
             frame = _read_frame(worker.recv_fd)
         except (EOFError, OSError) as exc:
-            return faults.WorkerCrash(
+            return "lost", faults.WorkerCrash(
                 "pool worker died mid-reply: %s" % exc)
         if frame is None:
-            code = self._exit_detail(worker)
-            return faults.WorkerCrash(
-                "pool worker died before replying%s" % code)
+            worker.process.join(0.5)
+            code = worker.process.exitcode
+            return "lost", faults.WorkerCrash(
+                "pool worker died before replying%s"
+                % ("" if code is None else " (exit code %s)" % code))
         try:
-            return pickle.loads(frame)
+            tag, value = pickle.loads(frame)
         except Exception as exc:
-            return faults.CorruptPayload(
+            return "error", faults.CorruptPayload(
                 "pool reply would not decode: %s" % exc)
+        if tag == "error":
+            return tag, faults.fault_from_payload(value)
+        return tag, value
 
-    @staticmethod
-    def _exit_detail(worker: _PoolWorker) -> str:
-        worker.process.join(0.5)
-        code = worker.process.exitcode
-        return "" if code is None else " (exit code %s)" % code
+    # -- the dispatch loop -------------------------------------------------
 
-    # -- the run loop ------------------------------------------------------
-
-    def run_jobs(self, jobs: Sequence[Any], tables: Mapping[str, Any],
-                 deadline=None, plan=None, attempt: int = 1) -> List[Any]:
-        """Execute ``jobs`` on the pool; results in job order.
+    def stream(self, jobs: Sequence[Any],
+               tables: Optional[Mapping[str, Any]] = None, deadline=None,
+               plan=None, attempt: int = 1,
+               job_timeout: Optional[float] = None,
+               profile: Optional[float] = None) -> Iterator[Finished]:
+        """Run ``jobs`` on the pool, yielding each one's
+        :class:`Finished` as it happens (completion order).
 
         ``tables`` maps content digest -> Table for everything any
         job's ``digest_map`` references.  ``plan``/``attempt`` carry
-        the installed fault plan and the degradation-ladder attempt
-        into the workers (forked workers do not see plans installed
-        after pool creation).  Raises the typed substrate fault when
-        the retry budget is exhausted, application exceptions
-        unchanged, and :class:`~repro.service.faults.DeadlineExceeded`
-        on expiry.
+        the installed fault plan and the first attempt number into the
+        workers; ``profile`` is the driver's sampling interval when it
+        is profiling.  Failures retry under :attr:`retry` as the module
+        docstring describes; at ``deadline`` expiry every unfinished
+        job finishes with :class:`~repro.service.faults.
+        DeadlineExceeded`.  Closing the generator early scraps the busy
+        workers, so the next dispatch starts frame-aligned.
         """
         jobs = list(jobs)
         if not jobs:
-            return []
-        try:
-            self.ensure_workers()
-        except OSError as exc:  # pragma: no cover - fd exhaustion
-            raise faults.SubstrateUnavailable(
-                "cannot spawn pool worker: %s" % exc)
-        results: List[Any] = [None] * len(jobs)
+            return
+        tables = tables or {}
+        preload = self._preload(jobs, tables)
+        self.ensure_workers(preload)
         # Longest estimate first; ties break on job index so dispatch
         # order is deterministic.  ``pending`` is popped from the end.
         pending = sorted(range(len(jobs)),
                          key=lambda i: (-(jobs[i].est or 0), i),
                          reverse=True)
-        attempts = {index: attempt for index in range(len(jobs))}
+        tries = [0] * len(jobs)
+        delayed: List[tuple] = []           # (ready_at, index) backoffs
         idle = list(self._workers)
-        busy: Dict[_PoolWorker, int] = {}
-
-        def fail_dispatch(worker: _PoolWorker, index: int,
-                          exc: Exception) -> None:
-            # The pipe state after a partial send is unknown: scrap.
-            self._scrap(worker)
-            raise faults.SubstrateUnavailable(
-                "pool dispatch for partition %d failed: %s"
-                % (jobs[index].part, exc))
-
-        def retry_or_raise(index: int, kind: str,
-                           fault: Exception) -> None:
-            consumed = attempts[index]
-            if not self.retry.allows_retry(kind, consumed):
-                raise fault
-            _RETRIES.inc(kind=kind)
-            attempts[index] = consumed + 1
-            backoff = self.retry.backoff(consumed)
-            if backoff > 0:
-                if deadline is not None:
-                    deadline.check("pool retry backoff")
-                time.sleep(backoff)
-            pending.append(index)
-
+        busy: Dict[_PoolWorker, tuple] = {}  # worker -> (index, started)
+        unfinished = len(jobs)
         try:
-            while pending or busy:
+            while unfinished:
+                now = time.perf_counter()
+                if deadline is not None and deadline.expired():
+                    stuck = list(busy.items())
+                    busy.clear()
+                    for worker, _ in stuck:
+                        self._scrap(worker, preload)
+                    for _, (index, started) in stuck:
+                        yield Finished(
+                            index, error=faults.DeadlineExceeded(
+                                "deadline exceeded while running"),
+                            attempts=attempt - 1 + tries[index],
+                            seconds=now - started)
+                    for index in pending + [i for _, i in delayed]:
+                        yield Finished(
+                            index, error=faults.DeadlineExceeded(
+                                "deadline exceeded before start"),
+                            attempts=attempt - 1 + tries[index])
+                    return
+                due = sorted((e for e in delayed if e[0] <= now),
+                             reverse=True)
+                if due:
+                    delayed = [e for e in delayed if e[0] > now]
+                    pending.extend(index for _, index in due)
                 while pending and idle:
                     worker = idle.pop(0)
                     index = pending.pop()
+                    tries[index] += 1
                     try:
-                        self._dispatch(worker, jobs[index], tables, plan,
-                                       attempts[index])
+                        self._ship_tables(worker, jobs[index], tables)
+                        worker.send("run", (
+                            jobs[index], plan, "part:%d" % jobs[index].part,
+                            attempt - 1 + tries[index], profile))
                     except (OSError, pickle.PicklingError,
                             AttributeError, TypeError) as exc:
-                        fail_dispatch(worker, index, exc)
-                    busy[worker] = index
+                        # The pipe state after a partial send is
+                        # unknown: scrap.
+                        self._scrap(worker, preload)
+                        raise faults.SubstrateUnavailable(
+                            "pool dispatch for job %d failed: %s"
+                            % (index, exc))
+                    _DISPATCHES.inc()
+                    busy[worker] = (index, time.perf_counter())
+                bounds = [ready - now for ready, _ in delayed]
+                if deadline is not None:
+                    bounds.append(deadline.remaining())
+                if job_timeout is not None:
+                    bounds.extend(started + job_timeout - now
+                                  for _, started in busy.values())
+                timeout = max(0.0, min(bounds)) if bounds else None
                 if not busy:
-                    # Only reachable when jobs remain but every worker
-                    # died and could not be respawned.
-                    raise faults.SubstrateUnavailable(
-                        "no live pool workers for %d pending partitions"
-                        % len(pending))
+                    if not delayed:
+                        # Only reachable when jobs remain but every
+                        # worker died and could not be respawned.
+                        raise faults.SubstrateUnavailable(
+                            "no live pool workers for %d pending jobs"
+                            % len(pending))
+                    time.sleep(timeout)
+                    continue
                 by_fd = {worker.recv_fd: worker for worker in busy}
-                timeout = None if deadline is None \
-                    else max(0.0, deadline.remaining())
                 readable, _, _ = select.select(list(by_fd), [], [], timeout)
-                if not readable:
-                    raise faults.DeadlineExceeded(
-                        "pool deadline expired with %d/%d partitions "
-                        "unfinished" % (len(busy) + len(pending), len(jobs)))
-                for fd in readable:
-                    worker = by_fd[fd]
-                    index = busy.pop(worker)
-                    outcome = self._collect(worker)
-                    if isinstance(outcome, faults.WorkerCrash):
-                        replacement = self._scrap(worker)
+                now = time.perf_counter()
+                replied = [by_fd[fd] for fd in readable]
+                overdue = [worker for worker, (_, started) in busy.items()
+                           if job_timeout is not None and worker not in
+                           replied and now - started > job_timeout]
+                for worker in replied + overdue:
+                    index, started = busy.pop(worker)
+                    if worker in overdue:
+                        tag, value = "lost", faults.TaskTimeout(
+                            "timeout after %.3gs" % job_timeout)
+                    else:
+                        tag, value = self._collect(worker)
+                    if tag == "lost":       # dead or hung: replace it
+                        replacement = self._scrap(worker, preload)
                         if replacement is not None:
                             idle.append(replacement)
-                        retry_or_raise(index, faults.CRASH, outcome)
-                        continue
-                    if isinstance(outcome, faults.CorruptPayload):
-                        # Full frame read: the worker is healthy, only
-                        # the payload was poison.  Reuse it.
+                    else:
+                        # A full frame was read: the worker is healthy
+                        # even when the payload was poison.  Reuse it.
                         idle.append(worker)
-                        retry_or_raise(index, faults.CORRUPT_PAYLOAD,
-                                       outcome)
+                    kind = faults.classify_exception(value)
+                    if tag in ("lost", "error") \
+                            and self.retry.allows_retry(kind, tries[index]) \
+                            and (deadline is None or not deadline.expired()):
+                        _RETRIES.inc(kind=kind)
+                        delayed.append((now + self.retry.backoff(
+                            tries[index]), index))
                         continue
-                    tag, value = outcome
-                    if tag == "ok":
-                        results[index] = value
-                        idle.append(worker)
-                        continue
-                    if tag == "error":
-                        fault = faults.fault_from_payload(value)
-                        if isinstance(fault, faults.CorruptPayload):
-                            idle.append(worker)
-                            retry_or_raise(index, faults.CORRUPT_PAYLOAD,
-                                           fault)
-                            continue
-                        raise fault
-                    # tag == "exc": an application exception — the
-                    # ladder must not absorb it.
-                    raise value
-                if deadline is not None:
-                    deadline.check("pool fan-out")
+                    # A plain exception ("exc") is final at once.
+                    unfinished -= 1
+                    yield Finished(index,
+                                   value=value if tag == "ok" else None,
+                                   error=None if tag == "ok" else value,
+                                   attempts=attempt - 1 + tries[index],
+                                   seconds=now - started)
+        finally:
+            # An early exit leaves replies queued on the busy workers'
+            # pipes; scrap them so the next dispatch starts aligned.
+            for worker in busy:
+                self._scrap(worker, preload)
+
+    def run_jobs(self, jobs: Sequence[Any], tables: Mapping[str, Any],
+                 deadline=None, plan=None, attempt: int = 1) -> List[Any]:
+        """Execute ``jobs`` on the pool; results in job order.
+
+        Raises the first final failure: the typed substrate fault when
+        the retry budget is exhausted (tagged with the ``attempts`` it
+        reached, so the degradation ladder numbers the next rung after
+        it), application exceptions unchanged, and
+        :class:`~repro.service.faults.DeadlineExceeded` on expiry.  When
+        a profiler is installed, each job runs under a child profiler
+        and its samples are merged into the driver's.
+        """
+        from repro.obs import profile as obs_profile
+
+        profiler = obs_profile.installed()
+        interval = None if profiler is None else profiler.interval_seconds
+        results: List[Any] = [None] * len(jobs)
+        with contextlib.closing(self.stream(
+                jobs, tables, deadline=deadline, plan=plan,
+                attempt=attempt, profile=interval)) as finished:
+            for done in finished:
+                if done.error is not None:
+                    if isinstance(done.error, faults.TaskFault):
+                        done.error.attempts = done.attempts
+                    raise done.error
+                results[done.index] = done.value
+        if interval is None:
             return results
-        except BaseException:
-            # Any exit with jobs still in flight leaves replies queued
-            # on the busy workers' pipes; scrap them so the next query
-            # starts frame-aligned.
-            for worker in list(busy):
-                self._scrap(worker)
-            raise
+        return obs_profile.absorb_shipped(results)
 
 
 # -- process-wide pool ---------------------------------------------------------

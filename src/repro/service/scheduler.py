@@ -1,4 +1,4 @@
-"""Fan QBS jobs out over a multiprocessing worker pool.
+"""Fan QBS jobs out over forked worker processes.
 
 Fragments are independent jobs (the engine is deterministic per
 fragment), so the scheduler's only obligations are
@@ -17,12 +17,14 @@ fragment), so the scheduler's only obligations are
   :class:`~repro.service.faults.RetryPolicy` with deterministic
   backoff; the attempt bound is the per-job circuit breaker, so a
   poison job fails permanently after K attempts instead of
-  respawn-looping.  Crashed / timed-out / desynced workers are
-  terminated and replaced while the rest of the batch completes, and
-  an optional whole-run deadline abandons unfinished work with a
-  classified timeout instead of blocking;
-* **graceful degradation** — ``workers=1`` runs in-process with no
-  multiprocessing machinery at all.
+  respawn-looping.  ``workers>1`` runs on a
+  :class:`~repro.service.pool.WorkerPool` forked for the run and
+  closed at its end — the repo's one worker-process substrate, which
+  replaces crashed and timed-out workers while the rest of the batch
+  completes and turns an optional whole-run deadline into classified
+  timeouts instead of a block;
+* **graceful degradation** — ``workers=1`` (or a platform without
+  fork) runs in-process with no multiprocessing machinery at all.
 
 Results are read through / written to a :class:`ResultCache` when one
 is attached, which is what makes corpus re-runs incremental.
@@ -30,13 +32,9 @@ is attached, which is what makes corpus re-runs incremental.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.core.qbs import QBSOptions, QBSResult
@@ -46,29 +44,24 @@ from repro.obs import trace as obs_trace
 from repro.service import faults
 from repro.service.cache import ResultCache
 from repro.service.faults import (
-    CRASH,
-    CORRUPT_PAYLOAD,
-    PERMANENT,
     TIMEOUT,
-    CorruptPayload,
     Deadline,
-    DeadlineExceeded,
     RetryPolicy,
-    SubstrateUnavailable,
-    WorkerCrash,
     classify_exception,
     final_failure_kind,
 )
 from repro.service.jobs import (
+    PoolJob,
     QBSJob,
     execute_job,
     job_for,
     options_payload,
     result_from_payload,
 )
+from repro.service.pool import Finished, WorkerPool
 
 #: worker entry indirection: tests (and embedders) can swap the runner;
-#: fork-started workers inherit the swap.
+#: the pool a run forks inherits the swap.
 _JOB_RUNNER = execute_job
 
 # Scheduler metrics, recorded parent-side from each JobOutcome (pool
@@ -97,270 +90,6 @@ _JOBS_INFLIGHT = obs_metrics.gauge(
     "repro_jobs_inflight",
     "jobs executing right now (the live-ops view a /metrics scrape "
     "sees mid-run)")
-
-
-def _fork_child(conn, fn, item):
-    """fork_map worker: one tagged reply per pipe.
-
-    Replies are ``("ok", result)``, ``("exc", exception)``, or — when
-    the result / exception itself refuses to pickle — a structured
-    ``("error", payload)`` built from plain data, so the parent always
-    learns *why* instead of seeing a bare EOF.
-    """
-    faults.mark_child_process()
-    try:
-        reply = ("ok", fn(item))
-    except BaseException as exc:
-        reply = ("exc", exc)
-    try:
-        conn.send(reply)
-    except Exception as send_exc:
-        # The payload would not pickle; ship a classified description
-        # (a successful-but-unpicklable result is a corrupt payload,
-        # not a job failure with its own repr).
-        tag, value = reply
-        if tag == "ok":
-            payload = faults.error_payload(
-                CORRUPT_PAYLOAD,
-                "fork_map: result %r is not picklable (%s: %s)"
-                % (value, type(send_exc).__name__, send_exc))
-        else:
-            payload = faults.error_payload(
-                PERMANENT,
-                "fork_map: %s: %s (exception did not pickle: %s)"
-                % (type(value).__name__, value, send_exc))
-        try:
-            conn.send(("error", payload))
-        except Exception:   # pragma: no cover - pipe gone; parent sees EOF
-            pass
-    finally:
-        conn.close()
-    # Skip interpreter finalization: tearing down a forked child decrefs
-    # the entire inherited heap, copy-on-write-copying it page by page —
-    # for a large parent (the whole point of fork workers) that costs
-    # more than the job itself.  The result is already on the pipe and
-    # the child owns no other resources.
-    os._exit(0)
-
-
-def _reap_fork_workers(workers) -> None:
-    """Close pipes and make every child exit — escalating terminate →
-    kill — so an abandoned fan-out never leaks zombies.  ``None``
-    entries are workers already collected (and fully released) by the
-    bounded dispatch loop."""
-    for entry in workers:
-        if entry is None:
-            continue
-        process, receiver = entry
-        try:
-            receiver.close()
-        except OSError:
-            pass
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - SIGTERM ignored
-                process.kill()
-        process.join()
-
-
-def fork_map(fn, items, deadline: Optional[Deadline] = None):
-    """Apply ``fn`` to each item in its own forked child process.
-
-    The generic fan-out primitive underneath the scheduler's pool,
-    exposed for other CPU-bound batch work — the SQL engine's
-    partition-parallel aggregates run their per-partition tasks through
-    it.  Fork semantics are the point: children inherit the parent's
-    memory image, so ``fn`` and ``items`` never pickle; only each
-    *result* crosses the process boundary, over the scheduler's
-    one-pipe-per-worker convention (no channel is shared, so one
-    worker's death cannot corrupt another's result).
-
-    Results come back in item order.  A child that raises has its
-    exception re-raised here; substrate failures raise typed faults
-    from the shared taxonomy instead of hangs or raw ``EOFError``:
-
-    * child died without replying → :class:`WorkerCrash` (exit code
-      included);
-    * reply would not decode (unpicklable / truncated payload) →
-      :class:`CorruptPayload`;
-    * a worker process could not start → :class:`SubstrateUnavailable`;
-    * ``deadline`` expired with results outstanding →
-      :class:`DeadlineExceeded` (remaining children are reaped).
-
-    Falls back to an inline map when fork is unavailable (non-POSIX)
-    or when there is at most one item.
-
-    Concurrency is bounded: at most
-    :func:`repro.sql.plan.parallel.usable_cores` children are in
-    flight at once, in a dispatch loop that spawns item ``i + limit``
-    only after item ``i``'s result is collected.  More children than
-    cores buy no CPU parallelism, and an unbounded fan-out holds one
-    pipe pair (two file descriptors) per *item* open simultaneously —
-    a large K exhausts ``RLIMIT_NOFILE`` before any work fails.
-    Results still come back in item order (collection order is the
-    spawn order, so the bound changes scheduling, never results).
-    """
-    items = list(items)
-    if len(items) <= 1:
-        if deadline is not None:
-            deadline.check("fork_map")
-        return [fn(item) for item in items]
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return [fn(item) for item in items]
-    from repro.sql.plan.parallel import usable_cores
-
-    limit = max(1, usable_cores())
-    workers = []
-
-    def spawn_next() -> None:
-        item = items[len(workers)]
-        receiver, sender = context.Pipe(duplex=False)
-        process = context.Process(target=_fork_child,
-                                  args=(sender, fn, item), daemon=True)
-        try:
-            process.start()
-        except OSError as exc:
-            receiver.close()
-            sender.close()
-            raise SubstrateUnavailable(
-                "fork_map could not start a worker: %s" % exc)
-        sender.close()
-        workers.append((process, receiver))
-
-    try:
-        while len(workers) < min(limit, len(items)):
-            spawn_next()
-        results = []
-        for index in range(len(items)):
-            process, receiver = workers[index]
-            if deadline is not None and \
-                    not receiver.poll(deadline.remaining()):
-                raise DeadlineExceeded(
-                    "fork_map deadline expired with %d/%d results collected"
-                    % (len(results), len(items)))
-            try:
-                tag, payload = receiver.recv()
-            except (EOFError, OSError):
-                process.join()
-                raise WorkerCrash(
-                    "fork_map worker died without replying "
-                    "(exit code %s)" % process.exitcode)
-            except Exception as exc:
-                raise CorruptPayload(
-                    "fork_map reply failed to decode (%s: %s)"
-                    % (type(exc).__name__, exc))
-            if tag == "ok":
-                results.append(payload)
-            elif tag == "exc":
-                raise payload
-            else:
-                raise faults.fault_from_payload(payload)
-            # This child replied and is exiting; release its pipe, its
-            # process handle (join alone keeps the sentinel fd open)
-            # and its slot before starting the next item, so no more
-            # than ``limit`` of any resource are ever held.
-            receiver.close()
-            process.join()
-            process.close()
-            workers[index] = None
-            if len(workers) < len(items):
-                spawn_next()
-        return results
-    finally:
-        _reap_fork_workers(workers)
-
-
-def _worker_main(conn, options_dict):
-    """Worker process: serve explicitly-assigned jobs until the parent
-    sends the ``None`` shutdown sentinel (or terminates us).
-
-    Jobs arrive and results return over this worker's own duplex pipe —
-    no channel is shared between workers, so terminating one worker
-    can never corrupt another's results.  The sentinel, not pipe EOF,
-    ends the loop: under fork, sibling workers inherit copies of each
-    other's pipe fds, so the parent closing its end does not reliably
-    produce EOF here.
-
-    Failed jobs reply ``(index, False, (kind, message))`` so the parent
-    can classify without parsing text; a reply whose payload will not
-    pickle is downgraded to a structured corrupt-payload report rather
-    than killing the worker.
-    """
-    faults.mark_child_process()
-    while True:
-        try:
-            item = conn.recv()
-        except (EOFError, OSError):
-            return
-        if item is None:
-            return
-        index, fragment_id, attempt = item
-        faults.set_current_attempt(attempt)
-        try:
-            payload = _JOB_RUNNER(fragment_id, options_dict)
-        except Exception as exc:
-            reply = (index, False, (classify_exception(exc),
-                                    "%s: %s" % (type(exc).__name__, exc)))
-        else:
-            reply = (index, True, payload)
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            return
-        except Exception as exc:
-            try:
-                conn.send((index, False, (
-                    CORRUPT_PAYLOAD,
-                    "result for %s failed to serialize (%s: %s)"
-                    % (fragment_id, type(exc).__name__, exc))))
-            except Exception:   # pragma: no cover - pipe gone
-                return
-
-
-class _WorkerHandle:
-    """Parent-side view of one worker and the job it currently holds."""
-
-    #: grace given at each escalation step (sentinel/SIGTERM → SIGKILL)
-    #: before moving to the next; tests shrink this.
-    _JOIN_GRACE = 5.0
-
-    def __init__(self, process, conn):
-        self.process = process
-        self.conn = conn
-        self.index: Optional[int] = None   # assigned job, None when idle
-        self.assigned_at = 0.0
-
-    def assign(self, index: int, fragment_id: str, attempt: int) -> None:
-        self.index = index
-        self.assigned_at = time.perf_counter()
-        self.conn.send((index, fragment_id, attempt))
-
-    def shutdown(self, kill: bool) -> None:
-        """Wind the worker down, escalating until it is actually
-        reaped: cooperative sentinel (or SIGTERM when ``kill``), then
-        SIGTERM, then SIGKILL.  A worker stuck in uninterruptible work
-        or ignoring SIGTERM must not leak as a zombie."""
-        if kill:
-            self.process.terminate()
-        else:
-            try:
-                self.conn.send(None)    # shutdown sentinel
-            except (BrokenPipeError, OSError):
-                pass
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        self.process.join(timeout=self._JOIN_GRACE)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=self._JOIN_GRACE)
-            if self.process.is_alive():
-                self.process.kill()
-        self.process.join()
 
 
 @dataclass
@@ -518,6 +247,8 @@ class Scheduler:
                 yield outcome
         except StopIteration:   # compute wound down early (stop_event)
             return
+        finally:
+            compute.close()     # a pool run closes its workers
 
     def _observe(self, outcome: JobOutcome, parent_span,
                  run_started: float) -> None:
@@ -533,7 +264,12 @@ class Scheduler:
         _JOBS.inc(state=outcome.state)
         _JOB_ATTEMPTS.inc(outcome.attempts)
         if outcome.attempts > 1:
+            # Every retry waited out its policy backoff first.
             _JOB_RETRIES.inc()
+            _BACKOFF_WAITS.inc(outcome.attempts - 1)
+            _BACKOFF_SECONDS.inc(sum(self.retry.backoff(attempt)
+                                     for attempt in
+                                     range(1, outcome.attempts)))
         if outcome.failure_kind is not None:
             _JOB_FAILURES.inc(kind=outcome.failure_kind)
         if not outcome.from_cache:
@@ -559,8 +295,8 @@ class Scheduler:
     def _run_inline(self, jobs: List[QBSJob], pending: List[int],
                     stop_event: Optional[threading.Event]
                     ) -> Iterator[JobOutcome]:
-        """In-process fallback: no pool, no pickling overhead — but the
-        same retry/backoff/deadline semantics as the pool path."""
+        """In-process: no pool, no pickling overhead — but the same
+        retry/backoff/deadline semantics as the pool path."""
         opts = options_payload(self.options)
         retry = self.retry
         deadline = Deadline.after(self.deadline_seconds)
@@ -586,10 +322,7 @@ class Scheduler:
                     kind = classify_exception(exc)
                     if retry.allows_retry(kind, attempt) and \
                             (deadline is None or not deadline.expired()):
-                        backoff = retry.backoff(attempt)
-                        _BACKOFF_WAITS.inc()
-                        _BACKOFF_SECONDS.inc(backoff)
-                        time.sleep(backoff)
+                        time.sleep(retry.backoff(attempt))
                         continue
                     yield JobOutcome(
                         job=job, state="failed",
@@ -604,207 +337,61 @@ class Scheduler:
                 break
             _JOBS_INFLIGHT.set(0)
 
-    #: parent poll interval while waiting on workers.
-    _POLL_SECONDS = 0.02
-
     def _run_pool(self, jobs: List[QBSJob], pending: List[int],
                   stop_event: Optional[threading.Event]
                   ) -> Iterator[JobOutcome]:
-        """Worker processes with explicit job assignment.
+        """Fork a :class:`~repro.service.pool.WorkerPool` for this run
+        and deliver its outcomes in submission order.
 
-        The parent hands each idle worker one job at a time over that
-        worker's own duplex pipe, so it always knows which job a worker
-        holds and when that job *actually started*.  That is what makes
-        per-job timeouts honest: a job is only reported as timed out if
-        it ran past the budget, never because it sat queued behind
-        someone else's hung job.  Timed-out / crashed / desynced
-        workers are terminated and replaced, so the rest of the batch
-        always completes — and because no channel is shared, reclaiming
-        one worker cannot disturb another's results.
-
-        Failures are classified and fed through the retry policy: a
-        retryable failure requeues the job (after its deterministic
-        backoff) until the attempt budget — the per-job circuit
-        breaker — is spent.  A whole-run deadline fails everything
-        still unfinished with a classified timeout.
+        Forked per run, the workers inherit everything set up before
+        ``run``: a swapped ``_JOB_RUNNER``, an installed fault plan,
+        tracing wrappers.  The pool owns dispatch, per-job timeouts,
+        the whole-run deadline, crash respawn and retries; each final
+        failure becomes a classified failed outcome while the rest of
+        the batch carries on.  Where fork is unavailable the run goes
+        inline.
         """
+        try:
+            pool = WorkerPool(size=min(self.workers, len(pending)),
+                              retry=self.retry)
+        except ValueError:  # pragma: no cover - no fork on this platform
+            yield from self._run_inline(jobs, pending, stop_event)
+            return
+        pool.gauged = False     # repro_pool_workers is the query pool's
         opts = options_payload(self.options)
-        context = self._context()
-        retry = self.retry
-        deadline = Deadline.after(self.deadline_seconds)
-
-        def spawn() -> _WorkerHandle:
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=_worker_main, args=(child_conn, opts), daemon=True)
-            process.start()
-            child_conn.close()
-            return _WorkerHandle(process, parent_conn)
-
-        remaining = deque(pending)
-        delayed: List[tuple] = []       # (ready_at, index) backoff queue
-        attempts = {index: 0 for index in pending}
+        stream = pool.stream(
+            [PoolJob(jobs[index].fragment_id, opts) for index in pending],
+            deadline=Deadline.after(self.deadline_seconds),
+            job_timeout=self.job_timeout)
         outcomes: Dict[int, JobOutcome] = {}
         next_pos = 0
-
-        def register_failure(index: int, kind: str, message: str,
-                             elapsed: float) -> None:
-            """Retry under policy, or record the final classified
-            outcome once the circuit breaker trips."""
-            attempt = attempts[index]
-            if retry.allows_retry(kind, attempt) and \
-                    (deadline is None or not deadline.expired()):
-                backoff = retry.backoff(attempt)
-                _BACKOFF_WAITS.inc()
-                _BACKOFF_SECONDS.inc(backoff)
-                delayed.append(
-                    (time.perf_counter() + backoff, index))
-                return
-            outcomes[index] = JobOutcome(
-                job=jobs[index], state="failed",
-                elapsed_seconds=elapsed, error=message,
-                failure_kind=final_failure_kind(kind), attempts=attempt)
-
-        workers = [spawn() for _ in range(min(self.workers, len(pending)))]
         try:
-            while next_pos < len(pending):
+            for done in stream:
+                index = pending[done.index]
+                outcomes[index] = self._outcome(jobs[index], done)
+                _JOBS_INFLIGHT.set(min(pool.size, len(pending) - next_pos
+                                       - len(outcomes)))
                 if stop_event is not None and stop_event.is_set():
                     return
-                # Promote backed-off jobs whose wait is over.
-                if delayed:
-                    now = time.perf_counter()
-                    due = sorted(e for e in delayed if e[0] <= now)
-                    if due:
-                        delayed = [e for e in delayed if e[0] > now]
-                        for _, index in due:
-                            remaining.append(index)
-                # Whole-run deadline: fail everything unfinished with a
-                # classified timeout and wind down.
-                if deadline is not None and deadline.expired():
-                    now = time.perf_counter()
-                    for worker in workers:
-                        if worker.index is None:
-                            continue
-                        index = worker.index
-                        worker.index = None
-                        outcomes[index] = JobOutcome(
-                            job=jobs[index], state="failed",
-                            elapsed_seconds=now - worker.assigned_at,
-                            error="deadline exceeded after %.3gs"
-                                  % self.deadline_seconds,
-                            failure_kind=TIMEOUT,
-                            attempts=attempts[index])
-                        worker.shutdown(kill=True)
-                    for index in list(remaining) + [e[1] for e in delayed]:
-                        outcomes[index] = JobOutcome(
-                            job=jobs[index], state="failed",
-                            error="deadline exceeded before start",
-                            failure_kind=TIMEOUT,
-                            attempts=attempts[index])
-                    remaining.clear()
-                    delayed = []
-                    while next_pos < len(pending):
-                        yield outcomes.pop(pending[next_pos])
-                        next_pos += 1
-                    return
-                # Hand jobs to idle workers; a worker that died while
-                # idle shows up as a broken pipe and is replaced, with
-                # the job going back to the front of the queue.
-                for position, worker in enumerate(workers):
-                    if worker.index is None and remaining:
-                        index = remaining.popleft()
-                        attempts[index] += 1
-                        try:
-                            worker.assign(index, jobs[index].fragment_id,
-                                          attempts[index])
-                        except (BrokenPipeError, OSError):
-                            attempts[index] -= 1
-                            remaining.appendleft(index)
-                            worker.shutdown(kill=False)
-                            workers[position] = spawn()
-                # Collect results from whichever workers have them.
-                busy = [w for w in workers if w.index is not None]
-                _JOBS_INFLIGHT.set(len(busy))
-                ready = _connection_wait([w.conn for w in busy],
-                                         timeout=self._POLL_SECONDS) \
-                    if busy else ()
-                for conn in ready:
-                    position, worker = next(
-                        (p, w) for p, w in enumerate(workers)
-                        if w.conn is conn)
-                    elapsed = time.perf_counter() - worker.assigned_at
-                    index = worker.index
-                    try:
-                        reply_index, ok, payload = conn.recv()
-                    except (EOFError, OSError):
-                        # EOF/partial message: the worker died mid-job.
-                        worker.index = None
-                        worker.shutdown(kill=False)
-                        register_failure(
-                            index, CRASH,
-                            "worker died (exit code %s)"
-                            % worker.process.exitcode, elapsed)
-                        if remaining or delayed:
-                            workers[position] = spawn()
-                        continue
-                    except Exception as exc:
-                        # The reply arrived but would not decode; the
-                        # pipe stream may be desynced, so replace the
-                        # worker rather than trust its next frame.
-                        worker.index = None
-                        worker.shutdown(kill=True)
-                        register_failure(
-                            index, CORRUPT_PAYLOAD,
-                            "undecodable worker reply (%s: %s)"
-                            % (type(exc).__name__, exc), elapsed)
-                        if remaining or delayed:
-                            workers[position] = spawn()
-                        continue
-                    worker.index = None
-                    if ok:
-                        outcomes[reply_index] = self._finish(
-                            jobs[reply_index], payload, elapsed,
-                            attempts=attempts[reply_index])
-                    else:
-                        kind, message = payload \
-                            if isinstance(payload, tuple) \
-                            else (PERMANENT, payload)
-                        register_failure(reply_index, kind, message,
-                                         elapsed)
-                # Reclaim workers whose job ran past the budget.
-                if self.job_timeout is not None:
-                    now = time.perf_counter()
-                    for position, worker in enumerate(workers):
-                        if worker.index is None:
-                            continue
-                        busy_for = now - worker.assigned_at
-                        if busy_for > self.job_timeout:
-                            index = worker.index
-                            worker.index = None
-                            worker.shutdown(kill=True)
-                            register_failure(
-                                index, TIMEOUT,
-                                "timeout after %.3gs" % self.job_timeout,
-                                busy_for)
-                            if remaining or delayed:
-                                workers[position] = spawn()
                 # Yield the finished in-order prefix.
                 while next_pos < len(pending) \
                         and pending[next_pos] in outcomes:
                     yield outcomes.pop(pending[next_pos])
                     next_pos += 1
         finally:
+            stream.close()
+            pool.close()
             _JOBS_INFLIGHT.set(0)
-            for worker in workers:
-                worker.shutdown(kill=worker.index is not None)
 
-    @staticmethod
-    def _context():
-        """Fork where available: workers inherit warm module state."""
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            return multiprocessing.get_context()
+    def _outcome(self, job: QBSJob, done: Finished) -> JobOutcome:
+        if done.error is None:
+            return self._finish(job, done.value, done.seconds,
+                                attempts=done.attempts)
+        return JobOutcome(
+            job=job, state="failed", elapsed_seconds=done.seconds,
+            error=str(done.error),
+            failure_kind=final_failure_kind(classify_exception(done.error)),
+            attempts=done.attempts)
 
     def _finish(self, job: QBSJob, payload: Dict[str, Any],
                 elapsed: float, attempts: int = 1) -> JobOutcome:

@@ -131,8 +131,7 @@ class Catalog:
 
     def __init__(self):
         self.tables: Dict[str, Table] = {}
-        #: schema version, bumped on create/drop; with each table's
-        #: ``data_version`` it forms the pool's catalog cache key.
+        #: schema version, bumped on create/drop.
         self.version = 0
 
     def create_table(self, name: str, columns: Iterable[str]) -> Table:
@@ -142,14 +141,6 @@ class Catalog:
         self.tables[name] = table
         self.version += 1
         return table
-
-    def content_key(self) -> Tuple:
-        """The catalog's full content identity: schema version plus
-        every table's content digest.  Two equal keys mean a worker's
-        cached catalog needs zero rows re-shipped."""
-        return (self.version,
-                tuple(sorted((name, table.content_digest())
-                             for name, table in self.tables.items())))
 
     def table(self, name: str) -> Table:
         try:

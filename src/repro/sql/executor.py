@@ -52,8 +52,8 @@ class ExecutionStats:
     nested_loop_joins: int = 0
     index_scans: int = 0
     full_scans: int = 0
-    #: substrate degradations taken while executing (processes →
-    #: threads → serial rungs fallen; see docs/robustness.md).  Not
+    #: substrate degradations taken while executing (pool → threads →
+    #: serial rungs fallen; see docs/robustness.md).  Not
     #: part of the parallel-identity contract: degraded runs must match
     #: serial runs on every *work* counter above, while this one
     #: records that the fallback happened.
@@ -101,20 +101,17 @@ class ExecutorOptions:
         ``repro.sql.plan.optimizer.resolve_auto_partitions``).
         Requires the planner.
     ``parallel_backend``
-        ``"threads"`` (default), ``"processes"``, or ``"pool"``.
-        Threads share the operator tree; the process backend — the
-        service scheduler's fork fan-out — only ever runs
-        partial-aggregation partitions, where results are scalars
-        rather than row sets, and is the configuration that turns
-        partition parallelism into CPU speedup
-        (``benchmarks/bench_parallel_scan.py``).  The pool backend
-        dispatches partition tasks to long-lived worker processes
-        (:mod:`repro.service.pool`) that cache shipped tables by
-        content digest, so repeated queries against an unchanged
-        catalog pay no per-query fork and re-ship zero rows
-        (``benchmarks/bench_worker_pool.py``); unlike ``"processes"``
-        it also runs Gather and GatherMerge partitions, shipping row
-        sets back over the pool's pipes.
+        ``"threads"`` (default) or ``"pool"``.  Threads share the
+        operator tree; under the GIL they are correctness plumbing,
+        not speedup.  The pool backend dispatches partition tasks to
+        long-lived worker processes (:mod:`repro.service.pool`) that
+        cache tables by content digest, so repeated queries against an
+        unchanged catalog pay no per-query fork and re-ship zero rows
+        (``benchmarks/bench_worker_pool.py``), and is the
+        configuration that turns partial aggregation into CPU speedup
+        (``benchmarks/bench_parallel_scan.py``).  It runs Gather and
+        GatherMerge partitions too, shipping row sets back over the
+        pool's pipes.
     ``cost_based``
         Plan with the statistics-driven cost model (the default):
         Selinger join-order search, cost-driven access paths, and
@@ -675,8 +672,8 @@ class Executor:
 
         An IN subquery evaluates once per candidate row, possibly
         inside a partition worker.  Re-planning it with ``parallel=K``
-        there would spin up a substrate per row — and, on the process
-        backend, attempt to fork from inside a daemonic fork child,
+        there would spin up a substrate per row — and, on the pool
+        backend, attempt to fork from inside a daemonic pool worker,
         which multiprocessing forbids.  Serial nested execution is
         stats-identical (that is the parallel-transparency invariant),
         so nothing observable changes.

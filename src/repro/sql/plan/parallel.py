@@ -6,43 +6,42 @@ onto the configured backend:
 * ``"threads"`` (default) — a thread per partition.  Threads share the
   catalog and the physical operator tree, so joined environments flow
   back with zero copying; CPython's GIL serializes the interpreted
-  work, which keeps this backend about overlap and correctness
-  plumbing rather than raw CPU speedup.
-* ``"processes"`` — the service scheduler's fork fan-out
-  (:func:`repro.service.scheduler.fork_map`).  Children inherit the
-  table data by fork, run their partition, and send back only the
-  (small, picklable) task result — which is why the executor reserves
-  this backend for partial aggregation, where a partition's result is
-  a handful of combined values rather than a row set.
-* ``"pool"`` — the persistent worker pool
+  work, so this backend is correctness plumbing, not speedup (a median
+  0.9x of serial, range 0.7-1.2x over 20 runs of the partial-aggregate
+  scan in ``benchmarks/bench_parallel_scan.py`` on a 2-vCPU VM).  It stays because it is the
+  in-process default and the only in-process rung that abandons a
+  hung partition at the deadline.
+* ``"pool"`` — the worker-process substrate
   (:class:`repro.service.pool.WorkerPool`): processes forked *once*
   and reused across queries, with table content cached per worker by
   content digest so repeated queries against unchanged data ship only
   plan fragments.  Tasks on this rung carry a picklable
   ``pool_job``/``pool_tables`` payload attached by the physical layer;
   when a task has none the rung reports itself unavailable and the
-  ladder falls through to ``processes``.
+  ladder falls through to ``threads``.
 
 All backends preserve partition order in the returned list, and all
 degrade to an inline loop for a single task, so ``parallel=1`` and
 serial execution share one code path.
 
-**Degradation ladder.**  Substrate failures — a forked child crashing,
-a payload that will not decode, a pool that cannot start — never fail
-the query.  :func:`run_tasks` classifies them through the shared
-``repro.service.faults`` taxonomy and retries the *whole task list*
-one rung down: ``pool → processes → threads → serial``.  Tasks build a fresh
-per-partition context on every invocation, so a rerun is idempotent
-and the results stay row/column/stats-identical to serial execution
-(the mode-flags-not-forks invariant).  Application exceptions and
-deadline expiry propagate immediately: the ladder only absorbs
-substrate faults.  An optional :class:`~repro.service.faults.Deadline`
-bounds the whole fan-out; at expiry unfinished partitions are
-abandoned and a classified
+**Degradation ladder.**  Substrate failures — a worker crashing past
+the pool's retry budget, a payload that will not decode, a pool that
+cannot start — never fail the query.  :func:`run_tasks` classifies them
+through the shared ``repro.service.faults`` taxonomy and retries the
+*whole task list* one rung down: ``pool → threads → serial``.  Tasks
+build a fresh per-partition context on every invocation, so a rerun is
+idempotent and the results stay row/column/stats-identical to serial
+execution (the mode-flags-not-forks invariant).  Application
+exceptions and deadline expiry propagate immediately: the ladder only
+absorbs substrate faults.  An optional
+:class:`~repro.service.faults.Deadline` bounds the whole fan-out; at
+expiry unfinished partitions are abandoned and a classified
 :class:`~repro.service.faults.DeadlineExceeded` surfaces instead of a
 block.  An installed :class:`~repro.service.faults.FaultPlan` perturbs
-each task by its deterministic partition key (``part:<index>``), which
-is how the chaos suites drive this path.
+each task by its deterministic partition key (``part:<index>``) and
+attempt number, which is how the chaos suites drive this path;
+attempts count up across rungs, so a rung below the pool starts after
+the last attempt the pool's retries used.
 """
 
 from __future__ import annotations
@@ -53,11 +52,10 @@ from concurrent.futures import TimeoutError as _FutureTimeout
 from typing import Any, Callable, List, Optional, Sequence
 
 #: The backends :class:`~repro.sql.executor.ExecutorOptions` accepts.
-BACKENDS = ("threads", "processes", "pool")
+BACKENDS = ("threads", "pool")
 
 #: Next rung down for each substrate; ``None`` ends the ladder.
-_NEXT_RUNG = {"pool": "processes", "processes": "threads",
-              "threads": "serial", "serial": None}
+_NEXT_RUNG = {"pool": "threads", "threads": "serial", "serial": None}
 
 
 def usable_cores() -> int:
@@ -107,7 +105,14 @@ def run_tasks(tasks: Sequence[Callable[[], Any]],
                 return _run_pool(tasks, deadline, plan, attempt, faults)
             active = _perturbed(tasks, plan, attempt, faults) \
                 if plan is not None else tasks
-            return _run_rung(rung, active, deadline, faults)
+            if rung == "threads":
+                return _run_threads(active, deadline, faults)
+            results = []
+            for task in active:
+                if deadline is not None:
+                    deadline.check("serial partition")
+                results.append(task())
+            return results
         except (faults.WorkerCrash, faults.CorruptPayload,
                 faults.SubstrateUnavailable) as fault:
             next_rung = _NEXT_RUNG[rung]
@@ -116,34 +121,7 @@ def run_tasks(tasks: Sequence[Callable[[], Any]],
             if on_degrade is not None:
                 on_degrade(rung, next_rung, fault)
             rung = next_rung
-            attempt += 1
-
-
-def _run_rung(rung: str, tasks: Sequence[Callable[[], Any]],
-              deadline, faults) -> List[Any]:
-    if rung == "serial":
-        results = []
-        for task in tasks:
-            if deadline is not None:
-                deadline.check("serial partition")
-            results.append(task())
-        return results
-    if rung == "processes":
-        from repro.obs import profile as obs_profile
-        from repro.service.scheduler import fork_map
-
-        if obs_profile.installed() is None:
-            return fork_map(_call, tasks, deadline=deadline)
-        # A sampler thread does not survive fork, so each child runs
-        # its partition under a fresh child profiler and ships the
-        # sample buffer home beside its result — the same picklable
-        # transport the partition stats and detached spans ride.  The
-        # driver merges buffers in partition order (deterministic) and
-        # unwraps the bare results.  The threads rung needs none of
-        # this: the parent's sampler already sees every thread.
-        return obs_profile.absorb_shipped(
-            fork_map(obs_profile.call_profiled, tasks, deadline=deadline))
-    return _run_threads(tasks, deadline, faults)
+            attempt = getattr(fault, "attempts", attempt) + 1
 
 
 def _run_threads(tasks: Sequence[Callable[[], Any]],
@@ -207,7 +185,7 @@ def _run_pool(tasks: Sequence[Callable[[], Any]], deadline, plan,
     to every task it builds for this backend; a task without one (a
     direct ``run_tasks`` caller, a non-partition thunk) cannot cross a
     process boundary, so the rung declares itself unavailable and the
-    ladder falls through to ``processes``.
+    ladder falls through to ``threads``.
     """
     jobs = [getattr(task, "pool_job", None) for task in tasks]
     if any(job is None for job in jobs):
@@ -220,7 +198,3 @@ def _run_pool(tasks: Sequence[Callable[[], Any]], deadline, plan,
 
     return get_pool().run_jobs(jobs, tables, deadline=deadline,
                                plan=plan, attempt=attempt)
-
-
-def _call(task: Callable[[], Any]) -> Any:
-    return task()

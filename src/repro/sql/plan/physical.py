@@ -90,6 +90,8 @@ class _Ctx:
     #: optional repro.service.faults.Deadline bounding the whole query;
     #: partitioned drivers abandon unfinished partitions at expiry.
     deadline: Any = None
+    #: the one partition a pool job prepares for (None prepares all).
+    part: Optional[int] = None
 
     def __post_init__(self):
         if self.scanned is None:
@@ -109,8 +111,8 @@ def _traced(method):
     trace active it opens a child span named after the operator,
     tagged with the serial-equivalent description (``trace_name``) and
     the observed row count.  ``run_partition`` timings stay in the
-    span only (partition tasks may run on pool threads or in forked
-    children, where mutating the shared operator would race or be
+    span only (partition tasks may run on pool threads or in pool
+    worker processes, where mutating the shared operator would race or be
     lost); driver-side methods also accumulate ``elapsed_seconds`` on
     the operator for EXPLAIN's ``time=`` column.
     """
@@ -172,7 +174,7 @@ class PhysicalOp:
         self.est_rows: Optional[float] = None
         self.est_cost: Optional[float] = None
         #: substrate degradation path taken while executing this
-        #: operator (e.g. ``"processes->threads"``); None when the
+        #: operator (e.g. ``"pool->threads"``); None when the
         #: requested backend worked.  EXPLAIN ANALYZE renders it as
         #: ``degraded=``.
         self.degraded: Optional[str] = None
@@ -767,7 +769,7 @@ class _PartCtx:
     :class:`ExecutionStats` in partition-index order and copies
     ``recorded`` per-operator counts into ``partition_rows``.  Both
     survive a process boundary (the payload is plain data), which is
-    what lets the fork backend report honest per-partition statistics.
+    what lets the pool backend report honest per-partition statistics.
     """
 
     __slots__ = ("executor", "params", "stats", "recorded")
@@ -829,9 +831,25 @@ class PartitionedScanOp(PartitionedOp):
         return self.scan.describe()
 
     def prepare(self, ctx: _Ctx) -> int:
-        source = self.scan._rows(ctx)   # scan-level stats count once here
+        scan = self.scan
+        if ctx.part is not None and isinstance(scan, FullScanOp):
+            # A pool job runs one partition: read only its row range
+            # instead of copying the whole table (its driver already
+            # counted the scan statistics).
+            table = ctx.executor.catalog.table(scan.table)
+            start, stop = _range_bounds(len(table.rows),
+                                        self.partitions)[ctx.part]
+            source = _ScannedSource(
+                alias=scan.alias, columns=table.columns,
+                rows=list(zip(range(start, stop), table.rows[start:stop])),
+                table=table)
+            self._slices = {ctx.part: source.rows}
+        else:
+            source = scan._rows(ctx)   # scan-level stats count once here
+            self._slices = [source.rows[start:stop] for start, stop in
+                            _range_bounds(len(source.rows),
+                                          self.partitions)]
         self._alias = source.alias
-        self._slices = _split_ranges(source.rows, self.partitions)
         # Under ExecutorOptions(vectorized=True) the per-partition
         # predicate filter runs batch-at-a-time when the compiler
         # covers the predicates.  Pushed-down predicates are pure
@@ -1001,18 +1019,18 @@ class PartitionedFilterOp(PartitionedOp):
         return out
 
 
-def _split_ranges(rows: List, partitions: int) -> List[List]:
-    """Contiguous range partitions of near-equal size (sizes differ by
-    at most one; earlier partitions take the remainder)."""
-    n = len(rows)
+def _range_bounds(n: int, partitions: int) -> List[Tuple[int, int]]:
+    """``(start, stop)`` of contiguous range partitions of near-equal
+    size over ``n`` rows (sizes differ by at most one; earlier
+    partitions take the remainder)."""
     base, extra = divmod(n, partitions)
-    slices = []
+    bounds = []
     start = 0
     for part in range(partitions):
-        size = base + (1 if part < extra else 0)
-        slices.append(rows[start:start + size])
-        start += size
-    return slices
+        stop = start + base + (1 if part < extra else 0)
+        bounds.append((start, stop))
+        start = stop
+    return bounds
 
 
 def _chain_ops(op: PartitionedOp) -> List[PartitionedOp]:
@@ -1027,7 +1045,7 @@ def _chain_ops(op: PartitionedOp) -> List[PartitionedOp]:
 def _split_estimates(est_rows: Optional[float],
                      partitions: int) -> List[int]:
     """The cost model's row estimate divided over the partitions by the
-    same remainder rule as :func:`_split_ranges` (earlier partitions
+    same remainder rule as :func:`_range_bounds` (earlier partitions
     take one extra), so the pool's longest-estimate-first dispatch
     order mirrors the actual contiguous-slice sizes.  Estimates steer
     dispatch order only — results merge in partition-index order."""
@@ -1042,14 +1060,15 @@ class _PoolPartitionJob:
 
     Carries the unprepared operator chain (runtime state is stripped by
     :meth:`PhysicalOp.__getstate__`), the gather mode, the executor
-    options and a ``digest_map`` naming every catalog table by content
-    digest — the pool ships table content separately and caches it per
-    worker, so a warm pool receives only this job.  The worker rebuilds
-    a catalog from its cache, re-prepares the chain against the exact
-    same content (identical slices, buckets and statistics by
+    options and a ``digest_map`` naming, by content digest, every
+    catalog table the chain and its subqueries read — the pool ships
+    table content separately and caches it per worker, so a warm pool
+    receives only this job.  The worker rebuilds a catalog from its
+    cache, re-prepares the chain for its own partition against the
+    exact same content (identical slices, buckets and statistics by
     construction) and returns the standard partition payload
     ``(result, stats, recorded, span_dict)`` — the same 4-tuple the
-    thread and fork backends produce, so the driver merge is shared.
+    threads backend produces, so the driver merge is shared.
     """
 
     __slots__ = ("mode", "root", "part", "params", "options", "traced",
@@ -1079,9 +1098,10 @@ class _PoolPartitionJob:
         missing = sorted(name for name, digest in self.digest_map.items()
                          if digest not in cache)
         if missing:
-            # A store frame was lost or mis-decoded.  Classified as
-            # corruption: the pool retries, and a respawned worker's
-            # empty cache forces a clean re-ship.
+            # The driver never evicts a table a dispatched job reads,
+            # so a store frame was lost.  This returns as an ``exc``
+            # reply, which the pool never retries: the ladder falls
+            # straight to threads.
             raise faults.CorruptPayload(
                 "pool worker cache is missing tables: %s"
                 % ", ".join(missing))
@@ -1097,13 +1117,13 @@ class _PoolPartitionJob:
                                       parallel_backend="threads")
         executor = Executor(catalog, options)
         ctx = _Ctx(executor=executor, params=self.params,
-                   stats=ExecutionStats())
+                   stats=ExecutionStats(), part=self.part)
         root = self.root
         chain = root.child if self.mode == "partial" else root
         # Worker-side prepare recounts the shared scan/build statistics
         # into a throwaway ExecutionStats — the driver already prepared
         # (and counted) once; only the per-partition pctx.stats ship
-        # home, exactly as on the thread and fork backends.
+        # home, exactly as on the threads backend.
         chain.prepare(ctx)
         if self.mode == "partial":
             root._setup_vec(ctx)
@@ -1133,6 +1153,24 @@ class _PoolPartitionJob:
         return envs                       # "gather"
 
 
+def _tables_read(node: Any, names: set) -> None:
+    """Collect the catalog tables a plan fragment can read: every scan
+    target and every FROM table of any subquery inside it (walked
+    through operator state, expressions and nested selects)."""
+    if isinstance(node, (FullScanOp, IndexScanOp, S.TableSource)):
+        names.add(node.table)
+    if isinstance(node, PhysicalOp):
+        children = node.__getstate__().values()
+    elif isinstance(node, (list, tuple)):
+        children = node
+    elif hasattr(node, "__dataclass_fields__"):    # an S expression
+        children = [getattr(node, name) for name in node.__dataclass_fields__]
+    else:
+        return
+    for child in children:
+        _tables_read(child, names)
+
+
 def _attach_pool_jobs(tasks: List[Any], chain: PartitionedOp, ctx: _Ctx,
                       pool_spec: Dict[str, Any],
                       driver_op: Optional[PhysicalOp],
@@ -1142,16 +1180,19 @@ def _attach_pool_jobs(tasks: List[Any], chain: PartitionedOp, ctx: _Ctx,
     The pool rung of :func:`~repro.sql.plan.parallel.run_tasks` reads
     ``task.pool_job`` / ``task.pool_tables``; the task closures stay
     callable unchanged, which is what the degradation ladder runs when
-    the pool rung fails."""
+    the pool rung fails.  Jobs name only the tables they read, so a
+    cold worker is never sent the rest of the catalog."""
     executor = ctx.executor
     catalog = executor.catalog
-    digest_map = {name: table.content_digest()
-                  for name, table in catalog.tables.items()}
+    mode = pool_spec["mode"]
+    root = driver_op if mode == "partial" else chain
+    names = set()
+    _tables_read(root, names)
+    digest_map = {name: catalog.tables[name].content_digest()
+                  for name in sorted(names) if name in catalog.tables}
     pool_tables = {digest: catalog.tables[name]
                    for name, digest in digest_map.items()}
     ests = _split_estimates(getattr(chain, "est_rows", None), len(tasks))
-    mode = pool_spec["mode"]
-    root = driver_op if mode == "partial" else chain
     for part, task in enumerate(tasks):
         task.pool_job = _PoolPartitionJob(
             mode=mode, root=root, part=part, params=ctx.params,
@@ -1170,7 +1211,7 @@ def _run_partitioned(chain: PartitionedOp, ctx: _Ctx, backend: str,
     """Drive a partitioned chain: prepare serially, fan partitions out.
 
     ``worker(part, pctx)`` runs per partition on the configured backend
-    and its (picklable, for the process backend) results come back in
+    and its (picklable, for the pool backend) results come back in
     partition-index order.  Partition stats merge into the query stats
     in that same order, and each chain operator's ``partition_rows`` /
     ``rows_out`` are filled from the per-partition counters.
@@ -1178,7 +1219,7 @@ def _run_partitioned(chain: PartitionedOp, ctx: _Ctx, backend: str,
     also record counts) joins the same ordinal space.
 
     Substrate faults never fail the query: :func:`run_tasks` degrades
-    processes → threads → serial, and each task builds a fresh
+    pool → threads → serial, and each task builds a fresh
     :class:`_PartCtx`, so a degraded rerun merges exactly one run's
     statistics and stays stats-identical to serial.  The path taken is
     recorded on the gathering operator (``degraded``, surfaced by
@@ -1197,7 +1238,7 @@ def _run_partitioned(chain: PartitionedOp, ctx: _Ctx, backend: str,
     # task builds a *detached* root span locally (a fresh one per
     # attempt, so a degraded rerun never double-counts) and ships its
     # ``to_dict`` payload home beside the stats — the same transport
-    # partition statistics already ride, picklable for the fork
+    # partition statistics already ride, picklable for the pool
     # backend.  The driver re-parents them below in partition-index
     # order, so the stitched tree's child order is deterministic
     # regardless of completion order.
@@ -1281,18 +1322,11 @@ class GatherOp(EnvOp):
 
     def envs(self, ctx: _Ctx) -> List[Env]:
         child = self.child
-        # Threads by default: a Gather's per-partition result is a full
-        # row set, which threads hand over by reference; fork-per-query
-        # would pickle every joined row back through a pipe (the fork
-        # backend is reserved for PartialAggregateOp, whose partition
-        # results are scalars).  The persistent pool is the exception:
-        # its workers cache table content across queries, so only the
-        # per-partition result rows cross the pipe — it runs Gathers.
-        backend = "pool" \
-            if ctx.executor.options.parallel_backend == "pool" \
-            else "threads"
+        # A Gather's per-partition result is a full row set: threads
+        # hand it over by reference, the pool pickles it back (its
+        # workers cache table content, so only result rows cross).
         parts = _run_partitioned(
-            child, ctx, backend,
+            child, ctx, ctx.executor.options.parallel_backend,
             lambda part, pctx: child.run_partition(part, pctx),
             owner=self, pool_spec={"mode": "gather"})
         out = [env for part in parts for env in part]
@@ -1356,13 +1390,8 @@ class GatherMergeOp(EnvOp):
                 return executor._top_k(order_by, envs, scanned, top_k)
             return executor._order(order_by, envs, scanned)
 
-        # Threads by default, like GatherOp — and the pool for the same
-        # reason Gather runs there: cached tables make the per-run
-        # traffic just the sorted partition runs.
-        backend = "pool" \
-            if ctx.executor.options.parallel_backend == "pool" \
-            else "threads"
-        parts = _run_partitioned(child, ctx, backend, worker,
+        parts = _run_partitioned(child, ctx,
+                                 executor.options.parallel_backend, worker,
                                  owner=self,
                                  pool_spec={"mode": "merge",
                                             "order_by": order_by,
@@ -1503,10 +1532,9 @@ class PartialAggregateOp(RowOp):
     Only ``combinable_aggregate`` shapes lower here; everything else
     uses :class:`GatherOp` + :class:`AggregateOp`.
 
-    This is the operator the ``"processes"`` backend exists for: a
-    partition's result is a handful of scalars, so fork fan-out pays
-    for real CPU parallelism without shipping row sets between
-    processes.
+    This is the operator the ``"pool"`` backend pays off on: a
+    partition's result is a handful of scalars, so worker processes
+    buy real CPU parallelism without shipping row sets back.
     """
 
     name = "PartialAggregate"
@@ -1587,9 +1615,9 @@ class PartialAggregateOp(RowOp):
 
         Workers then fold column series instead of walking envs; the
         fold runs in row order with the same arithmetic, so partial
-        states are identical.  The closures stay on this operator and
-        only scalar states cross the partition boundary, so the forked
-        ``"processes"`` backend (which inherits memory) still works.
+        states are identical.  The closures never cross the partition
+        boundary (a pool worker compiles its own); only scalar states
+        do.
         """
         self._vec = None
         options = ctx.executor.options

@@ -118,7 +118,7 @@ def test_parallel_stitches_to_serial_operator_set(db, partitions):
 
 def test_fork_backend_stitches_too(db):
     view = db.view(ExecutorOptions(parallel=2,
-                                   parallel_backend="processes"))
+                                   parallel_backend="pool"))
     result = view.execute(SQL, trace=True)
     parts = [node for _, node in result.trace.walk()
              if node.name == "partition"]

@@ -21,6 +21,7 @@ from repro.corpus.registry import (
     select_fragments,
 )
 from repro.service import faults
+from repro.service import pool as pool_mod
 from repro.service import scheduler as scheduler_module
 from repro.service.faults import (
     CorruptPayload,
@@ -33,12 +34,9 @@ from repro.service.faults import (
     WorkerCrash,
 )
 from repro.service.jobs import execute_job
-from repro.service.scheduler import (
-    Scheduler,
-    _WorkerHandle,
-    fork_map,
-    outcome_fingerprint,
-)
+from repro.service.pool import WorkerPool
+from test_pool import FnJob
+from repro.service.scheduler import Scheduler, outcome_fingerprint
 
 # -- taxonomy / policy units ---------------------------------------------------
 
@@ -305,7 +303,7 @@ def _sleepy_runner(fragment_id, options_dict):
 def test_run_deadline_fails_unfinished_work_classified(monkeypatch, workers):
     if workers > 1:
         monkeypatch.setattr(scheduler_module, "_JOB_RUNNER", _sleepy_runner)
-        monkeypatch.setattr(_WorkerHandle, "_JOIN_GRACE", 0.5)
+        monkeypatch.setattr(pool_mod, "_JOIN_GRACE", 0.5)
     else:
         # Inline: the deadline is checked between jobs, so let the
         # first job run normally and catch the rest at the boundary.
@@ -329,94 +327,116 @@ def test_run_deadline_fails_unfinished_work_classified(monkeypatch, workers):
 # -- worker shutdown escalation (zombie-leak regression) -----------------------
 
 
-def _stubborn_worker_main(conn, options_dict):
-    """A worker that ignores both the sentinel and SIGTERM."""
+def _stubborn_worker_main(recv_fd, send_fd, cache):
+    """A worker that ignores both the shutdown frame and SIGTERM."""
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    conn.send("ready")
+    pool_mod._write_frame(send_fd, b"ready")
     time.sleep(60)
 
 
 def test_shutdown_escalates_to_sigkill_for_stubborn_workers(monkeypatch):
-    import multiprocessing
+    monkeypatch.setattr(pool_mod, "_JOIN_GRACE", 0.3)
+    monkeypatch.setattr(pool_mod, "_worker_main", _stubborn_worker_main)
+    pool = WorkerPool(size=1)
+    pool.ensure_workers()
+    (worker,) = pool._workers
+    # SIGTERM handler installed before the worker answers.
+    assert pool_mod._read_frame(worker.recv_fd) == b"ready"
 
-    monkeypatch.setattr(_WorkerHandle, "_JOIN_GRACE", 0.3)
-    context = multiprocessing.get_context("fork")
-    parent_conn, child_conn = context.Pipe()
-    process = context.Process(target=_stubborn_worker_main,
-                              args=(child_conn, {}), daemon=True)
-    process.start()
-    child_conn.close()
-    assert parent_conn.recv() == "ready"      # SIGTERM handler installed
-
-    handle = _WorkerHandle(process, parent_conn)
     start = time.perf_counter()
-    handle.shutdown(kill=True)
+    pool.close()
     elapsed = time.perf_counter() - start
 
-    assert not process.is_alive()             # actually reaped, no zombie
-    assert process.exitcode == -signal.SIGKILL
-    assert elapsed < 5                        # escalated, not full-grace x2
+    assert not worker.process.is_alive()      # actually reaped, no zombie
+    assert worker.process.exitcode == -signal.SIGKILL
+    assert elapsed < 5                        # escalated, not grace x2
 
 
-# -- fork_map typed failures ---------------------------------------------------
+# -- typed failures of pool jobs -----------------------------------------------
 
 
-def test_fork_map_unpicklable_result_is_corrupt_payload():
+def _run(fn, items, deadline=None):
+    pool = WorkerPool(size=2, retry=faults.NO_RETRY)
+    try:
+        return pool.run_jobs([FnJob(fn, item) for item in items], {},
+                             deadline=deadline)
+    finally:
+        pool.close()
+
+
+def _lock_on_two(x):
     import threading
 
-    def locky(x):
-        return threading.Lock() if x == 2 else x
-
-    with pytest.raises(CorruptPayload, match="not picklable"):
-        fork_map(locky, [1, 2, 3])
+    return threading.Lock() if x == 2 else x
 
 
-def test_fork_map_unpicklable_exception_keeps_its_message():
+def test_pool_unpicklable_result_is_corrupt_payload():
+    with pytest.raises(CorruptPayload, match="will not pickle"):
+        _run(_lock_on_two, [1, 2, 3])
+
+
+def _local_boom_on_two(x):
     class LocalBoom(Exception):     # local class: instance cannot pickle
         pass
 
-    def boom(x):
-        if x == 2:
-            raise LocalBoom("original diagnosis %d" % x)
-        return x
+    if x == 2:
+        raise LocalBoom("original diagnosis %d" % x)
+    return x
 
+
+def test_pool_unpicklable_exception_keeps_its_message():
     with pytest.raises(PermanentFault, match="original diagnosis 2"):
-        fork_map(boom, [1, 2, 3])
+        _run(_local_boom_on_two, [1, 2, 3])
 
 
-def test_fork_map_child_death_is_worker_crash():
-    def die(x):
-        if x == 2:
-            os._exit(5)
-        return x
+def _die_on_two(x):
+    if x == 2:
+        os._exit(5)
+    return x
 
+
+def test_pool_worker_death_is_worker_crash():
     with pytest.raises(WorkerCrash, match="exit code 5"):
-        fork_map(die, [1, 2, 3])
+        _run(_die_on_two, [1, 2, 3])
 
 
-def test_fork_map_corrupt_result_object_is_corrupt_payload():
-    def corrupted(x):
-        return faults.CorruptResult("part:%d" % x) if x == 2 else x
+def _corrupt_on_two(x):
+    return faults.CorruptResult("part:%d" % x) if x == 2 else x
 
+
+def test_pool_corrupt_result_object_is_corrupt_payload():
     with pytest.raises(CorruptPayload):
-        fork_map(corrupted, [1, 2, 3])
+        _run(_corrupt_on_two, [1, 2, 3])
 
 
-def test_fork_map_deadline_reaps_children():
-    def slow(x):
-        time.sleep(60)
-        return x
+def _slow(x):
+    time.sleep(60)
+    return x
 
+
+def test_pool_deadline_reaps_workers():
+    pool = WorkerPool(size=2)
+    pool.ensure_workers()
+    first = [worker.process for worker in pool._workers]
     start = time.perf_counter()
-    with pytest.raises(DeadlineExceeded, match="0/2 results"):
-        fork_map(slow, [1, 2], deadline=Deadline.after(0.3))
-    assert time.perf_counter() - start < 10   # children terminated
+    try:
+        with pytest.raises(DeadlineExceeded, match="while running"):
+            pool.run_jobs([FnJob(_slow, 1), FnJob(_slow, 2)], {},
+                          deadline=Deadline.after(0.3))
+        assert time.perf_counter() - start < 10   # workers terminated
+        assert not any(process.is_alive() for process in first)
+        # A deadline spent before dispatch starts nothing.
+        with pytest.raises(DeadlineExceeded, match="before start"):
+            pool.run_jobs([FnJob(_slow, 1)], {},
+                          deadline=Deadline.after(0.0))
+    finally:
+        pool.close()
 
-    # Single-item path checks the deadline too (it runs inline).
-    with pytest.raises(DeadlineExceeded):
-        fork_map(lambda x: x, [1], deadline=Deadline.after(0.0))
+
+def _double(x):
+    return x * 2
 
 
-def test_fork_map_still_succeeds_with_deadline_headroom():
-    assert fork_map(lambda x: x * 2, [1, 2, 3],
-                    deadline=Deadline.after(30.0)) == [2, 4, 6]
+def test_pool_still_succeeds_with_deadline_headroom():
+    assert _run(_double, [1, 2, 3], deadline=Deadline.after(30.0)) \
+        == [2, 4, 6]

@@ -130,12 +130,40 @@ def test_cache_hit_refreshes_lru_order(one_worker_pool):
 
 
 def test_warm_pool_ships_each_table_once(one_worker_pool):
+    """The worker is forked holding the first dispatch's table, so it
+    is never shipped at all."""
     pool = one_worker_pool
     tables = {"d1": FakeTable(7)}
     shipped_before = pool_mod._ROWS_SHIPPED.total()
     for part in range(4):
-        pool.run_jobs([CacheKeysJob(part=part, digests=("d1",))], tables)
-    assert pool_mod._ROWS_SHIPPED.total() == shipped_before + 7.0
+        assert pool.run_jobs([CacheKeysJob(part=part, digests=("d1",))],
+                             tables) == [["d1"]]
+    assert pool_mod._ROWS_SHIPPED.total() == shipped_before
+
+
+def test_table_arriving_later_ships_exactly_once(one_worker_pool):
+    pool = one_worker_pool
+    tables = {"d1": FakeTable(7), "d2": FakeTable(5)}
+    pool.run_jobs([CacheKeysJob(digests=("d1",))], tables)
+    shipped_before = pool_mod._ROWS_SHIPPED.total()
+    for part in range(3):
+        assert pool.run_jobs(
+            [CacheKeysJob(part=part, digests=("d1", "d2"))],
+            tables) == [["d1", "d2"]]
+    assert pool_mod._ROWS_SHIPPED.total() == shipped_before + 5.0
+
+
+def test_eviction_never_drops_a_table_the_job_reads():
+    """A job reading more tables than the cache holds still finds all
+    of them: the LRU only evicts digests the job does not need."""
+    pool = WorkerPool(size=1, cache_tables_per_worker=2)
+    try:
+        tables = {"d%d" % i: FakeTable(1) for i in range(4)}
+        pool.run_jobs([CacheKeysJob(digests=("d0", "d1"))], tables)
+        assert pool.run_jobs([CacheKeysJob(digests=("d1", "d2", "d3"))],
+                             tables) == [["d1", "d2", "d3"]]
+    finally:
+        pool.close()
 
 
 def test_dispatch_is_longest_estimate_first(one_worker_pool):
@@ -148,6 +176,90 @@ def test_dispatch_is_longest_estimate_first(one_worker_pool):
     # est=5 (index 1), est=5 (index 3), est=3, est=1 — in job order the
     # sequence numbers land as below.
     assert sequence == [3, 0, 2, 1]
+
+
+class FnJob:
+    """Applies a module-level function to its part."""
+
+    est = 0
+    digest_map = {}
+
+    def __init__(self, fn, part):
+        self.fn = fn
+        self.part = part
+
+    def run_in_worker(self, cache):
+        return self.fn(self.part)
+
+
+def _plus_100(x):
+    return x + 100
+
+
+def test_results_come_back_in_job_order(one_worker_pool):
+    jobs = [FnJob(_plus_100, part) for part in (3, 1, 2)]
+    assert one_worker_pool.run_jobs(jobs, {}) == [103, 101, 102]
+
+
+def _bad_item_two(x):
+    if x == 2:
+        raise ValueError("bad item %d" % x)
+    return x
+
+
+def test_job_exceptions_reraise_unchanged(one_worker_pool):
+    with pytest.raises(ValueError, match="bad item 2"):
+        one_worker_pool.run_jobs(
+            [FnJob(_bad_item_two, part) for part in (1, 2, 3)], {})
+    # The pool stays usable after an application error.
+    assert one_worker_pool.run_jobs([FnJob(_plus_100, 1)], {}) == [101]
+
+
+def test_many_partitions_fit_a_small_fd_budget():
+    """A K=200 pool query holds pipes for the pool's few workers only,
+    never one per partition.  Run under a file-descriptor budget far
+    below what a process per partition needs, so a regression fails
+    with EMFILE instead of silently over-forking."""
+    import resource
+
+    from repro.sql.database import Database
+    from repro.sql.executor import ExecutorOptions
+
+    db = Database()
+    db.create_table("t", ("id", "v"))
+    db.insert_many("t", ({"id": i, "v": i % 7} for i in range(400)))
+    sql = "SELECT COUNT(*) AS n, SUM(t0.v) AS s FROM t t0 WHERE t0.v > 2"
+    view = db.view(ExecutorOptions(parallel=200, parallel_backend="pool"))
+    reset_pool()
+    used = len(os.listdir("/proc/self/fd"))
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    budget = min(used + 32, hard if hard != resource.RLIM_INFINITY
+                 else used + 32)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (budget, hard))
+    try:
+        result = view.execute(sql)
+    finally:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        reset_pool()
+    assert list(result.rows) == list(db.execute(sql).rows)
+    assert result.stats.degradations == 0
+
+
+def test_single_task_runs_inline():
+    """One partition, no fault plan and no deadline: the ladder runs
+    the task in-process and never touches the pool."""
+    from repro.sql.plan.parallel import run_tasks
+
+    seen = []
+
+    def record():
+        seen.append(21)          # visible only if run in-process
+        return 42
+
+    dispatches = pool_mod._DISPATCHES.total()
+    assert run_tasks([record], backend="pool") == [42]
+    assert seen == [21]
+    assert pool_mod._DISPATCHES.total() == dispatches
 
 
 # -- singleton lifecycle -------------------------------------------------------
@@ -176,6 +288,20 @@ def test_closed_pool_refuses_new_work():
     pool.close()
     with pytest.raises(faults.SubstrateUnavailable):
         pool.run_jobs([SeqJob(part=0, est=0)], {})
+
+
+def test_scheduler_pool_leaves_the_workers_gauge_alone():
+    """``repro_pool_workers`` reports the process-wide query pool only:
+    a scheduler's per-run pool must not overwrite it, mid-run or after."""
+    from repro.corpus.registry import select_fragments
+    from repro.service.scheduler import Scheduler
+
+    reset_pool()
+    seen = [pool_mod._WORKERS.value()
+            for _ in Scheduler(workers=2).run_iter(
+                select_fragments(ids=["w40", "w42", "i2"]))]
+    assert seen == [0.0, 0.0, 0.0]
+    assert pool_mod._WORKERS.value() == 0.0
 
 
 def test_workers_gauge_tracks_pool_size():

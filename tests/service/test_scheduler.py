@@ -1,6 +1,5 @@
 """Scheduler semantics: parallel == sequential, cache reuse, timeouts."""
 
-import os
 import time
 
 import pytest
@@ -208,64 +207,3 @@ def test_full_corpus_counts_through_service():
     assert markers.count("X") == 40      # 33 Fig. 13 + 7 advanced
     assert markers.count("†") == 9
     assert markers.count("*") == 9
-
-
-# -- fork_map (the generic fork fan-out the SQL engine reuses) ----------------
-
-
-def test_fork_map_preserves_item_order():
-    from repro.service.scheduler import fork_map
-
-    # Closures and unpicklable state are fine: children inherit by fork.
-    base = {"offset": 100}
-    assert fork_map(lambda x: x + base["offset"], [3, 1, 2]) \
-        == [103, 101, 102]
-
-
-def test_fork_map_single_item_runs_inline():
-    from repro.service.scheduler import fork_map
-
-    seen = []
-
-    def record(x):
-        seen.append(x)          # visible only if run in-process
-        return x * 2
-
-    assert fork_map(record, [21]) == [42]
-    assert seen == [21]
-
-
-def test_fork_map_reraises_child_exceptions():
-    from repro.service.scheduler import fork_map
-
-    def boom(x):
-        if x == 2:
-            raise ValueError("bad item %d" % x)
-        return x
-
-    with pytest.raises(ValueError, match="bad item 2"):
-        fork_map(boom, [1, 2, 3])
-
-
-def test_fork_map_bounds_concurrent_children():
-    """Large K must not fork K children at once: the dispatch loop caps
-    live workers at ``usable_cores()`` and releases each worker's pipe
-    and process handle as soon as its result is collected.  Run under a
-    file-descriptor budget far below what unbounded fan-out needs —
-    2 pipe fds per in-flight child plus the process sentinel — so a
-    regression fails with EMFILE instead of silently over-forking."""
-    import resource
-
-    from repro.service.scheduler import fork_map
-
-    used = len(os.listdir("/proc/self/fd"))
-    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
-    budget = min(used + 32, hard if hard != resource.RLIM_INFINITY
-                 else used + 32)
-    resource.setrlimit(resource.RLIMIT_NOFILE, (budget, hard))
-    try:
-        items = list(range(200))
-        assert fork_map(lambda x: x * 3, items) \
-            == [x * 3 for x in items]
-    finally:
-        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))

@@ -262,12 +262,7 @@ def _modes(index, rng, sql):
     for k in (1, 2, 4):
         modes.append(("parallel-%d" % k, ExecutorOptions(parallel=k),
                       "baseline"))
-    if index % 10 == 0:
-        modes.append(("processes",
-                      ExecutorOptions(parallel=2,
-                                      parallel_backend="processes"),
-                      "baseline"))
-    if index % 10 == 5:
+    if index % 5 == 0:
         modes.append(("pool",
                       ExecutorOptions(parallel=2,
                                       parallel_backend="pool"),

@@ -7,8 +7,8 @@ Three layers:
 * the planner-equivalence query battery, re-run under
   ``ExecutorOptions(parallel=K)`` for K in {1, 2, 4} against both the
   serial planner and the seed pipeline;
-* targeted shapes: grouped partial aggregation (threads, the
-  fork-based process backend *and* the persistent worker pool),
+* targeted shapes: grouped partial aggregation (threads *and* the
+  persistent worker pool),
   combinable whole-input aggregates — including AVG, whose
   ``(total, count)`` partials combine to a float-bitwise-identical
   mean — the AND-HAVING fallback to Gather + serial aggregation,
@@ -110,7 +110,7 @@ WHOLE = ("SELECT COUNT(*) AS n, SUM(t0.id) AS tot, MIN(t0.id) AS lo, "
          "WHERE t0.a = t1.b AND t0.id > 2")
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes", "pool"])
+@pytest.mark.parametrize("backend", ["threads", "pool"])
 def test_partial_aggregation_backends(small_db, backend):
     # GROUP BY only exists in the planner, so compare against the
     # serial planner alone.
@@ -154,7 +154,7 @@ def test_avg_lowers_to_partials(small_db):
     assert "PartialGroupBy" in view.explain(AVG_GROUPED)
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes", "pool"])
+@pytest.mark.parametrize("backend", ["threads", "pool"])
 def test_avg_combines_bitwise_identical(small_db, backend):
     """The combined mean is float-*bitwise* identical to the serial
     fold on every backend, not merely approximately equal."""
@@ -174,12 +174,12 @@ def test_avg_combines_bitwise_identical(small_db, backend):
                         assert value == expected, (sql, k, backend)
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes", "pool"])
+@pytest.mark.parametrize("backend", ["threads", "pool"])
 def test_nested_subquery_inside_partition(small_db, backend):
     """Per-row IN subqueries evaluated inside partition workers must
     execute with a *serial* nested plan: re-planning them parallel
     would build a substrate per probed row — and fork from inside a
-    daemonic fork child on the process backend, which multiprocessing
+    daemonic pool worker on the pool backend, which multiprocessing
     forbids."""
     in_agg = ("SELECT COUNT(*) AS n FROM r t0 WHERE t0.a IN "
               "(SELECT t1.b FROM s t1 WHERE t1.id = 1)")
@@ -319,3 +319,56 @@ def test_pool_reships_after_catalog_mutation(small_db):
     result = view.execute(sql)
     assert pool_mod._ROWS_SHIPPED.total() > warm  # re-shipped
     assert list(result.rows) == list(db.execute(sql).rows)
+
+
+def test_pool_ships_only_the_tables_a_query_reads():
+    """A catalog larger than a worker's cache (64 tables) still runs on
+    the pool: a job names only the tables its plan reads, so a query
+    over one 50-row table ships at most that table to each worker —
+    not the whole 3,500-row catalog — and the LRU never evicts it
+    before the job runs."""
+    from repro.service import pool as pool_mod
+    db = Database()
+    for i in range(70):
+        db.create_table("t%d" % i, ("id", "v"))
+        db.insert_many("t%d" % i, ({"id": j, "v": j % 5}
+                                   for j in range(50)))
+    view = db.view(ExecutorOptions(parallel=2, parallel_backend="pool"))
+    sql = "SELECT COUNT(*) AS n FROM t0 x WHERE x.v > 2"
+    shipped = pool_mod._ROWS_SHIPPED.total()
+    result = view.execute(sql)
+    assert pool_mod._ROWS_SHIPPED.total() - shipped \
+        <= 50 * pool_mod.get_pool().size
+    assert list(result.rows) == list(db.execute(sql).rows)
+    assert result.stats.degradations == 0
+    assert "degraded=" not in view.explain(sql, analyze=True)
+
+
+def test_pool_job_prepares_only_its_own_partition(monkeypatch):
+    """A pool job re-prepares the chain in its worker, but reads only
+    its own row range of the scanned table, not every partition's."""
+    import pickle
+
+    from repro.sql.plan import parallel
+
+    db = Database()
+    db.create_table("ev", ("id", "v"))
+    db.insert_many("ev", ({"id": i, "v": i % 7} for i in range(100)))
+    captured = []
+
+    def capture(tasks, deadline, plan, attempt, faults):
+        captured.extend(task.pool_job for task in tasks)
+        return [task() for task in tasks]
+
+    monkeypatch.setattr(parallel, "_run_pool", capture)
+    view = db.view(ExecutorOptions(parallel=4, parallel_backend="pool"))
+    sql = "SELECT COUNT(*) AS n, SUM(t0.v) AS s FROM ev t0 WHERE t0.v > 2"
+    assert list(view.execute(sql).rows) == list(db.execute(sql).rows)
+    tables = {digest: db.catalog.tables[name]
+              for name, digest in captured[0].digest_map.items()}
+    for job in captured:
+        shipped = pickle.loads(pickle.dumps(job))
+        shipped.run_in_worker(tables)
+        scan = shipped.root.child         # the PartitionedScan
+        assert list(scan._slices) == [job.part]
+        assert len(scan._slices[job.part]) == 25

@@ -1,11 +1,11 @@
 """Chaos suite: the degradation ladder under deterministic faults.
 
-Substrate failures inside a partition-parallel query — a forked child
-crashing, a payload that will not unpickle, a hung partition — must
-never change the answer: the ladder falls ``processes → threads →
-serial`` and the degraded query stays row/column/stats-identical to
-serial execution, with the fall visible in EXPLAIN ANALYZE and counted
-in ``stats.degradations``.  Application errors and deadline expiry are
+Substrate failures inside a partition-parallel query — a pool worker
+crashing past its retry budget, a payload that will not unpickle, a
+hung partition — must never change the answer: the ladder falls
+``pool → threads → serial`` and the degraded query stays
+row/column/stats-identical to serial execution, with the fall visible
+in EXPLAIN ANALYZE and counted in ``stats.degradations``.  Application errors and deadline expiry are
 *not* absorbed: they propagate with their classification.
 """
 
@@ -30,6 +30,27 @@ def _tasks(n=3):
     return [lambda i=i: i * 10 for i in range(n)]
 
 
+class _TimesTen:
+    """A picklable pool job computing the same value as ``_tasks``."""
+
+    est = 0
+    digest_map = {}
+
+    def __init__(self, part):
+        self.part = part
+
+    def run_in_worker(self, cache):
+        return self.part * 10
+
+
+def _pool_tasks(n=3):
+    """``_tasks`` thunks that also carry their pool jobs."""
+    tasks = _tasks(n)
+    for part, task in enumerate(tasks):
+        task.pool_job = _TimesTen(part)
+    return tasks
+
+
 def test_threads_degrade_to_serial_on_injected_crash():
     plan = FaultPlan(faults={"part:1": faults.CRASH})
     falls = []
@@ -40,30 +61,33 @@ def test_threads_degrade_to_serial_on_injected_crash():
     assert falls == [("threads", "serial")]
 
 
-def test_processes_degrade_all_the_way_down():
-    # faulty_attempts=2: the crash survives the first fallback too, so
-    # the ladder must fall twice before the plan heals.
+def test_pool_degrades_all_the_way_down():
+    # Plain thunks carry no pool job, so the pool rung is unavailable
+    # (attempt 1); faulty_attempts=2 makes the crash survive the
+    # threads rung too, so the ladder must fall twice before it heals.
     plan = FaultPlan(faults={"part:1": faults.CRASH}, faulty_attempts=2)
     falls = []
     with faults.injected(plan):
-        results = run_tasks(_tasks(), backend="processes",
+        results = run_tasks(_tasks(), backend="pool",
                             on_degrade=lambda f, t, e: falls.append((f, t)))
     assert results == [0, 10, 20]
-    assert falls == [("processes", "threads"), ("threads", "serial")]
+    assert falls == [("pool", "threads"), ("threads", "serial")]
 
 
-def test_corrupt_payload_from_fork_child_degrades():
-    # In a forked child the injection returns a CorruptResult, which
-    # explodes on the parent's unpickle — transport corruption, not an
-    # application error — so the ladder absorbs it.
-    plan = FaultPlan(faults={"part:2": faults.CORRUPT_PAYLOAD})
+def test_corrupt_payload_from_pool_worker_degrades():
+    # In a pool worker the injection returns a CorruptResult, which
+    # explodes on the driver's unpickle — transport corruption, not an
+    # application error.  It outlasts the pool's three attempts, so
+    # the ladder absorbs it, and threads (attempt 4) have healed.
+    plan = FaultPlan(faults={"part:2": faults.CORRUPT_PAYLOAD},
+                     faulty_attempts=3)
     falls = []
     with faults.injected(plan):
-        results = run_tasks(_tasks(), backend="processes",
+        results = run_tasks(_pool_tasks(), backend="pool",
                             on_degrade=lambda f, t, e:
                             falls.append(type(e).__name__))
     assert results == [0, 10, 20]
-    assert falls and falls[0] in ("CorruptPayload", "WorkerCrash")
+    assert falls == ["CorruptPayload"]
 
 
 def test_poison_partition_exhausts_the_ladder():
@@ -166,20 +190,23 @@ def test_degraded_query_identical_to_serial_threads(chaos_db):
 
 
 def test_degraded_aggregation_identical_on_process_backend(chaos_db):
-    plan = FaultPlan(faults={"part:0": faults.CRASH}, faulty_attempts=2)
+    # Attempts 1-3 exhaust the pool, 4 crashes the threads rung too.
+    plan = FaultPlan(faults={"part:0": faults.CRASH}, faulty_attempts=4)
     view = chaos_db.view(ExecutorOptions(parallel=3,
-                                         parallel_backend="processes"))
+                                         parallel_backend="pool"))
     with faults.injected(plan):
         result = _assert_identical_to_serial(chaos_db, view, GROUPED)
         text = view.explain(GROUPED, analyze=True)
     assert result.stats.degradations >= 2       # fell two rungs
-    assert "degraded=processes->threads->serial" in text
+    assert "degraded=pool->threads->serial" in text
 
 
 def test_corrupt_partition_payload_still_identical(chaos_db):
-    plan = FaultPlan(faults={"part:2": faults.CORRUPT_PAYLOAD})
+    # Corrupt on every pool attempt (1-3), so the ladder falls a rung.
+    plan = FaultPlan(faults={"part:2": faults.CORRUPT_PAYLOAD},
+                     faulty_attempts=3)
     view = chaos_db.view(ExecutorOptions(parallel=3,
-                                         parallel_backend="processes"))
+                                         parallel_backend="pool"))
     with faults.injected(plan):
         _assert_identical_to_serial(chaos_db, view, GROUPED)
 

@@ -5,7 +5,7 @@ degradation ladder ever moves: a crashed worker is respawned and the
 job retried under the pool's :class:`~repro.service.faults.RetryPolicy`
 (corrupt payloads retry on the same, still-healthy worker).  Only when
 the retry budget exhausts does the fault escape and the ladder fall
-``pool → processes → threads → serial``.  Either way the answer is
+``pool → threads → serial``.  Either way the answer is
 pinned row/column/stats-identical to serial execution, and the
 respawn/retry/dispatch counters expose exactly how many attempts the
 recovery took.
@@ -129,18 +129,20 @@ def test_corrupt_payload_retries_on_the_same_worker(chaos_db):
 
 
 def test_exhausted_retry_budget_degrades_and_converges(chaos_db):
-    """When every pool attempt crashes (``faulty_attempts=3`` covers
-    the whole default retry budget), the fault escapes the rung and the
-    ladder takes over — the query still converges, one rung at a time,
-    down to serial where the plan has healed."""
-    plan = FaultPlan(faults={"part:1": faults.CRASH}, faulty_attempts=3)
+    """When every pool attempt crashes (attempts 1-3 cover the whole
+    default retry budget), the fault escapes the rung and the ladder
+    takes over.  Attempts count on across rungs, so ``faulty_attempts=4``
+    also crashes the threads rung (attempt 4) — the query still
+    converges, one rung at a time, down to serial (attempt 5) where
+    the plan has healed."""
+    plan = FaultPlan(faults={"part:1": faults.CRASH}, faulty_attempts=4)
     view = _pool_view(chaos_db)
     with faults.injected(plan):
         result = _assert_identical_to_serial(chaos_db, view, JOIN,
-                                             degradations=3)
+                                             degradations=2)
         text = view.explain(JOIN, analyze=True)
-    assert result.stats.degradations == 3
-    assert "degraded=pool->processes->threads->serial" in text
+    assert result.stats.degradations == 2
+    assert "degraded=pool->threads->serial" in text
 
 
 def test_poison_partition_exhausts_the_whole_ladder(chaos_db):

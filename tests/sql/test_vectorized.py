@@ -150,7 +150,7 @@ PARALLEL_QUERIES = (
 )
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["threads", "pool"])
 @pytest.mark.parametrize("sql", PARALLEL_QUERIES)
 def test_vectorized_composes_with_parallel(boundary_db, sql, backend):
     serial = boundary_db.execute(sql)
