@@ -84,9 +84,10 @@ class QBSService:
         """Yield pending outcomes one by one, in submission order.
 
         Abandoning the stream (breaking out of ``async for``, or
-        cancellation) stops the underlying run: the scheduler winds
-        down at the next job boundary and reclaims its workers instead
-        of computing the rest of the batch for nobody.
+        cancellation) stops the underlying run instead of computing
+        the rest of the batch for nobody: an inline run winds down at
+        the next job boundary, a pool run at once, killing its busy
+        workers.
         """
         batch = self._take_pending()
         if not batch:

@@ -38,7 +38,9 @@ sends explicit ``drop`` frames so both sides stay in sync.
 **Faults.**  :meth:`WorkerPool.stream` is the one dispatch loop.  A
 worker that dies mid-job (pipe EOF) or runs past the per-job timeout
 is killed and replaced, and the job retried under the pool's
-:class:`~repro.service.faults.RetryPolicy`; a reply that will not
+:class:`~repro.service.faults.RetryPolicy`; a worker found dead at
+dispatch (a broken pipe) is replaced and its job goes back to the
+front of the queue without spending an attempt; a reply that will not
 decode retries without a respawn (the worker finished the frame — it
 is healthy); a failure the job classified itself retries by its kind.
 A job's plain exception is final at once, and so is every unfinished
@@ -63,8 +65,8 @@ import select
 import struct
 import time
 from collections import OrderedDict
-from typing import (Any, Dict, Iterator, List, Mapping, NamedTuple,
-                    Optional, Sequence)
+from typing import (Any, Callable, Dict, Iterator, List, Mapping,
+                    NamedTuple, Optional, Sequence)
 
 from repro.obs import metrics as obs_metrics
 from repro.service import faults
@@ -76,6 +78,10 @@ CACHE_TABLES_PER_WORKER = 64
 #: grace given at each shutdown escalation step (shutdown frame,
 #: SIGTERM) before moving on to the next; SIGKILL ends the ladder.
 _JOIN_GRACE = 5.0
+
+#: how often a dispatch with a ``stop`` predicate checks it while
+#: waiting on busy workers.
+_STOP_POLL_SECONDS = 0.02
 
 _HEADER = struct.Struct(">I")
 
@@ -326,9 +332,6 @@ class WorkerPool:
         self._context = multiprocessing.get_context("fork")
         self._workers: List[_PoolWorker] = []
         self.closed = False
-        #: whether this pool reports on ``repro_pool_workers``; a
-        #: scheduler's per-run pool turns it off.
-        self.gauged = True
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -343,7 +346,9 @@ class WorkerPool:
         return worker
 
     def _publish(self) -> None:
-        if self.gauged:
+        # ``repro_pool_workers`` is the process-wide query pool's gauge;
+        # a scheduler's per-run pool leaves it alone.
+        if self is _POOL:
             _WORKERS.set(float(len(self._workers)))
 
     def ensure_workers(self,
@@ -355,18 +360,27 @@ class WorkerPool:
         while len(self._workers) < self.size:
             self._spawn(preload or {})
 
-    def _scrap(self, worker: _PoolWorker,
-               preload: Mapping[str, Any]) -> Optional[_PoolWorker]:
-        """Kill a worker whose pipe state is unknown and replace it.
-        Returns the replacement (None when respawn itself failed)."""
+    def _scrap(self, worker: _PoolWorker) -> None:
+        """Kill a worker whose pipe state is unknown and drop it; the
+        next :meth:`ensure_workers` forks its replacement."""
         worker.stop(graceful=False)
         self._workers.remove(worker)
-        _RESPAWNS.inc()
+        self._publish()
+
+    def _replace(self, worker: _PoolWorker,
+                 preload: Mapping[str, Any]) -> List[_PoolWorker]:
+        """Scrap a lost worker mid-dispatch and refill the pool; returns
+        the new workers ([] when forking fails: the pool runs degraded
+        and the next dispatch tries again)."""
+        self._scrap(worker)
+        live = len(self._workers)
         try:
-            return self._spawn(preload)
+            self.ensure_workers(preload)
         except faults.SubstrateUnavailable:
-            self._publish()     # runs degraded; ensure_workers retries
-            return None
+            pass
+        fresh = self._workers[live:]
+        _RESPAWNS.inc(float(len(fresh)))
+        return fresh
 
     def close(self) -> None:
         for worker in self._workers:
@@ -437,7 +451,9 @@ class WorkerPool:
                tables: Optional[Mapping[str, Any]] = None, deadline=None,
                plan=None, attempt: int = 1,
                job_timeout: Optional[float] = None,
-               profile: Optional[float] = None) -> Iterator[Finished]:
+               profile: Optional[float] = None,
+               stop: Optional[Callable[[], bool]] = None
+               ) -> Iterator[Finished]:
         """Run ``jobs`` on the pool, yielding each one's
         :class:`Finished` as it happens (completion order).
 
@@ -448,8 +464,10 @@ class WorkerPool:
         is profiling.  Failures retry under :attr:`retry` as the module
         docstring describes; at ``deadline`` expiry every unfinished
         job finishes with :class:`~repro.service.faults.
-        DeadlineExceeded`.  Closing the generator early scraps the busy
-        workers, so the next dispatch starts frame-aligned.
+        DeadlineExceeded`.  Once ``stop()`` returns true (polled every
+        :data:`_STOP_POLL_SECONDS` while workers are busy), the
+        generator ends as if closed early.  An early close scraps the
+        busy workers, so the next dispatch starts frame-aligned.
         """
         jobs = list(jobs)
         if not jobs:
@@ -469,12 +487,14 @@ class WorkerPool:
         unfinished = len(jobs)
         try:
             while unfinished:
+                if stop is not None and stop():
+                    return
                 now = time.perf_counter()
                 if deadline is not None and deadline.expired():
                     stuck = list(busy.items())
                     busy.clear()
                     for worker, _ in stuck:
-                        self._scrap(worker, preload)
+                        self._scrap(worker)
                     for _, (index, started) in stuck:
                         yield Finished(
                             index, error=faults.DeadlineExceeded(
@@ -495,23 +515,30 @@ class WorkerPool:
                 while pending and idle:
                     worker = idle.pop(0)
                     index = pending.pop()
-                    tries[index] += 1
                     try:
                         self._ship_tables(worker, jobs[index], tables)
                         worker.send("run", (
                             jobs[index], plan, "part:%d" % jobs[index].part,
-                            attempt - 1 + tries[index], profile))
-                    except (OSError, pickle.PicklingError,
-                            AttributeError, TypeError) as exc:
-                        # The pipe state after a partial send is
-                        # unknown: scrap.
-                        self._scrap(worker, preload)
+                            attempt + tries[index], profile))
+                    except OSError:
+                        # The worker died while idle (a broken pipe):
+                        # replace it and put the job back at the front
+                        # of the queue without spending an attempt.
+                        pending.append(index)
+                        idle.extend(self._replace(worker, preload))
+                        continue
+                    except (pickle.PicklingError, AttributeError,
+                            TypeError) as exc:
+                        self._scrap(worker)
                         raise faults.SubstrateUnavailable(
                             "pool dispatch for job %d failed: %s"
                             % (index, exc))
+                    tries[index] += 1
                     _DISPATCHES.inc()
                     busy[worker] = (index, time.perf_counter())
                 bounds = [ready - now for ready, _ in delayed]
+                if stop is not None:
+                    bounds.append(_STOP_POLL_SECONDS)
                 if deadline is not None:
                     bounds.append(deadline.remaining())
                 if job_timeout is not None:
@@ -542,9 +569,7 @@ class WorkerPool:
                     else:
                         tag, value = self._collect(worker)
                     if tag == "lost":       # dead or hung: replace it
-                        replacement = self._scrap(worker, preload)
-                        if replacement is not None:
-                            idle.append(replacement)
+                        idle.extend(self._replace(worker, preload))
                     else:
                         # A full frame was read: the worker is healthy
                         # even when the payload was poison.  Reuse it.
@@ -568,7 +593,7 @@ class WorkerPool:
             # An early exit leaves replies queued on the busy workers'
             # pipes; scrap them so the next dispatch starts aligned.
             for worker in busy:
-                self._scrap(worker, preload)
+                self._scrap(worker)
 
     def run_jobs(self, jobs: Sequence[Any], tables: Mapping[str, Any],
                  deadline=None, plan=None, attempt: int = 1) -> List[Any]:

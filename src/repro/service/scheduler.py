@@ -357,12 +357,12 @@ class Scheduler:
         except ValueError:  # pragma: no cover - no fork on this platform
             yield from self._run_inline(jobs, pending, stop_event)
             return
-        pool.gauged = False     # repro_pool_workers is the query pool's
         opts = options_payload(self.options)
         stream = pool.stream(
             [PoolJob(jobs[index].fragment_id, opts) for index in pending],
             deadline=Deadline.after(self.deadline_seconds),
-            job_timeout=self.job_timeout)
+            job_timeout=self.job_timeout,
+            stop=None if stop_event is None else stop_event.is_set)
         outcomes: Dict[int, JobOutcome] = {}
         next_pos = 0
         try:

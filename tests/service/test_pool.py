@@ -306,10 +306,10 @@ def test_scheduler_pool_leaves_the_workers_gauge_alone():
 
 def test_workers_gauge_tracks_pool_size():
     reset_pool()
-    pool = WorkerPool(size=2)
+    pool = get_pool()
     try:
         pool.ensure_workers()
-        assert pool_mod._WORKERS.value() == 2.0
+        assert pool_mod._WORKERS.value() == float(pool.size)
     finally:
-        pool.close()
+        reset_pool()
     assert pool_mod._WORKERS.value() == 0.0

@@ -201,6 +201,63 @@ def test_stop_event_winds_down_early(monkeypatch):
     assert len(calls) < len(fragments)
 
 
+def test_stop_event_stops_a_pool_run_promptly(monkeypatch):
+    # Both workers sleep for a minute: a stop must not wait for them.
+    import multiprocessing
+    import threading
+
+    monkeypatch.setattr(scheduler_module, "_JOB_RUNNER",
+                        _very_sleepy_runner)
+    fragments = select_fragments(ids=["w40", "w42"])
+    before = {p.pid for p in multiprocessing.active_children()}
+    stop = threading.Event()
+    timer = threading.Timer(0.5, stop.set)
+    timer.start()
+    start = time.perf_counter()
+    try:
+        seen = list(Scheduler(workers=2).run_iter(fragments,
+                                                  stop_event=stop))
+    finally:
+        timer.cancel()
+    assert time.perf_counter() - start < 10
+    assert seen == []
+    # The busy workers were reaped, not left sleeping.
+    assert {p.pid for p in multiprocessing.active_children()} <= before
+
+
+def test_worker_dying_while_idle_is_replaced_without_failing_a_job(
+        monkeypatch, tmp_path):
+    import multiprocessing
+    import os
+
+    from repro.service import pool as pool_mod
+
+    def recording(fragment_id, options_dict):
+        (tmp_path / fragment_id).write_text(str(os.getpid()))
+        if fragment_id == "w40":
+            time.sleep(2)       # still busy when i2's worker goes idle
+        return execute_job(fragment_id, options_dict)
+
+    monkeypatch.setattr(scheduler_module, "_JOB_RUNNER", recording)
+    fragments = select_fragments(ids=["w40", "w42", "i2"])
+    respawns = pool_mod._RESPAWNS.total()
+    outcomes = []
+    for outcome in Scheduler(workers=2).run_iter(fragments):
+        outcomes.append(outcome)
+        if len(outcomes) == 1:
+            # i2's worker is idle and w42 not yet sent to it: kill it.
+            pid = int((tmp_path / "i2").read_text())
+            (idle,) = [p for p in multiprocessing.active_children()
+                       if p.pid == pid]
+            idle.kill()
+            idle.join()
+    assert [o.job.fragment_id for o in outcomes] == ["i2", "w40", "w42"]
+    assert all(o.ok and o.attempts == 1 for o in outcomes)
+    pids = {int((tmp_path / f).read_text()) for f in ("i2", "w40", "w42")}
+    assert len(pids) == 3               # w42 ran on the replacement
+    assert pool_mod._RESPAWNS.total() - respawns == 1
+
+
 def test_full_corpus_counts_through_service():
     report = Scheduler(workers=1).run(list(ALL_FRAGMENTS))
     markers = [o.result.status.marker for o in report.outcomes]
