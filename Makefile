@@ -18,7 +18,8 @@ test:
 # timing repeat (fails below 2x wall-clock / 3x evaluator-call
 # reduction vs. the seed implementation), then the query-planner
 # floors (>= 3x for the hash-join chain on the three-table corpus
-# fragment and for index scans vs. full scans), the cost-based
+# fragment and for index scans vs. full scans, >= 2x for the statement
+# cache vs. planning every call), the cost-based
 # join-order floor (>= 2x vs. the greedy FROM-order chain on a skewed
 # four-table corpus), then the partition-parallel scan floor (>= 1.8x
 # at 4 partitions with the pool backend, asserted on >= 4 usable

@@ -11,6 +11,13 @@ asserts regression floors:
   products + residual filters).  Floor: >= 3x wall-clock.
 * **index scan vs. full scan** — a selective indexed equality probe
   under ``index_scans=False``.  Floor: >= 3x wall-clock.
+* **statement cache vs. planning every call** — a parameterized point
+  lookup (``SELECT * ... WHERE t0.k = :key``, keys cycling over the
+  table) through ``Database.execute`` on one warm handle, which reuses
+  the statement's plan, against ``executor.execute`` on the same
+  pre-parsed statement, which plans on every call.  Both sides run in
+  one process, so the ratio compares per-query overhead with
+  per-query overhead.  Floor: >= 2x wall-clock, on any hardware.
 
 Both comparisons assert row-identical results, and the planned engine
 is additionally checked row-identical to the seed single-pass pipeline
@@ -32,11 +39,16 @@ from repro.bench.harness import floor_entry, write_bench_artifact
 from repro.corpus.registry import fragment_by_id, run_fragment_through_qbs
 from repro.sql.database import Database
 from repro.sql.executor import ExecutorOptions
+from repro.sql.parser import parse
 from repro.corpus.advanced import ADVANCED_TABLES
 
-#: Acceptance floors (ISSUE 3).
+#: Acceptance floors.
 MIN_HASH_CHAIN_SPEEDUP = 3.0
 MIN_INDEX_SCAN_SPEEDUP = 3.0
+MIN_STATEMENT_CACHE_SPEEDUP = 2.0
+
+#: The statement-cache workload: the ORM's association lookup shape.
+LOOKUP_SQL = "SELECT * FROM pt AS t0 WHERE t0.k = :key"
 
 
 def build_database(options, n_r, n_s, n_u):
@@ -87,6 +99,36 @@ def compare(label, sql, fast_db, slow_db, repeats, floor, params=None,
     return speedup, fast_rows
 
 
+def statement_cache(db, lookups, repeats):
+    """Per-lookup seconds of the cached and the re-planning side (best
+    of ``repeats``, alternating sides) and the speedup."""
+    select = parse(LOOKUP_SQL)
+    bindings = [{"key": i % 500} for i in range(lookups)]
+    db.execute(LOOKUP_SQL, bindings[0])          # parse and plan once
+    cached_rows = [db.execute(LOOKUP_SQL, p).rows for p in bindings]
+    planned_rows = [db.executor.execute(select, p).rows for p in bindings]
+    assert cached_rows == planned_rows, "statement cache: rows differ"
+    assert all(cached_rows), "statement cache: lookups returned no rows"
+    cached = planned = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for params in bindings:
+            db.execute(LOOKUP_SQL, params)
+        elapsed = time.perf_counter() - start
+        cached = elapsed if cached is None else min(cached, elapsed)
+        start = time.perf_counter()
+        for params in bindings:
+            db.executor.execute(select, params)
+        elapsed = time.perf_counter() - start
+        planned = elapsed if planned is None else min(planned, elapsed)
+    speedup = planned / cached if cached > 0 else float("inf")
+    print("%-28s %8.1fus vs %9.1fus   %6.1fx  (floor %.1fx)"
+          % ("statement cache vs re-plan", cached / lookups * 1e6,
+             planned / lookups * 1e6, speedup,
+             MIN_STATEMENT_CACHE_SPEEDUP))
+    return speedup
+
+
 def run(smoke=False):
     repeats = 1 if smoke else 3
     n_r, n_s, n_u = (60, 40, 30) if smoke else (120, 90, 60)
@@ -120,6 +162,9 @@ def run(smoke=False):
         point_repeats, MIN_INDEX_SCAN_SPEEDUP,
         slow_repeats=point_repeats)
 
+    cache_speedup = statement_cache(planned, 500 if smoke else 2000,
+                                    repeats=3)
+
     failures = []
     if chain_speedup < MIN_HASH_CHAIN_SPEEDUP:
         failures.append("hash-join chain speedup %.2fx < %.1fx"
@@ -127,6 +172,9 @@ def run(smoke=False):
     if index_speedup < MIN_INDEX_SCAN_SPEEDUP:
         failures.append("index-scan speedup %.2fx < %.1fx"
                         % (index_speedup, MIN_INDEX_SCAN_SPEEDUP))
+    if cache_speedup < MIN_STATEMENT_CACHE_SPEEDUP:
+        failures.append("statement-cache speedup %.2fx < %.1fx"
+                        % (cache_speedup, MIN_STATEMENT_CACHE_SPEEDUP))
     write_bench_artifact(
         "planner", not failures, smoke=smoke,
         floors={
@@ -134,6 +182,8 @@ def run(smoke=False):
                                       MIN_HASH_CHAIN_SPEEDUP),
             "index_scan": floor_entry(index_speedup,
                                       MIN_INDEX_SCAN_SPEEDUP),
+            "statement_cache": floor_entry(cache_speedup,
+                                           MIN_STATEMENT_CACHE_SPEEDUP),
         },
         extra={"sql": sql, "tables": {"r": n_r, "s": n_s, "u": n_u},
                "repeats": repeats})
@@ -142,8 +192,8 @@ def run(smoke=False):
         for failure in failures:
             print("FAIL:", failure)
         return 1
-    print("planner floors hold (chain %.1fx, index %.1fx)"
-          % (chain_speedup, index_speedup))
+    print("planner floors hold (chain %.1fx, index %.1fx, statement "
+          "cache %.1fx)" % (chain_speedup, index_speedup, cache_speedup))
     return 0
 
 

@@ -15,6 +15,9 @@ honest SQL engine with
   chooses index scans for equality lookups, and — crucially for
   Fig. 14c — orders equality joins into build/probe hash-join chains
   (O(n)) rather than nested loops (O(n²)), plus an EXPLAIN printer;
+* a statement cache: ``Database.execute`` parses and plans each
+  distinct statement once and reuses the plan while the tables it
+  reads are unchanged, as a database does for prepared statements;
 * an executor with per-query statistics (rows scanned, index probes)
   and per-operator cardinalities that the benchmarks report alongside
   wall-clock time; the seed single-pass pipeline remains available as

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.sql import ast as S
 from repro.sql.catalog import Catalog, Table
+from repro.sql.errors import SQLExecutionError
 from repro.sql.executor import (
     ExecutionStats,
     Executor,
@@ -41,12 +44,19 @@ class Database:
     row/column/stats-identical by the regression suites; ``view``
     opens a second mode over the same data for exactly that kind of
     comparison.
+
+    Statements are prepared once per handle: ``execute`` parses each
+    distinct SQL string once and, under the planner, reuses its
+    physical plan for as long as the tables it names are unchanged
+    (the statement cache; see :meth:`execute`).
     """
 
     def __init__(self, options: Optional[ExecutorOptions] = None):
         self.catalog = Catalog()
         self.executor = Executor(self.catalog, options)
-        self._plan_cache: Dict[str, Any] = {}
+        #: the statement cache: SQL text -> its parsed AST, the names
+        #: it reads and its idle physical plan.
+        self._statements: Dict[str, _Statement] = {}
         #: cumulative statistics across every executed query.
         self.total_stats = ExecutionStats()
 
@@ -106,7 +116,25 @@ class Database:
                 params: Optional[Dict[str, Any]] = None,
                 trace: bool = False,
                 profile: Optional[Any] = None) -> QueryResult:
-        """Parse (with caching) and execute one SELECT statement.
+        """Execute one SELECT statement through the statement cache.
+
+        The first execution of a SQL string parses it and records the
+        tables and parameters it names, subqueries included.  Every
+        execution first checks ``params``: a parameter the statement
+        uses but ``params`` lacks raises
+        :class:`~repro.sql.errors.SQLExecutionError` before anything
+        runs, whatever the data or the access path.  Under the planner
+        the entry also keeps the statement's
+        :class:`~repro.sql.plan.PhysicalPlan`, reused while this
+        handle's catalog keeps its ``version`` and every named table its
+        ``data_version``.  Those counters move on create/drop, insert,
+        ``create_index`` and ``analyze``, and no plan reads a parameter
+        value, so a reused plan is exactly the plan ``plan_select``
+        would build now.  A run checks the plan out and puts it back
+        only after a clean run: a re-entrant or concurrent run of the
+        same statement plans a copy of its own, and a run that raises
+        leaves no plan behind.  ``Executor.execute`` and ``explain``
+        still plan on every call.
 
         ``trace=True`` runs the query under a trace span: every
         physical operator opens a child span (timed, tagged with its
@@ -129,10 +157,14 @@ class Database:
         all — results, EXPLAIN, traces and metrics are byte-identical,
         pinned by ``tests/obs/test_profile.py``.
         """
-        plan = self._plan_cache.get(sql)
-        if plan is None:
-            plan = parse(sql)
-            self._plan_cache[sql] = plan
+        statement = self._statements.get(sql)
+        if statement is None:
+            statement = _Statement(parse(sql))
+            self._statements[sql] = statement
+        params = params or {}
+        for name in statement.params:
+            if name not in params:
+                raise SQLExecutionError("unbound parameter :%s" % name)
         mode = "planner" if self.executor.options.planner else "legacy"
         started = time.perf_counter()
         if profile is not None and profile is not False:
@@ -145,7 +177,7 @@ class Database:
                 root = obs_trace.Span("query", sql=sql, mode=mode)
             with profiler.sampling():
                 with root:
-                    result = self.executor.execute(plan, params)
+                    result = self._run(statement, params)
             root.tag(rows=len(result.rows))
             result.trace = root
             result.profile = profiler
@@ -154,14 +186,37 @@ class Database:
             if not root:
                 root = obs_trace.Span("query", sql=sql, mode=mode)
             with root:
-                result = self.executor.execute(plan, params)
+                result = self._run(statement, params)
             root.tag(rows=len(result.rows))
             result.trace = root
         else:
-            result = self.executor.execute(plan, params)
+            result = self._run(statement, params)
         _QUERY_SECONDS.observe(time.perf_counter() - started)
         _QUERIES.inc(mode=mode)
         self._accumulate(result.stats)
+        return result
+
+    def _run(self, statement: "_Statement",
+             params: Dict[str, Any]) -> QueryResult:
+        """Run one statement, on its cached plan when that is current."""
+        executor = self.executor
+        if not executor.options.planner:
+            return executor.execute(statement.select, params)
+        catalog = executor.catalog
+        tables = catalog.tables
+        version = (catalog, catalog.version) + tuple(
+            tables[name].data_version if name in tables else None
+            for name in statement.tables)
+        try:
+            # list.pop is atomic: no two runs ever hold the same plan.
+            built_for, plan = statement.idle.pop()
+        except IndexError:
+            built_for = plan = None
+        if built_for != version:
+            plan = executor._plan(statement.select)
+        result = plan.execute(executor, params, ExecutionStats())
+        if not statement.idle:
+            statement.idle.append((version, plan))
         return result
 
     def explain(self, sql: str, params: Optional[Dict[str, Any]] = None,
@@ -196,3 +251,41 @@ class Database:
             return tuple(result.rows)
 
         return resolve
+
+
+class _Statement:
+    """One statement-cache entry.
+
+    ``tables`` and ``params`` are the table and parameter names the
+    statement uses, subqueries included, each once in statement order.
+    ``idle`` holds at most one ``(version, plan)`` pair that no run is
+    using, ``version`` being what :meth:`Database._run` compares.
+    """
+
+    __slots__ = ("select", "tables", "params", "idle")
+
+    def __init__(self, select: S.Select):
+        self.select = select
+        tables: List[str] = []
+        params: List[str] = []
+        _collect_names(select, tables, params)
+        self.tables = tuple(dict.fromkeys(tables))
+        self.params = tuple(dict.fromkeys(params))
+        self.idle: List[Tuple[tuple, Any]] = []
+
+
+def _collect_names(node: Any, tables: List[str], params: List[str]) -> None:
+    """Append every table and parameter name under ``node``, walking
+    into FROM and IN subqueries."""
+    if isinstance(node, S.TableSource):
+        tables.append(node.table)
+    elif isinstance(node, S.Param):
+        params.append(node.name)
+    if isinstance(node, tuple):
+        children = node
+    elif dataclasses.is_dataclass(node):
+        children = [getattr(node, f.name) for f in dataclasses.fields(node)]
+    else:
+        return
+    for child in children:
+        _collect_names(child, tables, params)

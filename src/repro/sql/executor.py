@@ -385,7 +385,7 @@ class Executor:
                 column = col_side.column
                 if column in source.table.indexes:
                     value = val_side.value if isinstance(val_side, S.Literal) \
-                        else params.get(val_side.name)
+                        else _param(params, val_side.name)
                     return column, value
         return None
 

@@ -196,7 +196,9 @@ class PhysicalOp:
     #: boundary: either rebuilt by the worker's own ``prepare`` (row
     #: slices, hash buckets, scan aliases) or compiled closures that
     #: cannot pickle at all.  Dropping them keeps partition jobs small
-    #: — a shipped plan fragment carries structure, never data.
+    #: — a shipped plan fragment carries structure, never data.  The
+    #: driver drops them too once a fan-out ends, so a plan kept for
+    #: reuse pins no rows.
     _UNPICKLED_STATE = ("_slices", "_vec_filter", "_vec_size", "_alias",
                         "_buckets", "_probe_expr", "_build_alias",
                         "_rows", "_vec")
@@ -307,7 +309,7 @@ class IndexScanOp(ScanOp):
         if isinstance(self.value_expr, S.Literal):
             value = self.value_expr.value
         else:
-            value = ctx.params.get(self.value_expr.name)
+            value = _param(ctx.params, self.value_expr.name)
         index = table.indexes[self.column]
         positions = index.lookup(value)
         ctx.stats.index_probes += 1
@@ -563,9 +565,38 @@ class ProjectOp(RowOp):
 
     def rows(self, ctx: _Ctx) -> Tuple[List[Record], Tuple[str, ...]]:
         envs = self.child.envs(ctx)
-        rows, columns = ctx.executor._project(self.items, envs, ctx.scanned,
-                                              ctx.params, ctx.stats)
+        stored = self._stored_rows(envs, ctx.scanned)
+        if stored is not None:
+            rows, columns = stored
+        else:
+            rows, columns = ctx.executor._project(self.items, envs,
+                                                  ctx.scanned, ctx.params,
+                                                  ctx.stats)
         self.rows_out = len(rows)
+        return rows, columns
+
+    def _stored_rows(self, envs: List[Env], scanned: List[_ScannedSource]):
+        """``SELECT *`` / ``SELECT alias.*`` over one source whose records
+        already carry exactly the output columns: those records
+        themselves, instead of an equal rebuilt :class:`Record` per row
+        (records are immutable, so sharing them is safe).  None when
+        the select list is anything else; ``_project`` then builds the
+        rows, as the seed pipeline always does."""
+        if len(self.items) != 1 or not isinstance(self.items[0].expr,
+                                                  S.Star):
+            return None
+        alias = self.items[0].expr.alias
+        sources = [s for s in scanned if alias in (None, s.alias)]
+        if len(sources) != 1:
+            return None
+        source = sources[0]
+        columns = source.columns
+        if len(set(columns)) != len(columns):
+            return None                  # _project renames duplicates
+        rows = [env[source.alias][1] for env in envs]
+        for row in rows:
+            if row.fields != columns:
+                return None              # a row written behind the API
         return rows, columns
 
 
@@ -1284,6 +1315,9 @@ def _run_partitioned(chain: PartitionedOp, ctx: _Ctx, backend: str,
         owner.backend = "pool"
     results = run_tasks(tasks, backend=backend, deadline=ctx.deadline,
                         on_degrade=on_degrade)
+    for op in ops:
+        for attr in PhysicalOp._UNPICKLED_STATE:
+            op.__dict__.pop(attr, None)
     payloads = []
     for part, (payload, pstats, recorded, span_dict) in enumerate(results):
         merge_stats(ctx.stats, pstats)

@@ -91,8 +91,8 @@ def test_pretty_roundtrip_is_untouched(db, sql):
 
 
 def test_plan_cache_reuse_is_stable(db):
-    """Database caches the parsed AST; repeated executions re-plan
-    from it and must keep producing the same result."""
+    """Database caches the statement's plan (with HAVING pushed down);
+    a repeated execution reuses it and must produce the same result."""
     sql = ("SELECT e.g, COUNT(*) AS n FROM ev e GROUP BY e.g "
            "HAVING e.g > 1 AND COUNT(*) > 3")
     first = db.execute(sql)
