@@ -23,8 +23,10 @@ test:
 # join-order floor (>= 2x vs. the greedy FROM-order chain on a skewed
 # four-table corpus), then the partition-parallel scan floor (>= 1.8x
 # at 4 partitions with the pool backend, asserted on >= 4 usable
-# cores, reported otherwise), the vectorized-execution floor (>= 2x on
-# a 200k-row scan+filter+aggregate, asserted unconditionally), and the
+# cores, reported otherwise), the batch-execution floors (>= 2x over
+# the seed pipeline on a 200k-row scan+filter+aggregate and on an
+# ORM-shaped stream of small indexed lookups, both asserted
+# unconditionally), and the
 # worker-pool throughput floor (a warm pool >= 2x over a pool forked
 # per query on a repeated-query stream, asserted unconditionally — the
 # floor is overhead-based, not CPU-scaling).  Perf regressions surface in
@@ -49,7 +51,8 @@ bench-join-order:
 bench-parallel-scan:
 	$(PYTHON) benchmarks/bench_parallel_scan.py
 
-# Vectorized batch-at-a-time execution vs. the row plan at full size.
+# Batch execution vs. the seed pipeline at full size: the 200k-row
+# scan floor and the small-query floor.
 bench-vectorized-scan:
 	$(PYTHON) benchmarks/bench_vectorized_scan.py
 

@@ -17,7 +17,8 @@ Quick tour::
 
 See ``examples/quickstart.py`` for the full walkthrough on the paper's
 running example, README.md for the tour, and ``docs/architecture.md``
-for the subsystem architecture and the mode-flags-not-forks contract.
+for the subsystem architecture and its one-engine-plus-one-oracle
+contract.
 """
 
 from repro.core.qbs import QBS, QBSOptions, QBSResult, QBSStatus

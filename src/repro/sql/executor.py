@@ -19,9 +19,9 @@ optimizations the paper credits the database with (Sec. 7.2):
   order (the ordered-relation semantics of the engine).
 
 ``ExecutorOptions(planner=False)`` keeps the seed single-pass pipeline
-(mode flags, not forks — same convention as ``SynthesisOptions``); the
-two modes are asserted row-identical by the regression suite.  GROUP BY
-and HAVING exist only in the planned path.
+as the engine's oracle: one planned engine, one independent reference
+implementation, asserted row/column/stats-identical by the equivalence
+suites and the differential fuzzer (GROUP BY / HAVING included).
 
 Execution statistics (rows scanned, index probes, join strategies) are
 collected per query so benchmarks can report work alongside time; the
@@ -31,6 +31,7 @@ physical operators additionally record per-operator cardinalities that
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -78,12 +79,13 @@ def merge_stats(into: "ExecutionStats", delta: "ExecutionStats") -> None:
 
 @dataclass
 class ExecutorOptions:
-    """Execution-mode flags (mode flags, not forks).
+    """Execution options: the oracle switch, optimizer rule toggles,
+    parallelism, deadline and batch size.
 
     ``planner``
         Plan-then-execute through :mod:`repro.sql.plan` (the default).
-        ``False`` runs the seed single-pass pipeline; GROUP BY / HAVING
-        are rejected there, everything else is row-identical.
+        ``False`` runs the seed single-pass pipeline, the oracle every
+        planned mode is pinned row/column/stats-identical to.
     ``index_scans`` / ``hash_joins``
         Optimizer rule toggles, used by the planner benchmarks to
         measure each rule's contribution.  Ignored by the seed path
@@ -130,19 +132,17 @@ class ExecutorOptions:
         :class:`~repro.service.faults.DeadlineExceeded` instead of
         blocking.  ``None`` (the default, and the seed behaviour)
         never expires.
-    ``vectorized`` / ``batch_size``
-        Batch-at-a-time execution: the plan lowers to vectorized
-        operators (``repro.sql.plan.vector``) that stream column
-        batches of ``batch_size`` rows and evaluate once-compiled
-        predicate/projection closures per batch instead of walking the
-        expression tree per row.  ``False`` (the default) is the
-        row-at-a-time engine, unchanged, and the equivalence baseline;
-        every vectorized query is pinned row/column/stats-identical to
-        it (``tests/sql/test_vectorized.py``,
-        ``tests/sql/test_differential_fuzz.py``).  Composes with
-        ``parallel=K``: partition workers filter and fold batches
-        while the partition protocol (currency, merge order, stats)
-        stays untouched.  Requires the planner.
+    ``batch_size``
+        Rows per column batch.  Every planned query streams batches of
+        at most this many rows through once-compiled closures
+        (:mod:`repro.sql.plan.vector`); under ``parallel=K`` each
+        partition's row range is chunked the same way.  Results do not
+        depend on it (``tests/sql/test_vectorized.py``).
+    ``vectorized``
+        Inert: batch execution is the only planned engine, so this
+        selects nothing and nothing reads it.  It stays constructible
+        because ``perfbench/workloads.py`` still passes it; it goes
+        once that no longer does.
     """
 
     planner: bool = True
@@ -212,10 +212,6 @@ class Executor:
                 or batch_size < 1:
             raise ValueError("batch_size must be a positive integer, "
                              "got %r" % (batch_size,))
-        if self.options.vectorized and not self.options.planner:
-            raise ValueError(
-                "vectorized execution requires the planner "
-                "(ExecutorOptions(planner=True))")
         self._nested: Optional["Executor"] = None
 
     # -- public entry ----------------------------------------------------------
@@ -263,17 +259,12 @@ class Executor:
             cost_based=self.options.cost_based,
             having_pushdown=self.options.having_pushdown,
             parallel_sort=self.options.parallel_sort,
-            vectorized=self.options.vectorized,
             batch_size=self.options.batch_size))
 
     # -- the seed pipeline (ExecutorOptions(planner=False)) --------------------
 
     def _execute_legacy(self, select: S.Select, params: Dict[str, Any],
                         stats: ExecutionStats) -> QueryResult:
-        if select.group_by or select.having is not None:
-            raise SQLExecutionError(
-                "GROUP BY / HAVING require the planner "
-                "(ExecutorOptions(planner=True))")
         sources = [self._resolve_source(src, params, stats)
                    for src in select.sources]
         conjuncts = _flatten_and(select.where)
@@ -291,6 +282,8 @@ class Executor:
             envs = [env for env in envs
                     if _truthy(self._eval(pred, env, params, stats))]
 
+        if select.group_by or select.having is not None:
+            return self._grouped_result(select, envs, params, stats)
         if _has_aggregate(select.items):
             return self._aggregate_result(select, envs, params, stats)
 
@@ -511,7 +504,12 @@ class Executor:
         rowid, record = env[alias]
         if column.column == "_rowid":
             return rowid
-        return record[column.column]
+        try:
+            return record[column.column]
+        except KeyError:
+            raise SQLExecutionError(
+                "no column %r in source %r" % (column.column, alias)
+            ) from None
 
     @staticmethod
     def _alias_for_column(column: str,
@@ -579,6 +577,93 @@ class Executor:
                                                stats))
         row = Record(dict(zip(columns, values)))
         return QueryResult(rows=[row], columns=tuple(columns), stats=stats)
+
+    def _grouped_result(self, select: S.Select, envs: List[Env], params,
+                        stats) -> QueryResult:
+        """GROUP BY / HAVING over joined environments.
+
+        Groups come out in **first-encounter order** of their key
+        tuples; HAVING filters each group before its select items are
+        evaluated (:meth:`_eval_group`); ORDER BY then sorts the output
+        rows by output column name, stably, followed by DISTINCT and
+        LIMIT.  Without group keys the query is a whole-input
+        aggregation, where HAVING, ORDER BY, DISTINCT and LIMIT do not
+        apply — the planner's semantics exactly.
+        """
+        if not select.group_by:
+            return self._aggregate_result(select, envs, params, stats)
+        groups: Dict[Tuple, List[Env]] = {}
+        for env in envs:
+            key = tuple(self._eval(e, env, params, stats)
+                        for e in select.group_by)
+            groups.setdefault(key, []).append(env)
+        columns: List[str] = []
+        for item in select.items:
+            if isinstance(item.expr, S.Star):
+                raise SQLExecutionError(
+                    "* cannot appear in a grouped select list")
+            name = item.as_name or _default_name(item.expr)
+            columns.append(self._fresh_name(name, columns))
+
+        rows = []
+        for group in groups.values():
+            if select.having is not None and not _truthy(
+                    self._eval_group(select.having, group, params, stats)):
+                continue
+            values = [self._eval_group(item.expr, group, params, stats)
+                      for item in select.items]
+            rows.append(Record(dict(zip(columns, values))))
+
+        def key(row: Record):
+            parts = []
+            for item in select.order_by:
+                name = item.column.column
+                if name not in row.fields:
+                    raise SQLExecutionError(
+                        "ORDER BY on a grouped query must name an output "
+                        "column (no column %r)" % name)
+                parts.append(_ReverseAware(row[name], item.descending))
+            return tuple(parts)
+
+        if select.order_by:
+            rows = sorted(rows, key=key)
+        if select.distinct:
+            rows = list(dict.fromkeys(rows))
+        if select.limit is not None:
+            rows = rows[: select.limit]
+        return QueryResult(rows=rows, columns=tuple(columns), stats=stats)
+
+    def _eval_group(self, expr: S.Expr, group: List[Env], params,
+                    stats) -> Any:
+        """Evaluate a select/HAVING expression over one group.
+
+        Aggregate calls see the whole group, AND/OR/NOT combine with
+        the evaluator's short-circuits, and any other subtree is
+        evaluated on the group's first environment (group keys are
+        constant within a group).
+        """
+        if isinstance(expr, S.FuncCall):
+            return self._eval_aggregate(expr, group, params, stats)
+        if isinstance(expr, S.BinOp):
+            if expr.op == "AND":
+                return (_truthy(self._eval_group(expr.left, group, params,
+                                                 stats))
+                        and _truthy(self._eval_group(expr.right, group,
+                                                     params, stats)))
+            if expr.op == "OR":
+                return (_truthy(self._eval_group(expr.left, group, params,
+                                                 stats))
+                        or _truthy(self._eval_group(expr.right, group,
+                                                    params, stats)))
+            return _apply_op(expr.op,
+                             self._eval_group(expr.left, group, params,
+                                              stats),
+                             self._eval_group(expr.right, group, params,
+                                              stats))
+        if isinstance(expr, S.NotOp):
+            return not _truthy(self._eval_group(expr.expr, group, params,
+                                                stats))
+        return self._eval(expr, group[0], params, stats)
 
     def _eval_aggregate(self, expr: S.Expr, envs: List[Env], params,
                         stats) -> Any:
@@ -681,16 +766,8 @@ class Executor:
         if self.options.parallel == 1:
             return self
         if self._nested is None:
-            serial = ExecutorOptions(
-                planner=self.options.planner,
-                index_scans=self.options.index_scans,
-                hash_joins=self.options.hash_joins,
-                cost_based=self.options.cost_based,
-                having_pushdown=self.options.having_pushdown,
-                parallel_sort=self.options.parallel_sort,
-                vectorized=self.options.vectorized,
-                batch_size=self.options.batch_size)
-            self._nested = Executor(self.catalog, serial)
+            self._nested = Executor(
+                self.catalog, dataclasses.replace(self.options, parallel=1))
         return self._nested
 
     def _eval_in(self, expr: S.InSubquery, env: Env, params, stats) -> bool:

@@ -7,9 +7,11 @@ The subsystem behind ``ExecutorOptions(planner=True)``:
 * :mod:`repro.sql.plan.optimizer` — predicate pushdown, index-scan
   selection, hash-join-chain ordering and the partition-parallel
   Gather rewrite;
-* :mod:`repro.sql.plan.physical` — executable operators with
-  per-operator statistics, including the partitioned operators behind
-  ``ExecutorOptions(parallel=K)``;
+* :mod:`repro.sql.plan.physical` — the executable operators, one
+  batch family with per-operator statistics, run serially or per
+  partition under ``ExecutorOptions(parallel=K)``;
+* :mod:`repro.sql.plan.vector` — the column batch and the expression
+  compiler every operator evaluates through;
 * :mod:`repro.sql.plan.parallel` — the thread / forked-process
   substrate partition tasks run on;
 * :mod:`repro.sql.plan.explain` — the EXPLAIN tree printer
@@ -34,12 +36,13 @@ Invariants every rewrite must preserve (pinned by
   their keys first appear in the (storage-ordered) input; the grouped
   analogue of storage order.
 * **partition transparency** — a partitioned chain splits the leftmost
-  scan into contiguous range partitions and merges in partition-index
-  order, which reproduces the three orders above bit for bit; shared
-  work (scans, hash-table builds) is counted in the engine statistics
-  exactly once, and per-partition counters merge in partition-index
-  order.  ``parallel=K`` is therefore row/column/stats-identical to
-  the serial plan for every K.
+  scan into contiguous row ranges (chunked into batches like any other
+  row stream) and merges in partition-index order, which reproduces
+  the three orders above bit for bit; shared work (scans, hash-table
+  builds) is counted in the engine statistics exactly once, and
+  per-partition counters merge in partition-index order.
+  ``parallel=K`` is therefore row/column/stats-identical to the serial
+  plan for every K.
 """
 
 from __future__ import annotations

@@ -94,10 +94,6 @@ _SPECS: Tuple[Tuple[str, str, str, Optional[ExecutorOptions], bool], ...] = (
      "SELECT p.role_id, COUNT(*) AS n FROM participant p "
      "GROUP BY p.role_id HAVING p.role_id > 0 AND COUNT(*) > 2",
      None, True),
-    ("vectorized-scan", "Vectorized scan + aggregate (vectorized=True)",
-     "SELECT COUNT(*) AS n, SUM(p.id) AS tot FROM participant p "
-     "WHERE p.role_id = 1",
-     ExecutorOptions(vectorized=True, batch_size=4), True),
 )
 
 

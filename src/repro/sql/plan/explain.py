@@ -56,8 +56,6 @@ def render(root: PhysicalOp, analyze: bool = False,
         bits = []
         if analyze and op.rows_out is not None:
             bits.append("rows=%d" % op.rows_out)
-        if analyze and op.batches_out is not None:
-            bits.append("batches=%d" % op.batches_out)
         if analyze and timing and op.elapsed_seconds is not None:
             bits.append("time=%.3fms" % (op.elapsed_seconds * 1000.0))
         if analyze:

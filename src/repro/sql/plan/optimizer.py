@@ -37,7 +37,7 @@ The rewrites, applied in order:
    seed pipeline exactly).
 
 5. **Partition parallelism** — with ``parallel = K > 1`` the whole
-   env-producing segment is wrapped in a
+   row-stream segment (scans, joins, residual filter) is wrapped in a
    :class:`~repro.sql.plan.logical.Gather` boundary (see PR 4).
    ``parallel="auto"`` resolves K from the estimated leftmost-scan
    cardinality and the usable core count
@@ -96,7 +96,9 @@ class OptimizerOptions:
     ``parallel`` is the partition count for the Gather rewrite; ``1``
     (the default) keeps the serial plan shape and ``"auto"`` derives K
     from table statistics.  ``cost_based=False`` is the greedy planner
-    exactly as PR 3 built it (mode flags, not forks).
+    exactly as PR 3 built it.  There is no operator-family toggle:
+    every plan lowers to the batch operators, so the executor's
+    ``vectorized`` field has nothing to select here.
     """
 
     index_scans: bool = True
@@ -106,10 +108,8 @@ class OptimizerOptions:
     cost_based: bool = True
     having_pushdown: bool = True
     parallel_sort: bool = True
-    #: lowering concerns, not rewrite rules: ``optimize`` ignores them
-    #: (the logical plan is mode-independent) and ``lower`` consumes
-    #: them to pick vectorized physical operators.
-    vectorized: bool = False
+    #: a lowering concern, not a rewrite rule: ``optimize`` ignores it
+    #: and ``lower`` chunks every row stream into batches of this size.
     batch_size: int = 1024
 
 

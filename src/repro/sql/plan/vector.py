@@ -1,37 +1,43 @@
-"""Batch-at-a-time expression compilation for vectorized execution.
+"""Batch-at-a-time expression compilation: the engine's one evaluator
+for planned queries.
 
-The vectorized operators (``ExecutorOptions(vectorized=True)``) stream
-:class:`Batch` objects — per-alias lists of the engine's ``(rowid,
-Record)`` pairs — instead of one environment dict per row.  Scalar
-expressions are compiled **once per query** into closures that evaluate
-a whole batch per call (:func:`compile_scalar` /
-:func:`compile_filter`), amortizing the interpreter's per-row dispatch
-the same way ``tor/compile.py`` did for synthesis evaluation.
+Every physical operator streams :class:`Batch` objects — per-alias
+lists of the engine's ``(rowid, Record)`` pairs — instead of one
+environment dict per row.  Scalar expressions are compiled **once per
+plan** into closures that evaluate a whole batch per call
+(:func:`compile_scalar` / :func:`compile_filter`), amortizing the
+interpreter's per-row dispatch the same way ``tor/compile.py`` did for
+synthesis evaluation.
 
 The compiled semantics mirror ``Executor._eval`` exactly — same values,
 same error messages, same short-circuit evaluation sets for AND/OR
 (the right side is evaluated only over the rows the left side admits,
-via a masked sub-batch) — so the vectorized mode stays pinned
-row/column/stats-identical to the row-at-a-time baseline.  Anything
-the compiler cannot reproduce bit for bit (subqueries, aggregate
-calls) raises :class:`Unvectorizable`; the lowering gates on
-:func:`vectorizable` and falls back to the row operators there, which
-are identical by construction.
+via a masked sub-batch).  Literals, parameters, column and whole-row
+references, the six comparisons and AND/OR/NOT compile to column
+operations; every other shape (IN subqueries, aggregate calls in a
+scalar position, operators the evaluator rejects) compiles to a
+per-row closure that calls ``Executor._eval`` on each row of the batch
+it is handed, with the query's statistics — so a subquery runs once
+per row it is asked about, exactly as in the seed pipeline.
+
+Closures take the running query's context (``run``: anything with
+``executor``, ``params`` and ``stats``, i.e. the physical layer's
+per-query or per-partition context): constant closures are called as
+``fn(run)``, vector closures as ``fn(batch, run)``.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sql import ast as S
 from repro.sql.errors import SQLExecutionError
 from repro.sql.executor import _param, _truthy
 from repro.tor.values import Record
 
-#: One in-flight row of one source: (rowid, record) — the same pair
-#: object the row-at-a-time operators carry, so identity (and the
-#: trivial env rebuild in :meth:`Batch.envs`) is preserved.
+#: One in-flight row of one source: (rowid, record) — the pair the
+#: scans read from storage, carried unchanged through every operator.
 Pair = Tuple[int, Record]
 
 #: Comparison operators with an exact vector counterpart; mirrors
@@ -47,16 +53,10 @@ _OPS = {
 }
 
 
-class Unvectorizable(Exception):
-    """Raised by the compiler for expression shapes it cannot
-    reproduce with exact row-mode parity (subqueries, aggregates);
-    the lowering falls back to the row operators there."""
-
-
 class Batch:
     """A column batch: parallel per-alias lists of ``(rowid, record)``.
 
-    ``aliases`` is the join-chain order (the same order the row mode
+    ``aliases`` is the join-chain order (the order the seed pipeline
     builds environment dicts in); every alias's pair list has length
     ``n``.  Extracted column vectors are cached per ``(alias, column)``
     so repeated references inside one predicate pay extraction once.
@@ -69,26 +69,23 @@ class Batch:
         self.aliases = aliases
         self.pairs = pairs
         self.n = n
-        self._cols: Dict[Tuple[str, str], List[Any]] = {}
+        self._cols: Optional[Dict[Tuple[str, str], List[Any]]] = None
 
-    @classmethod
-    def from_pairs(cls, alias: str, pairs: List[Pair]) -> "Batch":
-        return cls((alias,), {alias: pairs}, len(pairs))
-
-    @classmethod
-    def from_envs(cls, envs: List[Dict[str, Pair]],
-                  aliases: Tuple[str, ...]) -> "Batch":
-        pairs = {a: [env[a] for env in envs] for a in aliases}
-        return cls(aliases, pairs, len(envs))
+    def __reduce__(self):
+        # Partition results cross the pool's pipes as batches; the
+        # column cache is derived data and stays behind.
+        return Batch, (self.aliases, self.pairs, self.n)
 
     def column(self, alias: str, column: str) -> List[Any]:
         """The column's value vector (``_rowid`` -> the rowid vector).
 
-        A missing column raises the row mode's qualified-reference
+        A missing column raises the evaluator's qualified-reference
         error; callers resolving *bare* names check membership first
-        (the row mode's bare path never raises this message).
+        (the evaluator's bare path never raises this message).
         """
         key = (alias, column)
+        if self._cols is None:
+            self._cols = {}
         got = self._cols.get(key)
         if got is None:
             rows = self.pairs[alias]
@@ -115,10 +112,10 @@ class Batch:
         return Batch(self.aliases, pairs, len(indices))
 
     def envs(self) -> List[Dict[str, Pair]]:
-        """Rebuild row-mode environment dicts (alias -> pair).
+        """The rows as ``Executor._eval`` environments (alias -> pair).
 
-        Insertion order is the chain order, exactly as the row-mode
-        join operators build them.
+        Insertion order is the chain order, as the seed pipeline's join
+        builds them, so bare-name resolution picks the same source.
         """
         aliases = self.aliases
         if len(aliases) == 1:
@@ -128,28 +125,9 @@ class Batch:
         return [dict(zip(aliases, row)) for row in zip(*columns)]
 
 
-def vectorizable(expr: S.Expr) -> bool:
-    """Whether :func:`compile_scalar` accepts this expression.
-
-    The compilable subset: literals, parameters, column / whole-row
-    references, the six comparisons, AND/OR/NOT.  Subqueries and
-    aggregate calls are excluded — their evaluation touches engine
-    statistics or group state the compiler cannot reproduce exactly.
-    """
-    if isinstance(expr, (S.Literal, S.Param, S.ColumnRef, S.RowRef)):
-        return True
-    if isinstance(expr, S.BinOp):
-        if expr.op not in _OPS and expr.op not in ("AND", "OR"):
-            return False
-        return vectorizable(expr.left) and vectorizable(expr.right)
-    if isinstance(expr, S.NotOp):
-        return vectorizable(expr.expr)
-    return False
-
-
 #: compile_scalar's result: (is_const, fn).  Constant closures take
-#: ``(params)`` and return one scalar; vector closures take
-#: ``(batch, params)`` and return a list of length ``batch.n``.
+#: ``(run)`` and return one scalar; vector closures take ``(batch,
+#: run)`` and return a list of length ``batch.n``.
 Compiled = Tuple[bool, Callable]
 
 
@@ -159,60 +137,65 @@ def compile_scalar(expr: S.Expr) -> Compiled:
     Returns ``(is_const, fn)``: a constant closure (no row
     dependence — literals, parameters, and operators over them) is
     evaluated once and broadcast by the caller; a vector closure maps
-    a batch to a value list.  Raises :class:`Unvectorizable` for
-    unsupported shapes — gate with :func:`vectorizable` first.
+    a batch to a value list.  Shapes without a column form compile to
+    a per-row closure over ``Executor._eval`` (see the module
+    docstring); those are never constant, because the evaluator may
+    touch statistics on every row.
     """
     if isinstance(expr, S.Literal):
         value = expr.value
-        return True, lambda params: value
+        return True, lambda run: value
     if isinstance(expr, S.Param):
         name = expr.name
-        return True, lambda params: _param(params, name)
+        return True, lambda run: _param(run.params, name)
     if isinstance(expr, S.ColumnRef):
         return False, _compile_column(expr)
     if isinstance(expr, S.RowRef):
         alias = expr.alias
 
-        def rows_fn(batch, params):
+        def rows_fn(batch, run):
             if alias not in batch.pairs:
                 raise SQLExecutionError("unknown alias %r" % alias)
             return batch.records(alias)
 
         return False, rows_fn
-    if isinstance(expr, S.BinOp):
-        if expr.op in ("AND", "OR"):
-            return _compile_logical(expr.op, expr.left, expr.right)
-        if expr.op in _OPS:
-            return _compile_comparison(expr.op, expr.left, expr.right)
-        raise Unvectorizable("operator %r" % expr.op)
+    if isinstance(expr, S.BinOp) and expr.op in ("AND", "OR"):
+        return _compile_logical(expr.op, expr.left, expr.right)
+    if isinstance(expr, S.BinOp) and expr.op in _OPS:
+        return _compile_comparison(expr.op, expr.left, expr.right)
     if isinstance(expr, S.NotOp):
         inner_const, inner = compile_scalar(expr.expr)
         if inner_const:
-            return True, lambda params: not _truthy(inner(params))
-        return False, lambda batch, params: [
-            not _truthy(v) for v in inner(batch, params)]
-    raise Unvectorizable("expression %r" % (expr,))
+            return True, lambda run: not _truthy(inner(run))
+        return False, lambda batch, run: [
+            not _truthy(v) for v in inner(batch, run)]
+
+    def per_row(batch, run):
+        evaluate, params, stats = run.executor._eval, run.params, run.stats
+        return [evaluate(expr, env, params, stats) for env in batch.envs()]
+
+    return False, per_row
 
 
 def _compile_column(ref: S.ColumnRef) -> Callable:
     """A column reference, mirroring ``Executor._column_value``.
 
     Qualified names resolve against the reference's alias (unknown
-    alias / missing column raise the row mode's messages); bare names
+    alias / missing column raise the evaluator's messages); bare names
     resolve a source alias to the whole row, then scan the chain for
     the first source carrying the column (``_rowid`` resolves to the
-    first source's rowids, as the row mode's env-iteration does).
+    first source's rowids, as the evaluator's env iteration does).
     """
     alias, column = ref.alias, ref.column
     if alias is not None:
-        def qualified(batch, params):
+        def qualified(batch, run):
             if alias not in batch.pairs:
                 raise SQLExecutionError("unknown alias %r" % alias)
             return batch.column(alias, column)
 
         return qualified
 
-    def bare(batch, params):
+    def bare(batch, run):
         if column in batch.pairs:
             return batch.records(column)
         for a in batch.aliases:
@@ -231,25 +214,25 @@ def _compile_comparison(op: str, left: S.Expr, right: S.Expr) -> Compiled:
     lconst, lf = compile_scalar(left)
     rconst, rf = compile_scalar(right)
     if lconst and rconst:
-        return True, lambda params: op_fn(lf(params), rf(params))
+        return True, lambda run: op_fn(lf(run), rf(run))
     if lconst:
-        def const_left(batch, params):
-            lval = lf(params)
-            return [op_fn(lval, v) for v in rf(batch, params)]
+        def const_left(batch, run):
+            lval = lf(run)
+            return [op_fn(lval, v) for v in rf(batch, run)]
 
         return False, const_left
     if rconst:
-        def const_right(batch, params):
-            # Left before right, like the row evaluator.
-            lvec = lf(batch, params)
-            rval = rf(params)
+        def const_right(batch, run):
+            # Left before right, like the evaluator.
+            lvec = lf(batch, run)
+            rval = rf(run)
             return [op_fn(v, rval) for v in lvec]
 
         return False, const_right
 
-    def both(batch, params):
-        lvec = lf(batch, params)
-        rvec = rf(batch, params)
+    def both(batch, run):
+        lvec = lf(batch, run)
+        rvec = rf(batch, run)
         return [op_fn(a, b) for a, b in zip(lvec, rvec)]
 
     return False, both
@@ -258,34 +241,35 @@ def _compile_comparison(op: str, left: S.Expr, right: S.Expr) -> Compiled:
 def _compile_logical(op: str, left: S.Expr, right: S.Expr) -> Compiled:
     """AND/OR with short-circuit *evaluation-set* parity.
 
-    The row evaluator never evaluates the right side for rows the left
+    The evaluator never evaluates the right side for rows the left
     side already decides; the compiled form evaluates the right side
     over a masked sub-batch of exactly those undecided rows (and not
     at all when there are none), so error behaviour — e.g. an unbound
-    parameter on the right of an always-false AND — matches.
+    parameter on the right of an always-false AND — and the statistics
+    of a per-row subquery on the right match.
     """
     is_and = op == "AND"
     lconst, lf = compile_scalar(left)
     rconst, rf = compile_scalar(right)
     if lconst and rconst:
         if is_and:
-            return True, lambda params: (_truthy(lf(params))
-                                         and _truthy(rf(params)))
-        return True, lambda params: (_truthy(lf(params))
-                                     or _truthy(rf(params)))
+            return True, lambda run: (_truthy(lf(run))
+                                      and _truthy(rf(run)))
+        return True, lambda run: (_truthy(lf(run))
+                                  or _truthy(rf(run)))
     if lconst:
-        def const_left(batch, params):
-            lval = _truthy(lf(params))
+        def const_left(batch, run):
+            lval = _truthy(lf(run))
             if is_and and not lval:
                 return [False] * batch.n
             if not is_and and lval:
                 return [True] * batch.n
-            return [_truthy(v) for v in rf(batch, params)]
+            return [_truthy(v) for v in rf(batch, run)]
 
         return False, const_left
 
-    def vector_left(batch, params):
-        mask = [_truthy(v) for v in lf(batch, params)]
+    def vector_left(batch, run):
+        mask = [_truthy(v) for v in lf(batch, run)]
         if is_and:
             hits = [i for i, v in enumerate(mask) if v]
         else:
@@ -293,12 +277,12 @@ def _compile_logical(op: str, left: S.Expr, right: S.Expr) -> Compiled:
         if not hits:
             return mask
         if rconst:
-            rval = _truthy(rf(params))
+            rval = _truthy(rf(run))
             for i in hits:
                 mask[i] = rval
             return mask
         sub = batch.select(hits)
-        rvec = rf(sub, params)
+        rvec = rf(sub, run)
         for j, i in enumerate(hits):
             mask[i] = _truthy(rvec[j])
         return mask
@@ -309,22 +293,22 @@ def _compile_logical(op: str, left: S.Expr, right: S.Expr) -> Compiled:
 def compile_filter(predicates: Tuple[S.Expr, ...]) -> Callable:
     """Compile a conjunct list into one batch-filtering closure.
 
-    ``apply(batch, params)`` returns the batch of surviving rows
+    ``apply(batch, run)`` returns the batch of surviving rows
     (possibly the input batch unchanged when everything passes).
     Conjuncts apply in order, each over the previous one's survivors —
-    the row mode's evaluation set exactly.
+    the evaluator's evaluation set exactly.
     """
     compiled = [compile_scalar(p) for p in predicates]
 
-    def apply(batch: Batch, params) -> Batch:
+    def apply(batch: Batch, run) -> Batch:
         for is_const, fn in compiled:
             if batch.n == 0:
                 return batch
             if is_const:
-                if not _truthy(fn(params)):
+                if not _truthy(fn(run)):
                     return batch.select([])
             else:
-                vec = fn(batch, params)
+                vec = fn(batch, run)
                 keep = [i for i, v in enumerate(vec) if _truthy(v)]
                 if len(keep) != batch.n:
                     batch = batch.select(keep)

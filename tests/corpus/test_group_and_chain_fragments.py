@@ -79,6 +79,18 @@ def test_chain_sql_is_mode_identical(results, db):
     assert list(planned.rows) == list(legacy.execute(sql).rows)
 
 
+def test_group_sql_is_mode_identical(results, db):
+    """The grouped fragment's SQL against the seed pipeline's own
+    GROUP BY: same rows, columns and statistics."""
+    sql = results["adv_groupcnt"].sql.sql
+    planned = db.execute(sql)
+    legacy = db.view(ExecutorOptions(planner=False)).execute(sql)
+    assert len(planned.rows) > 0
+    assert list(planned.rows) == list(legacy.rows)
+    assert planned.columns == legacy.columns
+    assert planned.stats == legacy.stats
+
+
 def test_explain_shows_hash_join_chain(results, db):
     text = db.explain(results["adv_chain"].sql.sql)
     assert text.count("HashJoin") == 2

@@ -32,8 +32,7 @@ GOLDEN_SERIAL = """\
 query  [mode=planner, rows=3, sql=SELECT e.g, COUNT(*) AS n \
 FROM ev AS e GROUP BY e.g]
   Aggregate  [op=GroupBy(e.g), rows=3]
-    Rows  [op=FullScan(ev AS e), rows=10]
-      FullScan  [op=FullScan(ev AS e), rows=10]"""
+    FullScan  [op=FullScan(ev AS e), rows=10]"""
 
 
 @pytest.fixture()

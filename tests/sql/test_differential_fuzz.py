@@ -1,15 +1,16 @@
 """Cross-mode differential SQL fuzzing.
 
-A seeded generator builds random schemas, data and SELECT statements,
-then executes each query under every execution mode the engine offers —
-seed pipeline, greedy planner, cost-based planner, partition-parallel
-at K in {1, 2, 4} (threads, periodically the fork backend and the
-persistent worker pool), vectorized at several batch sizes, and
-vectorized composed with parallel — and
-asserts the identity contract: same rows (values *and* order) and
-columns everywhere, plus engine-statistics identity within each
-stats family (see ``_modes`` — cost-based planning may legitimately
-pick different join strategies than the greedy chain).
+A seeded generator builds random schemas, data and SELECT statements
+(joins, filters, uncorrelated IN subqueries, aggregates, GROUP BY /
+HAVING, ORDER BY / LIMIT), then executes each query under every
+execution mode the engine offers — the seed pipeline (the oracle, on
+every case), greedy planner, cost-based planner, partition-parallel at
+K in {1, 2, 4} (threads, periodically the persistent worker pool) and
+a small batch size — and asserts the identity contract: same rows
+(values *and* order) and columns everywhere, plus engine-statistics
+identity within each stats family (see ``_modes`` — cost-based
+planning may legitimately pick different join strategies than the
+greedy chain).
 
 Determinism: every case derives its own ``random.Random`` from a fixed
 seed and the case index, so a failing case index reproduces exactly.
@@ -108,6 +109,23 @@ def _filter_sql(rng, sources, tables, params):
     return clause
 
 
+def _in_sql(rng, sources, tables):
+    """One uncorrelated IN-subquery conjunct over a random source
+    column; the planned engine evaluates it through a per-row closure,
+    the seed pipeline through its evaluator, once per candidate row."""
+    alias, tname = rng.choice(sources)
+    column = rng.choice(tables[tname]["columns"])
+    inner = rng.choice(sorted(tables))
+    inner_columns = tables[inner]["columns"]
+    clause = "%s.%s IN (SELECT b.%s FROM %s b" % (
+        alias, column, rng.choice(inner_columns), inner)
+    if rng.random() < 0.5:
+        clause += " WHERE b.%s %s %d" % (rng.choice(inner_columns),
+                                         rng.choice(COMPARISONS),
+                                         rng.choice((0, 1, 2, 3, 5, 8)))
+    return clause + ")"
+
+
 def _agg_sql(rng, sources, tables, as_name):
     """One aggregate call over a random source column."""
     func = rng.choice(AGGREGATES)
@@ -139,6 +157,8 @@ def _build_query(rng, tables):
                                 left_alias, left_t[1:]))
     for _ in range(rng.randint(0, 2)):
         conjuncts.append(_filter_sql(rng, sources, tables, params))
+    if rng.random() < 0.2:
+        conjuncts.append(_in_sql(rng, sources, tables))
 
     mode = rng.choices(("plain", "whole_agg", "grouped"),
                        weights=(5, 2, 3))[0]
@@ -246,22 +266,20 @@ def _make_db(tables):
     return db
 
 
-def _modes(index, rng, sql):
+def _modes(index, rng):
     """The mode matrix for one case: (label, options, stats_family).
 
     Stats compare within a family, not globally: the cost-based
     planner may legitimately choose different join strategies or
     access paths than the greedy chain (that is its job), so the
     greedy planner and the seed pipeline pin stats against *each
-    other*, while every parallel/vectorized mode — which only changes
+    other*, while every parallel/batch-size mode — which only changes
     the execution substrate, never the chosen plan semantics — pins
     stats against the cost-based baseline.  Rows and columns must be
     identical across all modes unconditionally.
     """
-    modes = [("greedy", ExecutorOptions(cost_based=False), "greedy")]
-    if "GROUP BY" not in sql and "HAVING" not in sql:
-        modes.append(("seed-pipeline", ExecutorOptions(planner=False),
-                      "greedy"))
+    modes = [("greedy", ExecutorOptions(cost_based=False), "greedy"),
+             ("seed-pipeline", ExecutorOptions(planner=False), "greedy")]
     for k in (1, 2, 4):
         modes.append(("parallel-%d" % k, ExecutorOptions(parallel=k),
                       "baseline"))
@@ -270,12 +288,8 @@ def _modes(index, rng, sql):
                       ExecutorOptions(parallel=2,
                                       parallel_backend="pool"),
                       "baseline"))
-    for size in sorted({rng.choice((1, 3, 1024)), 1024}):
-        modes.append(("vectorized-%d" % size,
-                      ExecutorOptions(vectorized=True, batch_size=size),
-                      "baseline"))
-    modes.append(("vec-parallel-2",
-                  ExecutorOptions(vectorized=True, parallel=2),
+    size = rng.choice((1, 3, 7))
+    modes.append(("batch-%d" % size, ExecutorOptions(batch_size=size),
                   "baseline"))
     return modes
 
@@ -310,7 +324,7 @@ def _mismatch(tables, sql, params, index):
     rng = random.Random(SEED * 7 + index)
     baseline = _run(db, sql, params)
     family_stats = {}
-    for label, options, family in _modes(index, rng, sql):
+    for label, options, family in _modes(index, rng):
         view = db.view(options)
         first = _run(view, sql, params)
         second = _run(view, sql, params)
@@ -403,5 +417,6 @@ def test_generator_covers_the_clause_space():
     corpus = " || ".join(build_case(i)[1] for i in range(200))
     for needle in ("GROUP BY", "HAVING", "ORDER BY", "LIMIT",
                    "DISTINCT", "NOT ", " OR ", "COUNT", "SUM", "AVG",
-                   "MIN", "MAX", ":p0", "a1.", "a2.", ".*"):
+                   "MIN", "MAX", ":p0", "a1.", "a2.", ".*",
+                   "IN (SELECT"):
         assert needle in corpus, needle

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sql import Database, SQLExecutionError, SQLParseError
+from repro.sql.executor import ExecutorOptions
 from repro.sql.parser import parse
 from repro.sql import ast as S
 
@@ -146,3 +147,33 @@ class TestPlanner:
             "SELECT * FROM users AS t0 WHERE t0 IN "
             "(SELECT * FROM users WHERE id > 1)").rows
         assert [r.id for r in rows] == [2, 3]
+
+
+# -- ORDER BY on a missing column ----------------------------------------------
+
+ORDER_MODES = {
+    "seed": ExecutorOptions(planner=False),
+    "planner": ExecutorOptions(),
+    "parallel-2-threads": ExecutorOptions(parallel=2),
+    "parallel-2-pool": ExecutorOptions(parallel=2, parallel_backend="pool"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(ORDER_MODES))
+@pytest.mark.parametrize("suffix", ["", " LIMIT 2"],
+                         ids=["order-by", "order-by-limit"])
+def test_order_by_missing_column_is_a_typed_error(mode, suffix):
+    """A sort key naming a column its source lacks raises the same
+    typed error as the reference does in WHERE or the select list, in
+    every execution mode; with no rows there is no key to read."""
+    db = Database()
+    db.create_table("t", ("id", "v"))
+    db.create_table("empty", ("id", "v"))
+    db.insert_many("t", ({"id": i, "v": i % 3} for i in range(6)))
+    view = db.view(ORDER_MODES[mode])
+    with pytest.raises(SQLExecutionError,
+                       match="no column 'nope' in source 't0'"):
+        view.execute("SELECT t0.id FROM t t0 ORDER BY t0.nope" + suffix)
+    empty = view.execute("SELECT t0.id FROM empty t0 ORDER BY t0.nope"
+                         + suffix)
+    assert empty.rows == []

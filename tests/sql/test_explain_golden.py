@@ -76,10 +76,6 @@ Limit(5)  [rows=5, est_rows=5, cost=19]
     "having-pushdown": """\
 GroupBy(p.role_id) having COUNT(*) > 2  [rows=2, est_rows=3, cost=12]
  └─ FullScan(participant AS p) filter=1  [rows=6, est_rows=9, cost=9]""",
-
-    "vectorized-scan": """\
-VecAggregate(whole input)  [rows=1, est_rows=1, cost=10]
- └─ VecScan(FullScan(participant AS p) filter=1, batch=4)  [rows=3, batches=2, est_rows=3, cost=9]""",
 }
 
 #: The pre-cost (PR 4) golden strings, verbatim: the greedy mode must

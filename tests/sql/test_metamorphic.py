@@ -1,5 +1,5 @@
 """Metamorphic relations: transformed queries with provably equal (or
-prefix-related) semantics must agree, in both row and batch modes.
+prefix-related) semantics must agree, row at a time and in batches.
 
 Unlike the differential fuzzer — which compares the *same* SQL across
 execution modes — these relations compare *different* SQL texts whose
@@ -16,8 +16,10 @@ results are related by construction:
   un-indexable in both forms only when ``p`` already isn't a plain
   equality, so stats are compared just for the safe shapes).
 
-Every relation runs under the row operators and under vectorized
-execution at a boundary-straddling batch size.
+Every relation runs under the seed pipeline, which evaluates row at a
+time (mode ``rows``), and under the batch engine at a
+boundary-straddling batch size (``vectorized``) and at the default
+one (``vectorized-1024``).
 """
 
 import pytest
@@ -26,10 +28,9 @@ from repro.sql.database import Database
 from repro.sql.executor import ExecutorOptions
 
 MODES = (
-    ("rows", ExecutorOptions()),
-    ("vectorized", ExecutorOptions(vectorized=True, batch_size=7)),
-    ("vectorized-1024", ExecutorOptions(vectorized=True,
-                                        batch_size=1024)),
+    ("rows", ExecutorOptions(planner=False)),
+    ("vectorized", ExecutorOptions(batch_size=7)),
+    ("vectorized-1024", ExecutorOptions(batch_size=1024)),
 )
 
 

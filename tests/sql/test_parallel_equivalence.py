@@ -1,6 +1,6 @@
 """Partition-parallel execution is invisible: K-way plans are
-row/column/stats-identical to the serial planner (and, transitively,
-to the seed single-pass pipeline) for every K.
+row/column/stats-identical to the serial planner and to the seed
+single-pass pipeline (GROUP BY / HAVING included) for every K.
 
 Three layers:
 
@@ -40,13 +40,11 @@ def _stats_tuple(stats):
 
 def _assert_parallel_identical(db, sql, params=None,
                                partitions=PARTITION_COUNTS,
-                               backend="threads", legacy=True):
-    serial = db.execute(sql, params)
-    references = [("serial planner", serial)]
-    if legacy:
-        references.append(
-            ("seed pipeline",
-             db.view(ExecutorOptions(planner=False)).execute(sql, params)))
+                               backend="threads"):
+    references = [
+        ("serial planner", db.execute(sql, params)),
+        ("seed pipeline",
+         db.view(ExecutorOptions(planner=False)).execute(sql, params))]
     for k in partitions:
         view = db.view(ExecutorOptions(parallel=k,
                                        parallel_backend=backend))
@@ -112,10 +110,7 @@ WHOLE = ("SELECT COUNT(*) AS n, SUM(t0.id) AS tot, MIN(t0.id) AS lo, "
 
 @pytest.mark.parametrize("backend", ["threads", "pool"])
 def test_partial_aggregation_backends(small_db, backend):
-    # GROUP BY only exists in the planner, so compare against the
-    # serial planner alone.
-    _assert_parallel_identical(small_db, GROUPED, backend=backend,
-                               legacy=False)
+    _assert_parallel_identical(small_db, GROUPED, backend=backend)
     _assert_parallel_identical(small_db, WHOLE, backend=backend)
 
 
@@ -138,7 +133,7 @@ def test_non_combinable_aggregates_fall_back(small_db, sql):
     plan = view.explain(sql)
     assert "Gather(partitions=3)" in plan
     assert "Partial" not in plan.replace("Partitioned", "")
-    _assert_parallel_identical(small_db, sql, legacy=False)
+    _assert_parallel_identical(small_db, sql)
 
 
 AVG_GROUPED = ("SELECT t0.a, AVG(t0.id) AS m, COUNT(*) AS n FROM r t0 "
@@ -265,9 +260,7 @@ def test_full_corpus_sql_parallel(corpus_sql, app_dbs):
         db = app_dbs[app]
         params = {name: 1
                   for name in set(re.findall(r":(\w+)", sql))}
-        legacy = "GROUP BY" not in sql
-        _assert_parallel_identical(db, sql, params, partitions=(4,),
-                                   legacy=legacy)
+        _assert_parallel_identical(db, sql, params, partitions=(4,))
 
 
 def test_full_corpus_sql_pool(corpus_sql, app_dbs):
@@ -277,9 +270,8 @@ def test_full_corpus_sql_pool(corpus_sql, app_dbs):
         db = app_dbs[app]
         params = {name: 1
                   for name in set(re.findall(r":(\w+)", sql))}
-        legacy = "GROUP BY" not in sql
         _assert_parallel_identical(db, sql, params, partitions=(2,),
-                                   backend="pool", legacy=legacy)
+                                   backend="pool")
 
 
 # -- pool table cache ----------------------------------------------------------

@@ -133,13 +133,23 @@ class TestExecutionModes:
             assert getattr(planned.stats, field) == \
                 getattr(legacy.stats, field), field
 
-    def test_legacy_rejects_group_by(self, db):
+    def test_legacy_groups_like_the_planner(self, db):
+        """The seed pipeline runs GROUP BY / HAVING itself, so grouped
+        queries have an oracle independent of the planned engine."""
         legacy_db = Database(ExecutorOptions(planner=False))
         legacy_db.catalog = db.catalog
         legacy_db.executor.catalog = db.catalog
-        with pytest.raises(SQLExecutionError, match="planner"):
-            legacy_db.execute("SELECT t0.role_id, COUNT(*) "
-                              "FROM participant t0 GROUP BY t0.role_id")
+        sql = ("SELECT t0.role_id, COUNT(*) AS n FROM participant t0 "
+               "GROUP BY t0.role_id HAVING COUNT(*) > 1 ORDER BY n DESC")
+        planned = db.execute(sql)
+        legacy = legacy_db.execute(sql)
+        assert len(planned.rows) > 1
+        assert list(legacy.rows) == list(planned.rows)
+        assert legacy.columns == planned.columns
+        assert legacy.stats == planned.stats
+        with pytest.raises(SQLExecutionError, match="grouped select list"):
+            legacy_db.execute("SELECT * FROM participant t0 "
+                              "GROUP BY t0.role_id")
 
     def test_hash_join_ablation_changes_plan_not_rows(self, db):
         ablated = Database(ExecutorOptions(hash_joins=False,

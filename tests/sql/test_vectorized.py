@@ -1,6 +1,7 @@
-"""Vectorized execution is invisible: ``ExecutorOptions(vectorized=True)``
-is row/column/stats-identical to the serial row operators (and,
-transitively, to the seed single-pass pipeline) for every batch size.
+"""Batch execution is invisible: every planned query runs on column
+batches, and its rows, columns and engine statistics are identical to
+the seed single-pass pipeline's (``ExecutorOptions(planner=False)``,
+GROUP BY / HAVING included) for every ``batch_size``.
 
 Layers:
 
@@ -10,13 +11,13 @@ Layers:
   sized to straddle the default boundary, plus empty-table and
   single-batch fast paths;
 * composition with ``parallel=K`` for K in {1, 2, 4} on both substrate
-  backends;
-* row-mode fallback shapes the batch compiler does not cover (IN
-  subqueries, ``*`` inside COUNT) — lowered to the seed row operators,
-  identical by construction;
-* observability surfaces: ``batches=`` under EXPLAIN ANALYZE, trace
-  span operator sets equal to the serial tree's, profile attachment;
-* option validation;
+  backends, where each partition's row range is chunked into batches;
+* shapes without a column form (IN subqueries, mixed with column
+  predicates): per-row closures inside the batch, evaluated on the
+  same rows as the seed pipeline;
+* observability surfaces: trace span operator sets equal across batch
+  sizes, profile attachment;
+* option validation, and the inert ``vectorized`` flag;
 * every corpus-inferred SQL statement.
 """
 
@@ -39,15 +40,13 @@ def _stats_tuple(stats):
 
 
 def _assert_vectorized_identical(db, sql, params=None,
-                                 batch_sizes=(1024,), legacy=True):
-    serial = db.execute(sql, params)
-    references = [("serial planner", serial)]
-    if legacy:
-        references.append(
-            ("seed pipeline",
-             db.view(ExecutorOptions(planner=False)).execute(sql, params)))
+                                 batch_sizes=(1024,)):
+    references = [
+        ("serial planner", db.execute(sql, params)),
+        ("seed pipeline",
+         db.view(ExecutorOptions(planner=False)).execute(sql, params))]
     for size in batch_sizes:
-        view = db.view(ExecutorOptions(vectorized=True, batch_size=size))
+        view = db.view(ExecutorOptions(batch_size=size))
         result = view.execute(sql, params)
         for label, reference in references:
             assert list(result.rows) == list(reference.rows), \
@@ -107,10 +106,8 @@ BOUNDARY_QUERIES = (
 
 @pytest.mark.parametrize("sql", BOUNDARY_QUERIES)
 def test_batch_boundary_sizes(boundary_db, sql):
-    legacy = "GROUP BY" not in sql
     _assert_vectorized_identical(boundary_db, sql,
-                                 batch_sizes=BOUNDARY_SIZES,
-                                 legacy=legacy)
+                                 batch_sizes=BOUNDARY_SIZES)
 
 
 def test_empty_table_fast_path(boundary_db):
@@ -119,18 +116,18 @@ def test_empty_table_fast_path(boundary_db):
     _assert_vectorized_identical(
         boundary_db, "SELECT COUNT(*), SUM(t0.v) FROM empty t0",
         batch_sizes=(1, 1024))
-    view = boundary_db.view(ExecutorOptions(vectorized=True))
+    view = boundary_db.view(ExecutorOptions(batch_size=1))
     text = view.explain("SELECT * FROM empty", analyze=True)
-    assert "batches=0" in text
+    assert "FullScan(empty AS empty)  [rows=0," in text
 
 
 def test_single_batch_fast_path(boundary_db):
     _assert_vectorized_identical(boundary_db,
                                  "SELECT t0.v FROM one t0 WHERE t0.v > 1",
                                  batch_sizes=(1024,))
-    view = boundary_db.view(ExecutorOptions(vectorized=True))
+    view = boundary_db.view(ExecutorOptions(batch_size=1024))
     text = view.explain("SELECT t0.v FROM one t0", analyze=True)
-    assert "batches=1" in text
+    assert "FullScan(one AS t0)  [rows=1," in text
 
 
 # -- composition with parallel=K -----------------------------------------------
@@ -145,7 +142,7 @@ PARALLEL_QUERIES = (
     # GatherMerge above the boundary.
     "SELECT t0.id FROM t t0 WHERE t0.v > 15 ORDER BY t0.v DESC, t0.id "
     "LIMIT 20",
-    # AVG fallback: Gather + serial-side aggregation over batches.
+    # AVG partials, exactly combined.
     "SELECT AVG(t0.v) FROM t t0 WHERE t0.k > 1",
 )
 
@@ -153,28 +150,30 @@ PARALLEL_QUERIES = (
 @pytest.mark.parametrize("backend", ["threads", "pool"])
 @pytest.mark.parametrize("sql", PARALLEL_QUERIES)
 def test_vectorized_composes_with_parallel(boundary_db, sql, backend):
-    serial = boundary_db.execute(sql)
+    """Partition row ranges chunk into batches; small batches make
+    every partition carry several."""
+    seed = boundary_db.view(ExecutorOptions(planner=False)).execute(sql)
     for k in (1, 2, 4):
         view = boundary_db.view(ExecutorOptions(
-            vectorized=True, parallel=k, parallel_backend=backend))
+            batch_size=64, parallel=k, parallel_backend=backend))
         result = view.execute(sql)
-        assert list(result.rows) == list(serial.rows), (sql, k, backend)
-        assert result.columns == serial.columns, (sql, k, backend)
-        assert _stats_tuple(result.stats) == _stats_tuple(serial.stats), \
+        assert list(result.rows) == list(seed.rows), (sql, k, backend)
+        assert result.columns == seed.columns, (sql, k, backend)
+        assert _stats_tuple(result.stats) == _stats_tuple(seed.stats), \
             (sql, k, backend)
 
 
 def test_parallel_shapes_survive_vectorization(boundary_db):
-    """The Gather shapes lower exactly as in row mode — partitions are
-    the currency at the boundary and vectorize internally."""
-    view = boundary_db.view(ExecutorOptions(vectorized=True, parallel=2))
+    """The Gather shapes keep their plan names whatever the batch
+    size."""
+    view = boundary_db.view(ExecutorOptions(batch_size=64, parallel=2))
     plan = view.explain(PARALLEL_QUERIES[0])
     assert "PartialAggregate(whole input, partitions=2)" in plan
     merge_plan = view.explain(PARALLEL_QUERIES[2])
     assert "GatherMerge(partitions=2" in merge_plan
 
 
-# -- row-mode fallbacks --------------------------------------------------------
+# -- shapes without a column form ----------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -187,12 +186,17 @@ def fallback_db():
     return db
 
 
-def test_in_subquery_falls_back_to_row_operators(fallback_db):
+def test_in_subquery_runs_on_batches(fallback_db):
+    """An IN subquery filters inside the scan's batches, through a
+    per-row closure: the subquery runs once per candidate row, as in
+    the seed pipeline (the statistics count every run)."""
     sql = ("SELECT t0.id FROM r t0 WHERE t0.a IN "
            "(SELECT t1.b FROM s t1 WHERE t1.id = 1)")
-    view = fallback_db.view(ExecutorOptions(vectorized=True))
-    plan = view.explain(sql)
-    assert "VecScan" not in plan     # predicate is not vectorizable
+    plan = fallback_db.explain(sql, analyze=True)
+    assert plan.splitlines()[-1].startswith(
+        " └─ FullScan(r AS t0) filter=1  [rows=5,")
+    result = fallback_db.execute(sql)
+    assert result.stats.rows_scanned == 23 + 23 * 11
     _assert_vectorized_identical(fallback_db, sql, batch_sizes=(1, 1024))
 
 
@@ -204,54 +208,40 @@ def test_aggregate_comparison_expression_vectorizes(fallback_db):
         batch_sizes=(1, 1024))
 
 
-def test_partial_coverage_mixes_vec_and_row_operators(fallback_db):
-    """A vectorizable scan below a non-vectorizable aggregate: the
-    scan stays batched, the aggregate falls back with an Unbatch
-    adapter in between."""
+def test_mixed_predicates_run_on_batches(fallback_db):
+    """A column predicate and an IN subquery in one scan filter: the
+    subquery's per-row closure sees only the rows the column predicate
+    admits (a masked sub-batch), so it runs exactly as often as in the
+    seed pipeline."""
     sql = ("SELECT COUNT(*) AS n FROM r t0 WHERE t0.a > 1 AND t0.id IN "
            "(SELECT t1.id FROM s t1)")
+    result = fallback_db.execute(sql)
+    admitted = sum(1 for i in range(23) if i % 5 > 1)
+    assert result.stats.rows_scanned == 23 + admitted * 11
     _assert_vectorized_identical(fallback_db, sql, batch_sizes=(1, 7))
 
 
 # -- observability surfaces ----------------------------------------------------
 
 
-def test_explain_analyze_shows_batches(boundary_db):
-    view = boundary_db.view(ExecutorOptions(vectorized=True,
-                                            batch_size=256))
-    text = view.explain("SELECT t0.id FROM t t0 WHERE t0.v > 15",
-                        analyze=True)
-    assert "VecScan" in text
-    assert re.search(r"batches=\d+", text)
-    # Static EXPLAIN has no observed counts.
-    static = view.explain("SELECT t0.id FROM t t0 WHERE t0.v > 15")
-    assert "batches=" not in static
-    # The serial plan never prints batches=.
-    serial = boundary_db.explain("SELECT t0.id FROM t t0 WHERE t0.v > 15",
-                                 analyze=True)
-    assert "batches=" not in serial
-    assert "VecScan" not in serial
-
-
 def test_trace_operator_set_matches_serial(boundary_db):
     sql = "SELECT t0.k, COUNT(*) AS n FROM t t0 GROUP BY t0.k"
     serial = boundary_db.execute(sql, trace=True)
-    vec = boundary_db.view(
-        ExecutorOptions(vectorized=True, batch_size=64)).execute(
-            sql, trace=True)
+    vec = boundary_db.view(ExecutorOptions(batch_size=64)).execute(
+        sql, trace=True)
 
     def ops(root):
         return {node.tags["op"] for _, node in root.walk()
                 if "op" in node.tags}
 
     assert ops(vec.trace) == ops(serial.trace)
-    # Vec spans carry per-operator cardinalities like row spans do.
-    assert any(node.name == "VecScan" and "rows" in node.tags
+    # Operator spans carry per-operator cardinalities.
+    assert any(node.name == "FullScan" and node.tags.get("rows") == 1030
                for _, node in vec.trace.walk())
 
 
 def test_profile_attaches_under_vectorized(boundary_db):
-    view = boundary_db.view(ExecutorOptions(vectorized=True))
+    view = boundary_db.view(ExecutorOptions(batch_size=64))
     result = view.execute(
         "SELECT t0.k, COUNT(*) AS n FROM t t0 GROUP BY t0.k",
         profile=True)
@@ -261,9 +251,22 @@ def test_profile_attaches_under_vectorized(boundary_db):
 # -- option validation ---------------------------------------------------------
 
 
-def test_vectorized_requires_planner():
-    with pytest.raises(ValueError):
-        Database(ExecutorOptions(planner=False, vectorized=True))
+def test_vectorized_flag_is_inert(wilos_db):
+    """``ExecutorOptions.vectorized`` selects nothing: over the whole
+    battery, serial and parallel, it leaves EXPLAIN ANALYZE, rows,
+    columns and statistics exactly as the default options do."""
+    for sql, params in BATTERY:
+        for k in (1, 2):
+            plain = wilos_db.view(ExecutorOptions(parallel=k))
+            flagged = wilos_db.view(ExecutorOptions(parallel=k,
+                                                    vectorized=True))
+            assert flagged.explain(sql, params, analyze=True) == \
+                plain.explain(sql, params, analyze=True), (sql, k)
+            got, want = (flagged.execute(sql, params),
+                         plain.execute(sql, params))
+            assert list(got.rows) == list(want.rows), (sql, k)
+            assert got.columns == want.columns, (sql, k)
+            assert got.stats == want.stats, (sql, k)
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "1024"])
@@ -281,7 +284,5 @@ def test_full_corpus_sql_vectorized(corpus_sql, app_dbs):
         db = app_dbs[app]
         params = {name: 1
                   for name in set(re.findall(r":(\w+)", sql))}
-        legacy = "GROUP BY" not in sql
         _assert_vectorized_identical(db, sql, params,
-                                     batch_sizes=(3, 1024),
-                                     legacy=legacy)
+                                     batch_sizes=(3, 1024))
