@@ -16,7 +16,10 @@ test:
 
 # Fast perf canary: the synthesis-speed comparison with a single
 # timing repeat (fails below 2x wall-clock / 3x evaluator-call
-# reduction vs. the seed implementation), then the query-planner
+# reduction vs. the seed implementation, or above half the
+# Fourier-Motzkin runs per corpus QBS pass the prover made before it
+# memoised entailment, or if any outcome differs from the memo-free
+# oracle prover's), then the query-planner
 # floors (>= 3x for the hash-join chain on the three-table corpus
 # fragment and for index scans vs. full scans, >= 2x for the statement
 # cache vs. planning every call), the cost-based

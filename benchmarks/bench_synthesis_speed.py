@@ -14,7 +14,10 @@ asserting them:
   deterministic),
 * candidate-enumeration memory bounded by the combinations actually
   consumed, independent of ``max_combinations``,
-* bit-identical synthesis outcomes.
+* bit-identical synthesis outcomes,
+* at most half the Fourier-Motzkin runs per corpus QBS pass that the
+  prover made before it memoised entailment (an exact count), with
+  every status and SQL text equal to the memo-free oracle prover's.
 
 Run directly for the full table::
 
@@ -26,9 +29,12 @@ through pytest with the rest of the benchmark suite.
 """
 
 import dataclasses
+import functools
 import itertools
 import sys
 
+import repro.core.arith as arith
+import repro.core.qbs as qbs_module
 from repro.bench.harness import (
     floor_entry,
     measure_synthesis,
@@ -37,6 +43,8 @@ from repro.bench.harness import (
     write_bench_artifact,
 )
 from repro.core.enumerate import EnumerationStats, best_first_product
+from repro.core.prover import Prover
+from repro.core.qbs import QBS
 from repro.core.synthesizer import SynthesisOptions, Synthesizer
 from repro.corpus.registry import ALL_FRAGMENTS, compile_fragment
 from repro.frontend import FrontendRejection
@@ -44,6 +52,12 @@ from repro.frontend import FrontendRejection
 #: Acceptance thresholds (ISSUE 1).
 MIN_WALL_CLOCK_SPEEDUP = 2.0
 MIN_EVAL_CALL_REDUCTION = 3.0
+
+#: Fourier-Motzkin runs (``repro.core.arith._feasible``) in one QBS pass
+#: over the corpus before the prover memoised entailment.  The floor
+#: asks for at most half: BASELINE_FM_CALLS / calls >= 2.
+BASELINE_FM_CALLS = 3887
+MIN_FM_CALL_REDUCTION = 2.0
 
 
 def corpus_fragments(limit=None):
@@ -107,6 +121,45 @@ def frontier_memory_probe():
     return synth_peaks, stats.peak_frontier, 8 ** 5
 
 
+def corpus_outcomes():
+    """Status marker and SQL text of every compilable corpus fragment."""
+    qbs = QBS()
+    out = []
+    for fragment_id, fragment in corpus_fragments():
+        result = qbs.run(fragment)
+        out.append((fragment_id, result.status.marker,
+                    result.sql.sql if result.sql else None))
+    return out
+
+
+def fm_call_probe():
+    """FM runs in one corpus QBS pass; do outcomes match the oracle?
+
+    Counts by wrapping ``repro.core.arith._feasible`` from here, then
+    repeats the pass with ``Prover(nf_cache=False)``, which answers
+    every question without a memo, and compares status and SQL per
+    fragment.  Returns (FM calls, outcomes identical).
+    """
+    calls = [0]
+    original = arith._feasible
+
+    def counting(system):
+        calls[0] += 1
+        return original(system)
+
+    arith._feasible = counting
+    try:
+        outcomes = corpus_outcomes()
+    finally:
+        arith._feasible = original
+    qbs_module.Prover = functools.partial(Prover, nf_cache=False)
+    try:
+        oracle = corpus_outcomes()
+    finally:
+        qbs_module.Prover = Prover
+    return calls[0], outcomes == oracle
+
+
 def test_synthesis_speed_vs_seed(benchmark):
     measurements = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
     by_fragment = {}
@@ -130,6 +183,13 @@ def test_synthesis_speed_vs_seed(benchmark):
     assert len(synth_peaks) == 2 and synth_peaks[0] == synth_peaks[1]
     assert enum_peak < product_size / 100
 
+    # Entailment is memoised per prover: FM runs halve, outcomes do not move.
+    fm_calls, oracle_match = fm_call_probe()
+    print("  FM runs per corpus QBS pass: %d (baseline %d)"
+          % (fm_calls, BASELINE_FM_CALLS))
+    assert oracle_match
+    assert BASELINE_FM_CALLS / fm_calls >= MIN_FM_CALL_REDUCTION
+
 
 def main(argv):
     # Smoke mode: single repeat, table suppressed — same corpus and the
@@ -144,6 +204,8 @@ def main(argv):
             print(m.row())
     ratios = synthesis_speedup(measurements)
     synth_peaks, enum_peak, product_size = frontier_memory_probe()
+    fm_calls, oracle_match = fm_call_probe()
+    fm_reduction = BASELINE_FM_CALLS / fm_calls
     print("wall-clock speedup      : %.2fx (floor %.1fx)"
           % (ratios["wall_clock"], MIN_WALL_CLOCK_SPEEDUP))
     print("evaluator-call reduction: %.2fx (floor %.1fx)"
@@ -152,10 +214,15 @@ def main(argv):
           "bare enumerator %d of product %d"
           % (" vs ".join(str(p) for p in synth_peaks), enum_peak,
              product_size))
+    print("FM runs per QBS pass    : %d of baseline %d, %.2fx fewer "
+          "(floor %.1fx); outcomes %s the oracle prover's"
+          % (fm_calls, BASELINE_FM_CALLS, fm_reduction,
+             MIN_FM_CALL_REDUCTION, "match" if oracle_match else "DIFFER from"))
     ok = (ratios["wall_clock"] >= MIN_WALL_CLOCK_SPEEDUP
           and ratios["eval_calls"] >= MIN_EVAL_CALL_REDUCTION
           and len(synth_peaks) == 2 and synth_peaks[0] == synth_peaks[1]
-          and enum_peak < product_size / 100)
+          and enum_peak < product_size / 100
+          and fm_reduction >= MIN_FM_CALL_REDUCTION and oracle_match)
     write_bench_artifact(
         "synthesis_speed", ok, smoke=smoke,
         floors={
@@ -163,10 +230,12 @@ def main(argv):
                                       MIN_WALL_CLOCK_SPEEDUP),
             "eval_calls": floor_entry(ratios["eval_calls"],
                                       MIN_EVAL_CALL_REDUCTION),
+            "fm_calls": floor_entry(fm_reduction, MIN_FM_CALL_REDUCTION),
         },
         measurements=[dataclasses.asdict(m) for m in measurements],
         extra={"synth_peaks": synth_peaks, "enum_peak": enum_peak,
-               "product_size": product_size, "repeats": repeats})
+               "product_size": product_size, "repeats": repeats,
+               "fm_calls": fm_calls, "fm_oracle_match": oracle_match})
     print("RESULT: %s" % ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 

@@ -11,37 +11,43 @@ running example's proof:
     facts   i < size(users)
     goal    i + 1 <= size(users)                (integer reasoning)
 
-This module implements Fourier-Motzkin elimination over rational
-coefficients with strict/non-strict constraints.  Integer-typed atoms
-(counters and ``size`` terms) get the usual tightening
-``a < b  ==>  a + 1 <= b``; other atoms (field values, aggregates of
-unknown type) keep real semantics, which is sound for the mixed goals
-the prover asks about.
+This module implements Fourier-Motzkin elimination with strict and
+non-strict constraints.  Coefficients are plain ints; a ``Fraction``
+appears only where a non-integral float constant does, and elimination
+clears it before it runs on integer rows.  The answers are those of
+elimination over the rationals.  Integer-typed atoms (counters and
+``size`` terms) get the usual tightening ``a < b  ==>  a + 1 <= b``;
+other atoms (field values, aggregates of unknown type) keep real
+semantics, which is sound for the mixed goals the prover asks about.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.tor import ast as T
 
 #: Atom — any non-linear scalar TOR expression, used as an FM variable.
 Atom = T.TorNode
 
+#: A coefficient: an int, or a Fraction from a non-integral float.
+Number = Union[int, Fraction]
+
 
 @dataclass
 class LinExpr:
     """A linear expression: ``sum(coef * atom) + const``."""
 
-    terms: Dict[Atom, Fraction] = field(default_factory=dict)
-    const: Fraction = Fraction(0)
+    terms: Dict[Atom, Number] = field(default_factory=dict)
+    const: Number = 0
 
     def __add__(self, other: "LinExpr") -> "LinExpr":
         terms = dict(self.terms)
         for atom, coef in other.terms.items():
-            terms[atom] = terms.get(atom, Fraction(0)) + coef
+            terms[atom] = terms.get(atom, 0) + coef
             if terms[atom] == 0:
                 del terms[atom]
         return LinExpr(terms, self.const + other.const)
@@ -52,14 +58,14 @@ class LinExpr:
     def __sub__(self, other: "LinExpr") -> "LinExpr":
         return self + (-other)
 
-    def scale(self, factor: Fraction) -> "LinExpr":
+    def scale(self, factor: Number) -> "LinExpr":
         if factor == 0:
             return LinExpr()
         return LinExpr({a: c * factor for a, c in self.terms.items()},
                        self.const * factor)
 
-    def shift(self, delta) -> "LinExpr":
-        return LinExpr(dict(self.terms), self.const + Fraction(delta))
+    def shift(self, delta: Number) -> "LinExpr":
+        return LinExpr(dict(self.terms), self.const + delta)
 
     @property
     def is_constant(self) -> bool:
@@ -78,9 +84,12 @@ def linearize(expr: T.TorNode) -> LinExpr:
     """
     if isinstance(expr, T.Const) and isinstance(expr.value, (int, float)) \
             and not isinstance(expr.value, bool):
-        if expr.value in (float("inf"), float("-inf")):
-            return LinExpr({expr: Fraction(1)})
-        return LinExpr({}, Fraction(expr.value))
+        value = expr.value
+        if isinstance(value, float):
+            if value in (float("inf"), float("-inf")):
+                return LinExpr({expr: 1})
+            value = int(value) if value.is_integer() else Fraction(value)
+        return LinExpr({}, value)
     if isinstance(expr, T.BinOp) and expr.op == "+":
         return linearize(expr.left) + linearize(expr.right)
     if isinstance(expr, T.BinOp) and expr.op == "-":
@@ -91,7 +100,7 @@ def linearize(expr: T.TorNode) -> LinExpr:
             return right.scale(left.const)
         if right.is_constant:
             return left.scale(right.const)
-    return LinExpr({expr: Fraction(1)})
+    return LinExpr({expr: 1})
 
 
 def delinearize(lin: LinExpr) -> T.TorNode:
@@ -140,23 +149,30 @@ class FactSet:
     Facts are added as comparison TOR expressions; queries ask whether a
     comparison is entailed.  ``size(...) >= 0`` is assumed implicitly
     for every ``size`` atom that appears anywhere in the system.
+
+    ``memo``, when given, maps ``(signature(), op, left, right)`` to the
+    answer of :meth:`entails`.  The prover passes one dict to every
+    FactSet it builds, so a question asked again under the same facts —
+    in another VC, case split or candidate — is answered without
+    elimination.  Copies share their original's memo.
     """
 
-    def __init__(self, int_vars: Optional[Set[str]] = None):
+    def __init__(self, int_vars: Optional[Set[str]] = None,
+                 memo: Optional[Dict[Tuple, bool]] = None):
         self.constraints: List[Constraint] = []
         self.int_vars: Set[str] = set(int_vars or ())
-        self._contradictory = False
-        # Content signature, used by the prover's normal-form cache.
-        # Entailment is a function of the ingested comparisons (plus
-        # int_vars), so two FactSets with equal signatures answer every
-        # query identically.
+        self._memo = memo
+        # Content signature, used by the prover's memos.  Entailment is
+        # a function of the ingested comparisons (plus int_vars), so two
+        # FactSets with equal signatures answer every query identically.
+        # That rests on TOR node equality matching what linearize reads:
+        # T.Const keeps True apart from 1 for this reason.
         self._sig_entries: List[Tuple[str, T.TorNode, T.TorNode]] = []
         self._sig: Optional[Tuple] = None
 
     def copy(self) -> "FactSet":
-        out = FactSet(self.int_vars)
+        out = FactSet(self.int_vars, self._memo)
         out.constraints = list(self.constraints)
-        out._contradictory = self._contradictory
         out._sig_entries = list(self._sig_entries)
         out._sig = self._sig
         return out
@@ -219,6 +235,15 @@ class FactSet:
 
     def entails(self, op: str, left: T.TorNode, right: T.TorNode) -> bool:
         """Is ``left op right`` entailed by the facts?"""
+        if self._memo is None:
+            return self._decide(op, left, right)
+        key = (self.signature(), op, left, right)
+        answer = self._memo.get(key)
+        if answer is None:
+            answer = self._memo[key] = self._decide(op, left, right)
+        return answer
+
+    def _decide(self, op: str, left: T.TorNode, right: T.TorNode) -> bool:
         l, r = linearize(left), linearize(right)
         if op == "=":
             return (self._entails_geq(r - l, strict=False)
@@ -259,59 +284,109 @@ class FactSet:
                 system.append(Constraint(neg.shift(-1), strict=False))
             else:
                 system.append(Constraint(neg, strict=True))
-        # Implicit size(...) >= 0 facts.
-        seen_atoms: Set[Atom] = set()
-        for con in system:
-            seen_atoms |= con.lin.atoms()
-        for atom in seen_atoms:
-            if isinstance(atom, T.Size):
-                self._ensure_size_nonneg(system, atom)
+        # Implicit size(...) >= 0 facts, in order of first appearance.
+        sizes = {atom: None for con in system for atom in con.lin.terms
+                 if isinstance(atom, T.Size)}
+        system.extend(Constraint(LinExpr({atom: 1})) for atom in sizes)
         return not _feasible(system)
 
-    @staticmethod
-    def _ensure_size_nonneg(system: List[Constraint], atom: Atom) -> None:
-        system.append(Constraint(LinExpr({atom: Fraction(1)}), strict=False))
+
+#: A row of the elimination: coefficients (one per live atom, then the
+#: constant) with all entries coprime, and whether it is strict.
+_Row = Tuple[Tuple[int, ...], bool]
 
 
 def _feasible(system: List[Constraint]) -> bool:
-    """Fourier-Motzkin feasibility over the rationals.
+    """Is the system satisfiable?  Fourier-Motzkin elimination.
 
-    Sound and complete for rational systems; the integer tightening
+    Each atom is indexed to a column once, and each constraint becomes
+    an integer row: denominators cleared, then divided by the gcd of its
+    coefficients and constant.  Duplicate rows and rows that always hold
+    are dropped, and a contradictory constant row ends the search at
+    once.  Each round eliminates the atom that creates the fewest new
+    rows (pairs of a positive and a negative coefficient).  Projection
+    is exact over the rationals in any elimination order, so the choice
+    changes the work and never the answer.  The integer tightening
     applied at ingestion recovers the integer consequences the prover
-    needs.  Systems here are tiny (a dozen constraints, a handful of
-    atoms), so the potential doubling per elimination is irrelevant.
+    needs.
     """
-    constraints = list(system)
-    while True:
-        atoms: Set[Atom] = set()
-        for con in constraints:
-            atoms |= con.lin.atoms()
-        if not atoms:
-            break
-        atom = sorted(atoms, key=repr)[0]
-        upper: List[Constraint] = []  # coef < 0  ->  atom <= .../-coef
-        lower: List[Constraint] = []  # coef > 0  ->  atom >= ...
-        rest: List[Constraint] = []
-        for con in constraints:
-            coef = con.lin.terms.get(atom, Fraction(0))
+    columns: Dict[Atom, int] = {}
+    for con in system:
+        for atom in con.lin.terms:
+            if atom not in columns:
+                columns[atom] = len(columns)
+    width = len(columns)
+    rows: Set[_Row] = set()
+    for con in system:
+        vec = [0] * (width + 1)
+        for atom, coef in con.lin.terms.items():
+            vec[columns[atom]] = coef
+        vec[width] = con.lin.const
+        row = _normal_row(vec, con.strict)
+        if row is False:
+            return False
+        if row is not None:
+            rows.add(row)
+    while rows:
+        # Pick the atom whose elimination adds the fewest rows.
+        best = None
+        for index, column in enumerate(zip(*[vec for vec, _ in rows])):
+            if index == width:
+                break  # the constants
+            pos = neg = 0
+            for coef in column:
+                if coef > 0:
+                    pos += 1
+                elif coef < 0:
+                    neg += 1
+            if best is None or pos * neg < best:
+                best, col = pos * neg, index
+                if best == 0:
+                    break
+        lower: List[_Row] = []  # coef > 0: a lower bound on the atom
+        upper: List[_Row] = []  # coef < 0: an upper bound on the atom
+        projected: Set[_Row] = set()
+        for vec, strict in rows:
+            coef = vec[col]
             if coef > 0:
-                lower.append(con)
+                lower.append((vec, strict))
             elif coef < 0:
-                upper.append(con)
+                upper.append((vec, strict))
             else:
-                rest.append(con)
-        for lo in lower:
-            for hi in upper:
-                lo_coef = lo.lin.terms[atom]
-                hi_coef = -hi.lin.terms[atom]
-                combined = lo.lin.scale(hi_coef) + hi.lin.scale(lo_coef)
-                combined.terms.pop(atom, None)
-                rest.append(Constraint(combined,
-                                       strict=lo.strict or hi.strict))
-        constraints = rest
-    for con in constraints:
-        if con.strict and con.lin.const <= 0:
-            return False
-        if not con.strict and con.lin.const < 0:
-            return False
+                projected.add((vec[:col] + vec[col + 1:], strict))
+        for lo, lo_strict in lower:
+            a = lo[col]
+            for hi, hi_strict in upper:
+                b = -hi[col]
+                vec = [b * x + a * y for x, y in zip(lo, hi)]
+                del vec[col]
+                row = _normal_row(vec, lo_strict or hi_strict)
+                if row is False:
+                    return False
+                if row is not None:
+                    projected.add(row)
+        rows = projected
+        width -= 1
     return True
+
+
+def _normal_row(vec: List[Number], strict: bool) -> Union[_Row, bool, None]:
+    """``vec`` (coefficients, then constant) as a canonical integer row.
+
+    Returns the row, ``None`` when it holds whatever the atoms are, or
+    ``False`` when it can never hold.
+    """
+    try:
+        g = math.gcd(*vec)
+    except TypeError:  # a Fraction from a non-integral float constant
+        scale = math.lcm(*(x.denominator for x in vec))
+        vec = [int(x * scale) for x in vec]
+        g = math.gcd(*vec)
+    if not any(vec[:-1]):
+        const = vec[-1]
+        if const > 0 or (const == 0 and not strict):
+            return None
+        return False
+    if g != 1:
+        vec = [x // g for x in vec]
+    return tuple(vec), strict

@@ -33,6 +33,7 @@ which the driver surfaces in failure diagnostics.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -103,16 +104,30 @@ class Prover:
         loops = analyze_loops(vcset.fragment)
         self.int_vars = {info.counter for info in loops.values()
                          if info.counter is not None}
-        # Normal-form memo: (expr, facts signature, bools signature) ->
-        # normalized expr.  Normalization is a pure function of the
-        # expression and the fact context, so results are shared across
-        # VCs, candidate assignments and case splits whose contexts
-        # coincide — and across the repeated re-normalization of stable
-        # subterms within a single fixpoint loop.
+        # Two memos, both on under ``nf_cache`` and both living exactly
+        # as long as this prover (one fragment): normal forms keyed on
+        # (expr, facts signature, bools signature), and entailment
+        # answers keyed on (facts signature, op, left, right), shared by
+        # every FactSet this prover builds.  Both are pure functions of
+        # their keys, so results are shared across VCs, candidate
+        # assignments and case splits whose contexts coincide — and
+        # across the repeated re-normalization of stable subterms within
+        # a single fixpoint loop.  ``nf_cache=False`` is the oracle that
+        # decides every question afresh.
         self.use_nf_cache = nf_cache
         self._nf_cache: Dict[Tuple, T.TorNode] = {}
+        self._entail_memo: Optional[Dict[Tuple, bool]] = \
+            {} if nf_cache else None
         self.nf_cache_hits = 0
         self.nf_cache_misses = 0
+
+    def new_facts(self) -> FactSet:
+        """An empty FactSet over this prover's integer variables.
+
+        It answers entailment through this prover's memo (none when
+        ``nf_cache`` is off).
+        """
+        return FactSet(int_vars=self.int_vars, memo=self._entail_memo)
 
     # -- public API ----------------------------------------------------------
 
@@ -131,7 +146,7 @@ class Prover:
     MAX_CASES = 16
 
     def _prove_vc(self, vc: VC, assignment: Assignment) -> Optional[str]:
-        facts = FactSet(int_vars=self.int_vars)
+        facts = self.new_facts()
         bools = _BoolFacts()
         equations: Dict[str, T.TorNode] = {}
         disjunctions: List[List[T.TorNode]] = []
@@ -143,9 +158,8 @@ class Prover:
         # Disjunctive hypotheses (e.g. the negated conjunction guard of
         # a constant-bounded scan, ``not (i < 10 and i < size(r))``)
         # require a case split: the conclusion must hold in every case.
-        import itertools as _it
-
-        combos = list(_it.product(*disjunctions)) if disjunctions else [()]
+        combos = list(itertools.product(*disjunctions)) if disjunctions \
+            else [()]
         if len(combos) > self.MAX_CASES:
             return "too many hypothesis cases (%d)" % len(combos)
         for combo in combos:
@@ -269,15 +283,13 @@ class Prover:
             # conjunction antecedent (the else branch of a multi-clause
             # guard) contributes a disjunction, handled by case split.
             if isinstance(formula.antecedent, Bool):
-                import itertools as _it
-
                 branch_facts = facts.copy()
                 branch_bools = bools.copy()
                 local_disjunctions: List[List[T.TorNode]] = []
                 self._assume_bool(formula.antecedent.expr, branch_facts,
                                   branch_bools, equations,
                                   local_disjunctions)
-                combos = list(_it.product(*local_disjunctions)) \
+                combos = list(itertools.product(*local_disjunctions)) \
                     if local_disjunctions else [()]
                 if len(combos) > self.MAX_CASES:
                     return "too many branch cases (%d)" % len(combos)

@@ -26,19 +26,58 @@ each has an obvious SQL image so translatability is unaffected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dc_fields
-from typing import Any, Iterator, Optional, Tuple
+from dataclasses import dataclass, fields as dc_fields
+from typing import Any, Dict, Iterator, Optional, Tuple
+
+#: Field names per node class, in declaration order (see _field_names).
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """The dataclass field names of ``cls``, looked up once per class."""
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in dc_fields(cls))
+    return names
 
 
 class TorNode:
-    """Base class for every node in a TOR expression tree."""
+    """Base class for every node in a TOR expression tree.
+
+    A node's hash is computed once and kept on the instance: the prover
+    and the synthesizer use the same subtrees as memo keys over and
+    over, and a dataclass hash would walk the whole tree each time.
+    Pickles leave the cached hash out, because string hashes differ
+    from one process to the next.
+    """
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Set on the class itself, so that @dataclass(frozen=True) keeps
+        # it instead of generating a hash that recomputes the tree.
+        if cls.__dict__.get("__hash__") is None:
+            cls.__hash__ = TorNode.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash(tuple([getattr(self, name)
+                                for name in _field_names(type(self))]))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def children(self) -> Iterator["TorNode"]:
         """Yield direct child nodes (not tuples of strings etc.)."""
-        for f in dc_fields(self):
-            value = getattr(self, f.name)
+        for name in _field_names(type(self)):
+            value = getattr(self, name)
             if isinstance(value, TorNode):
                 yield value
             elif isinstance(value, tuple):
@@ -64,9 +103,26 @@ class TorNode:
 
 @dataclass(frozen=True)
 class Const(TorNode):
-    """A literal constant: ``True``, ``False``, a number or a string."""
+    """A literal constant: ``True``, ``False``, a number or a string.
+
+    A bool never equals a number here, although ``True == 1`` in Python:
+    the arithmetic engine reads ``1`` as a number and ``True`` as an
+    opaque atom, so facts about the two must not share a memo key.
+    ``Const(1)`` and ``Const(1.0)`` stay equal; arithmetic treats them
+    alike.
+    """
 
     value: Any
+
+    def __eq__(self, other):
+        if other.__class__ is not Const:
+            return NotImplemented
+        a, b = self.value, other.value
+        return a is b or (a == b and (a.__class__ is bool)
+                          == (b.__class__ is bool))
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.value.__class__ is bool))
 
 
 @dataclass(frozen=True)
@@ -503,27 +559,27 @@ def rebuild(expr: TorNode, fn) -> TorNode:
     object when nothing changed, preserving identity for caching.
     """
     changed = False
-    new_values = {}
-    for f in dc_fields(expr):
-        value = getattr(expr, f.name)
+    new_values = []
+    for name in _field_names(type(expr)):
+        value = getattr(expr, name)
         if isinstance(value, TorNode):
             new = fn(value)
             changed = changed or new is not value
-            new_values[f.name] = new
+            new_values.append(new)
         elif isinstance(value, tuple) and value and isinstance(value[0], tuple):
             # RecordLit.items: tuple of (name, node) pairs.
-            rebuilt = tuple((name, fn(node)) for name, node in value)
+            rebuilt = tuple((item, fn(node)) for item, node in value)
             changed = changed or any(a[1] is not b[1] for a, b in zip(rebuilt, value))
-            new_values[f.name] = rebuilt
+            new_values.append(rebuilt)
         elif isinstance(value, tuple) and any(isinstance(v, TorNode) for v in value):
             rebuilt = tuple(fn(v) if isinstance(v, TorNode) else v for v in value)
             changed = changed or any(a is not b for a, b in zip(rebuilt, value))
-            new_values[f.name] = rebuilt
+            new_values.append(rebuilt)
         else:
-            new_values[f.name] = value
+            new_values.append(value)
     if not changed:
         return expr
-    return type(expr)(**new_values)
+    return type(expr)(*new_values)
 
 
 def free_vars(expr: TorNode) -> set:

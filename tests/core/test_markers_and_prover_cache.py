@@ -1,10 +1,14 @@
-"""Appendix-A marker agreement and the prover's normal-form memo."""
+"""Appendix-A marker agreement and the prover's memos."""
+
+import pytest
 
 import repro.core.qbs as qbs_module
 from repro.core.prover import Prover
-from repro.core.qbs import QBSStatus
+from repro.core.qbs import QBS, QBSStatus
 from repro.core.synthesizer import Synthesizer
 from repro.corpus.registry import compile_fragment, fragment_by_id
+
+from tests.core.test_synthesis_equivalence import FRAGMENTS
 
 
 def test_markers_match_appendix_a():
@@ -62,3 +66,34 @@ def test_prover_rejects_bogus_assignment_with_cache():
     assert prover.validate(good.assignment).proved
     outcome = prover.validate(other.assignment)
     assert not outcome.proved
+
+
+@pytest.mark.parametrize("fragment_id,fragment", FRAGMENTS,
+                         ids=[fid for fid, _ in FRAGMENTS])
+def test_prover_memos_match_oracle_on_corpus(fragment_id, fragment,
+                                             monkeypatch):
+    """Every candidate a QBS run proves or rejects, re-proved memo-free.
+
+    The run's prover keeps both memos across all the candidates it
+    sees; ``Prover(nf_cache=False)`` decides every question afresh.
+    Each must reach the same verdict with the same failures, in order.
+    """
+    seen = []
+
+    class RecordingProver(Prover):
+        def validate(self, assignment):
+            proof = super().validate(assignment)
+            seen.append((self.vcset, assignment, proof))
+            return proof
+
+    monkeypatch.setattr(qbs_module, "Prover", RecordingProver)
+    result = QBS().run(fragment)
+    if not seen:
+        # No candidate survived bounded checking and SQL emission.
+        assert result.status is QBSStatus.FAILED
+        return
+    oracle = Prover(seen[0][0], nf_cache=False)
+    for vcset, assignment, proof in seen:
+        assert vcset is oracle.vcset
+        assert oracle.validate(assignment) == proof
+    assert oracle.nf_cache_hits == 0

@@ -13,11 +13,9 @@ on:
   concrete valuations).
 """
 
-from fractions import Fraction
-
 from hypothesis import given, settings, strategies as st
 
-from repro.core.arith import FactSet, linearize
+from repro.core.arith import FactSet
 from repro.sql.database import Database
 from repro.tor import ast as T
 from repro.tor.semantics import evaluate
@@ -181,7 +179,8 @@ def test_sql_selection_matches_tor_selection(rel):
 
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 def test_factset_entailment_is_sound(i, j, n):
-    facts = FactSet(int_vars={"i", "j"})
+    memo = {}
+    facts = FactSet(int_vars={"i", "j"}, memo=memo)
     vi, vj = T.Var("i"), T.Var("j")
     size = T.Size(T.Var("r"))
     model = {vi: i, vj: j, size: n}
@@ -197,12 +196,40 @@ def test_factset_entailment_is_sound(i, j, n):
 
     goals = [("<=", T.BinOp("+", vi, T.Const(1)), size),
              ("=", vi, vj), ("<", vj, size), (">=", size, T.Const(0))]
-    for op, l, r in goals:
-        if facts.entails(op, l, r):
-            lv = _value(l, model)
-            rv = _value(r, model)
-            assert {"<": lv < rv, "<=": lv <= rv, "=": lv == rv,
-                    ">=": lv >= rv}[op], (holding, (op, l, r))
+
+    def sound_answers(factset, holding):
+        answers = []
+        for op, l, r in goals:
+            entailed = factset.entails(op, l, r)
+            if entailed:
+                assert _true_in(model, op, l, r), (holding, (op, l, r))
+            answers.append(entailed)
+        return answers
+
+    # Asked twice through one memo: the second round answers from it.
+    first = sound_answers(facts, holding)
+    assert len(memo) == len(goals)
+    assert sound_answers(facts, holding) == first
+    # A copy shares the memo.  Once it gains a true fact it answers
+    # under its own signature, and the original keeps its answers.  The
+    # fact is a goal that holds but was not entailed, where there is one,
+    # so a memo that ignored the facts would answer it stale.
+    gained = next((goal for goal, known in zip(goals, first)
+                   if not known and _true_in(model, *goal)),
+                  ("=", vi, T.Const(i)))
+    more = facts.copy()
+    more.add_comparison(*gained)
+    pinned = sound_answers(more, holding + [gained])
+    fresh = FactSet(int_vars={"i", "j"})
+    for fact in holding + [gained]:
+        fresh.add_comparison(*fact)
+    assert pinned == [fresh.entails(*goal) for goal in goals]
+    assert sound_answers(facts, holding) == first
+
+
+def _true_in(model, op, left, right):
+    lv, rv = _value(left, model), _value(right, model)
+    return {"<": lv < rv, "<=": lv <= rv, "=": lv == rv, ">=": lv >= rv}[op]
 
 
 def _value(expr, model):
