@@ -29,11 +29,13 @@ test:
 # cores, reported otherwise), the batch-execution floors (>= 2x over
 # the seed pipeline on a 200k-row scan+filter+aggregate and on an
 # ORM-shaped stream of small indexed lookups, both asserted
-# unconditionally), and the
+# unconditionally), the
 # worker-pool throughput floor (a warm pool >= 2x over a pool forked
 # per query on a repeated-query stream, asserted unconditionally — the
-# floor is overhead-based, not CPU-scaling).  Perf regressions surface in
-# seconds.
+# floor is overhead-based, not CPU-scaling), and the ORM entity-read
+# floor (reading every column of 2,000 lazily loaded entities takes at
+# most 2x the time of the same reads on plain objects, asserted
+# unconditionally).  Perf regressions surface in seconds.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_synthesis_speed.py --smoke
 	$(PYTHON) benchmarks/bench_planner.py --smoke
@@ -41,6 +43,7 @@ bench-smoke:
 	$(PYTHON) benchmarks/bench_parallel_scan.py --smoke
 	$(PYTHON) benchmarks/bench_vectorized_scan.py --smoke
 	$(PYTHON) benchmarks/bench_worker_pool.py --smoke
+	$(PYTHON) benchmarks/bench_orm_entities.py --smoke
 
 # Query-planner comparison at full size (best of 3 repeats).
 bench-planner:

@@ -21,12 +21,20 @@ output is deterministic for a deterministic run.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
 
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
+    # Every query records one sample with no label and one with one, so
+    # those two cases skip the sort.
+    if not labels:
+        return ()
+    if len(labels) == 1:
+        ((name, value),) = labels.items()
+        return ((name, str(value)),)
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
@@ -143,8 +151,9 @@ class Histogram(_Instrument):
                  buckets: Sequence[float] = DEFAULT_BUCKETS):
         super().__init__(name, help_text)
         self.buckets = tuple(sorted(buckets))
-        # per label set: (bucket cumulative counts..., +Inf count,
-        # sum, count) kept as a mutable list.
+        # per label set: [count per bucket..., count above the last
+        # bound (NaN included), sum, count] kept as a mutable list; the
+        # exports turn the bucket counts into cumulative ones.
         self._values: Dict[LabelKey, List[float]] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
@@ -153,43 +162,53 @@ class Histogram(_Instrument):
         if slot is None:
             slot = [0.0] * (len(self.buckets) + 3)
             self._values[key] = slot
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                slot[i] += 1
-        slot[len(self.buckets)] += 1          # +Inf
-        slot[len(self.buckets) + 1] += value  # sum
-        slot[len(self.buckets) + 2] += 1      # count
+        # The first bucket whose bound is >= value; a NaN is <= no bound.
+        first = bisect_left(self.buckets, value) if value == value \
+            else len(self.buckets)
+        slot[first] += 1
+        slot[-2] += value
+        slot[-1] += 1
+
+    def _cumulative(self, slot: List[float]) -> List[float]:
+        """Per bound, the observations <= it; then the +Inf count."""
+        running = 0.0
+        out = []
+        for count in slot[:len(self.buckets)]:
+            running += count
+            out.append(running)
+        out.append(slot[-1])
+        return out
 
     def samples(self) -> List[Dict[str, Any]]:
         out = []
         for key in sorted(self._values):
             slot = self._values[key]
+            cumulative = self._cumulative(slot)
             out.append({
                 "labels": dict(key),
-                "buckets": {str(b): slot[i]
+                "buckets": {str(b): cumulative[i]
                             for i, b in enumerate(self.buckets)},
-                "inf": slot[len(self.buckets)],
-                "sum": slot[len(self.buckets) + 1],
-                "count": slot[len(self.buckets) + 2],
+                "inf": cumulative[-1],
+                "sum": slot[-2],
+                "count": slot[-1],
             })
         return out
 
     def exposition_lines(self) -> List[str]:
         lines = []
         for key, slot in sorted(self._values.items()):
+            cumulative = self._cumulative(slot)
             for i, bound in enumerate(self.buckets):
                 lines.append("%s_bucket%s %s" % (
                     self.name, _render_labels(key, [("le", _num(bound))]),
-                    _num(slot[i])))
+                    _num(cumulative[i])))
             lines.append("%s_bucket%s %s" % (
                 self.name, _render_labels(key, [("le", "+Inf")]),
-                _num(slot[len(self.buckets)])))
+                _num(cumulative[-1])))
             lines.append("%s_sum%s %s" % (
-                self.name, _render_labels(key),
-                _num(slot[len(self.buckets) + 1])))
+                self.name, _render_labels(key), _num(slot[-2])))
             lines.append("%s_count%s %s" % (
-                self.name, _render_labels(key),
-                _num(slot[len(self.buckets) + 2])))
+                self.name, _render_labels(key), _num(slot[-1])))
         return lines
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -31,21 +31,19 @@ class EntityType:
     columns: Tuple[str, ...]
     associations: Tuple[Association, ...] = ()
 
-    def association(self, name: str) -> Optional[Association]:
-        for assoc in self.associations:
-            if assoc.name == name:
-                return assoc
-        return None
-
 
 class MappingRegistry:
     """All entity types of one application."""
 
     def __init__(self):
         self.entities: Dict[str, EntityType] = {}
+        #: (entity name, row fields) -> the class such rows hydrate into,
+        #: built by the session on first use; a registration drops them.
+        self.entity_classes: Dict[Tuple[str, Tuple[str, ...]], Any] = {}
 
     def register(self, entity: EntityType) -> EntityType:
         self.entities[entity.name] = entity
+        self.entity_classes.clear()
         return entity
 
     def entity(self, name: str) -> EntityType:

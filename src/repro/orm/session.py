@@ -13,63 +13,158 @@ modes (paper Sec. 7.2):
 Hydration statistics (``objects_hydrated``) let benchmarks report how
 many entity objects each code version materialised — the quantity QBS
 reduces by pushing work into the database.
+
+Entities read like the POJOs of the paper's Hibernate code: each row
+hydrates into an instance of a class built once per mapped type and
+row shape (see :func:`_entity_class`), with one slot per column and per
+association, so reading a loaded value is a plain attribute read.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.orm.mapping import Association, EntityType, MappingRegistry
 from repro.sql.database import Database
-from repro.tor.values import Record
+from repro.tor.values import Record, record_parts
 
 
 class Entity:
-    """A hydrated row: attribute access over columns and associations."""
+    """A hydrated row: attribute access over columns and associations.
 
-    __slots__ = ("_type", "_session", "_data", "_assoc_cache")
+    Every entity is an instance of a per-type subclass whose slots hold
+    the row's columns and the entity's associations.  A column shadows
+    an association of the same name, and the attributes defined here
+    (``record`` and the like) shadow both.
+    """
 
-    def __init__(self, entity_type: EntityType, session: "Session",
-                 data: Record):
-        object.__setattr__(self, "_type", entity_type)
-        object.__setattr__(self, "_session", session)
-        object.__setattr__(self, "_data", data)
-        object.__setattr__(self, "_assoc_cache", {})
+    __slots__ = ("_session", "_data")
+
+    #: association name -> its lookup, for associations with a slot of
+    #: their own; set on each per-type subclass.
+    _lookups: Dict[str, "_Lookup"] = {}
 
     def __getattr__(self, name: str) -> Any:
-        data = object.__getattribute__(self, "_data")
-        if name in data.fields:
-            return data[name]
-        entity_type = object.__getattribute__(self, "_type")
-        assoc = entity_type.association(name)
-        if assoc is not None:
-            cache = object.__getattribute__(self, "_assoc_cache")
-            if name not in cache:
-                session = object.__getattribute__(self, "_session")
-                cache[name] = session._resolve_association(self, assoc)
-            return cache[name]
-        raise AttributeError("%s has no column or association %r"
-                             % (entity_type.name, name))
+        # Reached only when the slot is empty: a lazy association not
+        # read yet, or a name the entity does not have.
+        lookup = self._lookups.get(name)
+        if lookup is None:
+            raise AttributeError("%s has no column or association %r"
+                                 % (type(self).__name__, name))
+        value = self._session._resolve_association(self, lookup)
+        lookup.store(self, value)
+        return value
 
     def __setattr__(self, name: str, value: Any):
+        raise AttributeError("entities are read-only in this reproduction")
+
+    def __delattr__(self, name: str):
         raise AttributeError("entities are read-only in this reproduction")
 
     @property
     def record(self) -> Record:
         """The underlying row record (used by equivalence checks)."""
-        return object.__getattribute__(self, "_data")
+        return self._data
 
     def __eq__(self, other: Any) -> bool:
         if isinstance(other, Entity):
-            return self.record == other.record
+            return self._data == other._data
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.record)
+        return hash(self._data)
 
     def __repr__(self) -> str:
-        entity_type = object.__getattribute__(self, "_type")
-        return "%s(%r)" % (entity_type.name, dict(self.record))
+        return "%s(%r)" % (type(self).__name__, dict(self._data))
+
+
+#: names an entity class cannot give a slot: the attributes of
+#: ``Entity`` itself win over a column or association, as they always have.
+_ENTITY_ATTRIBUTES = frozenset(dir(Entity))
+
+_SET_SESSION = Entity._session.__set__
+_SET_DATA = Entity._data.__set__
+
+
+def _slot_name(name: str) -> bool:
+    """Whether ``name`` can be a slot read back under that same name
+    (a ``__private`` name would be mangled)."""
+    return name.isidentifier() and not (
+        name.startswith("__") and not name.endswith("__"))
+
+
+def _record_field(name: str) -> property:
+    """A field read from the row record, for a column name that cannot
+    be a slot (``create_table`` accepts any string)."""
+    return property(lambda entity: entity._data[name])
+
+
+class _Lookup:
+    """How one association of an entity class loads: the target type and
+    the key lookup SQL, found on first use and shared by every entity of
+    the class."""
+
+    __slots__ = ("assoc", "registry", "target", "sql", "store")
+
+    def __init__(self, assoc: Association, registry: MappingRegistry):
+        self.assoc = assoc
+        self.registry = registry
+        self.target: Optional[EntityType] = None
+        self.sql = ""
+        #: the slot's setter; None when a column shadows the association
+        self.store: Optional[Callable[[Entity, Any], None]] = None
+
+    def resolve_target(self) -> EntityType:
+        if self.target is None:
+            target = self.registry.entity(self.assoc.target)
+            self.sql = ("SELECT * FROM %s AS t0 WHERE t0.%s = :key"
+                        % (target.table, self.assoc.remote_column))
+            self.target = target
+        return self.target
+
+
+class _EntityClass(NamedTuple):
+    """One entity class and what hydration needs to fill it."""
+
+    cls: type
+    #: one setter per row field, in field order
+    stores: Tuple[Callable[[Entity, Any], None], ...]
+    #: every association in declaration order, shadowed ones included
+    #: (eager hydration resolves them all)
+    lookups: Tuple[_Lookup, ...]
+
+
+def _skip(entity: Entity, value: Any) -> None:
+    """The setter of a field that has no slot."""
+
+
+def _entity_class(registry: MappingRegistry, entity_type: EntityType,
+                  fields: Tuple[str, ...]) -> _EntityClass:
+    """The class rows of ``entity_type`` with these ``fields`` hydrate
+    into, built once per registry: one slot per field, then one per
+    association whose name is not a field."""
+    key = (entity_type.name, fields)
+    built = registry.entity_classes.get(key)
+    if built is not None:
+        return built
+    readable = [f for f in fields if f not in _ENTITY_ATTRIBUTES]
+    columns = tuple(f for f in readable if _slot_name(f))
+    lookups = [_Lookup(assoc, registry) for assoc in entity_type.associations]
+    owned = [lookup for lookup in lookups
+             if lookup.assoc.name not in fields
+             and lookup.assoc.name not in _ENTITY_ATTRIBUTES]
+    namespace = {f: _record_field(f) for f in readable if f not in columns}
+    cls = type(entity_type.name, (Entity,), dict(
+        namespace,
+        __slots__=columns + tuple(lookup.assoc.name for lookup in owned),
+        _lookups={lookup.assoc.name: lookup for lookup in owned}))
+    for lookup in owned:
+        lookup.store = getattr(cls, lookup.assoc.name).__set__
+    stores = tuple(getattr(cls, f).__set__ if f in columns else _skip
+                   for f in fields)
+    built = registry.entity_classes[key] = _EntityClass(cls, stores,
+                                                        tuple(lookups))
+    return built
 
 
 class Session:
@@ -94,7 +189,7 @@ class Session:
         entity_type = self.registry.entity(entity_name)
         result = self.db.execute("SELECT * FROM %s" % entity_type.table)
         self.queries_issued += 1
-        return [self._hydrate(entity_type, row) for row in result.rows]
+        return self._hydrate(entity_type, result.rows)
 
     def query(self, sql: str, entity_name: Optional[str] = None,
               params: Optional[Dict[str, Any]] = None) -> List[Entity]:
@@ -112,21 +207,36 @@ class Session:
                 return [row[column] for row in result.rows]
             return list(result.rows)
         entity_type = self.registry.entity(entity_name)
-        return [self._hydrate(entity_type, row) for row in result.rows]
+        return self._hydrate(entity_type, result.rows)
 
-    def _hydrate(self, entity_type: EntityType, row: Record,
-                 shallow: bool = False) -> Entity:
-        self.objects_hydrated += 1
-        entity = Entity(entity_type, self, row)
-        if self.fetch == "eager" and not shallow:
-            cache = object.__getattribute__(entity, "_assoc_cache")
-            for assoc in entity_type.associations:
-                cache[assoc.name] = self._resolve_association(entity, assoc)
-        return entity
+    def _hydrate(self, entity_type: EntityType, rows: List[Record],
+                 shallow: bool = False) -> List[Entity]:
+        self.objects_hydrated += len(rows)
+        eager = self.fetch == "eager" and not shallow
+        new, set_session, set_data = object.__new__, _SET_SESSION, _SET_DATA
+        shape_fields: Optional[Tuple[str, ...]] = None
+        out = []
+        for row in rows:
+            fields, values = record_parts(row)
+            if fields != shape_fields:
+                shape = _entity_class(self.registry, entity_type, fields)
+                shape_fields, cls, stores = fields, shape.cls, shape.stores
+                lookups = shape.lookups if eager else ()
+            entity = new(cls)
+            set_session(entity, self)
+            set_data(entity, row)
+            for store, value in zip(stores, values):
+                store(entity, value)
+            for lookup in lookups:
+                value = self._resolve_association(entity, lookup)
+                if lookup.store is not None:
+                    lookup.store(entity, value)
+            out.append(entity)
+        return out
 
     # -- associations -----------------------------------------------------------
 
-    def _resolve_association(self, entity: Entity, assoc: Association):
+    def _resolve_association(self, entity: Entity, lookup: _Lookup):
         """Resolve one association by key lookup.
 
         Associated entities are hydrated *shallowly* (their own
@@ -134,14 +244,11 @@ class Session:
         project -> creator -> ... — terminate, matching Hibernate's
         bounded eager-fetch depth.
         """
-        target = self.registry.entity(assoc.target)
-        key = getattr(entity, assoc.local_column)
-        sql = ("SELECT * FROM %s AS t0 WHERE t0.%s = :key"
-               % (target.table, assoc.remote_column))
-        result = self.db.execute(sql, {"key": key})
+        target = lookup.resolve_target()
+        key = getattr(entity, lookup.assoc.local_column)
+        result = self.db.execute(lookup.sql, {"key": key})
         self.queries_issued += 1
-        hydrated = [self._hydrate(target, row, shallow=True)
-                    for row in result.rows]
-        if assoc.many:
+        hydrated = self._hydrate(target, result.rows, shallow=True)
+        if lookup.assoc.many:
             return hydrated
         return hydrated[0] if hydrated else None

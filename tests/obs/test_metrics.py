@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.obs.metrics import REGISTRY, Histogram, MetricsRegistry
+from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
+    REGISTRY,
+    Histogram,
+    MetricsRegistry,
+)
 
 
 def test_counter_accumulates_per_label_set():
@@ -177,3 +182,97 @@ def test_global_registry_carries_engine_instruments():
     assert REGISTRY.get("repro_queries_total") is not None
     assert REGISTRY.get("repro_cache_hits_total") is not None
     assert isinstance(REGISTRY.get("repro_query_seconds"), Histogram)
+
+
+class _LoopHistogram(Histogram):
+    """The histogram as it was before bisection, kept as the oracle:
+    ``observe`` walks every bucket and keeps cumulative counts, which
+    the exports print as they are."""
+
+    def observe(self, value, **labels):
+        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
+        slot = self._values.get(key)
+        if slot is None:
+            slot = [0.0] * (len(self.buckets) + 3)
+            self._values[key] = slot
+        for i, bound in enumerate(self.buckets):
+            if value <= bound:
+                slot[i] += 1
+        slot[len(self.buckets)] += 1          # +Inf
+        slot[len(self.buckets) + 1] += value  # sum
+        slot[len(self.buckets) + 2] += 1      # count
+
+    def samples(self):
+        n = len(self.buckets)
+        return [{"labels": dict(key),
+                 "buckets": {str(b): slot[i]
+                             for i, b in enumerate(self.buckets)},
+                 "inf": slot[n], "sum": slot[n + 1], "count": slot[n + 2]}
+                for key, slot in sorted(self._values.items())]
+
+    def exposition_lines(self):
+        from repro.obs.metrics import _num, _render_labels
+
+        n = len(self.buckets)
+        lines = []
+        for key, slot in sorted(self._values.items()):
+            for i, bound in enumerate(self.buckets):
+                lines.append("%s_bucket%s %s" % (
+                    self.name, _render_labels(key, [("le", _num(bound))]),
+                    _num(slot[i])))
+            lines.append("%s_bucket%s %s" % (
+                self.name, _render_labels(key, [("le", "+Inf")]),
+                _num(slot[n])))
+            lines.append("%s_sum%s %s" % (
+                self.name, _render_labels(key), _num(slot[n + 1])))
+            lines.append("%s_count%s %s" % (
+                self.name, _render_labels(key), _num(slot[n + 2])))
+        return lines
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_histogram_bisection_matches_bucket_walk(seed):
+    """Bisection plus per-bucket counts export exactly what the bucket
+    walk did: random values, every bound exactly, zero, negatives and
+    infinities; NaN lands in no finite bucket."""
+    import random
+
+    rng = random.Random(seed)
+    buckets = DEFAULT_BUCKETS if seed % 2 else (-1.0, 0.0, 0.5, 2.0)
+    special = list(buckets) + [0, 0.0, -0.0, -3.5, -1, float("inf"),
+                               float("-inf")]
+    label_sets = [{}, {"mode": "planner"}, {"b": 2, "a": "x"}]
+    finite, everything = [], []
+    for n in range(300):
+        if n % 3 == 0:
+            value = rng.choice(special)
+        else:
+            value = rng.uniform(-2.0, 40.0) * rng.choice((1e-3, 1, 1e-1))
+        labels = rng.choice(label_sets)
+        everything.append((value, labels))
+        if value not in (float("inf"), float("-inf")):
+            finite.append((value, labels))
+    everything.append((float("nan"), {"mode": "planner"}))
+    for stream, exported in ((finite, True), (everything, False)):
+        fast, loop = MetricsRegistry(), MetricsRegistry()
+        fast._instruments["h"] = Histogram("h", "help", buckets)
+        loop._instruments["h"] = _LoopHistogram("h", "help", buckets)
+        for registry in (fast, loop):
+            for value, labels in stream:
+                registry.get("h").observe(value, **labels)
+        # json renders NaN and infinities, which compare unequal as floats
+        assert json.dumps(fast.snapshot()) == json.dumps(loop.snapshot())
+        if exported:   # a non-finite sum has no exposition form
+            assert fast.exposition() == loop.exposition()
+    nan_sample = [s for s in fast.get("h").samples()
+                  if s["labels"] == {"mode": "planner"}][0]
+    assert nan_sample["inf"] == nan_sample["count"]
+
+
+def test_label_keys_match_sorted_keys():
+    from repro.obs.metrics import _label_key
+
+    for labels in ({}, {"mode": "legacy"}, {"n": 3},
+                   {"z": 1, "a": 2, "m": "x"}):
+        assert _label_key(labels) == tuple(
+            sorted((k, str(v)) for k, v in labels.items()))
