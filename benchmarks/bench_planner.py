@@ -18,6 +18,12 @@ asserts regression floors:
   pre-parsed statement, which plans on every call.  Both sides run in
   one process, so the ratio compares per-query overhead with
   per-query overhead.  Floor: >= 2x wall-clock, on any hardware.
+* **calls per statement-cache hit** — the Python function calls
+  (``sys.setprofile`` ``call`` events) one warm hit of the same lookup
+  makes, eight rows returned.  The hit path made 42 before it was
+  trimmed to what a run needs, on Python 3.9 and 3.11 alike.  Floor:
+  at most 24, recorded as the reduction ``42 / calls >= 1.75``.  The
+  count is exact, so the floor holds on any hardware.
 
 Both comparisons assert row-identical results, and the planned engine
 is additionally checked row-identical to the seed single-pass pipeline
@@ -46,6 +52,11 @@ from repro.corpus.advanced import ADVANCED_TABLES
 MIN_HASH_CHAIN_SPEEDUP = 3.0
 MIN_INDEX_SCAN_SPEEDUP = 3.0
 MIN_STATEMENT_CACHE_SPEEDUP = 2.0
+#: Python calls per warm statement-cache hit of LOOKUP_SQL before the
+#: hit path was trimmed; the floor asks for at most 24 of them.
+BASELINE_HIT_CALLS = 42
+MAX_HIT_CALLS = 24
+MIN_HIT_CALL_REDUCTION = BASELINE_HIT_CALLS / MAX_HIT_CALLS
 
 #: The statement-cache workload: the ORM's association lookup shape.
 LOOKUP_SQL = "SELECT * FROM pt AS t0 WHERE t0.k = :key"
@@ -129,6 +140,29 @@ def statement_cache(db, lookups, repeats):
     return speedup
 
 
+def hit_calls(db):
+    """The Python function calls one warm hit of LOOKUP_SQL makes."""
+    params = {"key": 7}
+    db.execute(LOOKUP_SQL, params)               # cached and current
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = db.execute(LOOKUP_SQL, params)
+    finally:
+        sys.setprofile(None)
+    assert len(result.rows) == 8, "hit calls: expected eight rows"
+    print("%-28s %8d calls (at most %d; %d before)"
+          % ("calls per cache hit", calls, MAX_HIT_CALLS,
+             BASELINE_HIT_CALLS))
+    return calls
+
+
 def run(smoke=False):
     repeats = 1 if smoke else 3
     n_r, n_s, n_u = (60, 40, 30) if smoke else (120, 90, 60)
@@ -164,6 +198,7 @@ def run(smoke=False):
 
     cache_speedup = statement_cache(planned, 500 if smoke else 2000,
                                     repeats=3)
+    calls = hit_calls(planned)
 
     failures = []
     if chain_speedup < MIN_HASH_CHAIN_SPEEDUP:
@@ -175,6 +210,9 @@ def run(smoke=False):
     if cache_speedup < MIN_STATEMENT_CACHE_SPEEDUP:
         failures.append("statement-cache speedup %.2fx < %.1fx"
                         % (cache_speedup, MIN_STATEMENT_CACHE_SPEEDUP))
+    if calls > MAX_HIT_CALLS:
+        failures.append("%d calls per statement-cache hit > %d"
+                        % (calls, MAX_HIT_CALLS))
     write_bench_artifact(
         "planner", not failures, smoke=smoke,
         floors={
@@ -184,16 +222,19 @@ def run(smoke=False):
                                       MIN_INDEX_SCAN_SPEEDUP),
             "statement_cache": floor_entry(cache_speedup,
                                            MIN_STATEMENT_CACHE_SPEEDUP),
+            "hit_calls": floor_entry(BASELINE_HIT_CALLS / calls,
+                                     MIN_HIT_CALL_REDUCTION),
         },
         extra={"sql": sql, "tables": {"r": n_r, "s": n_s, "u": n_u},
-               "repeats": repeats})
+               "repeats": repeats, "hit_calls": calls})
     print()
     if failures:
         for failure in failures:
             print("FAIL:", failure)
         return 1
     print("planner floors hold (chain %.1fx, index %.1fx, statement "
-          "cache %.1fx)" % (chain_speedup, index_speedup, cache_speedup))
+          "cache %.1fx, %d calls per hit)"
+          % (chain_speedup, index_speedup, cache_speedup, calls))
     return 0
 
 

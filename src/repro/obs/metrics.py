@@ -15,12 +15,15 @@ Instrument updates are cheap dict operations and are only placed at
 cold sites (per query, per job, per synthesis run — never per row or
 per evaluator call), so the registry is always on; *tracing* is the
 default-off half of the observability layer (see
-:mod:`repro.obs.trace`).  Samples iterate sorted by label so all
+:mod:`repro.obs.trace`).  The per-query site records through bound
+series (:meth:`Counter.series`, :meth:`Histogram.series`), which
+resolve their label key once.  Samples iterate sorted by label so all
 output is deterministic for a deterministic run.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -91,11 +94,12 @@ class Counter(_Instrument):
         super().__init__(name, help_text)
         self._values: Dict[LabelKey, float] = {}
 
+    def series(self, **labels: Any) -> "CounterSeries":
+        """The samples of one label set, bound for repeated recording."""
+        return CounterSeries(self, _label_key(labels))
+
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up: %r" % amount)
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
+        self.series(**labels).inc(amount)
 
     def value(self, **labels: Any) -> float:
         return self._values.get(_label_key(labels), 0.0)
@@ -111,6 +115,25 @@ class Counter(_Instrument):
     def exposition_lines(self) -> List[str]:
         return ["%s%s %s" % (self.name, _render_labels(key), _num(value))
                 for key, value in sorted(self._values.items())]
+
+
+class CounterSeries:
+    """A counter's sample for one fixed label set, its key resolved
+    once.  It records into the counter's own sample dict, which
+    ``reset_values`` clears in place, so a series held across a reset
+    keeps exporting."""
+
+    __slots__ = ("_values", "_key")
+
+    def __init__(self, counter: Counter, key: LabelKey):
+        self._values = counter._values
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up: %r" % amount)
+        values, key = self._values, self._key
+        values[key] = values.get(key, 0.0) + amount
 
 
 class Gauge(_Instrument):
@@ -156,18 +179,12 @@ class Histogram(_Instrument):
         # exports turn the bucket counts into cumulative ones.
         self._values: Dict[LabelKey, List[float]] = {}
 
+    def series(self, **labels: Any) -> "HistogramSeries":
+        """The samples of one label set, bound for repeated recording."""
+        return HistogramSeries(self, _label_key(labels))
+
     def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
-        slot = self._values.get(key)
-        if slot is None:
-            slot = [0.0] * (len(self.buckets) + 3)
-            self._values[key] = slot
-        # The first bucket whose bound is >= value; a NaN is <= no bound.
-        first = bisect_left(self.buckets, value) if value == value \
-            else len(self.buckets)
-        slot[first] += 1
-        slot[-2] += value
-        slot[-1] += 1
+        self.series(**labels).observe(value)
 
     def _cumulative(self, slot: List[float]) -> List[float]:
         """Per bound, the observations <= it; then the +Inf count."""
@@ -212,8 +229,37 @@ class Histogram(_Instrument):
         return lines
 
 
+class HistogramSeries:
+    """A histogram's samples for one fixed label set, its key resolved
+    once; like :class:`CounterSeries`, it survives ``reset_values``."""
+
+    __slots__ = ("_values", "_key", "_buckets")
+
+    def __init__(self, histogram: Histogram, key: LabelKey):
+        self._values = histogram._values
+        self._key = key
+        self._buckets = histogram.buckets
+
+    def observe(self, value: float) -> None:
+        buckets = self._buckets
+        slot = self._values.get(self._key)
+        if slot is None:
+            slot = self._values[self._key] = [0.0] * (len(buckets) + 3)
+        # The first bucket whose bound is >= value; a NaN is <= no bound.
+        first = bisect_left(buckets, value) if value == value \
+            else len(buckets)
+        slot[first] += 1
+        slot[-2] += value
+        slot[-1] += 1
+
+
 def _num(value: float) -> str:
-    """Render a float the way Prometheus does: integers bare."""
+    """Render a float the way Prometheus does: integers bare, and
+    ``+Inf``, ``-Inf`` and ``NaN`` for the values that are not finite."""
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
     as_int = int(value)
     return str(as_int) if value == as_int else repr(value)
 

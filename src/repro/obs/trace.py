@@ -66,9 +66,10 @@ def recent_roots() -> List[Dict[str, Any]]:
     return list(_RECENT_ROOTS) if _RECENT_ROOTS is not None else []
 
 
-def current_span() -> Optional["Span"]:
-    """The ambient span, or None when tracing is off."""
-    return _ACTIVE.get()
+#: ``current_span()`` is the ambient span, or None when tracing is off.
+#: It is the contextvar's own ``get``, a C call, so code on the untraced
+#: path (each query, each operator entry point) pays no Python frame.
+current_span: Callable[[], Optional["Span"]] = _ACTIVE.get
 
 
 def enabled() -> bool:

@@ -22,6 +22,7 @@ association, so reading a loaded value is a plain attribute read.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.orm.mapping import Association, EntityType, MappingRegistry
@@ -104,7 +105,8 @@ class _Lookup:
     the key lookup SQL, found on first use and shared by every entity of
     the class."""
 
-    __slots__ = ("assoc", "registry", "target", "sql", "store")
+    __slots__ = ("assoc", "registry", "target", "sql", "store", "key",
+                 "many")
 
     def __init__(self, assoc: Association, registry: MappingRegistry):
         self.assoc = assoc
@@ -113,6 +115,12 @@ class _Lookup:
         self.sql = ""
         #: the slot's setter; None when a column shadows the association
         self.store: Optional[Callable[[Entity, Any], None]] = None
+        #: reads the lookup key, the local column, off an entity;
+        #: ``attrgetter`` would split a dotted column name.
+        column = assoc.local_column
+        self.key = attrgetter(column) if "." not in column \
+            else (lambda entity: getattr(entity, column))
+        self.many = assoc.many
 
     def resolve_target(self) -> EntityType:
         if self.target is None:
@@ -244,11 +252,12 @@ class Session:
         project -> creator -> ... — terminate, matching Hibernate's
         bounded eager-fetch depth.
         """
-        target = lookup.resolve_target()
-        key = getattr(entity, lookup.assoc.local_column)
-        result = self.db.execute(lookup.sql, {"key": key})
+        target = lookup.target
+        if target is None:
+            target = lookup.resolve_target()
+        result = self.db.execute(lookup.sql, {"key": lookup.key(entity)})
         self.queries_issued += 1
         hydrated = self._hydrate(target, result.rows, shallow=True)
-        if lookup.assoc.many:
+        if lookup.many:
             return hydrated
         return hydrated[0] if hydrated else None

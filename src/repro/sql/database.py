@@ -21,11 +21,18 @@ from repro.sql.executor import (
 from repro.sql.parser import parse
 from repro.tor import ast as T
 
-#: per-query totals and latency, recorded once per Database.execute.
+#: per-query totals and latency, recorded once per Database.execute
+#: through series bound here, so a query resolves no label key.
 _QUERIES = obs_metrics.counter(
     "repro_queries_total", "queries executed, by engine mode")
 _QUERY_SECONDS = obs_metrics.histogram(
     "repro_query_seconds", "query wall-clock latency")
+_QUERIES_BY_MODE = {mode: _QUERIES.series(mode=mode)
+                    for mode in ("planner", "legacy")}
+_QUERY_LATENCY = _QUERY_SECONDS.series()
+
+#: the ambient trace span (a C-level contextvar read).
+_current_span = obs_trace.current_span
 
 
 class Database:
@@ -181,7 +188,7 @@ class Database:
             root.tag(rows=len(result.rows))
             result.trace = root
             result.profile = profiler
-        elif trace or obs_trace.enabled():
+        elif trace or _current_span() is not None:
             root = obs_trace.span("query", sql=sql, mode=mode)
             if not root:
                 root = obs_trace.Span("query", sql=sql, mode=mode)
@@ -191,32 +198,48 @@ class Database:
             result.trace = root
         else:
             result = self._run(statement, params)
-        _QUERY_SECONDS.observe(time.perf_counter() - started)
-        _QUERIES.inc(mode=mode)
-        self._accumulate(result.stats)
+        _QUERY_LATENCY.observe(time.perf_counter() - started)
+        _QUERIES_BY_MODE[mode].inc()
+        merge_stats(self.total_stats, result.stats)
         return result
 
     def _run(self, statement: "_Statement",
              params: Dict[str, Any]) -> QueryResult:
-        """Run one statement, on its cached plan when that is current."""
+        """Run one statement, on its cached plan when that is current.
+
+        A plan is current while the catalog is the object it was built
+        for, at the same ``version``, and each named table keeps the
+        ``data_version`` recorded then (None for a name no table had).
+        """
         executor = self.executor
         if not executor.options.planner:
             return executor.execute(statement.select, params)
         catalog = executor.catalog
         tables = catalog.tables
-        version = (catalog, catalog.version) + tuple(
-            tables[name].data_version if name in tables else None
-            for name in statement.tables)
         try:
             # list.pop is atomic: no two runs ever hold the same plan.
             built_for, plan = statement.idle.pop()
         except IndexError:
-            built_for = plan = None
-        if built_for != version:
+            plan = None
+        else:
+            built_in, built_at, versions = built_for
+            if built_in is not catalog or built_at != catalog.version:
+                plan = None
+            else:
+                for name, version in zip(statement.tables, versions):
+                    table = tables.get(name)
+                    if version != (None if table is None
+                                   else table.data_version):
+                        plan = None
+                        break
+        if plan is None:
+            built_for = (catalog, catalog.version, tuple(
+                tables[name].data_version if name in tables else None
+                for name in statement.tables))
             plan = executor._plan(statement.select)
         result = plan.execute(executor, params, ExecutionStats())
         if not statement.idle:
-            statement.idle.append((version, plan))
+            statement.idle.append((built_for, plan))
         return result
 
     def explain(self, sql: str, params: Optional[Dict[str, Any]] = None,
@@ -230,9 +253,6 @@ class Database:
         """
         return self.executor.explain(parse(sql), params, analyze=analyze,
                                      timing=timing)
-
-    def _accumulate(self, stats: ExecutionStats) -> None:
-        merge_stats(self.total_stats, stats)
 
     # -- TOR integration -----------------------------------------------------------
 
@@ -258,8 +278,11 @@ class _Statement:
 
     ``tables`` and ``params`` are the table and parameter names the
     statement uses, subqueries included, each once in statement order.
-    ``idle`` holds at most one ``(version, plan)`` pair that no run is
-    using, ``version`` being what :meth:`Database._run` compares.
+    ``idle`` holds at most one ``(built_for, plan)`` pair that no run is
+    using.  ``built_for`` is ``(catalog, catalog version, data_version
+    per name in tables)`` as they were when the plan was built: plain
+    values and the catalog, never a table, so a dropped table is not
+    kept alive.
     """
 
     __slots__ = ("select", "tables", "params", "idle")

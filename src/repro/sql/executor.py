@@ -807,12 +807,19 @@ class _Source:
     rows: Optional[List[Tuple[int, Record]]]  # None for base tables
 
 
-@dataclass
 class _ScannedSource:
-    alias: str
-    columns: Tuple[str, ...]
-    rows: List[Tuple[int, Record]]
-    table: Optional[Table]
+    """A FROM source after its scan: alias, columns, the ``(rowid,
+    record)`` rows that passed its pushed-down predicates, and the base
+    table (None for a subquery)."""
+
+    __slots__ = ("alias", "columns", "rows", "table")
+
+    def __init__(self, alias: str, columns: Tuple[str, ...],
+                 rows: List[Tuple[int, Record]], table: Optional[Table]):
+        self.alias = alias
+        self.columns = columns
+        self.rows = rows
+        self.table = table
 
 
 def _hash_build(source: "_ScannedSource", pred: S.BinOp

@@ -103,7 +103,6 @@ class OptimizerOptions:
 
     index_scans: bool = True
     hash_joins: bool = True
-    predicate_pushdown: bool = True
     parallel: Union[int, str] = 1
     cost_based: bool = True
     having_pushdown: bool = True
@@ -267,7 +266,7 @@ def _classify(conjuncts: Sequence[S.Expr], scans: Sequence[L.Scan],
     residual: List[S.Expr] = []
     for pred in conjuncts:
         used = _aliases_used(pred, aliases, by_column)
-        if used is None or not options.predicate_pushdown:
+        if used is None:
             residual.append(pred)
         elif len(used) <= 1:
             alias = next(iter(used), scans[0].alias)

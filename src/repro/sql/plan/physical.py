@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import metrics as obs_metrics
@@ -85,35 +85,42 @@ _DEGRADATIONS = obs_metrics.counter(
     "substrate degradation events by rung transition and failure kind")
 
 
-@dataclass
 class _Ctx:
     """Per-execution state threaded through the operator tree."""
 
-    executor: Any                       # repro.sql.executor.Executor
-    params: Dict[str, Any]
-    stats: Any                          # ExecutionStats (engine-wide)
-    scanned: List[_ScannedSource] = None
-    #: optional repro.service.faults.Deadline bounding the whole query;
-    #: partitioned drivers abandon unfinished partitions at expiry.
-    deadline: Any = None
-    #: the one partition a pool job prepares for (None prepares all).
-    part: Optional[int] = None
+    __slots__ = ("executor", "params", "stats", "scanned", "deadline",
+                 "part")
 
-    def __post_init__(self):
-        if self.scanned is None:
-            self.scanned = []
+    def __init__(self, executor, params: Dict[str, Any], stats,
+                 deadline: Any = None, part: Optional[int] = None):
+        self.executor = executor        # repro.sql.executor.Executor
+        self.params = params
+        self.stats = stats              # ExecutionStats (engine-wide)
+        self.scanned: List[_ScannedSource] = []
+        #: optional repro.service.faults.Deadline bounding the whole
+        #: query; partitioned drivers abandon unfinished partitions at
+        #: expiry.
+        self.deadline = deadline
+        #: the one partition a pool job prepares for (None prepares all).
+        self.part = part
 
 
 #: operator entry points that open a trace span when a trace is active.
 _TRACED_METHODS = ("scanned", "rows", "run_partition", "batches")
 
+#: the ambient span: a C-level contextvar read, all that an untraced
+#: entry point pays.
+_current_span = obs_trace.current_span
+
 
 def _traced(method):
     """Wrap an operator entry point with an optional trace span.
 
-    With tracing off (the default) the wrapper is one contextvar read
-    and a direct call — the operator body is untouched, so results,
-    statistics and EXPLAIN output are exactly the untraced engine's.
+    With tracing off (the default) the wrapper is one C-level
+    contextvar read and a direct call — the operator body is untouched,
+    so results, statistics and EXPLAIN output are exactly the untraced
+    engine's.  Entry points take positional arguments only, so the
+    wrapper passes no keyword dict.
     With a trace active it opens a child span named after the
     operator, tagged with the serial-equivalent description
     (``trace_name``) and the observed row count.  ``run_partition``
@@ -126,17 +133,17 @@ def _traced(method):
     is_partition = method.__name__ == "run_partition"
 
     @functools.wraps(method)
-    def wrapper(self, *args, **kwargs):
-        parent = obs_trace.current_span()
+    def wrapper(self, *args):
+        parent = _current_span()
         if parent is None:
-            return method(self, *args, **kwargs)
+            return method(self, *args)
         # The op tag rides on the span from creation (trace_name is
         # constructor state) so the sampling profiler can attribute
         # samples to the serial-equivalent operator label live, while
         # the operator is still running.
         node = parent.child(type(self).name, op=self.trace_name())
         with node:
-            out = method(self, *args, **kwargs)
+            out = method(self, *args)
         if is_partition:
             node.tag(rows=_count(out))
         else:
@@ -226,6 +233,10 @@ class PhysicalOp:
         in the ``partition`` nodes, not in the operator identity).
         """
         return self.describe()
+
+
+#: the record of a ``(rowid, record)`` pair, read by a C call.
+_RECORD = itemgetter(1)
 
 
 def _count(batches: List[Batch]) -> int:
@@ -439,7 +450,15 @@ class ScanOp(ChainOp):
     def batches(self, ctx: _Ctx) -> List[Batch]:
         source = self._rows(ctx)
         ctx.scanned.append(source)
-        out = self._chunks(source.rows, ctx)
+        rows = source.rows
+        n = len(rows)
+        if n <= self.batch_size and self._filter is None:
+            # A point lookup's shape: the rows are the one batch as
+            # they are, with no chunking or counting calls.
+            self.rows_out = n
+            return [Batch((self.alias,), {self.alias: rows}, n)] if n \
+                else []
+        out = self._chunks(rows, ctx)
         self.rows_out = _count(out)
         return out
 
@@ -511,19 +530,27 @@ class IndexScanOp(ScanOp):
                                         expr_sql(self.value_expr))
 
     def _rows(self, ctx: _Ctx) -> _ScannedSource:
-        table = ctx.executor.catalog.table(self.table)
-        if isinstance(self.value_expr, S.Literal):
-            value = self.value_expr.value
+        # Every point lookup runs this, so the table and the parameter
+        # are read directly; ``Catalog.table`` and ``_param`` are called
+        # only to raise their typed errors.
+        catalog = ctx.executor.catalog
+        table = catalog.tables.get(self.table)
+        if table is None:
+            table = catalog.table(self.table)
+        value_expr = self.value_expr
+        if isinstance(value_expr, S.Literal):
+            value = value_expr.value
         else:
-            value = _param(ctx.params, self.value_expr.name)
-        index = table.indexes[self.column]
-        positions = index.lookup(value)
-        ctx.stats.index_probes += 1
-        ctx.stats.index_scans += 1
-        candidate = [(pos, table.rows[pos]) for pos in positions]
-        ctx.stats.rows_scanned += len(candidate)
-        return _ScannedSource(alias=self.alias, columns=table.columns,
-                              rows=candidate, table=table)
+            params, name = ctx.params, value_expr.name
+            value = params[name] if name in params else _param(params, name)
+        positions = table.indexes[self.column].lookup(value)
+        stats = ctx.stats
+        stats.index_probes += 1
+        stats.index_scans += 1
+        candidate = list(zip(positions, map(table.rows.__getitem__,
+                                            positions)))
+        stats.rows_scanned += len(candidate)
+        return _ScannedSource(self.alias, table.columns, candidate, table)
 
 
 class SubqueryScanOp(ScanOp):
@@ -817,6 +844,10 @@ class VecProjectOp(RowOp):
         self._item_fns = [None if isinstance(item.expr, S.Star)
                           else compile_scalar(item.expr)
                           for item in items]
+        #: whether the select list is a lone ``*`` / ``alias.*``, the one
+        #: shape :meth:`_stored_rows` may answer.
+        self._lone_star = len(items) == 1 and isinstance(items[0].expr,
+                                                         S.Star)
 
     @property
     def children(self):
@@ -830,7 +861,8 @@ class VecProjectOp(RowOp):
 
     def rows(self, ctx: _Ctx) -> Tuple[List[Record], Tuple[str, ...]]:
         batches = self.child.batches(ctx)
-        stored = self._stored_rows(batches, ctx.scanned)
+        stored = self._stored_rows(batches, ctx.scanned) \
+            if self._lone_star else None
         if stored is None:
             stored = self._project(batches, ctx)
         rows, columns = stored
@@ -843,21 +875,24 @@ class VecProjectOp(RowOp):
         already carry exactly the output columns: those records
         themselves, instead of an equal rebuilt :class:`Record` per row
         (records are immutable, so sharing them is safe).  None when
-        the select list is anything else; :meth:`_project` then builds
-        the rows."""
-        if len(self.items) != 1 or not isinstance(self.items[0].expr,
-                                                  S.Star):
-            return None
+        the star matches several sources or the records differ;
+        :meth:`_project` then builds the rows.  Point lookups take this
+        path, so it makes no Python call per source or per row."""
         alias = self.items[0].expr.alias
-        sources = [s for s in scanned if alias in (None, s.alias)]
-        if len(sources) != 1:
+        source = None
+        for candidate in scanned:
+            if alias is None or candidate.alias == alias:
+                if source is not None:
+                    return None
+                source = candidate
+        if source is None:
             return None
-        source = sources[0]
         columns = source.columns
         if len(set(columns)) != len(columns):
             return None                  # projection renames duplicates
-        rows = [pair[1] for batch in batches
-                for pair in batch.pairs[source.alias]]
+        rows: List[Record] = []
+        for batch in batches:
+            rows.extend(map(_RECORD, batch.pairs[source.alias]))
         for row in rows:
             if row.fields != columns:
                 return None              # a row written behind the API
@@ -1980,7 +2015,6 @@ class PhysicalPlan:
             from repro.service.faults import Deadline
 
             deadline = Deadline.after(seconds)
-        ctx = _Ctx(executor=executor, params=params, stats=stats,
-                   deadline=deadline)
-        rows, columns = self.root.rows(ctx)
-        return QueryResult(rows=rows, columns=columns, stats=stats)
+        rows, columns = self.root.rows(_Ctx(executor, params, stats,
+                                            deadline))
+        return QueryResult(rows, columns, stats)

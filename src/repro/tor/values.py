@@ -51,10 +51,10 @@ class Record(Mapping[str, Any]):
         object.__setattr__(self, "_values", tuple(v for _, v in items))
         object.__setattr__(self, "_hash", hash((fields, self._values)))
 
-    @property
-    def fields(self) -> Tuple[str, ...]:
-        """Field names in declaration order."""
-        return self._fields
+    # The getter is a C call, so a loop that checks many records'
+    # fields pays no Python frame per record.
+    fields = property(attrgetter("_fields"),
+                      doc="Field names in declaration order.")
 
     def __getitem__(self, field: str) -> Any:
         try:

@@ -174,6 +174,26 @@ class TestEntityContract:
         assert [getattr(odd, name) for name in ("id", "a b", "__x", "class")] \
             == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("fetch", ["lazy", "eager"])
+    def test_dotted_key_column_resolves(self, fetch):
+        """An association's key is read as ``getattr`` reads it, so a
+        local column whose name holds a dot is one name, not a path."""
+        db = Database()
+        db.create_table("users", ("id", "role.id"))
+        db.create_table("roles", ("role_id", "role_name"))
+        db.create_index("roles", "role_id")
+        db.insert("users", {"id": 1, "role.id": 10})
+        db.insert("roles", {"role_id": 10, "role_name": "admin"})
+        registry = MappingRegistry()
+        registry.register(EntityType(
+            "User", "users", ("id", "role.id"),
+            associations=(Association("role", "Role", "role.id",
+                                      "role_id"),)))
+        registry.register(EntityType("Role", "roles",
+                                     ("role_id", "role_name")))
+        (user,) = Session(db, registry, fetch=fetch).load_all("User")
+        assert user.role.role_name == "admin"
+
     def test_entities_are_read_only(self, setup):
         db, registry = setup
         for fetch in ("lazy", "eager"):

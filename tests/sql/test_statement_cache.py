@@ -41,13 +41,14 @@ def _stats(stats):
             stats.nested_loop_joins, stats.index_scans, stats.full_scans)
 
 
-def _db(options=None):
+def _db(options=None, shift=0):
     db = Database(options)
     db.create_table("a", ("id", "k"))
     db.create_table("b", ("id", "k", "v"))
     db.create_table("c", ("id", "v"))
-    db.insert_many("a", ({"id": i, "k": i % 4} for i in range(12)))
-    db.insert_many("b", ({"id": i, "k": i % 3, "v": i % 10}
+    db.insert_many("a", ({"id": i, "k": (i + shift) % 4}
+                         for i in range(12)))
+    db.insert_many("b", ({"id": i, "k": (i + shift) % 3, "v": i % 10}
                          for i in range(20)))
     db.insert_many("c", ({"id": i, "v": i % 5} for i in range(6)))
     db.create_index("a", "k")
@@ -160,6 +161,29 @@ def test_mutation_replans(plans, mutate, sql):
     count = plans.count(top)
     db.execute(sql, params)
     assert plans.count(top) == count             # cached again
+
+
+def test_swapped_catalog_replans(plans):
+    """The identity half of plan currency: a plan belongs to its
+    catalog object.  Another catalog at the same ``version``, whose
+    tables keep the same ``data_version`` s but hold other rows, makes
+    the next run re-plan and read the new rows."""
+    db = _db()
+    top = parse(JOIN)
+    first = db.execute(JOIN, {"key": 1})
+    db.execute(JOIN, {"key": 1})
+    assert plans.count(top) == 1
+    old, new = db.catalog, _db(shift=1).catalog
+    assert new.version == old.version
+    assert {name: t.data_version for name, t in new.tables.items()} == \
+        {name: t.data_version for name, t in old.tables.items()}
+    db.catalog = db.executor.catalog = new
+    result = db.execute(JOIN, {"key": 1})
+    assert plans.count(top) == 2                 # re-planned
+    db.execute(JOIN, {"key": 1})
+    assert plans.count(top) == 2                 # cached again
+    _same_result(result, db.view().execute(JOIN, {"key": 1}))
+    assert list(result.rows) != list(first.rows)
 
 
 def test_unbound_parameter_leaves_no_plan(plans):
