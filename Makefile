@@ -7,8 +7,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test bench-smoke bench-synthesis bench bench-parallel \
 	bench-planner bench-join-order bench-parallel-scan \
 	bench-vectorized-scan bench-worker-pool fuzz-smoke serve-smoke \
-	chaos-smoke pool-smoke obs-smoke profile-smoke bench-report \
-	docs-check
+	chaos-smoke pool-smoke obs-smoke profile-smoke docs-check
 
 # Tier-1 verification: the full unit/property/regression suite.
 test:
@@ -27,8 +26,8 @@ test:
 # before the hit path was trimmed), the cost-based
 # join-order floor (>= 2x vs. the greedy FROM-order chain on a skewed
 # four-table corpus), then the partition-parallel scan floor (>= 1.8x
-# at 4 partitions with the pool backend, asserted on >= 4 usable
-# cores, reported otherwise), the batch-execution floors (>= 2x over
+# at 4 partitions on the worker pool, asserted on >= 4 usable cores,
+# reported otherwise), the batch-execution floors (>= 2x over
 # the seed pipeline on a 200k-row scan+filter+aggregate and on an
 # ORM-shaped stream of small indexed lookups, both asserted
 # unconditionally), the
@@ -102,15 +101,15 @@ serve-smoke:
 # Chaos canary: deterministic fault injection against both callers of
 # the worker pool — scheduler retries / circuit breaker / deadlines /
 # shutdown escalation, and the SQL engine's degradation ladder
-# (pool -> threads -> serial) staying answer-identical.
+# (pool -> serial) staying answer-identical.
 chaos-smoke:
 	$(PYTHON) -m pytest tests/service/test_faults.py \
 		tests/sql/test_parallel_faults.py -q
 
 # Worker-pool canary: the pool's full test surface — protocol/LRU unit
 # tests, seeded worker-kill chaos (respawn + retry with exact attempt
-# counts) for queries and for the scheduler's QBS batches, and
-# battery/corpus equivalence through the pool backend.
+# counts) for queries and for the scheduler's QBS batches, threads
+# sharing one pool, and battery/corpus equivalence through the pool.
 pool-smoke:
 	$(PYTHON) -m pytest tests/service/test_pool.py \
 		tests/service/test_faults.py \
@@ -127,20 +126,13 @@ obs-smoke:
 # collapsed-stack file must come out non-empty), then the profiler's
 # own contract suite — off-path byte-identity, masked span-universe
 # goldens (serial == K=1; K=4 attributes to the serial span set over
-# threads and pool workers), and the cross-process sample transport.
+# pool workers), and the cross-process sample transport.
 profile-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(PYTHON) -m repro.service.cli run --fragments w40 --workers 1 \
 		--no-cache --quiet --profile "$$dir/profile.txt" && \
 	test -s "$$dir/profile.txt"
 	$(PYTHON) -m pytest tests/obs/test_profile.py -q
-
-# Perf-trajectory report over BENCH_HISTORY.jsonl (append-only,
-# written by every bench artifact).  Report-only: regressions print,
-# they do not fail the target — use `repro-qbs bench-report --strict`
-# as a blocking gate.
-bench-report:
-	$(PYTHON) -m repro.service.cli bench-report
 
 # The complete paper-figure benchmark suite (pytest-benchmark).
 # Files are passed explicitly: they use the bench_* naming scheme,

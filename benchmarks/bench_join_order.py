@@ -2,7 +2,7 @@
 
 A skewed four-table corpus where FROM order is adversarial: the query
 lists the two large tables first, joined on a 10-value hot key, so the
-greedy chain (``OptimizerOptions(cost_based=False)``) materializes the
+greedy chain (``ExecutorOptions(cost_based=False)``) materializes the
 ``|a|·|b| / 10`` explosion before the selective anchor ever filters
 it.  The cost-based planner starts from the anchored side — the
 point-filtered ``d``, then unique-key joins — and a ``Restore`` node

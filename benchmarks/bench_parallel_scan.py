@@ -1,31 +1,29 @@
 """Partition-parallel scans + partial aggregation vs. the serial plan.
 
 ``ExecutorOptions(parallel=K)`` splits the leftmost scan into K range
-partitions and runs the plan per partition (``repro.sql.plan``).  For
-CPU-bound aggregation the per-partition result is a handful of scalars,
-so the ``"pool"`` backend — worker processes that prepare and scan only
-their own row range — buys real multi-core speedup; that configuration
-carries the asserted floor.  Every timed pool query is one-shot: the
-pool is shut down before it, so the query forks its workers, which
-start with the table already in their caches (there is no warm-up
-query and no warm repeat).  The ``"threads"`` backend shares one
-interpreter lock, so its ratio is *reported* for honesty but never
-asserted.
+partitions and runs the plan per partition (``repro.sql.plan``) on the
+process-wide worker pool: worker processes that prepare and scan only
+their own row range.  For CPU-bound aggregation the per-partition
+result is a handful of scalars, so the pool buys real multi-core
+speedup.  Every timed parallel query is one-shot: the pool is shut
+down before it, so the query forks its workers, which start with the
+table already in their caches (there is no warm-up query and no warm
+repeat).
 
 Three claims:
 
 * **outcome identity** (asserted unconditionally): every parallel
-  configuration returns rows, columns and engine statistics identical
-  to the serial plan — here and, exhaustively, in
+  run returns rows, columns and engine statistics identical to the
+  serial plan — here and, exhaustively, in
   ``tests/sql/test_parallel_equivalence.py``;
 * **wall-clock speedup** (asserted where the hardware can express it):
-  >= 1.8x at 4 partitions with the pool backend on a filtered
-  aggregation over a wide scan.  Matching ``bench_qbs_parallel.py``
-  conventions, the floor needs >= 4 usable cores; on smaller machines
+  >= 1.8x at 4 partitions on a filtered aggregation over a wide scan.
+  The floor needs ``AUTO_MIN_CORES`` (4) usable cores, the same bound
+  below which ``parallel="auto"`` stays serial; on smaller machines
   the measured ratio is reported and the assertion skipped, because
-  four CPU-bound workers cannot beat one on a single core;
-* **plan shape**: EXPLAIN shows the partitioned operators
-  (``PartitionedScan`` / ``PartialAggregate``) with partition counts.
+  four CPU-bound workers cannot beat one on fewer cores;
+* **plan shape**: EXPLAIN shows the partial aggregation
+  (``PartialAggregate``) with its partition count.
 
 Run directly::
 
@@ -36,7 +34,6 @@ Run directly::
 non-zero exit when the floor regresses on qualifying hardware.)
 """
 
-import os
 import sys
 import time
 
@@ -44,12 +41,12 @@ from repro.bench.harness import floor_entry, write_bench_artifact
 from repro.service.pool import reset_pool
 from repro.sql.database import Database
 from repro.sql.executor import ExecutorOptions
+from repro.sql.plan.optimizer import AUTO_MIN_CORES
+from repro.sql.plan.parallel import usable_cores
 
-#: Acceptance floor (ISSUE 4), matching bench_qbs_parallel.py.
+#: Acceptance floor, matching bench_qbs_parallel.py.
 MIN_PARALLEL_SPEEDUP = 1.8
 PARTITIONS = 4
-#: cores the speedup floor needs before it is enforced.
-MIN_CORES_FOR_FLOOR = 4
 
 #: A filtered aggregation: per-row predicate work dominates, results
 #: are four scalars — the partial-aggregation sweet spot.
@@ -60,13 +57,6 @@ AGG_SQL = ("SELECT COUNT(*) AS n, SUM(t0.v) AS tot, MIN(t0.v) AS lo, "
 #: A grouped variant exercising partial GROUP BY merge.
 GROUP_SQL = ("SELECT t0.g, COUNT(*) AS n, SUM(t0.v) AS tot FROM ev t0 "
              "WHERE t0.a > 13 GROUP BY t0.g")
-
-
-def usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def build_database(n_rows: int) -> Database:
@@ -100,10 +90,7 @@ def run(smoke=False):
     n_rows = 100_000 if smoke else 200_000
 
     serial = build_database(n_rows)
-    threads = serial.view(ExecutorOptions(parallel=PARTITIONS,
-                                          parallel_backend="threads"))
-    pool = serial.view(ExecutorOptions(parallel=PARTITIONS,
-                                       parallel_backend="pool"))
+    pool = serial.view(ExecutorOptions(parallel=PARTITIONS))
 
     plan = pool.explain(AGG_SQL)
     print(plan)
@@ -112,22 +99,14 @@ def run(smoke=False):
     print()
 
     serial_time, serial_result = timed(serial, AGG_SQL, repeats)
-    rows = []
-    speedups = {}
-    for label, db in (("threads", threads), ("pool", pool)):
-        par_time, par_result = timed(db, AGG_SQL, repeats,
-                                     cold=label == "pool")
-        assert list(par_result.rows) == list(serial_result.rows), label
-        assert par_result.columns == serial_result.columns, label
-        assert par_result.stats == serial_result.stats, label
-        speedups[label] = serial_time / par_time if par_time else \
-            float("inf")
-        rows.append("%-28s %8.2fms vs %8.2fms   %5.2fx"
-                    % ("agg scan, %s x%d" % (label, PARTITIONS),
-                       par_time * 1e3, serial_time * 1e3,
-                       speedups[label]))
-    for row in rows:
-        print(row)
+    par_time, par_result = timed(pool, AGG_SQL, repeats, cold=True)
+    assert list(par_result.rows) == list(serial_result.rows)
+    assert par_result.columns == serial_result.columns
+    assert par_result.stats == serial_result.stats
+    speedup = serial_time / par_time if par_time else float("inf")
+    print("%-28s %8.2fms vs %8.2fms   %5.2fx"
+          % ("agg scan, pool x%d" % PARTITIONS, par_time * 1e3,
+             serial_time * 1e3, speedup))
 
     # Grouped partial aggregation: identity always, timing reported.
     g_serial_time, g_serial = timed(serial, GROUP_SQL, repeats)
@@ -140,28 +119,26 @@ def run(smoke=False):
              g_serial_time / g_par_time if g_par_time else float("inf")))
 
     cores = usable_cores()
-    floor_applies = cores >= MIN_CORES_FOR_FLOOR
+    floor_applies = cores >= AUTO_MIN_CORES
     print()
-    print("pool-backend speedup at %d partitions: %.2fx (floor %.1fx, "
+    print("pool speedup at %d partitions: %.2fx (floor %.1fx, "
           "%d usable core%s%s)"
-          % (PARTITIONS, speedups["pool"], MIN_PARALLEL_SPEEDUP,
+          % (PARTITIONS, speedup, MIN_PARALLEL_SPEEDUP,
              cores, "s" if cores != 1 else "",
              "" if floor_applies else
-             " — floor skipped, needs >= %d" % MIN_CORES_FOR_FLOOR))
-    ok = (not floor_applies
-          or speedups["pool"] >= MIN_PARALLEL_SPEEDUP)
+             " — floor skipped, needs >= %d" % AUTO_MIN_CORES))
+    ok = not floor_applies or speedup >= MIN_PARALLEL_SPEEDUP
     write_bench_artifact(
         "parallel_scan", ok, smoke=smoke,
-        floors={"parallel_scan": floor_entry(speedups["pool"],
+        floors={"parallel_scan": floor_entry(speedup,
                                              MIN_PARALLEL_SPEEDUP,
                                              asserted=floor_applies)},
         extra={"partitions": PARTITIONS, "usable_cores": cores,
-               "rows": n_rows, "repeats": repeats,
-               "threads_speedup": speedups["threads"]})
+               "rows": n_rows, "repeats": repeats})
     reset_pool()
-    if floor_applies and speedups["pool"] < MIN_PARALLEL_SPEEDUP:
+    if floor_applies and speedup < MIN_PARALLEL_SPEEDUP:
         print("FAIL: parallel-scan speedup %.2fx < %.1fx"
-              % (speedups["pool"], MIN_PARALLEL_SPEEDUP))
+              % (speedup, MIN_PARALLEL_SPEEDUP))
         return 1
     print("RESULT: PASS")
     return 0

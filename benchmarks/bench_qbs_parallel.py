@@ -30,7 +30,6 @@ Run directly::
 of the benchmark suite.
 """
 
-import os
 import shutil
 import sys
 import tempfile
@@ -45,19 +44,13 @@ from repro.bench.harness import (
 from repro.corpus.registry import ALL_FRAGMENTS
 from repro.service.cache import ResultCache
 from repro.service.faults import RetryPolicy
+from repro.sql.plan.parallel import usable_cores
 
 #: Acceptance thresholds (ISSUE 2).
 MIN_PARALLEL_SPEEDUP = 1.8
 PARALLEL_WORKERS = 4
 #: cores the speedup floor needs before it is enforced.
 MIN_CORES_FOR_FLOOR = 4
-
-
-def usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def run_comparison(repeats=3):

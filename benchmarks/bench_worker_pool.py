@@ -1,7 +1,8 @@
 """Warm worker pool vs. a cold pool per query.
 
-The ``pool`` backend forks its workers once, caches shipped tables by
-content digest, and ships only plan fragments afterwards.  The baseline
+The process-wide pool that runs every ``parallel=K > 1`` query forks
+its workers once, caches shipped tables by content digest, and ships
+only plan fragments afterwards.  The baseline
 here is the same substrate paying its start-up on every query:
 ``reset_pool()`` before each query forks fresh workers (holding the
 query's tables, as any freshly forked worker does) and reaps them
@@ -84,8 +85,7 @@ def run(smoke=False):
 
     db = build_database()
     serial_result = db.execute(STREAM_SQL)
-    pool_view = db.view(ExecutorOptions(parallel=PARTITIONS,
-                                        parallel_backend="pool"))
+    pool_view = db.view(ExecutorOptions(parallel=PARTITIONS))
 
     plan = pool_view.explain(STREAM_SQL)
     print(plan)

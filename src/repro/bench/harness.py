@@ -263,15 +263,15 @@ def synthesis_speedup(measurements: List[SynthesisSpeedMeasurement]
 # ---------------------------------------------------------------------------
 
 #: artifact schema identifier; bump when the shape changes.
-#: v2 added the trajectory-store join keys: ``git_commit`` and the
-#: monotonic-safe ``created_utc`` ISO-8601 form of ``created_unix``.
+#: v2 added ``git_commit`` and the monotonic-safe ``created_utc``
+#: ISO-8601 form of ``created_unix``.
 BENCH_ARTIFACT_SCHEMA = "repro-bench-artifact/v2"
 
 #: environment override for where artifacts land (default: CWD).
 BENCH_DIR_ENV = "REPRO_BENCH_DIR"
 
 #: keys every artifact must carry (validated by the obs smoke tests
-#: and re-checkable by any downstream trajectory tooling).
+#: and re-checkable by any downstream tooling).
 BENCH_ARTIFACT_KEYS = ("schema", "name", "created_unix", "created_utc",
                       "git_commit", "ok", "smoke", "floors",
                       "measurements", "metrics", "python")
@@ -314,8 +314,8 @@ _LAST_STAMP = 0.0
 
 def _utc_stamp() -> float:
     """``time.time()``, clamped to never run backwards within this
-    process: the wall clock can step under NTP, but trajectory history
-    keys must stay ordered for the append-only store."""
+    process: the wall clock can step under NTP, but artifacts written
+    one after another must keep their order."""
     global _LAST_STAMP
     now = time.time()
     if now < _LAST_STAMP:
@@ -348,8 +348,8 @@ def write_bench_artifact(name: str, ok: bool,
                          smoke: bool = False) -> str:
     """Persist one benchmark run as ``BENCH_<name>.json``.
 
-    The perf trajectory is durable: timings, the floors with their
-    pass/fail verdicts, and a full metrics-registry snapshot land in
+    Timings, the floors with their pass/fail verdicts, and a full
+    metrics-registry snapshot land in
     one JSON document next to the working directory (override with
     ``$REPRO_BENCH_DIR``).  Written atomically (tempfile + rename) so
     a killed benchmark never leaves a half-written artifact.
@@ -392,15 +392,6 @@ def write_bench_artifact(name: str, ok: bool,
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    try:
-        # Every artifact also lands in the append-only perf-trajectory
-        # store (BENCH_HISTORY.jsonl, same directory) — best-effort,
-        # because history must never fail the benchmark it documents.
-        from repro.bench import trajectory
-
-        trajectory.append_entry(payload, directory)
-    except Exception:
-        pass
     return path
 
 

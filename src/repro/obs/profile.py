@@ -35,8 +35,8 @@ partition stats and detached spans already ride — where the driver
 merges it with :meth:`Profiler.absorb`.
 :func:`call_profiled` / :func:`absorb_shipped` package exactly that
 for the worker pool (:meth:`repro.service.pool.WorkerPool.run_jobs`);
-the threads rung needs nothing, because the parent's sampler already
-sees every thread.
+the serial rung needs nothing, because it runs in the parent, whose
+sampler already sees it.
 
 Surfaces: ``Database.execute(sql, profile=...)``, ``repro-qbs run
 --profile out.txt``, and ``Synthesizer.synthesize(profiler=...)`` for

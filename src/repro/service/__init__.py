@@ -10,8 +10,8 @@ Modules:
 * :mod:`repro.service.pool` — :class:`~repro.service.pool.WorkerPool`,
   the one worker-process substrate: forked workers, one dispatch loop
   (crash respawn, timeouts, deadline, retries) and per-worker table
-  caching.  The scheduler forks one per run; the SQL engine's ``pool``
-  backend shares one process-wide;
+  caching.  The scheduler forks one per run; the SQL engine's
+  partition-parallel queries share one process-wide;
 * :mod:`repro.service.faults` — the resilience layer both substrates
   share: the failure taxonomy, :class:`RetryPolicy`,
   :class:`Deadline`, and the deterministic fault-injection harness

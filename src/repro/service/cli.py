@@ -6,7 +6,6 @@ Subcommands::
     repro-qbs status         # corpus coverage of the current cache
     repro-qbs cache          # cache maintenance: info | list | clear | gc
     repro-qbs metrics        # corpus run + metrics registry snapshot
-    repro-qbs bench-report   # perf-trajectory trend report
     repro-qbs serve-metrics  # live ops endpoint (/metrics, /healthz, ...)
 
 ``run`` prints the Appendix-A style marker table (X translated,
@@ -29,10 +28,7 @@ writes a collapsed-stack profile (``.json`` for the JSON summary);
 exposition (or a ``"metrics"`` key under ``--json``).  ``metrics`` is
 the standalone form: a corpus run followed by the registry snapshot
 with derived cache-hit-ratio / retry / degradation summary lines.
-``bench-report`` reads ``BENCH_HISTORY.jsonl`` (appended by every
-bench artifact write) and classifies each measurement's latest run
-against its rolling baseline; ``serve-metrics`` serves the live ops
-endpoint until interrupted.
+``serve-metrics`` serves the live ops endpoint until interrupted.
 """
 
 from __future__ import annotations
@@ -160,34 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
                              dest="json_output",
                              help="JSON snapshot instead of the text "
                                   "exposition")
-
-    bench_report = sub.add_parser(
-        "bench-report",
-        help="perf-trajectory report over BENCH_HISTORY.jsonl")
-    bench_report.add_argument("--dir", default=None, metavar="PATH",
-                              dest="history_dir",
-                              help="where the history lives (default: "
-                                   "repo root, or $REPRO_BENCH_DIR)")
-    bench_report.add_argument("--bench", default=None, metavar="NAME",
-                              help="restrict to one benchmark's series")
-    bench_report.add_argument("--window", type=_positive_int, default=5,
-                              metavar="N",
-                              help="rolling-baseline window: median of "
-                                   "the last N prior runs (default 5)")
-    bench_report.add_argument("--band", type=float, default=1.0,
-                              metavar="FRAC",
-                              help="multiplicative noise band: steady "
-                                   "while the latest run stays within "
-                                   "baseline/(1+FRAC) .. "
-                                   "baseline*(1+FRAC) (default 1.0 = "
-                                   "within 2x either way)")
-    bench_report.add_argument("--markdown", action="store_true",
-                              help="emit a markdown table instead of "
-                                   "plain text")
-    bench_report.add_argument("--strict", action="store_true",
-                              help="exit 1 if any measurement "
-                                   "classifies as a regression (CI "
-                                   "runs report-only, without this)")
 
     serve = sub.add_parser(
         "serve-metrics",
@@ -426,26 +394,6 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def cmd_bench_report(args) -> int:
-    """Perf-trajectory report: classify each measurement's latest run
-    against its rolling-median baseline."""
-    from repro.bench import trajectory
-
-    entries = trajectory.load_history(args.history_dir, name=args.bench)
-    print(trajectory.trend_report(entries, band=args.band,
-                                  window=args.window,
-                                  markdown=args.markdown))
-    if args.strict:
-        regressed = trajectory.regressions(entries, band=args.band,
-                                           window=args.window)
-        if regressed:
-            print()
-            print("regressions: %s" % ", ".join(
-                "%s/%s" % pair for pair in regressed))
-            return 1
-    return 0
-
-
 def _register_pool_instruments() -> None:
     """The worker pool registers its gauges and counters at import
     time; import it for that side effect so the ops endpoint exposes
@@ -618,7 +566,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"run": cmd_run, "status": cmd_status,
                "cache": cmd_cache, "metrics": cmd_metrics,
-               "bench-report": cmd_bench_report,
                "serve-metrics": cmd_serve_metrics}[args.command]
     try:
         return handler(args)

@@ -355,9 +355,10 @@ def _refuse_unpickle(key: str) -> None:
 class CorruptResult:
     """A payload that pickles cleanly but explodes when unpickled —
     the reproducible stand-in for a truncated/garbage pipe message.
-    On a by-reference substrate (threads, serial) it never occurs;
-    corruption is a transport property, so :func:`perturb` raises
-    :class:`CorruptPayload` directly there instead."""
+    In-process (the serial rung, the scheduler's ``workers=1`` path)
+    it never occurs; corruption is a transport property, so
+    :func:`perturb` raises :class:`CorruptPayload` directly there
+    instead."""
 
     def __init__(self, key: str = "?"):
         self.key = key
@@ -375,7 +376,7 @@ def perturb(plan: Optional[FaultPlan], key: str,
     injection inside a forked child), or ``None`` when the caller
     should proceed normally.  Crash injection is a real ``os._exit``
     inside forked children and a raised :class:`WorkerCrash` in the
-    parent (threads / serial substrates).
+    parent (the serial rung, the scheduler's in-process path).
     """
     if plan is None:
         return None

@@ -1,7 +1,7 @@
 """The worker-process substrate: forked workers, one dispatch loop.
 
 Everything in this repo that runs work in another process runs it
-here: partition-parallel queries (the ``pool`` rung of
+here: partition-parallel queries (every ``parallel=K > 1`` fan-out of
 :func:`repro.sql.plan.parallel.run_tasks`, on the process-wide pool of
 :func:`get_pool`) and QBS corpus batches (``Scheduler(workers>1)``,
 which forks a pool per run and closes it at the end).  A
@@ -51,6 +51,11 @@ scheduler records it as a classified ``JobOutcome`` and carries on.
 Workers forked before a fault plan was installed never see it, so the
 plan rides inside each ``run`` frame and is applied worker-side.
 
+**Threads.**  A dispatch owns every worker's pipes until it ends, so
+:meth:`WorkerPool.run_jobs` runs one call at a time per pool (queries
+on several threads share the process-wide pool and queue for it); a
+call waiting its turn still honours its own deadline.
+
 Everything here is stdlib-only.
 """
 
@@ -63,6 +68,7 @@ import os
 import pickle
 import select
 import struct
+import threading
 import time
 from collections import OrderedDict
 from typing import (Any, Callable, Dict, Iterator, List, Mapping,
@@ -328,10 +334,15 @@ class WorkerPool:
         self.size = size
         self.retry = retry if retry is not None else faults.RetryPolicy()
         self.cache_tables_per_worker = cache_tables_per_worker
-        #: raises ValueError where fork is unavailable.
-        self._context = multiprocessing.get_context("fork")
+        try:
+            self._context = multiprocessing.get_context("fork")
+        except ValueError as exc:
+            raise faults.SubstrateUnavailable(
+                "no fork on this platform: %s" % exc)
         self._workers: List[_PoolWorker] = []
         self.closed = False
+        #: held by :meth:`run_jobs` for its whole dispatch.
+        self._dispatching = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -603,24 +614,32 @@ class WorkerPool:
         the retry budget is exhausted (tagged with the ``attempts`` it
         reached, so the degradation ladder numbers the next rung after
         it), application exceptions unchanged, and
-        :class:`~repro.service.faults.DeadlineExceeded` on expiry.  When
-        a profiler is installed, each job runs under a child profiler
-        and its samples are merged into the driver's.
+        :class:`~repro.service.faults.DeadlineExceeded` on expiry, also
+        while waiting for another thread's call on this pool to end.
+        When a profiler is installed, each job runs under a child
+        profiler and its samples are merged into the driver's.
         """
         from repro.obs import profile as obs_profile
 
+        wait = -1 if deadline is None else deadline.remaining()
+        if not self._dispatching.acquire(timeout=wait):
+            raise faults.DeadlineExceeded(
+                "deadline expired waiting for the worker pool")
         profiler = obs_profile.installed()
         interval = None if profiler is None else profiler.interval_seconds
         results: List[Any] = [None] * len(jobs)
-        with contextlib.closing(self.stream(
-                jobs, tables, deadline=deadline, plan=plan,
-                attempt=attempt, profile=interval)) as finished:
-            for done in finished:
-                if done.error is not None:
-                    if isinstance(done.error, faults.TaskFault):
-                        done.error.attempts = done.attempts
-                    raise done.error
-                results[done.index] = done.value
+        try:
+            with contextlib.closing(self.stream(
+                    jobs, tables, deadline=deadline, plan=plan,
+                    attempt=attempt, profile=interval)) as finished:
+                for done in finished:
+                    if done.error is not None:
+                        if isinstance(done.error, faults.TaskFault):
+                            done.error.attempts = done.attempts
+                        raise done.error
+                    results[done.index] = done.value
+        finally:
+            self._dispatching.release()
         if interval is None:
             return results
         return obs_profile.absorb_shipped(results)
@@ -629,23 +648,28 @@ class WorkerPool:
 # -- process-wide pool ---------------------------------------------------------
 
 _POOL: Optional[WorkerPool] = None
+#: guards ``_POOL``, so threads racing to the first query share one pool.
+_POOL_LOCK = threading.Lock()
 
 
 def get_pool() -> WorkerPool:
     """The process-wide pool, created (sized to
     :func:`~repro.sql.plan.parallel.usable_cores`) on first use."""
     global _POOL
-    if _POOL is None or _POOL.closed:
-        _POOL = WorkerPool()
-    return _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL.closed:
+            _POOL = WorkerPool()
+        return _POOL
 
 
 def reset_pool() -> None:
     """Shut the process-wide pool down (tests; re-created on demand)."""
     global _POOL
-    if _POOL is not None:
-        _POOL.close()
-        _POOL = None
+    with _POOL_LOCK:
+        if _POOL is not None:
+            with _POOL._dispatching:    # let a running dispatch end
+                _POOL.close()
+            _POOL = None
 
 
 def refresh_worker_gauge() -> None:

@@ -158,7 +158,7 @@ class Database:
         to accumulate across queries (started only if idle).  Samples
         attribute to the query's spans, so profiling implies the
         traced path; the profiler comes back as ``result.profile``
-        (and the span tree as ``result.trace``).  Fork-backend
+        (and the span tree as ``result.trace``).  Pool-worker
         partitions ship their sample buffers home beside their stats.
         With ``profile`` unset (the default) this path does not run at
         all — results, EXPLAIN, traces and metrics are byte-identical,

@@ -53,8 +53,8 @@ class ExecutionStats:
     nested_loop_joins: int = 0
     index_scans: int = 0
     full_scans: int = 0
-    #: substrate degradations taken while executing (pool → threads →
-    #: serial rungs fallen; see docs/robustness.md).  Not
+    #: substrate degradations taken while executing (pool → serial
+    #: falls; see docs/robustness.md).  Not
     #: part of the parallel-identity contract: degraded runs must match
     #: serial runs on every *work* counter above, while this one
     #: records that the fallback happened.
@@ -80,7 +80,8 @@ def merge_stats(into: "ExecutionStats", delta: "ExecutionStats") -> None:
 @dataclass
 class ExecutorOptions:
     """Execution options: the oracle switch, optimizer rule toggles,
-    parallelism, deadline and batch size.
+    parallelism, deadline and batch size.  The planner reads them too
+    (:func:`repro.sql.plan.plan_select`).
 
     ``planner``
         Plan-then-execute through :mod:`repro.sql.plan` (the default).
@@ -94,26 +95,19 @@ class ExecutorOptions:
         Partition count for partition-parallel execution.  ``K > 1``
         makes the optimizer split the leftmost scan into K range
         partitions, run the join chain per partition, and merge above
-        it (``Gather``, or partial aggregation for combinable
-        aggregates).  The serial plan is the ``K = 1`` default, and
-        every K is pinned row/column/stats-identical to it
-        (``tests/sql/test_parallel_equivalence.py``).  ``"auto"``
-        derives K per query from the estimated leftmost-scan
-        cardinality and the usable core count (the cost rule
-        ``repro.sql.plan.optimizer.resolve_auto_partitions``).
+        it (``Gather``, ``GatherMerge`` under an ORDER BY, or partial
+        aggregation for combinable aggregates).  The partitions run on
+        the process-wide worker pool (:mod:`repro.service.pool`), whose
+        long-lived workers cache tables by content digest, so repeated
+        queries against an unchanged catalog pay no per-query fork and
+        re-ship zero rows (``benchmarks/bench_worker_pool.py``); where
+        the pool cannot run they run serially.  The serial plan is the
+        ``K = 1`` default, and every K is pinned row/column/stats-
+        identical to it (``tests/sql/test_parallel_equivalence.py``).
+        ``"auto"`` derives K per query from the estimated
+        leftmost-scan cardinality and the usable core count (the cost
+        rule ``repro.sql.plan.optimizer.resolve_auto_partitions``).
         Requires the planner.
-    ``parallel_backend``
-        ``"threads"`` (default) or ``"pool"``.  Threads share the
-        operator tree; under the GIL they are correctness plumbing,
-        not speedup.  The pool backend dispatches partition tasks to
-        long-lived worker processes (:mod:`repro.service.pool`) that
-        cache tables by content digest, so repeated queries against an
-        unchanged catalog pay no per-query fork and re-ship zero rows
-        (``benchmarks/bench_worker_pool.py``), and is the
-        configuration that turns partial aggregation into CPU speedup
-        (``benchmarks/bench_parallel_scan.py``).  It runs Gather and
-        GatherMerge partitions too, shipping row sets back over the
-        pool's pipes.
     ``cost_based``
         Plan with the statistics-driven cost model (the default):
         Selinger join-order search, cost-driven access paths, and
@@ -121,10 +115,6 @@ class ExecutorOptions:
         greedy FROM-order planner exactly as PR 3 built it.  Both
         modes are pinned row/column/stats-identical to the seed
         pipeline.
-    ``having_pushdown`` / ``parallel_sort``
-        Optimizer rule toggles: HAVING conjuncts over group keys move
-        into WHERE; ORDER BY above a partition boundary runs as
-        per-partition sorts plus a k-way merge.
     ``deadline_seconds``
         Whole-query budget for partition-parallel execution.  At
         expiry, unfinished partitions are abandoned and the query
@@ -149,10 +139,7 @@ class ExecutorOptions:
     index_scans: bool = True
     hash_joins: bool = True
     parallel: Union[int, str] = 1
-    parallel_backend: str = "threads"
     cost_based: bool = True
-    having_pushdown: bool = True
-    parallel_sort: bool = True
     deadline_seconds: Optional[float] = None
     vectorized: bool = False
     batch_size: int = 1024
@@ -250,16 +237,11 @@ class Executor:
         return render(plan.root, analyze=analyze or timing, timing=timing)
 
     def _plan(self, select: S.Select):
-        from repro.sql.plan import OptimizerOptions, plan_select
+        # Imported at call time: perfbench wraps the module attribute
+        # ``repro.sql.plan.plan_select`` to count plans.
+        from repro.sql.plan import plan_select
 
-        return plan_select(select, self.catalog, OptimizerOptions(
-            index_scans=self.options.index_scans,
-            hash_joins=self.options.hash_joins,
-            parallel=self.options.parallel,
-            cost_based=self.options.cost_based,
-            having_pushdown=self.options.having_pushdown,
-            parallel_sort=self.options.parallel_sort,
-            batch_size=self.options.batch_size))
+        return plan_select(select, self.catalog, self.options)
 
     # -- the seed pipeline (ExecutorOptions(planner=False)) --------------------
 
@@ -757,9 +739,9 @@ class Executor:
 
         An IN subquery evaluates once per candidate row, possibly
         inside a partition worker.  Re-planning it with ``parallel=K``
-        there would spin up a substrate per row — and, on the pool
-        backend, attempt to fork from inside a daemonic pool worker,
-        which multiprocessing forbids.  Serial nested execution is
+        there would dispatch to the pool once per row — and, inside a
+        pool worker, attempt to fork from a daemonic process, which
+        multiprocessing forbids.  Serial nested execution is
         stats-identical (that is the parallel-transparency invariant),
         so nothing observable changes.
         """
@@ -966,7 +948,7 @@ def _avg_state(series: Sequence[Any]) -> Tuple[Any, int]:
     per-partition states element-wise yields bit-for-bit the same mean
     as the serial evaluation, which is what lets AVG lower to
     :class:`~repro.sql.plan.physical.PartialAggregateOp` under every
-    parallel backend.  Integer series keep an integer total (identical
+    ``parallel=K``.  Integer series keep an integer total (identical
     to the historical ``sum(series)``), and non-finite floats (inf,
     nan) degrade the total to a float so they propagate exactly as a
     plain sum would.

@@ -19,15 +19,12 @@ class HashIndex:
     def __init__(self, column: str):
         self.column = column
         self._buckets: Dict[Any, List[int]] = defaultdict(list)
-        #: maintenance statistics, surfaced by the benchmarks.
-        self.probes = 0
 
     def add(self, value: Any, position: int) -> None:
         self._buckets[value].append(position)
 
     def lookup(self, value: Any) -> List[int]:
         """Row positions whose indexed column equals ``value``."""
-        self.probes += 1
         return self._buckets.get(value, [])
 
     def __len__(self) -> int:

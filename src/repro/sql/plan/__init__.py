@@ -12,15 +12,17 @@ The subsystem behind ``ExecutorOptions(planner=True)``:
   partition under ``ExecutorOptions(parallel=K)``;
 * :mod:`repro.sql.plan.vector` — the column batch and the expression
   compiler every operator evaluates through;
-* :mod:`repro.sql.plan.parallel` — the thread / forked-process
-  substrate partition tasks run on;
+* :mod:`repro.sql.plan.parallel` — the worker-pool substrate
+  partition tasks run on, with its ``pool → serial`` ladder;
 * :mod:`repro.sql.plan.explain` — the EXPLAIN tree printer
   (format reference: ``docs/explain.md``);
 * :mod:`repro.sql.plan.examples` — the executable EXPLAIN examples
   shared by ``docs/explain.md``, the golden tests and
   ``tools/check_docs.py``.
 
-``plan_select`` is the one-call facade the executor uses.
+``plan_select`` is the one-call facade the executor uses; every stage
+reads the planner fields of
+:class:`~repro.sql.executor.ExecutorOptions`.
 
 Invariants every rewrite must preserve (pinned by
 ``tests/sql/test_planner_equivalence.py`` and
@@ -51,14 +53,14 @@ from typing import Optional
 
 from repro.sql import ast as S
 from repro.sql.catalog import Catalog
+from repro.sql.executor import ExecutorOptions
 from repro.sql.plan.explain import render
 from repro.sql.plan.logical import LogicalPlan, build_logical
-from repro.sql.plan.optimizer import OptimizerOptions, optimize
+from repro.sql.plan.optimizer import optimize
 from repro.sql.plan.physical import PhysicalPlan, lower
 
 __all__ = [
     "LogicalPlan",
-    "OptimizerOptions",
     "PhysicalPlan",
     "build_logical",
     "lower",
@@ -69,7 +71,7 @@ __all__ = [
 
 
 def plan_select(select: S.Select, catalog: Catalog,
-                options: Optional[OptimizerOptions] = None) -> PhysicalPlan:
+                options: Optional[ExecutorOptions] = None) -> PhysicalPlan:
     """Build, optimize and lower the plan for one SELECT."""
     logical = build_logical(select)
     optimized = optimize(logical, catalog, options)

@@ -63,10 +63,6 @@ def render(root: PhysicalOp, analyze: bool = False,
             if parts is not None and any(n is not None for n in parts):
                 bits.append("parts=%s" % "|".join(
                     "?" if n is None else str(n) for n in parts))
-            if op.backend is not None:
-                # Only set for non-default substrates (the pool), so
-                # thread/fork analyze output stays byte-identical.
-                bits.append("backend=%s" % op.backend)
             if op.degraded is not None:
                 bits.append("degraded=%s" % op.degraded)
                 if op.degraded_kinds:

@@ -38,7 +38,7 @@ class LogicalPlan:
     ``est_rows`` / ``est_cost`` are the cost-based optimizer's
     annotations (estimated output cardinality and cumulative cost,
     computed from :mod:`repro.sql.stats`); they stay ``None`` in greedy
-    mode (``OptimizerOptions(cost_based=False)``), are copied onto the
+    mode (``ExecutorOptions(cost_based=False)``), are copied onto the
     physical operators at lowering time, and surface in EXPLAIN as
     ``est_rows=`` / ``cost=``.
     """

@@ -7,7 +7,7 @@ The rewrites, applied in order:
    and filter *rows* before grouping (every row of a group shares the
    group key, so a group survives iff each of its rows does).
    Conjuncts containing aggregates, subqueries or non-key columns stay
-   in HAVING.  Toggle: ``OptimizerOptions(having_pushdown=...)``.
+   in HAVING.
 
 2. **Predicate pushdown** — the WHERE conjunction is split; conjuncts
    that mention a single source move into that source's :class:`Scan`,
@@ -43,9 +43,11 @@ The rewrites, applied in order:
    cardinality and the usable core count
    (:func:`resolve_auto_partitions`).  An ORDER BY directly above the
    boundary lowers to per-partition sorts plus a k-way heap merge
-   (``Sort.merge``) when ``parallel_sort`` is on.
+   (``Sort.merge``).
 
-``OptimizerOptions(cost_based=False)`` reproduces the greedy planner's
+The rules read the planner fields of
+:class:`~repro.sql.executor.ExecutorOptions`.
+``ExecutorOptions(cost_based=False)`` reproduces the greedy planner's
 plans exactly; ``cost_based=True`` (the default) additionally annotates
 every logical node with ``est_rows`` / ``est_cost``, which lowering
 copies onto the physical operators and EXPLAIN prints.  The
@@ -58,13 +60,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sql import ast as S
 from repro.sql.catalog import Catalog
 from repro.sql.errors import SQLExecutionError
 from repro.sql.executor import (
     Executor,
+    ExecutorOptions,
     _aliases_used,
     _default_name,
     _flatten_and,
@@ -88,28 +91,11 @@ MAX_DP_SOURCES = 12
 #: of the leftmost scan, capped by the usable core count.
 AUTO_ROWS_PER_PARTITION = 2048
 
-
-@dataclass
-class OptimizerOptions:
-    """Rule toggles (ablation knobs for benchmarks and EXPLAIN tests).
-
-    ``parallel`` is the partition count for the Gather rewrite; ``1``
-    (the default) keeps the serial plan shape and ``"auto"`` derives K
-    from table statistics.  ``cost_based=False`` is the greedy planner
-    exactly as PR 3 built it.  There is no operator-family toggle:
-    every plan lowers to the batch operators, so the executor's
-    ``vectorized`` field has nothing to select here.
-    """
-
-    index_scans: bool = True
-    hash_joins: bool = True
-    parallel: Union[int, str] = 1
-    cost_based: bool = True
-    having_pushdown: bool = True
-    parallel_sort: bool = True
-    #: a lowering concern, not a rewrite rule: ``optimize`` ignores it
-    #: and ``lower`` chunks every row stream into batches of this size.
-    batch_size: int = 1024
+#: ``parallel="auto"`` stays serial below this many usable cores.  On
+#: 2 cores a cold pool ran ``benchmarks/bench_parallel_scan.py``'s
+#: aggregate at 0.37x (5k rows) to 1.06x (60k rows) of serial, and
+#: ``auto`` cannot tell a cold pool from a warm one.
+AUTO_MIN_CORES = 4
 
 
 def resolve_auto_partitions(est_rows: float, cores: int) -> int:
@@ -118,15 +104,18 @@ def resolve_auto_partitions(est_rows: float, cores: int) -> int:
     One partition per :data:`AUTO_ROWS_PER_PARTITION` estimated rows,
     at least 1, never more than the usable cores — small inputs stay
     serial (partitioning overhead would dominate), large inputs fan
-    out to the hardware.
+    out to the hardware.  Below :data:`AUTO_MIN_CORES` cores every
+    input stays serial.
     """
+    if cores < AUTO_MIN_CORES:
+        return 1
     return int(max(1, min(cores, est_rows // AUTO_ROWS_PER_PARTITION)))
 
 
 def optimize(plan: L.LogicalPlan, catalog: Catalog,
-             options: Optional[OptimizerOptions] = None) -> L.LogicalPlan:
+             options: Optional[ExecutorOptions] = None) -> L.LogicalPlan:
     """Apply the rewrite rules to a freshly built logical tree."""
-    options = options or OptimizerOptions()
+    options = options or ExecutorOptions()
 
     # Locate the Filter-over-joins segment the rules operate on.
     #  The builder produces  wrappers* -> [Filter] -> (Join* | Scan).
@@ -143,8 +132,7 @@ def optimize(plan: L.LogicalPlan, catalog: Catalog,
             conjuncts.extend(_flatten_and(pred))
         node = node.child
 
-    if options.having_pushdown:
-        _push_having(wrappers, conjuncts)
+    _push_having(wrappers, conjuncts)
 
     scans = _collect_scans(node)
     pushed, join_pool, residual = _classify(conjuncts, scans, catalog,
@@ -184,8 +172,7 @@ def optimize(plan: L.LogicalPlan, catalog: Catalog,
 
     # Re-attach the wrappers, innermost last.
     for wrapper in reversed(wrappers):
-        if isinstance(wrapper, L.Sort) and isinstance(joined, L.Gather) \
-                and options.parallel_sort:
+        if isinstance(wrapper, L.Sort) and isinstance(joined, L.Gather):
             wrapper.merge = True
         _set_child(wrapper, joined)
         joined = wrapper
@@ -251,7 +238,7 @@ def _references_only_keys(expr: S.Expr, keys) -> bool:
 
 
 def _classify(conjuncts: Sequence[S.Expr], scans: Sequence[L.Scan],
-              catalog: Catalog, options: OptimizerOptions
+              catalog: Catalog, options: ExecutorOptions
               ) -> Tuple[Dict[str, List[S.Expr]],
                          List["_JoinPred"], List[S.Expr]]:
     """Split WHERE conjuncts into pushed / join / residual groups."""
@@ -574,7 +561,7 @@ def _estimate_select(select: S.Select, catalog: Catalog) -> float:
 def _build_chain(ordered: Sequence[L.Scan],
                  join_pool: List[_JoinPred],
                  residual: List[S.Expr],
-                 options: OptimizerOptions,
+                 options: ExecutorOptions,
                  orient: bool = False) -> L.LogicalPlan:
     """Left-deep join chain over ``ordered``; connectors taken greedily.
 
@@ -702,7 +689,7 @@ def _orient(entry: _JoinPred, build_alias: str) -> S.BinOp:
 
 
 def _search_join_order(scans: List[L.Scan], join_pool: List[_JoinPred],
-                       options: OptimizerOptions,
+                       options: ExecutorOptions,
                        model: _CostModel) -> List[L.Scan]:
     """Selinger-style DP over left-deep join orders.
 
@@ -756,7 +743,7 @@ def _search_join_order(scans: List[L.Scan], join_pool: List[_JoinPred],
 # -- parallelism ---------------------------------------------------------------
 
 
-def _resolve_partitions(options: OptimizerOptions, leftmost: L.Scan,
+def _resolve_partitions(options: ExecutorOptions, leftmost: L.Scan,
                         model: Optional[_CostModel]) -> int:
     if options.parallel == "auto":
         raw = model.raw_rows[leftmost.alias] if model is not None else 0

@@ -57,6 +57,7 @@ from repro.sql.errors import SQLExecutionError
 from repro.sql.executor import (
     ExecutionStats,
     Executor,
+    ExecutorOptions,
     QueryResult,
     _apply_op,
     _avg_final,
@@ -71,7 +72,6 @@ from repro.sql.executor import (
     merge_stats,
 )
 from repro.sql.plan import logical as L
-from repro.sql.plan.optimizer import OptimizerOptions
 from repro.sql.plan.parallel import run_tasks
 from repro.sql.plan.vector import Batch, compile_filter, compile_scalar
 from repro.service.faults import classify_exception
@@ -124,11 +124,10 @@ def _traced(method):
     With a trace active it opens a child span named after the
     operator, tagged with the serial-equivalent description
     (``trace_name``) and the observed row count.  ``run_partition``
-    timings stay in the span only (partition tasks may run on pool
-    threads or in pool worker processes, where mutating the shared
-    operator would race or be lost); methods run by the query's own thread also
-    accumulate ``elapsed_seconds`` on the operator for EXPLAIN's
-    ``time=`` column.
+    timings stay in the span only (partition tasks run in pool worker
+    processes, where mutating the shared operator would be lost);
+    methods run by the query's own thread also accumulate
+    ``elapsed_seconds`` on the operator for EXPLAIN's ``time=`` column.
     """
     is_partition = method.__name__ == "run_partition"
 
@@ -183,23 +182,16 @@ class PhysicalOp:
         self.est_rows: Optional[float] = None
         self.est_cost: Optional[float] = None
         #: substrate degradation path taken while executing this
-        #: operator (e.g. ``"pool->threads"``); None when the
-        #: requested backend worked.  EXPLAIN ANALYZE renders it as
-        #: ``degraded=``.
+        #: operator (``"pool->serial"``); None when the pool ran it.
+        #: EXPLAIN ANALYZE renders it as ``degraded=``.
         self.degraded: Optional[str] = None
-        #: classified failure kind for each degradation step (same
-        #: length as the arrows in ``degraded``), rendered by EXPLAIN
+        #: classified failure kind of that fall, rendered by EXPLAIN
         #: ANALYZE as ``degrade_kind=``.
         self.degraded_kinds: Optional[List[str]] = None
         #: wall-clock seconds spent in this operator, accumulated by
         #: the span wrapper when tracing is active; None otherwise.
         #: EXPLAIN renders it as ``time=`` when asked (``timing=True``).
         self.elapsed_seconds: Optional[float] = None
-        #: the parallel substrate this operator's fan-out was
-        #: *dispatched to* when it differs from the default (currently
-        #: only ``"pool"``); EXPLAIN ANALYZE renders it as ``backend=``.
-        #: ``degraded`` records any rungs actually fallen afterwards.
-        self.backend: Optional[str] = None
 
     #: prepared/runtime state that never crosses the pool's process
     #: boundary: either rebuilt by the worker's own ``prepare`` (row
@@ -1278,7 +1270,7 @@ class _PartCtx:
     :class:`ExecutionStats` in partition-index order and copies
     ``recorded`` per-operator counts into ``partition_rows``.  Both
     survive a process boundary (the payload is plain data), which is
-    what lets the pool backend report honest per-partition statistics.
+    what lets pool workers report honest per-partition statistics.
     """
 
     __slots__ = ("executor", "params", "stats", "recorded")
@@ -1341,8 +1333,8 @@ class _PoolPartitionJob:
     re-prepares the chain for its own partition against the exact same
     content (identical slices, buckets and statistics by construction)
     and returns the standard partition payload ``(result, stats,
-    recorded, span_dict)`` — the same 4-tuple the threads backend
-    produces, so the merge is shared.
+    recorded, span_dict)`` — the same 4-tuple a serial rerun of the
+    task produces, so the merge is shared.
     """
 
     __slots__ = ("root", "part", "params", "options", "traced",
@@ -1371,7 +1363,7 @@ class _PoolPartitionJob:
             # The driver never evicts a table a dispatched job reads,
             # so a store frame was lost.  This returns as an ``exc``
             # reply, which the pool never retries: the ladder falls
-            # straight to threads.
+            # straight to serial.
             raise faults.CorruptPayload(
                 "pool worker cache is missing tables: %s"
                 % ", ".join(missing))
@@ -1383,15 +1375,14 @@ class _PoolPartitionJob:
         # fragment re-plans from scratch (FROM-subqueries during
         # prepare, per-row IN subqueries) must run serial — spawning a
         # substrate from inside a daemonic pool worker is forbidden.
-        options = dataclasses.replace(self.options, parallel=1,
-                                      parallel_backend="threads")
+        options = dataclasses.replace(self.options, parallel=1)
         executor = Executor(catalog, options)
         ctx = _Ctx(executor=executor, params=self.params,
                    stats=ExecutionStats(), part=self.part)
         # Worker-side prepare recounts the shared scan/build statistics
         # into a throwaway ExecutionStats — the driver already prepared
         # (and counted) once; only the per-partition pctx.stats ship
-        # home, exactly as on the threads backend.
+        # home, exactly as a serial rerun merges them.
         self.root.child.prepare(ctx)
         pctx = _PartCtx(executor, self.params)
         if self.traced:
@@ -1399,7 +1390,6 @@ class _PoolPartitionJob:
             pspan.detached = True
             with pspan:
                 payload = self.root._partition(self.part, pctx, ctx.scanned)
-            pspan.tag(backend="pool")
             return payload, pctx.stats, pctx.recorded, pspan.to_dict()
         return (self.root._partition(self.part, pctx, ctx.scanned),
                 pctx.stats, pctx.recorded, None)
@@ -1453,19 +1443,18 @@ def _run_partitioned(root: "_FanOut", ctx: _Ctx,
                      records: bool = False) -> List[Any]:
     """Drive a partitioned chain: prepare serially, fan partitions out.
 
-    ``root._partition(part, pctx, scanned)`` runs per partition on
-    the configured backend and its (picklable, for the pool backend)
-    results come back in partition-index order.  Partition stats merge
-    into the query stats in that same order, and each chain operator's
-    ``partition_rows`` / ``rows_out`` are filled from the
-    per-partition counters; with ``records`` the fan-out operator
-    itself (partial aggregation, whose workers also record counts)
-    joins the same ordinal space.
+    ``root._partition(part, pctx, scanned)`` runs per partition in a
+    pool worker and its picklable results come back in partition-index
+    order.  Partition stats merge into the query stats in that same
+    order, and each chain operator's ``partition_rows`` / ``rows_out``
+    are filled from the per-partition counters; with ``records`` the
+    fan-out operator itself (partial aggregation, whose workers also
+    record counts) joins the same ordinal space.
 
     Substrate faults never fail the query: :func:`run_tasks` degrades
-    pool → threads → serial, and each task builds a fresh
-    :class:`_PartCtx`, so a degraded rerun merges exactly one run's
-    statistics and stays stats-identical to serial.  The path taken is
+    pool → serial, and each task builds a fresh :class:`_PartCtx`, so
+    a degraded rerun merges exactly one run's statistics and stays
+    stats-identical to serial.  The path taken is
     recorded on the fan-out operator (``degraded``, surfaced by EXPLAIN
     ANALYZE) and counted in ``ctx.stats.degradations``.
     """
@@ -1480,15 +1469,13 @@ def _run_partitioned(root: "_FanOut", ctx: _Ctx,
         op.partition_rows = [None] * count
 
     executor, params, scanned = ctx.executor, ctx.params, ctx.scanned
-    backend = executor.options.parallel_backend
     # Cross-process stitching: when a trace is active, every partition
-    # task builds a *detached* root span locally (a fresh one per
+    # builds a *detached* root span where it runs (a fresh one per
     # attempt, so a degraded rerun never double-counts) and ships its
     # ``to_dict`` payload home beside the stats — the same transport
-    # partition statistics already ride, picklable for the pool
-    # backend.  The driver re-parents them below in partition-index
-    # order, so the stitched tree's child order is deterministic
-    # regardless of completion order.
+    # partition statistics already ride.  The driver re-parents them
+    # below in partition-index order, so the stitched tree's child
+    # order is deterministic regardless of completion order.
     parent_span = obs_trace.current_span()
     traced = parent_span is not None
 
@@ -1503,33 +1490,22 @@ def _run_partitioned(root: "_FanOut", ctx: _Ctx,
                 pspan.detached = True
                 with pspan:
                     payload = root._partition(part, pctx, scanned)
-                pspan.tag(backend=backend)
                 return payload, pctx.stats, pctx.recorded, pspan.to_dict()
             return (root._partition(part, pctx, scanned), pctx.stats,
                     pctx.recorded, None)
         return task
 
-    rungs: List[str] = []
-    kinds: List[str] = []
-
     def on_degrade(from_rung: str, to_rung: str, fault: Exception) -> None:
         ctx.stats.degradations += 1
         kind = classify_exception(fault)
-        if not rungs:
-            rungs.append(from_rung)
-        rungs.append(to_rung)
-        kinds.append(kind)
-        root.degraded = "->".join(rungs)
-        root.degraded_kinds = list(kinds)
+        root.degraded = "%s->%s" % (from_rung, to_rung)
+        root.degraded_kinds = [kind]
         _DEGRADATIONS.inc(**{"from": from_rung, "to": to_rung,
                              "kind": kind})
 
     tasks = [make_task(part) for part in range(count)]
-    if backend == "pool":
-        _attach_pool_jobs(tasks, root, ctx, traced)
-        root.backend = "pool"
-    results = run_tasks(tasks, backend=backend, deadline=ctx.deadline,
-                        on_degrade=on_degrade)
+    _attach_pool_jobs(tasks, root, ctx, traced)
+    results = run_tasks(tasks, deadline=ctx.deadline, on_degrade=on_degrade)
     for op in _subtree(root):
         for attr in PhysicalOp._UNPICKLED_STATE:
             op.__dict__.pop(attr, None)
@@ -1572,8 +1548,8 @@ class GatherOp(_FanOut, VecOp):
     Partitions are concatenated in partition-index order — the serial
     row order — so every operator above a Gather is oblivious to the
     parallelism below it.  A partition's result is a full row set:
-    threads hand it over by reference, the pool pickles it back (its
-    workers cache table content, so only result rows cross).
+    the pool pickles it back (its workers cache table content, so only
+    result rows cross); the serial rung hands it over by reference.
     """
 
     name = "Gather"
@@ -1729,9 +1705,9 @@ class PartialAggregateOp(_FanOut, RowOp):
     ``combinable_aggregate`` shapes lower here; everything else uses
     :class:`GatherOp` + :class:`VecAggregateOp`.
 
-    This is the operator the ``"pool"`` backend pays off on: a
-    partition's result is a handful of scalars, so worker processes
-    buy real CPU parallelism without shipping row sets back.
+    This is the operator the pool pays off on: a partition's result
+    is a handful of scalars, so worker processes buy real CPU
+    parallelism without shipping row sets back.
     """
 
     name = "PartialAggregate"
@@ -1899,13 +1875,13 @@ def _collect_partial_nodes(expr: S.Expr, agg_calls: List[S.FuncCall],
 
 
 def lower(plan: L.LogicalPlan,
-          options: Optional[OptimizerOptions] = None) -> RowOp:
+          options: Optional[ExecutorOptions] = None) -> RowOp:
     """Lower an optimized logical plan to a physical operator tree.
 
-    ``options`` (an ``OptimizerOptions``) supplies the batch size;
-    every other choice was made by the optimizer.
+    ``options`` supplies the batch size; every other choice was made
+    by the optimizer.
     """
-    return _lower_rows(plan, (options or OptimizerOptions()).batch_size)
+    return _lower_rows(plan, (options or ExecutorOptions()).batch_size)
 
 
 def _with_est(op: PhysicalOp, plan: L.LogicalPlan) -> PhysicalOp:

@@ -1,11 +1,10 @@
 """Shared obs-test hygiene.
 
 Metric *values* are zeroed before every test with
-``MetricsRegistry.reset_values()`` — ``reset()`` would unregister the
-instruments and orphan the module-level references the engine holds
-(``repro.sql.database._QUERIES`` etc. would keep counting into objects
-no exposition ever renders).  Teardown also stops any profiler a
-failing test left installed and disables the recent-roots ring.
+``MetricsRegistry.reset_values()``; registrations, and with them the
+module-level instrument references the engine holds, live as long as
+the process.  Teardown also stops any profiler a failing test left
+installed and disables the recent-roots ring.
 """
 
 import pytest

@@ -80,16 +80,6 @@ def test_validate_rejects_missing_v2_keys(bench_dir):
             validate_bench_artifact(broken)
 
 
-def test_artifact_write_leaves_history_beside_it(bench_dir):
-    write_bench_artifact("hist", True, smoke=True)
-    store = bench_dir / "BENCH_HISTORY.jsonl"
-    assert store.exists()
-    (line,) = store.read_text().strip().splitlines()
-    entry = json.loads(line)
-    assert entry["name"] == "hist"
-    assert entry["schema"] == "repro-bench-history/v1"
-
-
 def test_unasserted_floor_is_recorded_not_enforced(bench_dir):
     entry = floor_entry(0.5, 1.8, asserted=False)
     assert entry == {"value": 0.5, "floor": 1.8, "passed": False,

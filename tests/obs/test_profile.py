@@ -121,9 +121,8 @@ def test_masked_golden_parallel_k1_equals_serial():
     assert _masked(result.profile) == GOLDEN_SERIAL
 
 
-@pytest.mark.parametrize("backend", ["threads", "pool"])
-def test_masked_golden_parallel_k4(backend):
-    db = _make_db(ExecutorOptions(parallel=4, parallel_backend=backend))
+def test_masked_golden_parallel_k4():
+    db = _make_db(ExecutorOptions(parallel=4))
     serial = _make_db().execute(SQL, profile=True)
     result = db.execute(SQL, profile=True)
     assert result.rows == serial.rows

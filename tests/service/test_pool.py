@@ -3,11 +3,14 @@
 The SQL-level contracts (equivalence, chaos, cache metrics) live in
 ``tests/sql/``; this file pins the pool mechanics in isolation: the
 length-prefixed frame protocol, the driver-owned LRU table cache and
-its explicit ``drop`` frames, longest-estimate-first dispatch, and the
-process-wide singleton lifecycle.
+its explicit ``drop`` frames, longest-estimate-first dispatch, one
+dispatch at a time across threads, and the process-wide singleton
+lifecycle.
 """
 
 import os
+import threading
+import time
 
 import pytest
 
@@ -89,6 +92,22 @@ class SeqJob:
         seq = cache.get("_seq", 0)
         cache["_seq"] = seq + 1
         return seq
+
+
+class EchoJob:
+    """Returns ``(tag, part)`` after ``pause`` seconds in the worker."""
+
+    est = 0
+    digest_map = {}
+
+    def __init__(self, tag, part, pause=0.0):
+        self.tag = tag
+        self.part = part
+        self.pause = pause
+
+    def run_in_worker(self, cache):
+        time.sleep(self.pause)
+        return self.tag, self.part
 
 
 @pytest.fixture
@@ -229,7 +248,7 @@ def test_many_partitions_fit_a_small_fd_budget():
     db.create_table("t", ("id", "v"))
     db.insert_many("t", ({"id": i, "v": i % 7} for i in range(400)))
     sql = "SELECT COUNT(*) AS n, SUM(t0.v) AS s FROM t t0 WHERE t0.v > 2"
-    view = db.view(ExecutorOptions(parallel=200, parallel_backend="pool"))
+    view = db.view(ExecutorOptions(parallel=200))
     reset_pool()
     used = len(os.listdir("/proc/self/fd"))
     soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
@@ -257,9 +276,70 @@ def test_single_task_runs_inline():
         return 42
 
     dispatches = pool_mod._DISPATCHES.total()
-    assert run_tasks([record], backend="pool") == [42]
+    assert run_tasks([record]) == [42]
     assert seen == [21]
     assert pool_mod._DISPATCHES.total() == dispatches
+
+
+# -- threads -------------------------------------------------------------------
+
+
+def test_threads_calling_run_jobs_on_one_pool_get_their_own_results():
+    """Two threads dispatching to one pool at once would interleave
+    frames on the same workers' pipes and read each other's replies;
+    ``run_jobs`` runs them one at a time instead.  Daemon threads and
+    bounded joins make a hang fail the test instead of the suite."""
+    pool = WorkerPool(size=2)
+    got = {}
+
+    def caller(tag):
+        try:
+            for _ in range(20):
+                result = pool.run_jobs(
+                    [EchoJob(tag, part, pause=0.001) for part in range(3)],
+                    {})
+                if result != [(tag, part) for part in range(3)]:
+                    got[tag] = result
+                    return
+            got[tag] = "ok"
+        except Exception as exc:    # noqa: BLE001 - reported below
+            got[tag] = exc
+
+    threads = [threading.Thread(target=caller, args=(tag,), daemon=True)
+               for tag in "ab"]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert not any(thread.is_alive() for thread in threads), "hung"
+    finally:
+        pool.close()
+    assert got == {"a": "ok", "b": "ok"}
+
+
+def test_waiting_for_the_pool_honours_the_deadline(one_worker_pool):
+    from repro.service import faults
+
+    outcome = []
+
+    def slow():
+        outcome.append(one_worker_pool.run_jobs(
+            [EchoJob("slow", 0, pause=1.5)], {}))
+
+    thread = threading.Thread(target=slow, daemon=True)
+    thread.start()
+    for _ in range(1000):   # until the slow call holds the pool
+        if one_worker_pool._dispatching.locked():
+            break
+        time.sleep(0.01)
+    begin = time.perf_counter()
+    with pytest.raises(faults.DeadlineExceeded, match="waiting"):
+        one_worker_pool.run_jobs([EchoJob("late", 0)], {},
+                                 deadline=faults.Deadline.after(0.2))
+    assert time.perf_counter() - begin < 1.0
+    thread.join(30)
+    assert outcome == [[("slow", 0)]]
 
 
 # -- singleton lifecycle -------------------------------------------------------

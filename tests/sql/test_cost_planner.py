@@ -76,11 +76,8 @@ class TestJoinOrderSearch:
             return max(op.rows_out or 0 for op in walk(plan.root)
                        if "Join" in op.name)
 
-        from repro.sql.plan import OptimizerOptions
-
-        cost_peak = peak_join_rows(OptimizerOptions())
-        greedy_peak = peak_join_rows(
-            OptimizerOptions(cost_based=False))
+        cost_peak = peak_join_rows(ExecutorOptions())
+        greedy_peak = peak_join_rows(ExecutorOptions(cost_based=False))
         assert cost_peak * 10 <= greedy_peak  # 16 vs 160 intermediates
 
     def test_cost_tie_keeps_from_order(self):

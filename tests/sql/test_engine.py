@@ -154,8 +154,7 @@ class TestPlanner:
 ORDER_MODES = {
     "seed": ExecutorOptions(planner=False),
     "planner": ExecutorOptions(),
-    "parallel-2-threads": ExecutorOptions(parallel=2),
-    "parallel-2-pool": ExecutorOptions(parallel=2, parallel_backend="pool"),
+    "parallel-2": ExecutorOptions(parallel=2),
 }
 
 

@@ -10,7 +10,7 @@ out verbatim: the point is to pin the exact rendering (tree glyphs,
 general shape.
 
 Two golden sets: ``GOLDEN`` pins the default (cost-based) planner,
-``GREEDY_GOLDEN`` pins ``OptimizerOptions(cost_based=False)`` — the
+``GREEDY_GOLDEN`` pins ``ExecutorOptions(cost_based=False)`` — the
 pre-cost plan shapes, unchanged from PR 4, which the greedy mode must
 keep reproducing exactly.
 """

@@ -2,21 +2,24 @@
 row/column/stats-identical to the serial planner and to the seed
 single-pass pipeline (GROUP BY / HAVING included) for every K.
 
+Every K > 1 runs its partitions on the process-wide worker pool.
 Three layers:
 
 * the planner-equivalence query battery, re-run under
   ``ExecutorOptions(parallel=K)`` for K in {1, 2, 4} against both the
   serial planner and the seed pipeline;
-* targeted shapes: grouped partial aggregation (threads *and* the
-  persistent worker pool),
-  combinable whole-input aggregates — including AVG, whose
-  ``(total, count)`` partials combine to a float-bitwise-identical
-  mean — the AND-HAVING fallback to Gather + serial aggregation,
-  empty tables, and K larger than the row count;
-* every corpus-inferred SQL statement, executed at K=4 (and again
-  through the worker pool at K=2);
+* targeted shapes: grouped partial aggregation, combinable
+  whole-input aggregates — including AVG, whose ``(total, count)``
+  partials combine to a float-bitwise-identical mean — the AND-HAVING
+  fallback to Gather + serial aggregation, empty tables, and K larger
+  than the row count;
+* the battery again on a pool forked for each query and on the serial
+  rung;
+* every corpus-inferred SQL statement, executed at K=4 and K=2;
 * the pool's table cache: a warm pool re-ships zero rows for an
-  unchanged catalog, and a catalog mutation invalidates the digest.
+  unchanged catalog, and a catalog mutation invalidates the digest;
+* queries on several threads sharing the pool, each getting its own
+  rows.
 """
 
 import re
@@ -40,21 +43,21 @@ def _stats_tuple(stats):
 
 def _assert_parallel_identical(db, sql, params=None,
                                partitions=PARTITION_COUNTS,
-                               backend="threads"):
+                               degraded=False):
     references = [
         ("serial planner", db.execute(sql, params)),
         ("seed pipeline",
          db.view(ExecutorOptions(planner=False)).execute(sql, params))]
     for k in partitions:
-        view = db.view(ExecutorOptions(parallel=k,
-                                       parallel_backend=backend))
-        result = view.execute(sql, params)
+        result = db.view(ExecutorOptions(parallel=k)).execute(sql, params)
         for label, reference in references:
             assert list(result.rows) == list(reference.rows), \
-                (sql, k, backend, label)
+                (sql, k, label)
             assert result.columns == reference.columns, (sql, k, label)
             assert _stats_tuple(result.stats) == \
-                _stats_tuple(reference.stats), (sql, k, backend, label)
+                _stats_tuple(reference.stats), (sql, k, label)
+            assert bool(result.stats.degradations) == \
+                (degraded and k > 1), (sql, k)
 
 
 @pytest.fixture(scope="module")
@@ -77,12 +80,23 @@ def test_battery_parallel_equivalence(case, wilos_db):
 
 
 @pytest.mark.parametrize("case", range(len(BATTERY)))
-def test_battery_pool_equivalence(case, wilos_db):
-    """The whole battery again, dispatched to the persistent worker
-    pool — same rows, columns, and stats as the serial planner."""
+def test_battery_pool_equivalence(case, wilos_db, monkeypatch):
+    """The battery at K=2 on the pool's two other paths: workers forked
+    for the query (holding its tables from the fork, nothing shipped),
+    and the serial rung (no pool: the partitions rerun in the driver).
+    Same rows, columns and stats as the serial planner."""
+    from repro.service import pool as pool_mod
+    from repro.service.faults import SubstrateUnavailable
+
+    def unavailable():
+        raise SubstrateUnavailable("no pool here")
+
     sql, params = BATTERY[case]
+    pool_mod.reset_pool()
+    _assert_parallel_identical(wilos_db, sql, params, partitions=(2,))
+    monkeypatch.setattr(pool_mod, "get_pool", unavailable)
     _assert_parallel_identical(wilos_db, sql, params, partitions=(2,),
-                               backend="pool")
+                               degraded=True)
 
 
 # -- targeted shapes -----------------------------------------------------------
@@ -108,10 +122,9 @@ WHOLE = ("SELECT COUNT(*) AS n, SUM(t0.id) AS tot, MIN(t0.id) AS lo, "
          "WHERE t0.a = t1.b AND t0.id > 2")
 
 
-@pytest.mark.parametrize("backend", ["threads", "pool"])
-def test_partial_aggregation_backends(small_db, backend):
-    _assert_parallel_identical(small_db, GROUPED, backend=backend)
-    _assert_parallel_identical(small_db, WHOLE, backend=backend)
+def test_partial_aggregation(small_db):
+    _assert_parallel_identical(small_db, GROUPED)
+    _assert_parallel_identical(small_db, WHOLE)
 
 
 def test_partial_aggregation_lowering(small_db):
@@ -149,39 +162,35 @@ def test_avg_lowers_to_partials(small_db):
     assert "PartialGroupBy" in view.explain(AVG_GROUPED)
 
 
-@pytest.mark.parametrize("backend", ["threads", "pool"])
-def test_avg_combines_bitwise_identical(small_db, backend):
+def test_avg_combines_bitwise_identical(small_db):
     """The combined mean is float-*bitwise* identical to the serial
-    fold on every backend, not merely approximately equal."""
+    fold, not merely approximately equal."""
     for sql in (AVG_GROUPED, AVG_WHOLE):
         serial = list(small_db.execute(sql).rows)
         for k in (2, 4):
-            view = small_db.view(
-                ExecutorOptions(parallel=k, parallel_backend=backend))
+            view = small_db.view(ExecutorOptions(parallel=k))
             got = list(view.execute(sql).rows)
             assert len(got) == len(serial), (sql, k)
             for mine, reference in zip(got, serial):
                 for value, expected in zip(mine, reference):
                     if isinstance(expected, float):
                         assert struct.pack("<d", value) == \
-                            struct.pack("<d", expected), (sql, k, backend)
+                            struct.pack("<d", expected), (sql, k)
                     else:
-                        assert value == expected, (sql, k, backend)
+                        assert value == expected, (sql, k)
 
 
-@pytest.mark.parametrize("backend", ["threads", "pool"])
-def test_nested_subquery_inside_partition(small_db, backend):
+def test_nested_subquery_inside_partition(small_db):
     """Per-row IN subqueries evaluated inside partition workers must
     execute with a *serial* nested plan: re-planning them parallel
-    would build a substrate per probed row — and fork from inside a
-    daemonic pool worker on the pool backend, which multiprocessing
-    forbids."""
+    would dispatch to the pool per probed row — and fork from inside
+    a daemonic pool worker, which multiprocessing forbids."""
     in_agg = ("SELECT COUNT(*) AS n FROM r t0 WHERE t0.a IN "
               "(SELECT t1.b FROM s t1 WHERE t1.id = 1)")
-    _assert_parallel_identical(small_db, in_agg, backend=backend)
+    _assert_parallel_identical(small_db, in_agg)
     in_plain = ("SELECT t0.id FROM r t0 WHERE t0.a IN "
                 "(SELECT t1.b FROM s t1 WHERE t1.id = 1)")
-    _assert_parallel_identical(small_db, in_plain, backend=backend)
+    _assert_parallel_identical(small_db, in_plain)
 
 
 ORDERED = ("SELECT t0.id, t0.a FROM r t0, s t1 WHERE t0.a = t1.b "
@@ -204,16 +213,6 @@ def test_parallel_order_by_top_k(small_db):
     view = small_db.view(ExecutorOptions(parallel=3))
     assert "top_k=4" in view.explain(sql)
     _assert_parallel_identical(small_db, sql, partitions=(2, 3, 64))
-
-
-def test_parallel_sort_toggle_falls_back_to_gather(small_db):
-    view = small_db.view(ExecutorOptions(parallel=3,
-                                         parallel_sort=False))
-    plan = view.explain(ORDERED)
-    assert "GatherMerge" not in plan
-    assert "Gather(partitions=3)" in plan and "Sort(" in plan
-    result = view.execute(ORDERED)
-    assert list(result.rows) == list(small_db.execute(ORDERED).rows)
 
 
 def test_more_partitions_than_rows(small_db):
@@ -264,14 +263,13 @@ def test_full_corpus_sql_parallel(corpus_sql, app_dbs):
 
 
 def test_full_corpus_sql_pool(corpus_sql, app_dbs):
-    """Every corpus statement again through the worker pool; the warm
-    pool serves repeated catalogs from its table cache."""
+    """Every corpus statement again at K=2; the warm pool serves
+    repeated catalogs from its table cache."""
     for fragment_id, app, sql in corpus_sql:
         db = app_dbs[app]
         params = {name: 1
                   for name in set(re.findall(r":(\w+)", sql))}
-        _assert_parallel_identical(db, sql, params, partitions=(2,),
-                                   backend="pool")
+        _assert_parallel_identical(db, sql, params, partitions=(2,))
 
 
 # -- pool table cache ----------------------------------------------------------
@@ -282,8 +280,7 @@ def test_pool_reships_nothing_when_catalog_unchanged(small_db):
     unchanged catalog ship zero table rows (the cache-hit metric grows,
     the rows-shipped metric does not)."""
     from repro.service import pool as pool_mod
-    view = small_db.view(ExecutorOptions(parallel=2,
-                                         parallel_backend="pool"))
+    view = small_db.view(ExecutorOptions(parallel=2))
     sql = "SELECT t0.id, t1.id FROM r t0, s t1 WHERE t0.a = t1.b"
     view.execute(sql)  # cold: ships whatever isn't cached yet
     shipped_cold = pool_mod._ROWS_SHIPPED.total()
@@ -301,7 +298,7 @@ def test_pool_reships_after_catalog_mutation(small_db):
     db = Database()
     db.create_table("m", ("id", "v"))
     db.insert_many("m", ({"id": i, "v": i % 3} for i in range(10)))
-    view = db.view(ExecutorOptions(parallel=2, parallel_backend="pool"))
+    view = db.view(ExecutorOptions(parallel=2))
     sql = "SELECT t0.v, COUNT(*) AS n FROM m t0 GROUP BY t0.v"
     view.execute(sql)
     warm = pool_mod._ROWS_SHIPPED.total()
@@ -325,7 +322,7 @@ def test_pool_ships_only_the_tables_a_query_reads():
         db.create_table("t%d" % i, ("id", "v"))
         db.insert_many("t%d" % i, ({"id": j, "v": j % 5}
                                    for j in range(50)))
-    view = db.view(ExecutorOptions(parallel=2, parallel_backend="pool"))
+    view = db.view(ExecutorOptions(parallel=2))
     sql = "SELECT COUNT(*) AS n FROM t0 x WHERE x.v > 2"
     shipped = pool_mod._ROWS_SHIPPED.total()
     result = view.execute(sql)
@@ -348,12 +345,12 @@ def test_pool_job_prepares_only_its_own_partition(monkeypatch):
     db.insert_many("ev", ({"id": i, "v": i % 7} for i in range(100)))
     captured = []
 
-    def capture(tasks, deadline, plan, attempt, faults):
+    def capture(tasks, deadline, plan, faults):
         captured.extend(task.pool_job for task in tasks)
         return [task() for task in tasks]
 
     monkeypatch.setattr(parallel, "_run_pool", capture)
-    view = db.view(ExecutorOptions(parallel=4, parallel_backend="pool"))
+    view = db.view(ExecutorOptions(parallel=4))
     sql = "SELECT COUNT(*) AS n, SUM(t0.v) AS s FROM ev t0 WHERE t0.v > 2"
     assert list(view.execute(sql).rows) == list(db.execute(sql).rows)
     tables = {digest: db.catalog.tables[name]
@@ -364,3 +361,48 @@ def test_pool_job_prepares_only_its_own_partition(monkeypatch):
         scan = shipped.root.child         # the PartitionedScan
         assert list(scan._slices) == [job.part]
         assert len(scan._slices[job.part]) == 25
+
+
+# -- threads sharing the pool --------------------------------------------------
+
+
+def test_threads_sharing_the_pool_get_their_own_rows(small_db):
+    """Six threads run K=2 queries through one Database on default
+    options, each its own statement, so a reply read by the wrong
+    thread shows up as wrong rows.  Daemon threads and a join bound
+    make a hang fail the test instead of blocking the suite."""
+    import sys
+    import threading
+    import time
+
+    statements = ["SELECT t0.id, t1.id FROM r t0, s t1 "
+                  "WHERE t0.a = t1.b AND t0.a = %d" % n for n in range(5)]
+    statements.append("SELECT t0.a, COUNT(*) AS n FROM r t0 GROUP BY t0.a")
+    expected = [list(small_db.execute(sql).rows) for sql in statements]
+    view = small_db.view(ExecutorOptions(parallel=2))
+    failures = []
+
+    def worker(n):
+        try:
+            for _ in range(10):
+                result = view.execute(statements[n])
+                if list(result.rows) != expected[n] \
+                        or result.stats.degradations:
+                    failures.append((n, list(result.rows)))
+        except Exception as exc:     # noqa: BLE001 - reported below
+            failures.append((n, exc))
+
+    threads = [threading.Thread(target=worker, args=(n,), daemon=True)
+               for n in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 60
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "hung"
+    assert failures == []

@@ -2,11 +2,12 @@
 
 Substrate failures inside a partition-parallel query — a pool worker
 crashing past its retry budget, a payload that will not unpickle, a
-hung partition — must never change the answer: the ladder falls
-``pool → threads → serial`` and the degraded query stays
-row/column/stats-identical to serial execution, with the fall visible
-in EXPLAIN ANALYZE and counted in ``stats.degradations``.  Application errors and deadline expiry are
-*not* absorbed: they propagate with their classification.
+pool that cannot start, a hung partition — must never change the
+answer: the ladder falls ``pool → serial`` and the degraded query
+stays row/column/stats-identical to serial execution, with the fall
+visible in EXPLAIN ANALYZE and counted in ``stats.degradations``.
+Application errors and deadline expiry are *not* absorbed: they
+propagate with their classification.
 """
 
 import time
@@ -17,6 +18,7 @@ from repro.service import faults
 from repro.service.faults import (
     DeadlineExceeded,
     FaultPlan,
+    SubstrateUnavailable,
     WorkerCrash,
 )
 from repro.sql.database import Database
@@ -26,84 +28,100 @@ from repro.sql.plan.parallel import run_tasks
 # -- run_tasks ladder (no SQL involved) ----------------------------------------
 
 
-def _tasks(n=3):
-    return [lambda i=i: i * 10 for i in range(n)]
+def _times_ten(part):
+    return part * 10
 
 
-class _TimesTen:
-    """A picklable pool job computing the same value as ``_tasks``."""
+def _boom_on_one(part):
+    if part == 1:
+        raise ValueError("application bug, not a substrate fault")
+    return part
+
+
+class _Job:
+    """A picklable pool job computing ``fn(part)``."""
 
     est = 0
     digest_map = {}
 
-    def __init__(self, part):
+    def __init__(self, part, fn):
         self.part = part
+        self.fn = fn
 
     def run_in_worker(self, cache):
-        return self.part * 10
+        return self.fn(self.part)
 
 
-def _pool_tasks(n=3):
-    """``_tasks`` thunks that also carry their pool jobs."""
-    tasks = _tasks(n)
+def _tasks(n=3):
+    """Plain thunks: they carry no pool job, so the pool rung reports
+    itself unavailable and they run serially."""
+    return [lambda i=i: _times_ten(i) for i in range(n)]
+
+
+def _pool_tasks(n=3, fn=_times_ten):
+    """Thunks computing ``fn(part)`` that also carry their pool jobs."""
+    tasks = [lambda i=i: fn(i) for i in range(n)]
     for part, task in enumerate(tasks):
-        task.pool_job = _TimesTen(part)
+        task.pool_job = _Job(part, fn)
     return tasks
 
 
-def test_threads_degrade_to_serial_on_injected_crash():
+def _run_logged(tasks, **kwargs):
+    falls = []
+    results = run_tasks(tasks, on_degrade=lambda f, t, e:
+                        falls.append((f, t, type(e).__name__)), **kwargs)
+    return results, falls
+
+
+def test_crash_past_the_pool_budget_degrades_to_serial():
+    # Attempts 1-3 crash the pool worker (its whole retry budget);
+    # the serial rung runs attempt 4, where the plan has healed.
+    plan = FaultPlan(faults={"part:1": faults.CRASH}, faulty_attempts=3)
+    with faults.injected(plan):
+        results, falls = _run_logged(_pool_tasks())
+    assert results == [0, 10, 20]
+    assert falls == [("pool", "serial", "WorkerCrash")]
+
+
+def test_tasks_without_pool_jobs_run_serially():
+    # The pool rung is unavailable (attempt 1), so the serial rung
+    # runs attempt 2: a fault lasting one attempt has healed, one
+    # lasting two crashes the last rung and propagates.
     plan = FaultPlan(faults={"part:1": faults.CRASH})
-    falls = []
     with faults.injected(plan):
-        results = run_tasks(_tasks(), backend="threads",
-                            on_degrade=lambda f, t, e: falls.append((f, t)))
+        results, falls = _run_logged(_tasks())
     assert results == [0, 10, 20]
-    assert falls == [("threads", "serial")]
-
-
-def test_pool_degrades_all_the_way_down():
-    # Plain thunks carry no pool job, so the pool rung is unavailable
-    # (attempt 1); faulty_attempts=2 makes the crash survive the
-    # threads rung too, so the ladder must fall twice before it heals.
+    assert falls == [("pool", "serial", "SubstrateUnavailable")]
     plan = FaultPlan(faults={"part:1": faults.CRASH}, faulty_attempts=2)
-    falls = []
     with faults.injected(plan):
-        results = run_tasks(_tasks(), backend="pool",
-                            on_degrade=lambda f, t, e: falls.append((f, t)))
-    assert results == [0, 10, 20]
-    assert falls == [("pool", "threads"), ("threads", "serial")]
+        with pytest.raises(WorkerCrash, match="attempt 2"):
+            run_tasks(_tasks())
 
 
 def test_corrupt_payload_from_pool_worker_degrades():
     # In a pool worker the injection returns a CorruptResult, which
     # explodes on the driver's unpickle — transport corruption, not an
     # application error.  It outlasts the pool's three attempts, so
-    # the ladder absorbs it, and threads (attempt 4) have healed.
+    # the ladder absorbs it, and serial (attempt 4) has healed.
     plan = FaultPlan(faults={"part:2": faults.CORRUPT_PAYLOAD},
                      faulty_attempts=3)
-    falls = []
     with faults.injected(plan):
-        results = run_tasks(_pool_tasks(), backend="pool",
-                            on_degrade=lambda f, t, e:
-                            falls.append(type(e).__name__))
+        results, falls = _run_logged(_pool_tasks())
     assert results == [0, 10, 20]
-    assert falls == ["CorruptPayload"]
+    assert falls == [("pool", "serial", "CorruptPayload")]
 
 
 def test_poison_partition_exhausts_the_ladder():
     plan = FaultPlan(poison={"part:0": faults.CRASH})
     with faults.injected(plan):
-        with pytest.raises(WorkerCrash):
-            run_tasks(_tasks(), backend="threads")
+        with pytest.raises(WorkerCrash, match="attempt 4"):
+            run_tasks(_pool_tasks())
 
 
 def test_application_errors_are_not_absorbed():
-    def boom():
-        raise ValueError("application bug, not a substrate fault")
-
     falls = []
     with pytest.raises(ValueError, match="application bug"):
-        run_tasks([lambda: 1, boom], backend="threads",
+        run_tasks(_pool_tasks(fn=_boom_on_one),
                   on_degrade=lambda f, t, e: falls.append(f))
     assert falls == []      # the ladder never moved
 
@@ -115,30 +133,21 @@ def test_hung_partition_surfaces_classified_deadline():
     start = time.perf_counter()
     with faults.injected(plan):
         with pytest.raises(DeadlineExceeded):
-            run_tasks(_tasks(), backend="threads",
-                      deadline=Deadline.after(0.3))
+            run_tasks(_pool_tasks(), deadline=Deadline.after(0.3))
     assert time.perf_counter() - start < 10     # abandoned, not joined
 
 
 def test_ladder_is_deterministic():
-    plan = FaultPlan(faults={"part:1": faults.CRASH})
+    plan = FaultPlan(faults={"part:1": faults.CRASH}, faulty_attempts=3)
     runs = []
     for _ in range(2):
-        falls = []
         with faults.injected(plan):
-            results = run_tasks(_tasks(), backend="threads",
-                                on_degrade=lambda f, t, e:
-                                falls.append((f, t)))
-        runs.append((results, falls))
+            runs.append(_run_logged(_pool_tasks()))
     assert runs[0] == runs[1]
 
 
 def test_fault_free_run_never_degrades():
-    falls = []
-    assert run_tasks(_tasks(), backend="threads",
-                     on_degrade=lambda f, t, e: falls.append(f)) \
-        == [0, 10, 20]
-    assert falls == []
+    assert _run_logged(_pool_tasks()) == ([0, 10, 20], [])
 
 
 # -- whole queries under injected faults ---------------------------------------
@@ -180,35 +189,43 @@ def _assert_identical_to_serial(db, view, sql, expect_degraded=True):
     return result
 
 
-def test_degraded_query_identical_to_serial_threads(chaos_db):
-    plan = FaultPlan(faults={"part:1": faults.CRASH})
+@pytest.mark.parametrize("sql", [JOIN, GROUPED], ids=["join", "grouped"])
+def test_degraded_query_identical_to_serial(chaos_db, sql):
+    # Attempts 1-3 exhaust the pool; serial runs attempt 4, healed.
+    plan = FaultPlan(faults={"part:1": faults.CRASH}, faulty_attempts=3)
     view = chaos_db.view(ExecutorOptions(parallel=3))
     with faults.injected(plan):
-        _assert_identical_to_serial(chaos_db, view, JOIN)
-        text = view.explain(JOIN, analyze=True)
-    assert "degraded=threads->serial" in text
+        result = _assert_identical_to_serial(chaos_db, view, sql)
+        text = view.explain(sql, analyze=True)
+    assert result.stats.degradations == 1
+    assert "degraded=pool->serial, degrade_kind=crash" in text
 
 
-def test_degraded_aggregation_identical_on_process_backend(chaos_db):
-    # Attempts 1-3 exhaust the pool, 4 crashes the threads rung too.
-    plan = FaultPlan(faults={"part:0": faults.CRASH}, faulty_attempts=4)
-    view = chaos_db.view(ExecutorOptions(parallel=3,
-                                         parallel_backend="pool"))
-    with faults.injected(plan):
-        result = _assert_identical_to_serial(chaos_db, view, GROUPED)
-        text = view.explain(GROUPED, analyze=True)
-    assert result.stats.degradations >= 2       # fell two rungs
-    assert "degraded=pool->threads->serial" in text
+def test_unavailable_pool_runs_the_query_serially(chaos_db, monkeypatch):
+    """Where the pool cannot start (no fork, a daemonic parent), a
+    K > 1 query runs its partitions serially, once."""
+    from repro.service import pool as pool_mod
+
+    def unavailable():
+        raise SubstrateUnavailable("no pool here")
+
+    monkeypatch.setattr(pool_mod, "get_pool", unavailable)
+    view = chaos_db.view(ExecutorOptions(parallel=3))
+    for sql in (JOIN, GROUPED):
+        result = _assert_identical_to_serial(chaos_db, view, sql)
+        assert result.stats.degradations == 1
+        text = view.explain(sql, analyze=True)
+        assert "degraded=pool->serial, degrade_kind=crash" in text
 
 
 def test_corrupt_partition_payload_still_identical(chaos_db):
     # Corrupt on every pool attempt (1-3), so the ladder falls a rung.
     plan = FaultPlan(faults={"part:2": faults.CORRUPT_PAYLOAD},
                      faulty_attempts=3)
-    view = chaos_db.view(ExecutorOptions(parallel=3,
-                                         parallel_backend="pool"))
+    view = chaos_db.view(ExecutorOptions(parallel=3))
     with faults.injected(plan):
-        _assert_identical_to_serial(chaos_db, view, GROUPED)
+        result = _assert_identical_to_serial(chaos_db, view, GROUPED)
+    assert result.stats.degradations == 1
 
 
 def test_fault_free_parallel_reports_no_degradation(chaos_db):

@@ -7,7 +7,6 @@ from repro.sql.executor import ExecutorOptions
 from repro.sql.parser import parse
 from repro.sql.plan import build_logical, optimize, plan_select
 from repro.sql.plan import logical as L
-from repro.sql.plan.optimizer import OptimizerOptions
 
 
 @pytest.fixture
@@ -86,7 +85,7 @@ class TestOptimizer:
             "SELECT * FROM participant t0 WHERE t0.id = 4")
 
     def test_rules_can_be_disabled(self, db):
-        options = OptimizerOptions(index_scans=False, hash_joins=False)
+        options = ExecutorOptions(index_scans=False, hash_joins=False)
         plan = optimize(build_logical(parse(THREE_WAY)), db.catalog,
                         options)
         node = plan

@@ -5,7 +5,7 @@ degradation ladder ever moves: a crashed worker is respawned and the
 job retried under the pool's :class:`~repro.service.faults.RetryPolicy`
 (corrupt payloads retry on the same, still-healthy worker).  Only when
 the retry budget exhausts does the fault escape and the ladder fall
-``pool → threads → serial``.  Either way the answer is
+``pool → serial``.  Either way the answer is
 pinned row/column/stats-identical to serial execution, and the
 respawn/retry/dispatch counters expose exactly how many attempts the
 recovery took.
@@ -55,9 +55,7 @@ GROUPED = ("SELECT t0.a, COUNT(*) AS n, SUM(t0.id) AS tot "
 
 
 def _pool_view(db, **overrides):
-    options = dict(parallel=2, parallel_backend="pool")
-    options.update(overrides)
-    return db.view(ExecutorOptions(**options))
+    return db.view(ExecutorOptions(parallel=2, **overrides))
 
 
 def _metric_deltas(action):
@@ -131,18 +129,22 @@ def test_corrupt_payload_retries_on_the_same_worker(chaos_db):
 def test_exhausted_retry_budget_degrades_and_converges(chaos_db):
     """When every pool attempt crashes (attempts 1-3 cover the whole
     default retry budget), the fault escapes the rung and the ladder
-    takes over.  Attempts count on across rungs, so ``faulty_attempts=4``
-    also crashes the threads rung (attempt 4) — the query still
-    converges, one rung at a time, down to serial (attempt 5) where
-    the plan has healed."""
-    plan = FaultPlan(faults={"part:1": faults.CRASH}, faulty_attempts=4)
+    takes over.  Attempts count on across rungs, so the serial rung
+    runs attempt 4, where the plan has healed: three respawns, two
+    retries, four dispatches (two partitions + two retries)."""
+    plan = FaultPlan(faults={"part:1": faults.CRASH}, faulty_attempts=3)
     view = _pool_view(chaos_db)
+
+    def run():
+        with faults.injected(plan):
+            return _assert_identical_to_serial(chaos_db, view, JOIN,
+                                               degradations=1)
+
+    _, deltas = _metric_deltas(run)
+    assert deltas == {"dispatches": 4, "respawns": 3, "retries": 2}
     with faults.injected(plan):
-        result = _assert_identical_to_serial(chaos_db, view, JOIN,
-                                             degradations=2)
         text = view.explain(JOIN, analyze=True)
-    assert result.stats.degradations == 2
-    assert "degraded=pool->threads->serial" in text
+    assert "degraded=pool->serial" in text
 
 
 def test_poison_partition_exhausts_the_whole_ladder(chaos_db):
@@ -193,9 +195,11 @@ def test_chaotic_pool_query_is_deterministic(chaos_db):
     assert snapshots[0] == snapshots[1]
 
 
-def test_fault_free_pool_run_is_marked_in_analyze(chaos_db):
-    view = _pool_view(chaos_db)
-    _assert_identical_to_serial(chaos_db, view, JOIN)
-    text = view.explain(JOIN, analyze=True)
-    assert "backend=pool" in text
-    assert "degraded=" not in text
+def test_default_parallel_query_dispatches_to_the_pool(chaos_db):
+    """Default options with ``parallel=2`` run both partitions in pool
+    workers: the pool's dispatch counter moves by exactly two."""
+    view = chaos_db.view(ExecutorOptions(parallel=2))
+    _, deltas = _metric_deltas(
+        lambda: _assert_identical_to_serial(chaos_db, view, JOIN))
+    assert deltas == {"dispatches": 2, "respawns": 0, "retries": 0}
+    assert "degraded=" not in view.explain(JOIN, analyze=True)

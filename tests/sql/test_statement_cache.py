@@ -303,10 +303,9 @@ def _operators(op):
         yield from _operators(child)
 
 
-@pytest.mark.parametrize("backend", ["threads", "pool"])
-def test_cached_parallel_plan_holds_no_rows(backend):
+def test_cached_parallel_plan_holds_no_rows():
     db = _db()
-    view = db.view(ExecutorOptions(parallel=2, parallel_backend=backend))
+    view = db.view(ExecutorOptions(parallel=2))
     sql = PAR_JOIN
     first = view.execute(sql)
     plan = _cached_plan(view, sql)

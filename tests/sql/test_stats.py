@@ -7,6 +7,7 @@ import pytest
 
 from repro.sql import Database, ExecutorOptions
 from repro.sql.plan.optimizer import (
+    AUTO_MIN_CORES,
     AUTO_ROWS_PER_PARTITION,
     resolve_auto_partitions,
 )
@@ -124,6 +125,10 @@ def test_resolve_auto_partitions_rule():
     assert resolve_auto_partitions(AUTO_ROWS_PER_PARTITION * 100,
                                    cores) == cores
     assert resolve_auto_partitions(10 ** 9, 1) == 1
+    # Below AUTO_MIN_CORES cores every input stays serial.
+    assert AUTO_MIN_CORES == 4
+    assert resolve_auto_partitions(10 ** 9, 2) == 1
+    assert resolve_auto_partitions(10 ** 9, 3) == 1
 
 
 def test_parallel_auto_is_identity(db):
@@ -135,17 +140,35 @@ def test_parallel_auto_is_identity(db):
             list(db.execute(sql).rows), sql
 
 
-def test_parallel_auto_fans_out_large_scans(monkeypatch):
-    import repro.sql.plan.optimizer as O
-
+def _big_db():
     db = Database()
     db.create_table("big", ("id", "g"))
     db.insert_many("big", ({"id": i, "g": i % 5}
                            for i in range(AUTO_ROWS_PER_PARTITION * 4)))
+    return db
+
+
+def test_parallel_auto_fans_out_large_scans(monkeypatch):
+    import repro.sql.plan.optimizer as O
+
+    db = _big_db()
     monkeypatch.setattr(O, "usable_cores", lambda: 4)
     auto = db.view(ExecutorOptions(parallel="auto"))
     sql = "SELECT COUNT(*) AS n FROM big t0"
     assert "partitions=4" in auto.explain(sql)
+    assert auto.execute(sql).scalar() == db.execute(sql).scalar()
+
+
+def test_parallel_auto_stays_serial_on_two_cores(monkeypatch):
+    import repro.sql.plan.optimizer as O
+
+    db = _big_db()
+    monkeypatch.setattr(O, "usable_cores", lambda: 2)
+    auto = db.view(ExecutorOptions(parallel="auto"))
+    sql = "SELECT COUNT(*) AS n FROM big t0"
+    plan = auto.explain(sql)
+    assert "partitions=" not in plan
+    assert plan == db.explain(sql)
     assert auto.execute(sql).scalar() == db.execute(sql).scalar()
 
 

@@ -10,8 +10,8 @@ Layers:
 * batch-boundary sizes {1, 2, 1023, 1024, 1025, > table} over a table
   sized to straddle the default boundary, plus empty-table and
   single-batch fast paths;
-* composition with ``parallel=K`` for K in {1, 2, 4} on both substrate
-  backends, where each partition's row range is chunked into batches;
+* composition with ``parallel=K`` for K in {1, 2, 4}, where each
+  partition's row range is chunked into batches;
 * shapes without a column form (IN subqueries, mixed with column
   predicates): per-row closures inside the batch, evaluated on the
   same rows as the seed pipeline;
@@ -134,7 +134,7 @@ def test_single_batch_fast_path(boundary_db):
 
 
 PARALLEL_QUERIES = (
-    # Partial aggregation (the process-backend shape).
+    # Partial aggregation (the shape the pool pays off on).
     "SELECT COUNT(*) AS n, SUM(t0.v) AS tot, MIN(t0.v) AS lo, "
     "MAX(t0.v) AS hi FROM t t0 WHERE t0.k > 1",
     # Grouped partial aggregation.
@@ -147,20 +147,18 @@ PARALLEL_QUERIES = (
 )
 
 
-@pytest.mark.parametrize("backend", ["threads", "pool"])
 @pytest.mark.parametrize("sql", PARALLEL_QUERIES)
-def test_vectorized_composes_with_parallel(boundary_db, sql, backend):
+def test_vectorized_composes_with_parallel(boundary_db, sql):
     """Partition row ranges chunk into batches; small batches make
     every partition carry several."""
     seed = boundary_db.view(ExecutorOptions(planner=False)).execute(sql)
     for k in (1, 2, 4):
-        view = boundary_db.view(ExecutorOptions(
-            batch_size=64, parallel=k, parallel_backend=backend))
+        view = boundary_db.view(ExecutorOptions(batch_size=64, parallel=k))
         result = view.execute(sql)
-        assert list(result.rows) == list(seed.rows), (sql, k, backend)
-        assert result.columns == seed.columns, (sql, k, backend)
+        assert list(result.rows) == list(seed.rows), (sql, k)
+        assert result.columns == seed.columns, (sql, k)
         assert _stats_tuple(result.stats) == _stats_tuple(seed.stats), \
-            (sql, k, backend)
+            (sql, k)
 
 
 def test_parallel_shapes_survive_vectorization(boundary_db):
