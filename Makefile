@@ -15,10 +15,13 @@ test:
 
 # Fast perf canary: the synthesis-speed comparison with a single
 # timing repeat (fails below 2x wall-clock / 3x evaluator-call
-# reduction vs. the seed implementation, or above half the
-# Fourier-Motzkin runs per corpus QBS pass the prover made before it
-# memoised entailment, or if any outcome differs from the memo-free
-# oracle prover's), then the query-planner
+# reduction vs. the seed implementation, or on three exact counts per
+# corpus QBS pass: above half the Fourier-Motzkin runs the prover made
+# before it memoised entailment, above 1/20 of the resolve_path plus
+# _scalar_binop calls made before TOR compilation resolved paths and
+# operators once, above two thirds of the rewrite passes made before
+# the prover memoised them; or if any outcome differs from the
+# memo-free oracle prover's), then the query-planner
 # floors (>= 3x for the hash-join chain on the three-table corpus
 # fragment and for index scans vs. full scans, >= 2x for the statement
 # cache vs. planning every call, and at most 24 Python calls per warm

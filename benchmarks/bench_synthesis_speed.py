@@ -17,7 +17,13 @@ asserting them:
 * bit-identical synthesis outcomes,
 * at most half the Fourier-Motzkin runs per corpus QBS pass that the
   prover made before it memoised entailment (an exact count), with
-  every status and SQL text equal to the memo-free oracle prover's.
+  every status and SQL text equal to the memo-free oracle prover's,
+* at most 1/20 of the per-row path resolutions and operator dispatches
+  (``resolve_path`` plus ``_scalar_binop`` calls) one corpus QBS pass
+  made before TOR compilation resolved paths and operators once per
+  closure, and at most two thirds of the prover's rewrite passes
+  (``Prover._rewrite`` calls) before it memoised one pass per subterm
+  and context (exact counts).
 
 Run directly for the full table::
 
@@ -35,6 +41,9 @@ import sys
 
 import repro.core.arith as arith
 import repro.core.qbs as qbs_module
+import repro.tor.compile as tor_compile
+import repro.tor.semantics as tor_semantics
+import repro.tor.values as tor_values
 from repro.bench.harness import (
     floor_entry,
     measure_synthesis,
@@ -58,6 +67,18 @@ MIN_EVAL_CALL_REDUCTION = 3.0
 #: asks for at most half: BASELINE_FM_CALLS / calls >= 2.
 BASELINE_FM_CALLS = 3887
 MIN_FM_CALL_REDUCTION = 2.0
+
+#: ``resolve_path`` plus ``_scalar_binop`` calls in one QBS pass over
+#: the corpus while every compiled closure resolved its paths and
+#: dispatched its operators per row.  The floor asks for at most 1/20.
+BASELINE_PATH_CALLS = 209236
+MIN_PATH_CALL_REDUCTION = 20.0
+
+#: ``Prover._rewrite`` calls in one QBS pass over the corpus before the
+#: prover memoised rewrite passes.  The floor asks for at most two
+#: thirds: BASELINE_REWRITE_CALLS / calls >= 1.5.
+BASELINE_REWRITE_CALLS = 16194
+MIN_REWRITE_CALL_REDUCTION = 1.5
 
 
 def corpus_fragments(limit=None):
@@ -132,32 +153,66 @@ def corpus_outcomes():
     return out
 
 
-def fm_call_probe():
-    """FM runs in one corpus QBS pass; do outcomes match the oracle?
+#: (counter, owner, attribute) for every function :func:`call_probe`
+#: counts.  Path resolution and operator dispatch are wrapped wherever
+#: a module holds the name (their own modules, the interpreter, and
+#: ``tor/compile.py`` when it imports them), so a call is counted
+#: whichever name it goes through.
+_COUNTED = [("fm", arith, "_feasible"), ("rewrite", Prover, "_rewrite")] + [
+    ("paths", module, name)
+    for module in (tor_values, tor_semantics, tor_compile)
+    for name in ("resolve_path", "_scalar_binop") if hasattr(module, name)]
 
-    Counts by wrapping ``repro.core.arith._feasible`` from here, then
+
+def call_probe():
+    """Exact counts of one corpus QBS pass; do outcomes match the oracle?
+
+    Counts by wrapping the functions named in ``_COUNTED`` from here:
+    FM runs (``repro.core.arith._feasible``), the prover's rewrite
+    passes (``Prover._rewrite``), and per-row path resolutions plus
+    operator dispatches (``resolve_path`` and ``_scalar_binop``).  Then
     repeats the pass with ``Prover(nf_cache=False)``, which answers
     every question without a memo, and compares status and SQL per
-    fragment.  Returns (FM calls, outcomes identical).
+    fragment.  Returns (counts by counter, outcomes identical).
     """
-    calls = [0]
-    original = arith._feasible
+    counts = dict.fromkeys((counter for counter, _, _ in _COUNTED), 0)
+    originals = [(owner, name, getattr(owner, name))
+                 for _, owner, name in _COUNTED]
 
-    def counting(system):
-        calls[0] += 1
-        return original(system)
+    def counting(counter, fn):
+        def wrapper(*args):
+            counts[counter] += 1
+            return fn(*args)
+        return wrapper
 
-    arith._feasible = counting
+    for (counter, owner, name), (_, _, fn) in zip(_COUNTED, originals):
+        setattr(owner, name, counting(counter, fn))
     try:
         outcomes = corpus_outcomes()
     finally:
-        arith._feasible = original
+        for owner, name, fn in originals:
+            setattr(owner, name, fn)
     qbs_module.Prover = functools.partial(Prover, nf_cache=False)
     try:
         oracle = corpus_outcomes()
     finally:
         qbs_module.Prover = Prover
-    return calls[0], outcomes == oracle
+    return counts, outcomes == oracle
+
+
+def count_reductions(counts):
+    """Baseline over measured count, per floor (a count of 0 reads as 1)."""
+    return {
+        "fm_calls": BASELINE_FM_CALLS / max(counts["fm"], 1),
+        "path_calls": BASELINE_PATH_CALLS / max(counts["paths"], 1),
+        "rewrite_calls": BASELINE_REWRITE_CALLS / max(counts["rewrite"], 1),
+    }
+
+
+#: floor name -> the reduction it asks for.
+COUNT_FLOORS = {"fm_calls": MIN_FM_CALL_REDUCTION,
+                "path_calls": MIN_PATH_CALL_REDUCTION,
+                "rewrite_calls": MIN_REWRITE_CALL_REDUCTION}
 
 
 def test_synthesis_speed_vs_seed(benchmark):
@@ -183,12 +238,15 @@ def test_synthesis_speed_vs_seed(benchmark):
     assert len(synth_peaks) == 2 and synth_peaks[0] == synth_peaks[1]
     assert enum_peak < product_size / 100
 
-    # Entailment is memoised per prover: FM runs halve, outcomes do not move.
-    fm_calls, oracle_match = fm_call_probe()
-    print("  FM runs per corpus QBS pass: %d (baseline %d)"
-          % (fm_calls, BASELINE_FM_CALLS))
+    # Memoised entailment halves FM runs, compiled paths and operators
+    # all but remove per-row resolution, memoised rewrite passes cut the
+    # prover's; outcomes do not move.
+    counts, oracle_match = call_probe()
+    print("  per corpus QBS pass: %(fm)d FM runs, %(paths)d path/operator "
+          "calls, %(rewrite)d rewrite passes" % counts)
     assert oracle_match
-    assert BASELINE_FM_CALLS / fm_calls >= MIN_FM_CALL_REDUCTION
+    for floor, reduction in count_reductions(counts).items():
+        assert reduction >= COUNT_FLOORS[floor], floor
 
 
 def main(argv):
@@ -204,8 +262,8 @@ def main(argv):
             print(m.row())
     ratios = synthesis_speedup(measurements)
     synth_peaks, enum_peak, product_size = frontier_memory_probe()
-    fm_calls, oracle_match = fm_call_probe()
-    fm_reduction = BASELINE_FM_CALLS / fm_calls
+    counts, oracle_match = call_probe()
+    reductions = count_reductions(counts)
     print("wall-clock speedup      : %.2fx (floor %.1fx)"
           % (ratios["wall_clock"], MIN_WALL_CLOCK_SPEEDUP))
     print("evaluator-call reduction: %.2fx (floor %.1fx)"
@@ -214,28 +272,40 @@ def main(argv):
           "bare enumerator %d of product %d"
           % (" vs ".join(str(p) for p in synth_peaks), enum_peak,
              product_size))
-    print("FM runs per QBS pass    : %d of baseline %d, %.2fx fewer "
-          "(floor %.1fx); outcomes %s the oracle prover's"
-          % (fm_calls, BASELINE_FM_CALLS, fm_reduction,
-             MIN_FM_CALL_REDUCTION, "match" if oracle_match else "DIFFER from"))
+    for label, counter, baseline, floor in (
+            ("FM runs", "fm", BASELINE_FM_CALLS, "fm_calls"),
+            ("path/operator calls", "paths", BASELINE_PATH_CALLS,
+             "path_calls"),
+            ("rewrite passes", "rewrite", BASELINE_REWRITE_CALLS,
+             "rewrite_calls")):
+        print("%-24s: %d per QBS pass of baseline %d, %.2fx fewer "
+              "(floor %.1fx)" % (label, counts[counter], baseline,
+                                 reductions[floor], COUNT_FLOORS[floor]))
+    print("outcomes %s the oracle prover's"
+          % ("match" if oracle_match else "DIFFER from"))
     ok = (ratios["wall_clock"] >= MIN_WALL_CLOCK_SPEEDUP
           and ratios["eval_calls"] >= MIN_EVAL_CALL_REDUCTION
           and len(synth_peaks) == 2 and synth_peaks[0] == synth_peaks[1]
           and enum_peak < product_size / 100
-          and fm_reduction >= MIN_FM_CALL_REDUCTION and oracle_match)
+          and all(reductions[floor] >= minimum
+                  for floor, minimum in COUNT_FLOORS.items())
+          and oracle_match)
+    floors = {
+        "wall_clock": floor_entry(ratios["wall_clock"],
+                                  MIN_WALL_CLOCK_SPEEDUP),
+        "eval_calls": floor_entry(ratios["eval_calls"],
+                                  MIN_EVAL_CALL_REDUCTION),
+    }
+    for floor, minimum in COUNT_FLOORS.items():
+        floors[floor] = floor_entry(reductions[floor], minimum)
     write_bench_artifact(
-        "synthesis_speed", ok, smoke=smoke,
-        floors={
-            "wall_clock": floor_entry(ratios["wall_clock"],
-                                      MIN_WALL_CLOCK_SPEEDUP),
-            "eval_calls": floor_entry(ratios["eval_calls"],
-                                      MIN_EVAL_CALL_REDUCTION),
-            "fm_calls": floor_entry(fm_reduction, MIN_FM_CALL_REDUCTION),
-        },
+        "synthesis_speed", ok, smoke=smoke, floors=floors,
         measurements=[dataclasses.asdict(m) for m in measurements],
         extra={"synth_peaks": synth_peaks, "enum_peak": enum_peak,
                "product_size": product_size, "repeats": repeats,
-               "fm_calls": fm_calls, "fm_oracle_match": oracle_match})
+               "fm_calls": counts["fm"], "path_calls": counts["paths"],
+               "rewrite_calls": counts["rewrite"],
+               "fm_oracle_match": oracle_match})
     print("RESULT: %s" % ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, \
     Tuple
 
@@ -71,7 +72,7 @@ from repro.core.vcgen import VC, VCSet
 from repro.core.worlds import World
 from repro.kernel import ast as K
 from repro.tor import ast as T
-from repro.tor.compile import Evaluator
+from repro.tor.compile import Evaluator, detached
 from repro.tor.semantics import EvalError, evaluate
 
 
@@ -260,9 +261,12 @@ class _PlanBuilder:
             return run_plain
 
         memo: Dict = {}
+        # The key's values come from one C call: a tuple for several
+        # relevant enumerables, the bare value for one.
+        pick = itemgetter(*rel) if rel else None
 
         def run(eval_env, key_env, db, wkey):
-            key = (wkey,) + tuple(key_env[v] for v in rel) if rel else wkey
+            key = wkey if pick is None else (wkey, pick(key_env))
             stats.requests += 1
             hit = memo.get(key, _UNSET)
             if hit is not _UNSET:
@@ -270,14 +274,12 @@ class _PlanBuilder:
                 ok, payload = hit
                 if ok:
                     return payload
-                # Traceback stripped: re-raising would append frames
-                # to the cached exception on every hit.
-                raise payload.with_traceback(None)
+                raise detached(payload)
             stats.executed += 1
             try:
                 value = base(eval_env, db)
             except EvalError as exc:
-                memo[key] = (False, exc)
+                memo[key] = (False, detached(exc))
                 raise
             memo[key] = (True, value)
             return value
@@ -531,11 +533,12 @@ class BoundedChecker:
                 ok, payload = hit
                 if ok:
                     return payload
-                raise payload.with_traceback(None)
+                raise detached(payload)
             try:
                 result = self._classify_free_vars_uncached(vc, assignment)
             except UnpinnedVariableError as exc:
-                self._classify_cache[(vc.name, sig_id)] = (False, exc)
+                self._classify_cache[(vc.name, sig_id)] = (False,
+                                                           detached(exc))
                 raise
             self._classify_cache[(vc.name, sig_id)] = (True, result)
             return result
@@ -636,7 +639,7 @@ class BoundedChecker:
         sound exactly because every fresh-scan state they see passed
         this filter; replayed CEGIS states may come from a different
         shape, so the replay path re-checks the guards
-        (:meth:`_violates`).
+        (:meth:`_guards_hold`).
         """
         guard_key = (vc.name, tuple(derived))
         guards = self._static_guard_cache.get(guard_key)
@@ -702,46 +705,47 @@ class BoundedChecker:
 
     # -- checking -----------------------------------------------------------
 
+    def _first_violation(self, plan: _VCPlan, world: World,
+                         envs: Iterable[Dict[str, Any]]
+                         ) -> Optional[Dict[str, Any]]:
+        """The first of ``envs`` that falsifies the plan's VC, if any.
+
+        The compiled path: the plan's closures are looked up once for
+        the whole scan, not once per state.
+        """
+        db = world.db
+        wkey = self._world_index.get(id(world))
+        derivers, hyp_fns, concl_fn = plan.derivers, plan.hyp_fns, \
+            plan.concl_fn
+        for env in envs:
+            full_env = dict(env)
+            try:
+                for derive in derivers:
+                    derive(full_env, db, wkey)
+                for hyp_fn in hyp_fns:
+                    if not hyp_fn(full_env, db, wkey):
+                        break  # hypothesis false: vacuously true
+                else:
+                    try:
+                        if not concl_fn(full_env, db, wkey):
+                            return env
+                    except EvalError:
+                        # Conclusion undefined while hypotheses hold.
+                        return env
+            except EvalError:
+                pass  # hypothesis out of the axioms' domain: skip
+        return None
+
     def _violates(self, vc: VC, world: World, env: Dict[str, Any],
-                  assignment: Assignment,
-                  plan: Optional[_VCPlan] = None,
-                  replay: bool = False) -> bool:
-        """Check one VC in one state; True means the state falsifies it."""
+                  assignment: Assignment) -> bool:
+        """Check one VC in one state; True means the state falsifies it.
+
+        The interpretive path (seed behaviour): derive pinned variables
+        from hypothesis equality clauses, then test the hypotheses
+        (comparison clauses and guards).
+        """
         db = world.db
         full_env = dict(env)
-
-        if plan is not None:
-            wkey = self._world_index.get(id(world))
-            if replay:
-                # Replayed states may come from a state list filtered
-                # under a different derivation shape: re-check the
-                # static guards the plan's hyp_fns omit.
-                stats = self.evaluator.stats
-                for fn in plan.guard_fns:
-                    stats.requests += 1
-                    stats.executed += 1
-                    try:
-                        if not fn(full_env, db):
-                            return False
-                    except EvalError:
-                        return False
-            try:
-                for derive in plan.derivers:
-                    derive(full_env, db, wkey)
-                for hyp_fn in plan.hyp_fns:
-                    if not hyp_fn(full_env, db, wkey):
-                        return False  # hypothesis false: vacuously true
-            except EvalError:
-                return False  # hypothesis out of the axioms' domain: skip
-            try:
-                return not plan.concl_fn(full_env, db, wkey)
-            except EvalError:
-                # Conclusion undefined while hypotheses hold: violation.
-                return True
-
-        # Interpretive path (seed behaviour): derive pinned variables
-        # from hypothesis equality clauses, then test the hypotheses
-        # (comparison clauses and guards).
         eval_fn = self.evaluator
         try:
             for hyp in vc.hypotheses:
@@ -816,11 +820,13 @@ class BoundedChecker:
             hit = self._world_memo.get(memo_key, _UNSET)
             if hit is not _UNSET:
                 return hit
-        found = None
-        for env in self._base_envs(vc, world, assignment, sig_id):
-            if self._violates(vc, world, env, assignment, plan):
-                found = env
-                break
+        envs = self._base_envs(vc, world, assignment, sig_id)
+        if plan is not None:
+            found = self._first_violation(plan, world, envs)
+        else:
+            found = next((env for env in envs
+                          if self._violates(vc, world, env, assignment)),
+                         None)
         if sig_id is not None:
             self._world_memo[memo_key] = dict(found) if found is not None \
                 else None
@@ -836,11 +842,32 @@ class BoundedChecker:
         hit = self._replay_memo.get(memo_key)
         if hit is not None:
             return hit
-        violated = self._violates(vc, world, env, assignment,
-                                  self._plan(vc, assignment, sig_id),
-                                  replay=True)
+        plan = self._plan(vc, assignment, sig_id)
+        violated = self._guards_hold(plan, world, env) \
+            and self._first_violation(plan, world, (env,)) is not None
         self._replay_memo[memo_key] = violated
         return violated
+
+    def _guards_hold(self, plan: _VCPlan, world: World,
+                     env: Dict[str, Any]) -> bool:
+        """Whether a replayed state passes the plan's static guards.
+
+        Replayed states may come from a state list filtered under a
+        different derivation shape, so the guards the plan's
+        ``hyp_fns`` omit are checked again; a guard outside the axioms'
+        domain makes the state vacuous, as a false one does.
+        """
+        stats = self.evaluator.stats
+        db = world.db
+        for fn in plan.guard_fns:
+            stats.requests += 1
+            stats.executed += 1
+            try:
+                if not fn(env, db):
+                    return False
+            except EvalError:
+                return False
+        return True
 
     def _remember(self, vc: VC, world: World, env: Dict[str, Any]) -> None:
         """Add a killer state to the CEGIS cache (deduplicated)."""

@@ -104,18 +104,22 @@ class Prover:
         loops = analyze_loops(vcset.fragment)
         self.int_vars = {info.counter for info in loops.values()
                          if info.counter is not None}
-        # Two memos, both on under ``nf_cache`` and both living exactly
-        # as long as this prover (one fragment): normal forms keyed on
-        # (expr, facts signature, bools signature), and entailment
-        # answers keyed on (facts signature, op, left, right), shared by
-        # every FactSet this prover builds.  Both are pure functions of
-        # their keys, so results are shared across VCs, candidate
-        # assignments and case splits whose contexts coincide — and
-        # across the repeated re-normalization of stable subterms within
-        # a single fixpoint loop.  ``nf_cache=False`` is the oracle that
-        # decides every question afresh.
+        # Three memos, all on under ``nf_cache`` and all living exactly
+        # as long as this prover (one fragment): normal forms and
+        # single rewrite passes, both keyed on (expr, facts signature,
+        # bools signature), and entailment answers keyed on (facts
+        # signature, op, left, right), shared by every FactSet this
+        # prover builds.  Each is a pure function of its key (rewrite
+        # rules read the facts and never add to them), so results are
+        # shared across VCs, candidate assignments and case splits whose
+        # contexts coincide — and, for rewrite passes, across the passes
+        # of one fixpoint loop: a subterm already in normal form is not
+        # rewritten again on the next pass.  ``nf_cache=False`` is the
+        # oracle that decides every question afresh.
         self.use_nf_cache = nf_cache
         self._nf_cache: Dict[Tuple, T.TorNode] = {}
+        self._rewrite_memo: Optional[Dict[Tuple, T.TorNode]] = \
+            {} if nf_cache else None
         self._entail_memo: Optional[Dict[Tuple, bool]] = \
             {} if nf_cache else None
         self.nf_cache_hits = 0
@@ -410,9 +414,19 @@ class Prover:
 
     def _rewrite(self, expr: T.TorNode, facts: FactSet,
                  bools: _BoolFacts) -> T.TorNode:
-        """One bottom-up rewrite pass."""
-        expr = T.rebuild(expr, lambda child: self._rewrite(child, facts, bools))
-        return self._rewrite_node(expr, facts, bools)
+        """One bottom-up rewrite pass (memoised under ``nf_cache``)."""
+        memo = self._rewrite_memo
+        if memo is not None:
+            key = (expr, facts.signature(), bools.signature())
+            done = memo.get(key)
+            if done is not None:
+                return done
+        rebuilt = T.rebuild(expr,
+                            lambda child: self._rewrite(child, facts, bools))
+        done = self._rewrite_node(rebuilt, facts, bools)
+        if memo is not None:
+            memo[key] = done
+        return done
 
     def _rewrite_node(self, expr: T.TorNode, facts: FactSet,
                       bools: _BoolFacts) -> T.TorNode:

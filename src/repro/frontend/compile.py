@@ -27,6 +27,7 @@ Key lowering decisions:
 from __future__ import annotations
 
 import ast
+import copy
 import inspect
 import textwrap
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -61,9 +62,13 @@ class PythonFrontend:
 
     def compile_function(self, func: Union[Callable, ast.FunctionDef],
                          name: Optional[str] = None) -> Fragment:
-        """Compile a Python function (or its AST) into a kernel fragment."""
+        """Compile a Python function (or its AST) into a kernel fragment.
+
+        A tree passed in is left as it is: compilation inlines calls in
+        place, so it works on a copy.
+        """
         if isinstance(func, ast.FunctionDef):
-            tree = func
+            tree = copy.deepcopy(func)
         else:
             source = textwrap.dedent(inspect.getsource(func))
             module = ast.parse(source)

@@ -25,8 +25,13 @@ DEFAULT_BUDGET = 5
 
 def inline_calls(func: ast.FunctionDef, registry: AppRegistry,
                  budget: int = DEFAULT_BUDGET) -> ast.FunctionDef:
-    """Return a copy of ``func`` with registered callees inlined."""
-    func = copy.deepcopy(func)
+    """Inline registered callees into ``func``, in place; return it.
+
+    The caller owns ``func``: the frontend passes a tree it has just
+    parsed, or its own copy of a tree it was handed.  Callee bodies are
+    copied before they are spliced in, so registered methods never
+    change.
+    """
     state = _InlineState(registry=registry, budget=budget)
     func.body = _inline_block(func.body, state)
     return func

@@ -222,12 +222,17 @@ class Session:
         self.objects_hydrated += len(rows)
         eager = self.fetch == "eager" and not shallow
         new, set_session, set_data = object.__new__, _SET_SESSION, _SET_DATA
+        # The registry's classes are read here first: most calls hydrate
+        # one association's row, of a shape already built.
+        classes, name = self.registry.entity_classes, entity_type.name
         shape_fields: Optional[Tuple[str, ...]] = None
         out = []
         for row in rows:
             fields, values = record_parts(row)
             if fields != shape_fields:
-                shape = _entity_class(self.registry, entity_type, fields)
+                shape = classes.get((name, fields))
+                if shape is None:
+                    shape = _entity_class(self.registry, entity_type, fields)
                 shape_fields, cls, stores = fields, shape.cls, shape.stores
                 lookups = shape.lookups if eager else ()
             entity = new(cls)

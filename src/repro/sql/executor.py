@@ -735,15 +735,17 @@ class Executor:
         raise SQLExecutionError("cannot resolve column %r" % ref.column)
 
     def _nested_executor(self) -> "Executor":
-        """The executor for per-row nested subqueries: always serial.
+        """The executor for nested subqueries: always serial.
 
         An IN subquery evaluates once per candidate row, possibly
         inside a partition worker.  Re-planning it with ``parallel=K``
         there would dispatch to the pool once per row — and, inside a
         pool worker, attempt to fork from a daemonic process, which
-        multiprocessing forbids.  Serial nested execution is
-        stats-identical (that is the parallel-transparency invariant),
-        so nothing observable changes.
+        multiprocessing forbids.  A FROM subquery runs once, in the
+        outer plan's ``prepare``; with ``parallel=K`` it would fan out
+        on its own before the outer plan's partitions fan out again.
+        Serial nested execution is stats-identical (that is the
+        parallel-transparency invariant), so nothing observable changes.
         """
         if self.options.parallel == 1:
             return self

@@ -557,7 +557,11 @@ class SubqueryScanOp(ScanOp):
         return "(AS %s)" % self.alias
 
     def _rows(self, ctx: _Ctx) -> _ScannedSource:
-        sub = ctx.executor.execute(self.query, ctx.params, ctx.stats)
+        # Serial, as IN subqueries are: the outer plan's partitions
+        # already fan out, and a subquery planned with the same K would
+        # fan out again on its own.
+        sub = ctx.executor._nested_executor().execute(self.query,
+                                                      ctx.params, ctx.stats)
         candidate = [(idx, row) for idx, row in enumerate(sub.rows)]
         ctx.stats.rows_scanned += len(candidate)
         ctx.stats.full_scans += 1

@@ -10,10 +10,15 @@ over:
 * :func:`compile_expr` walks an expression once and returns a closure
   ``fn(env, db)``; all structural decisions (node kinds, operator
   choice, projection field lists, predicate shapes) are resolved at
-  compile time, leaving only data flow at run time.  The closures
-  reproduce :func:`repro.tor.semantics.evaluate` exactly, including
-  every :class:`~repro.tor.semantics.EvalError` condition and the
-  empty-aggregate axioms (``max([]) = -inf`` etc.).
+  compile time, leaving only data flow at run time.  Every field path
+  is split once into a getter (:func:`repro.tor.values.field_getter`),
+  every operator is bound to its :mod:`operator` function, and
+  projections and grouped aggregations build their records from a
+  field tuple fixed at compile time.  The closures reproduce
+  :func:`repro.tor.semantics.evaluate` exactly — values, and the same
+  exception type and message on every input outside the axioms'
+  domain, including every :class:`~repro.tor.semantics.EvalError`
+  condition and the empty-aggregate axioms (``max([]) = -inf`` etc.).
 
 * :class:`Evaluator` adds a per-``(expr, state)`` memo on top: callers
   that evaluate expressions against a *fixed* set of states (the
@@ -31,16 +36,16 @@ reports evaluator work instead of asserting it.
 
 from __future__ import annotations
 
+import copy
+import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.tor import ast as T
 from repro.tor.semantics import (
     DatabaseFn,
     EvalError,
     _contains_match,
-    _normalise_projection,
-    _scalar_binop,
     evaluate as interpret,
 )
 from repro.tor.values import (
@@ -48,12 +53,63 @@ from repro.tor.values import (
     POS_INF,
     PairRow,
     Record,
-    resolve_path,
+    field_getter,
+    make_record,
     row_scalar,
 )
 
 #: A compiled expression: environment and database in, value out.
 CompiledFn = Callable[[Dict[str, Any], Optional[DatabaseFn]], Any]
+
+
+# ---------------------------------------------------------------------------
+# Compile-time helpers
+# ---------------------------------------------------------------------------
+
+
+#: ``_scalar_binop``'s operators as functions of ``(lhs, rhs)``; a
+#: ``BinOp``'s ``and``/``or`` short-circuit in :func:`compile_expr`, and
+#: predicates take only ``PREDICATE_OPS``.
+_OPERATORS: Dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    ">": operator.gt,
+    "<": operator.lt,
+    ">=": operator.ge,
+    "<=": operator.le,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+}
+
+
+def _operator(op: str) -> Callable[[Any, Any], Any]:
+    """``fn(lhs, rhs)``: ``_scalar_binop(op, lhs, rhs)`` without its
+    ``TypeError`` wrapping, which each caller applies with
+    :func:`_ill_typed`.  An unknown operator still fails only when it is
+    applied, as in the interpreter."""
+    fn = _OPERATORS.get(op)
+    if fn is None:
+        def unknown(lhs, rhs):
+            raise EvalError("unknown operator %r" % op)
+        return unknown
+    return fn
+
+
+def _ill_typed(exc: TypeError) -> EvalError:
+    """The error ``_scalar_binop`` raises for an ill-typed operation."""
+    return EvalError("ill-typed comparison: %s" % exc)
+
+
+def _record_builder(targets: Sequence[str]
+                    ) -> Callable[[Sequence[Any]], Record]:
+    """``build(values)``: ``Record(dict(zip(targets, values)))``, with
+    the field tuple fixed here — fields in first-occurrence order, and
+    a repeated target keeping its last value."""
+    fields = tuple(dict.fromkeys(targets))
+    last = {target: idx for idx, target in enumerate(targets)}
+    picks = tuple(last[name] for name in fields)
+    return lambda values: make_record(fields, [values[i] for i in picks])
 
 
 # ---------------------------------------------------------------------------
@@ -63,30 +119,40 @@ CompiledFn = Callable[[Dict[str, Any], Optional[DatabaseFn]], Any]
 
 def _compile_select_pred(pred: T.SelectPred
                          ) -> Callable[[Any, Dict[str, Any],
-                                        Optional[DatabaseFn]], bool]:
-    """Compile one atomic selection predicate to ``fn(row, env, db)``."""
+                                        Optional[DatabaseFn]], Any]:
+    """Compile one atomic selection predicate to ``fn(row, env, db)``,
+    whose truth value is the predicate's."""
     if isinstance(pred, T.FieldCmpConst):
-        fld, op = pred.field, pred.op
+        get, cmp = field_getter(pred.field), _operator(pred.op)
         const_fn = compile_expr(pred.const)
 
         def run_cmp_const(row, env, db):
-            return bool(_scalar_binop(op, resolve_path(row, fld),
-                                      const_fn(env, db)))
+            lhs = get(row)
+            rhs = const_fn(env, db)
+            try:
+                return cmp(lhs, rhs)
+            except TypeError as exc:
+                raise _ill_typed(exc) from exc
         return run_cmp_const
     if isinstance(pred, T.FieldCmpField):
-        fld1, op, fld2 = pred.field1, pred.op, pred.field2
+        get1, cmp = field_getter(pred.field1), _operator(pred.op)
+        get2 = field_getter(pred.field2)
 
         def run_cmp_field(row, env, db):
-            return bool(_scalar_binop(op, resolve_path(row, fld1),
-                                      resolve_path(row, fld2)))
+            lhs = get1(row)
+            rhs = get2(row)
+            try:
+                return cmp(lhs, rhs)
+            except TypeError as exc:
+                raise _ill_typed(exc) from exc
         return run_cmp_field
     if isinstance(pred, T.RecordIn):
         rel_fn = compile_expr(pred.rel)
-        fld = pred.field
+        get = None if pred.field is None else field_getter(pred.field)
 
         def run_record_in(row, env, db):
             rel = rel_fn(env, db)
-            needle = row if fld is None else resolve_path(row, fld)
+            needle = row if get is None else get(row)
             return any(_contains_match(needle, candidate)
                        for candidate in rel)
         return run_record_in
@@ -95,7 +161,7 @@ def _compile_select_pred(pred: T.SelectPred
 
 def _compile_select_func(phi: T.SelectFunc
                          ) -> Callable[[Any, Dict[str, Any],
-                                        Optional[DatabaseFn]], bool]:
+                                        Optional[DatabaseFn]], Any]:
     preds = [_compile_select_pred(p) for p in phi.preds]
     if len(preds) == 1:
         return preds[0]
@@ -127,12 +193,12 @@ def compile_expr(expr: T.TorNode) -> CompiledFn:
 
     if isinstance(expr, T.FieldAccess):
         base_fn = compile_expr(expr.expr)
-        fld = expr.field
+        get = field_getter(expr.field)
 
         def run_field(env, db):
             base = base_fn(env, db)
             try:
-                return resolve_path(base, fld)
+                return get(base)
             except KeyError as exc:
                 raise EvalError(str(exc)) from None
         return run_field
@@ -152,8 +218,16 @@ def compile_expr(expr: T.TorNode) -> CompiledFn:
         if op == "or":
             return lambda env, db: (bool(left_fn(env, db))
                                     or bool(right_fn(env, db)))
-        return lambda env, db: _scalar_binop(op, left_fn(env, db),
-                                             right_fn(env, db))
+        fn = _operator(op)
+
+        def run_binop(env, db):
+            lhs = left_fn(env, db)
+            rhs = right_fn(env, db)
+            try:
+                return fn(lhs, rhs)
+            except TypeError as exc:
+                raise _ill_typed(exc) from exc
+        return run_binop
 
     if isinstance(expr, T.Not):
         inner_fn = compile_expr(expr.expr)
@@ -201,18 +275,26 @@ def compile_expr(expr: T.TorNode) -> CompiledFn:
 
     if isinstance(expr, T.Pi):
         rel_fn = compile_expr(expr.rel)
-        pairs = [(spec.source, spec.target) for spec in expr.fields]
+        getters = tuple(field_getter(spec.source) for spec in expr.fields)
+        targets = [spec.target for spec in expr.fields]
+        build = _record_builder(targets)
+        # One output field holding a record or pair yields that row
+        # unwrapped (semantics._normalise_projection); with a repeated
+        # target, the field holds the last value.
+        unwrap = len(set(targets)) == 1
 
         def run_pi(env, db):
+            rel = rel_fn(env, db)
             out = []
-            for row in rel_fn(env, db):
-                projected = {}
-                for source, target in pairs:
-                    try:
-                        projected[target] = resolve_path(row, source)
-                    except KeyError as exc:
-                        raise EvalError(str(exc)) from None
-                out.append(_normalise_projection(projected))
+            try:
+                for row in rel:
+                    values = [get(row) for get in getters]
+                    if unwrap and isinstance(values[-1], (Record, PairRow)):
+                        out.append(values[-1])
+                    else:
+                        out.append(build(values))
+            except KeyError as exc:
+                raise EvalError(str(exc)) from None
             return tuple(out)
         return run_pi
 
@@ -225,49 +307,33 @@ def compile_expr(expr: T.TorNode) -> CompiledFn:
     if isinstance(expr, T.Join):
         left_fn = compile_expr(expr.left)
         right_fn = compile_expr(expr.right)
-        preds = [(p.left_field, p.op, p.right_field)
-                 for p in expr.pred.preds]
+        match = _compile_join_func(expr.pred)
 
         def run_join(env, db):
             left = left_fn(env, db)
             right = right_fn(env, db)
-            out = []
-            for lrow in left:
-                for rrow in right:
-                    for lf, op, rf in preds:
-                        if not _scalar_binop(op, resolve_path(lrow, lf),
-                                             resolve_path(rrow, rf)):
-                            break
-                    else:
-                        out.append(PairRow(lrow, rrow))
-            return tuple(out)
+            return tuple([PairRow(lrow, rrow) for lrow in left
+                          for rrow in right if match(lrow, rrow)])
         return run_join
 
     if isinstance(expr, T.GroupAgg):
         left_fn = compile_expr(expr.left)
         right_fn = compile_expr(expr.right)
-        preds = [(p.left_field, p.op, p.right_field)
-                 for p in expr.pred.preds]
-        key_pairs = [(spec.source, spec.target) for spec in expr.fields]
+        match = _compile_join_func(expr.pred)
+        key_getters = tuple(field_getter(spec.source)
+                            for spec in expr.fields)
+        build = _record_builder(
+            [spec.target for spec in expr.fields] + [expr.out])
         count = expr.agg == "count"
-        agg_field = expr.agg_field
-        out_field = expr.out
+        get_agg = field_getter(expr.agg_field) if not count else None
 
         def run_group(env, db):
             left = left_fn(env, db)
             right = right_fn(env, db)
             out = []
             for lrow in left:
-                matches = []
                 try:
-                    for rrow in right:
-                        for lf, op, rf in preds:
-                            if not _scalar_binop(op,
-                                                 resolve_path(lrow, lf),
-                                                 resolve_path(rrow, rf)):
-                                break
-                        else:
-                            matches.append(rrow)
+                    matches = [rrow for rrow in right if match(lrow, rrow)]
                 except KeyError as exc:
                     raise EvalError(str(exc)) from None
                 if not matches:
@@ -276,14 +342,12 @@ def compile_expr(expr: T.TorNode) -> CompiledFn:
                     if count:
                         value = len(matches)
                     else:
-                        value = sum(resolve_path(rrow, agg_field)
-                                    for rrow in matches)
-                    projected = {target: resolve_path(lrow, source)
-                                 for source, target in key_pairs}
+                        value = sum(get_agg(rrow) for rrow in matches)
+                    values = [get(lrow) for get in key_getters]
                 except (KeyError, TypeError) as exc:
                     raise EvalError(str(exc)) from None
-                projected[out_field] = value
-                out.append(Record(projected))
+                values.append(value)
+                out.append(build(values))
             return tuple(out)
         return run_group
 
@@ -338,15 +402,18 @@ def compile_expr(expr: T.TorNode) -> CompiledFn:
     if isinstance(expr, T.Sort):
         rel_fn = compile_expr(expr.rel)
         keys = expr.fields
-        natural = keys == ("__natural__",)
+        if keys == ("__natural__",):
+            sort_key = row_scalar
+        else:
+            getters = tuple(field_getter(f) for f in keys)
+
+            def sort_key(row):
+                return tuple([get(row) for get in getters])
 
         def run_sort(env, db):
             rel = rel_fn(env, db)
             try:
-                if natural:
-                    return tuple(sorted(rel, key=row_scalar))
-                return tuple(sorted(rel, key=lambda row: tuple(
-                    resolve_path(row, f) for f in keys)))
+                return tuple(sorted(rel, key=sort_key))
             except (KeyError, TypeError, ValueError) as exc:
                 raise EvalError("cannot sort by %r: %s" % (keys, exc)) \
                     from exc
@@ -394,6 +461,29 @@ def compile_expr(expr: T.TorNode) -> CompiledFn:
     raise EvalError("cannot compile %r" % (expr,))
 
 
+def _compile_join_func(phi: T.JoinFunc) -> Callable[[Any, Any], Any]:
+    """``match(left_row, right_row)``, true when every predicate holds.
+
+    Predicates are tried in order and the first false one decides, so
+    a later predicate's paths are read only where the interpreter reads
+    them.
+    """
+    preds = tuple((field_getter(p.left_field), _operator(p.op),
+                   field_getter(p.right_field)) for p in phi.preds)
+
+    def match_all(lrow, rrow):
+        for lget, cmp, rget in preds:
+            lhs = lget(lrow)
+            rhs = rget(rrow)
+            try:
+                if not cmp(lhs, rhs):
+                    return False
+            except TypeError as exc:
+                raise _ill_typed(exc) from exc
+        return True
+    return match_all
+
+
 # ---------------------------------------------------------------------------
 # Memoizing evaluator
 # ---------------------------------------------------------------------------
@@ -417,6 +507,18 @@ class EvalStats:
 
 
 _MISSING = object()
+
+
+def detached(exc: BaseException) -> BaseException:
+    """A copy of ``exc`` with no traceback, cause or context.
+
+    Memos keep such copies, and raise a fresh one on every hit.  A
+    raised exception carries its traceback, whose frames hold the memo
+    that would keep it: every evaluator, checker and plan of a synthesis
+    run would then outlive the run as cyclic garbage, waiting for a full
+    collection.
+    """
+    return copy.copy(exc)
 
 
 class Evaluator:
@@ -479,17 +581,13 @@ class Evaluator:
                 ok, payload = hit
                 if ok:
                     return payload
-                # Re-raise without the old traceback: each re-raise
-                # would otherwise *append* frames to the cached
-                # exception, pinning their locals for the evaluator's
-                # lifetime.
-                raise payload.with_traceback(None)
+                raise detached(payload)
         stats.executed += 1
         try:
             value = self.fn(expr)(env or {}, db)
         except EvalError as exc:
             if key is not None:
-                self._memo[memo_key] = (False, exc)
+                self._memo[memo_key] = (False, detached(exc))
             raise
         if key is not None:
             self._memo[memo_key] = (True, value)

@@ -16,7 +16,7 @@ counterexample cache.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Iterable, Mapping, Tuple
+from typing import Any, Callable, Iterable, Mapping, Tuple
 
 #: Identity element returned by ``max`` of an empty relation (Appendix C).
 NEG_INF = float("-inf")
@@ -143,6 +143,9 @@ class PairRow:
     pairs.  Fields of a pair are addressed with dotted paths such as
     ``"left.role_id"`` or ``"right.left.id"`` (see :func:`resolve_path`);
     the SQL generator maps path prefixes to table aliases.
+
+    The hash is computed on first use and kept: most pairs a join builds
+    are compared or read, never hashed.
     """
 
     __slots__ = ("left", "right", "_hash")
@@ -150,13 +153,24 @@ class PairRow:
     def __init__(self, left: Any, right: Any):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-        object.__setattr__(self, "_hash", hash(("pair", left, right)))
 
     def __setattr__(self, name: str, value: Any):
         raise AttributeError("pair rows are immutable")
 
     def __hash__(self) -> int:
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(("pair", self.left, self.right))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __reduce__(self):
+        # As for records: the default slot-based pickling would restore
+        # through __setattr__.  Rebuilding through __init__ also leaves
+        # the cached hash behind, which must not cross a process
+        # (string hashes differ from one process to the next).
+        return (PairRow, (self.left, self.right))
 
     def __eq__(self, other: Any) -> bool:
         if isinstance(other, PairRow):
@@ -165,6 +179,28 @@ class PairRow:
 
     def __repr__(self) -> str:
         return "(%r, %r)" % (self.left, self.right)
+
+
+_new = object.__new__
+_set_fields = Record._fields.__set__
+_set_values = Record._values.__set__
+_set_record_hash = Record._hash.__set__
+
+
+def make_record(fields: Tuple[str, ...], values: Iterable[Any]) -> Record:
+    """The record with these field names and values, in this order.
+
+    Equal to ``Record(dict(zip(fields, values)))`` for a duplicate-free
+    ``fields`` tuple of the values' length, which the caller guarantees
+    (a compiled projection fixes its field tuple once), so no item list
+    is built and no duplicate check runs per record.
+    """
+    values = tuple(values)
+    record = _new(Record)
+    _set_fields(record, fields)
+    _set_values(record, values)
+    _set_record_hash(record, hash((fields, values)))
+    return record
 
 
 def resolve_path(row: Any, path: str) -> Any:
@@ -193,6 +229,46 @@ def resolve_path(row: Any, path: str) -> Any:
             continue
         raise KeyError("cannot resolve %r of non-record row %r" % (part, current))
     return current
+
+
+_SIDES = ("left", "right")
+
+
+def field_getter(path: str) -> Callable[[Any], Any]:
+    """``get(row)`` equal to ``resolve_path(row, path)``, path split once.
+
+    A compiled TOR expression reads the same path from every row it
+    visits, so the path is taken apart here, when the closure is built.
+    The getter handles the shapes paths have — pair sides, then at most
+    one record field — and hands any other row (a missing field, a
+    scalar row, a subclass) to :func:`resolve_path`, so it returns the
+    same values and raises the same ``KeyError``\\ s.
+
+    >>> get = field_getter("right.id")
+    >>> get(PairRow(Record(id=1), Record(id=2)))
+    2
+    """
+    parts = path.split(".")
+    field = None if parts[-1] in _SIDES else parts.pop()
+    if not all(part in _SIDES for part in parts):
+        return lambda row: resolve_path(row, path)
+    steps = tuple(attrgetter(part) for part in parts)
+
+    def get_path(row):
+        current = row
+        for step in steps:
+            if current.__class__ is not PairRow:
+                return resolve_path(row, path)
+            current = step(current)
+        if field is None:
+            return current
+        if current.__class__ is Record:
+            try:
+                return current._values[current._fields.index(field)]
+            except ValueError:
+                pass
+        return resolve_path(row, path)
+    return get_path
 
 
 def row_fields(row: Any, prefix: str = "") -> Tuple[str, ...]:

@@ -195,3 +195,29 @@ class TestRunningExampleChecking:
         second = running_setup.check(bad)
         assert second is not None
         assert second.vc_name == first.vc_name
+
+
+def test_a_synthesis_run_is_freed_without_the_cycle_collector():
+    """Memos keep detached copies of the errors they cache: a raised
+    error's traceback would reach, through its frames, the memo holding
+    it, and keep the run's checker, evaluator and plans alive as cyclic
+    garbage until a full collection.  adv_chain's checker caches errors
+    in its slot memos."""
+    import gc
+    import weakref
+
+    from repro.core.synthesizer import Synthesizer
+    from repro.corpus.registry import compile_fragment, fragment_by_id
+
+    fragment = compile_fragment(fragment_by_id("adv_chain"))
+    gc.collect()
+    gc.disable()
+    try:
+        synthesizer = Synthesizer(fragment)
+        assert synthesizer.synthesize().succeeded
+        refs = [weakref.ref(obj) for obj in (
+            synthesizer, synthesizer.checker, synthesizer.evaluator)]
+        del synthesizer
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()

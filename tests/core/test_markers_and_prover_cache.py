@@ -68,32 +68,62 @@ def test_prover_rejects_bogus_assignment_with_cache():
     assert not outcome.proved
 
 
+class RecordingProver(Prover):
+    """A prover that keeps the normal form of every goal and hypothesis
+    it normalises: each ``_normalize`` call not made from inside
+    another, as ``(expression, normal form)``, per validation."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.normal_forms = []
+        self._depth = 0
+
+    def _normalize(self, expr, facts, bools):
+        self._depth += 1
+        try:
+            result = super()._normalize(expr, facts, bools)
+        finally:
+            self._depth -= 1
+        if self._depth == 0:
+            self.normal_forms.append((expr, result))
+        return result
+
+    def validate(self, assignment):
+        start = len(self.normal_forms)
+        proof = super().validate(assignment)
+        return proof, self.normal_forms[start:]
+
+
 @pytest.mark.parametrize("fragment_id,fragment", FRAGMENTS,
                          ids=[fid for fid, _ in FRAGMENTS])
 def test_prover_memos_match_oracle_on_corpus(fragment_id, fragment,
                                              monkeypatch):
     """Every candidate a QBS run proves or rejects, re-proved memo-free.
 
-    The run's prover keeps both memos across all the candidates it
-    sees; ``Prover(nf_cache=False)`` decides every question afresh.
-    Each must reach the same verdict with the same failures, in order.
+    The run's prover keeps its memos (normal forms, rewrite passes,
+    entailment) across all the candidates it sees;
+    ``Prover(nf_cache=False)`` decides every question afresh.  Each must
+    reach the same verdict with the same failures, in order, through
+    the same normal form of every goal and hypothesis.
     """
     seen = []
 
-    class RecordingProver(Prover):
+    class RunProver(RecordingProver):
         def validate(self, assignment):
-            proof = super().validate(assignment)
-            seen.append((self.vcset, assignment, proof))
+            proof, forms = super().validate(assignment)
+            seen.append((self.vcset, assignment, proof, forms))
             return proof
 
-    monkeypatch.setattr(qbs_module, "Prover", RecordingProver)
+    monkeypatch.setattr(qbs_module, "Prover", RunProver)
     result = QBS().run(fragment)
     if not seen:
         # No candidate survived bounded checking and SQL emission.
         assert result.status is QBSStatus.FAILED
         return
-    oracle = Prover(seen[0][0], nf_cache=False)
-    for vcset, assignment, proof in seen:
+    oracle = RecordingProver(seen[0][0], nf_cache=False)
+    for vcset, assignment, proof, forms in seen:
         assert vcset is oracle.vcset
-        assert oracle.validate(assignment) == proof
+        assert forms
+        assert oracle.validate(assignment) == (proof, forms)
     assert oracle.nf_cache_hits == 0
+    assert not oracle._nf_cache and not oracle._rewrite_memo

@@ -173,3 +173,64 @@ def f(self):
         # directly.
         assert any(isinstance(e, T.QueryOp) for cmd in frag.body.walk()
                    if hasattr(cmd, "expr") for e in cmd.expr.walk())
+
+    def test_tree_passed_in_is_left_unchanged(self):
+        """Inlining works in place on a tree the frontend owns; a tree
+        the caller passes in is copied first."""
+        import ast as pyast
+        registry = AppRegistry()
+        registry.register_query("get_users", QuerySpec(
+            "SELECT * FROM users", "users", ("id", "name"), "User"))
+        registry.methods["all_users"] = pyast.parse("""
+def all_users(self):
+    users = self.dao.get_users()
+    return users
+""").body[0]
+        source = """
+def f(self):
+    users = self.all_users()
+    out = []
+    for u in users:
+        out.append(u)
+    return out
+"""
+        tree = pyast.parse(source).body[0]
+        before = pyast.dump(tree, include_attributes=True)
+        helper = pyast.dump(registry.methods["all_users"])
+        frontend = PythonFrontend(registry)
+        frag = frontend.compile_function(tree)
+        assert pyast.dump(tree, include_attributes=True) == before
+        assert pyast.dump(registry.methods["all_users"]) == helper
+        assert frag == frontend.compile_source(source)
+        assert frontend.compile_function(tree) == frag
+
+
+def test_every_corpus_fragment_compiles_the_same_from_a_copy():
+    """Compiling a corpus method from its source (inlined in place)
+    gives the kernel fragment a copied tree gives, and the frontend
+    never changes the tree it is handed."""
+    import ast as pyast
+    import inspect
+    import textwrap
+
+    from repro.corpus import registry as corpus
+
+    compiled = 0
+    for cf in corpus.ALL_FRAGMENTS:
+        method = getattr(corpus._SERVICE_CLASSES[cf.app], cf.method)
+        name = "%s/%s" % (cf.app, cf.method)
+        tree = pyast.parse(textwrap.dedent(inspect.getsource(method)))
+        tree = tree.body[0]
+        tree.decorator_list = []
+        before = pyast.dump(tree)
+        frontend = PythonFrontend(corpus._registry(cf.app))
+        try:
+            expected = frontend.compile_function(tree, name=name)
+        except FrontendRejection:
+            with pytest.raises(FrontendRejection):
+                corpus.compile_fragment(cf)
+            continue
+        assert pyast.dump(tree) == before
+        assert corpus.compile_fragment(cf) == expected
+        compiled += 1
+    assert compiled == 49

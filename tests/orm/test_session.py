@@ -232,6 +232,28 @@ class TestEntityContract:
         assert [u.role_id for u in users] == [10, 20, 10]
         assert (users[0].name, users[2].name) == ("alice", "carol")
 
+    @pytest.mark.parametrize("fetch", ["lazy", "eager"])
+    def test_registration_between_loads_yields_the_new_class(self, setup,
+                                                             fetch):
+        """Hydration reads the registry's classes directly, so a
+        registration, which drops every class, takes effect on the
+        next association lookup."""
+        db, registry = setup
+        session = Session(db, registry, fetch=fetch)
+        alice, bob = session.load_all("User")
+        before = type(alice.role)
+        registry.register(EntityType("Role", "roles",
+                                     ("role_id", "role_name")))
+        # Bob's association is the one that just hydrated Alice's role.
+        later = bob.role if fetch == "lazy" else \
+            session.load_all("User")[1].role
+        assert later.role_name == "user"
+        assert type(later) is not before
+        assert type(later) is registry.entity_classes[
+            ("Role", ("role_id", "role_name"))].cls
+        again = session.load_all("User")[0].role
+        assert type(again) is type(later)
+
     def test_identity_and_rendering_are_unchanged(self, setup):
         db, registry = setup
         users = Session(db, registry, fetch="eager").load_all("User")

@@ -173,6 +173,7 @@ JOIN = ("SELECT t0.id, t1.id FROM r t0, s t1 WHERE t0.a = t1.b "
         "ORDER BY t0.id, t1.id")
 GROUPED = ("SELECT t0.a, COUNT(*) AS n, SUM(t0.id) AS tot "
            "FROM r t0 GROUP BY t0.a ORDER BY n DESC")
+FROM_SUBQUERY = "SELECT x.id FROM (SELECT t.id, t.g FROM t WHERE t.g = 1) x"
 
 
 def _assert_identical_to_serial(db, view, sql, expect_degraded=True):
@@ -216,6 +217,24 @@ def test_unavailable_pool_runs_the_query_serially(chaos_db, monkeypatch):
         assert result.stats.degradations == 1
         text = view.explain(sql, analyze=True)
         assert "degraded=pool->serial, degrade_kind=crash" in text
+
+
+def test_unavailable_pool_degrades_a_from_subquery_once(monkeypatch):
+    """A FROM subquery runs serially inside a K > 1 plan, so a pool
+    that cannot start is met once, by the outer plan's partitions."""
+    from repro.service import pool as pool_mod
+
+    def unavailable():
+        raise SubstrateUnavailable("no pool here")
+
+    db = Database()
+    db.create_table("t", ("id", "g"))
+    db.insert_many("t", ({"id": i, "g": i % 3} for i in range(5000)))
+    monkeypatch.setattr(pool_mod, "get_pool", unavailable)
+    view = db.view(ExecutorOptions(parallel=2))
+    result = _assert_identical_to_serial(db, view, FROM_SUBQUERY)
+    assert result.stats.degradations == 1
+    assert len(result.rows) == 1667
 
 
 def test_corrupt_partition_payload_still_identical(chaos_db):

@@ -195,6 +195,20 @@ def test_chaotic_pool_query_is_deterministic(chaos_db):
     assert snapshots[0] == snapshots[1]
 
 
+def test_from_subquery_does_not_fan_out_on_its_own():
+    """A FROM subquery inside a K=2 plan runs serially: only the outer
+    plan's two partitions reach the pool."""
+    db = Database()
+    db.create_table("t", ("id", "g"))
+    db.insert_many("t", ({"id": i, "g": i % 3} for i in range(5000)))
+    view = db.view(ExecutorOptions(parallel=2))
+    sql = "SELECT x.id FROM (SELECT t.id, t.g FROM t WHERE t.g = 1) x"
+    result, deltas = _metric_deltas(
+        lambda: _assert_identical_to_serial(db, view, sql))
+    assert deltas == {"dispatches": 2, "respawns": 0, "retries": 0}
+    assert len(result.rows) == 1667
+
+
 def test_default_parallel_query_dispatches_to_the_pool(chaos_db):
     """Default options with ``parallel=2`` run both partitions in pool
     workers: the pool's dispatch counter moves by exactly two."""

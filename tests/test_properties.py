@@ -18,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.arith import FactSet
 from repro.sql.database import Database
 from repro.tor import ast as T
+from repro.tor.compile import compile_expr
 from repro.tor.semantics import evaluate
 from repro.tor.trans import normalize
-from repro.tor.values import PairRow, Record
+from repro.tor.values import PairRow, Record, field_getter, resolve_path
 
 # -- strategies ----------------------------------------------------------------
 
@@ -135,6 +136,57 @@ def test_trans_hoists_join_projections(left, right):
 
 
 # -- SQL engine vs TOR semantics ------------------------------------------------------
+
+
+# -- compiled paths, projections and joins vs the interpreter ---------------------
+
+# Rows of every shape a path can meet: records (some with a field named
+# like a pair side), nested pairs, and bare scalars, whose values
+# include ones no comparison orders against an int.
+_scalars = st.one_of(small_int, st.sampled_from(["x", None]))
+_records = st.dictionaries(st.sampled_from(["a", "b", "left"]), _scalars,
+                           max_size=3).map(Record)
+any_rows = st.recursive(st.one_of(_scalars, _records),
+                        lambda inner: st.builds(PairRow, inner, inner),
+                        max_leaves=5)
+paths = st.lists(st.sampled_from(["a", "b", "left", "right", "zz"]),
+                 min_size=1, max_size=4).map(".".join)
+
+
+def _outcome(run):
+    try:
+        value = run()
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return ("raise", type(exc), str(exc))
+    return ("ok", value, repr(value))
+
+
+@given(any_rows, paths)
+def test_field_getter_matches_resolve_path(row, path):
+    assert _outcome(lambda: field_getter(path)(row)) == \
+        _outcome(lambda: resolve_path(row, path))
+
+
+@given(st.lists(any_rows, max_size=4).map(tuple),
+       st.lists(st.tuples(paths, st.sampled_from(["a", "b"])), min_size=1,
+                max_size=3))
+def test_compiled_projection_matches_interpreter(rel, specs):
+    expr = T.Pi(tuple(T.FieldSpec(source, target)
+                      for source, target in specs), T.Var("r"))
+    env = {"r": rel}
+    assert _outcome(lambda: compile_expr(expr)(env, None)) == \
+        _outcome(lambda: evaluate(expr, env))
+
+
+@given(st.lists(any_rows, max_size=3).map(tuple),
+       st.lists(any_rows, max_size=3).map(tuple), paths, paths,
+       st.sampled_from(T.PREDICATE_OPS))
+def test_compiled_join_matches_interpreter(left, right, lpath, rpath, op):
+    expr = T.Join(T.JoinFunc((T.JoinFieldCmp(lpath, op, rpath),)),
+                  T.Var("l"), T.Var("r"))
+    env = {"l": left, "r": right}
+    assert _outcome(lambda: compile_expr(expr)(env, None)) == \
+        _outcome(lambda: evaluate(expr, env))
 
 
 @given(relations(), relations(fields=("b", "c")))

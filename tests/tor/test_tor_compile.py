@@ -18,17 +18,20 @@ from repro.frontend import FrontendRejection
 from repro.tor import ast as T
 from repro.tor.compile import Evaluator, compile_expr
 from repro.tor.semantics import EvalError, evaluate
-from repro.tor.values import Record
+from repro.tor.values import PairRow, Record
 
 
 def both(expr, env=None, db=None):
-    """Evaluate with both engines; return (value, error-message) pairs."""
+    """Evaluate with both engines: ("ok", value, its repr) or ("raise",
+    exception type, message) per engine."""
     results = []
     for engine in (evaluate, lambda e, n, d: compile_expr(e)(n or {}, d)):
         try:
-            results.append(("ok", engine(expr, env, db)))
-        except EvalError as exc:
-            results.append(("err", str(exc)))
+            value = engine(expr, env, db)
+        except Exception as exc:  # noqa: BLE001 - the type is compared
+            results.append(("raise", type(exc), str(exc)))
+        else:
+            results.append(("ok", value, repr(value)))
     return results
 
 
@@ -36,6 +39,7 @@ def assert_agree(expr, env=None, db=None):
     interpreted, compiled = both(expr, env, db)
     assert interpreted == compiled, \
         "divergence on %r: %r vs %r" % (expr, interpreted, compiled)
+    return interpreted
 
 
 ROWS = (Record({"id": 1, "v": 5}), Record({"id": 2, "v": 3}),
@@ -164,3 +168,176 @@ def test_interpreted_mode_counts_but_never_caches():
     assert ev.stats.requests == 2
     assert ev.stats.executed == 2
     assert ev.stats.memo_hits == 0
+
+
+# -- shapes the corpus barely reaches --------------------------------------------
+#
+# Field paths, operators and projection field tuples are resolved when
+# an expression compiles.  These shapes pin the compiled closures to the
+# interpreter: the same value, or the same exception type and message
+# (a missing field inside a join or a selection is a ``KeyError`` in
+# both, not an ``EvalError``).
+
+
+def _unknown_operator(node):
+    """``node`` with its operator replaced by one no evaluator knows
+    (the constructors reject it, so it is set behind their back)."""
+    object.__setattr__(node, "op", "%")
+    return node
+
+
+NESTED = (PairRow(PairRow(Record(id=1, v=5), Record(id=2, v=3)),
+                  Record(id=3, v=9)),
+          PairRow(PairRow(Record(id=4, v=1), Record(id=1, v=7)),
+                  Record(id=2, v=2)))
+MIXED = (Record(id="a", v=1), Record(id=2, v=None))
+PIN_ENV = {"rel": ROWS, "pairs": NESTED, "mixed": MIXED, "ids": (1, 2),
+           "empty": (), "far": (Record(id=100),)}
+
+
+def _join(lf, op, rf, left="pairs", right="rel"):
+    return T.Join(T.JoinFunc((T.JoinFieldCmp(lf, op, rf),)),
+                  T.Var(left), T.Var(right))
+
+
+def _sigma(pred, rel="pairs"):
+    return T.Sigma(T.SelectFunc((pred,)), T.Var(rel))
+
+
+def _first(rel, path):
+    return T.FieldAccess(T.Get(T.Var(rel), T.Const(0)), path)
+
+
+PINNED = {
+    # nested pair paths and whole-side reads
+    "nested-path": _first("pairs", "left.right.id"),
+    "whole-side": _first("pairs", "left"),
+    "whole-nested-side": _first("pairs", "left.right"),
+    "nested-pi": T.Pi((T.FieldSpec("left.right.id", "x"),
+                       T.FieldSpec("right.v", "y")), T.Var("pairs")),
+    "nested-join": _join("left.right.id", "=", "id"),
+    "nested-sigma": _sigma(T.FieldCmpField("left.left.id", "<",
+                                           "right.id")),
+    "nested-sort": T.Sort(("left.right.v", "right.id"), T.Var("pairs")),
+    "nested-record-in": _sigma(T.RecordIn(T.Var("ids"), "left.left.id")),
+    "nested-group": T.GroupAgg(
+        (T.FieldSpec("left.right.id", "k"),), "sum", "v", "total",
+        T.JoinFunc((T.JoinFieldCmp("right.id", "=", "id"),)),
+        T.Var("pairs"), T.Var("rel")),
+    # a missing field, and a path through a scalar row
+    "missing-field": _first("rel", "nope"),
+    "missing-side": _first("pairs", "middle.id"),
+    "through-scalar": _first("ids", "id"),
+    "past-a-field": _first("pairs", "left.left.id.x"),
+    "missing-pi": T.Pi((T.FieldSpec("nope", "x"),), T.Var("rel")),
+    "scalar-pi": T.Pi((T.FieldSpec("id", "x"),), T.Var("ids")),
+    "missing-join": _join("left.nope", "=", "id"),
+    "missing-join-right": _join("left.left.id", "=", "nope"),
+    "missing-sigma": _sigma(T.FieldCmpConst("right.nope", "=",
+                                            T.Const(1))),
+    "missing-sort": T.Sort(("right.nope",), T.Var("pairs")),
+    "missing-group-key": T.GroupAgg(
+        (T.FieldSpec("nope", "k"),), "count", None, "n",
+        T.JoinFunc((T.JoinFieldCmp("id", "=", "id"),)),
+        T.Var("rel"), T.Var("rel")),
+    "missing-group-agg": T.GroupAgg(
+        (T.FieldSpec("id", "k"),), "sum", "nope", "n",
+        T.JoinFunc((T.JoinFieldCmp("id", "=", "id"),)),
+        T.Var("rel"), T.Var("rel")),
+    # a projection with a repeated target: first position, last value
+    "repeated-target": T.Pi((T.FieldSpec("id", "a"), T.FieldSpec("v", "b"),
+                             T.FieldSpec("v", "a")), T.Var("rel")),
+    "repeated-target-error-first": T.Pi((T.FieldSpec("nope", "a"),
+                                         T.FieldSpec("id", "a")),
+                                        T.Var("rel")),
+    "repeated-whole-sides": T.Pi((T.FieldSpec("left", "s"),
+                                  T.FieldSpec("right", "s")),
+                                 T.Var("pairs")),
+    "group-out-repeats-key": T.GroupAgg(
+        (T.FieldSpec("id", "n"), T.FieldSpec("v", "w")), "count", None, "n",
+        T.JoinFunc((T.JoinFieldCmp("id", "=", "id"),)),
+        T.Var("rel"), T.Var("rel")),
+    # a one-target projection of a whole side is returned unwrapped
+    "whole-side-pi": T.Pi((T.FieldSpec("left", "l"),), T.Var("pairs")),
+    "whole-record-pi": T.Pi((T.FieldSpec("right", "r"),), T.Var("pairs")),
+    "scalar-one-target-pi": T.Pi((T.FieldSpec("right.id", "x"),),
+                                 T.Var("pairs")),
+    # ill-typed comparisons, and an unknown operator
+    "ill-typed-join": _join("id", "<", "id", left="mixed"),
+    "ill-typed-sigma-const": _sigma(T.FieldCmpConst("id", "<",
+                                                    T.Const("s")), "rel"),
+    "ill-typed-sigma-var": _sigma(T.FieldCmpConst("v", ">=",
+                                                  T.Var("ids")), "rel"),
+    "ill-typed-sigma-fields": _sigma(T.FieldCmpField("v", ">", "id"),
+                                     "mixed"),
+    "ill-typed-group": T.GroupAgg(
+        (T.FieldSpec("id", "k"),), "count", None, "n",
+        T.JoinFunc((T.JoinFieldCmp("v", "<", "id"),)),
+        T.Var("mixed"), T.Var("mixed")),
+    "ill-typed-group-sum": T.GroupAgg(
+        (T.FieldSpec("v", "k"),), "sum", "v", "n",
+        T.JoinFunc((T.JoinFieldCmp("v", "=", "v"),)),
+        T.Var("mixed"), T.Var("mixed")),
+    "ill-typed-binop": T.BinOp("-", T.Const("s"), T.Const(1)),
+    "ill-typed-sort": T.Sort(("id",), T.Var("mixed")),
+    "unknown-binop": _unknown_operator(T.BinOp("+", T.Const(1),
+                                               T.Const(2))),
+    "unknown-binop-operands-first": _unknown_operator(
+        T.BinOp("+", T.Var("missing"), T.Const(2))),
+    "unknown-join-op": T.Join(
+        T.JoinFunc((_unknown_operator(T.JoinFieldCmp("id", "=", "id")),)),
+        T.Var("rel"), T.Var("rel")),
+    "unknown-join-op-unreached": T.Join(
+        T.JoinFunc((_unknown_operator(T.JoinFieldCmp("id", "=", "id")),)),
+        T.Var("rel"), T.Var("empty")),
+    "unknown-sigma-op": _sigma(_unknown_operator(
+        T.FieldCmpConst("id", "=", T.Const(1))), "rel"),
+    "second-predicate-unreached": T.Join(
+        T.JoinFunc((T.JoinFieldCmp("id", "=", "id"),
+                    T.JoinFieldCmp("nope", "=", "nope"))),
+        T.Var("rel"), T.Var("far")),
+    "second-predicate-reached": T.Join(
+        T.JoinFunc((T.JoinFieldCmp("id", "=", "id"),
+                    T.JoinFieldCmp("v", "<", "nope"))),
+        T.Var("rel"), T.Var("rel")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_compiled_closures_pinned_to_interpreter(name):
+    assert_agree(PINNED[name], PIN_ENV)
+
+
+def test_pinned_shapes_cover_values_and_each_error_kind():
+    """The table above reaches values, ``EvalError`` and ``KeyError``."""
+    kinds = {name: assert_agree(expr, PIN_ENV)[:2]
+             for name, expr in PINNED.items()}
+    assert kinds["whole-side-pi"] == ("ok", tuple(p.left for p in NESTED))
+    assert kinds["repeated-target"][1][0] == Record(a=5, b=5)
+    assert kinds["repeated-target"][1][0].fields == ("a", "b")
+    assert kinds["repeated-whole-sides"][1] == tuple(p.right
+                                                     for p in NESTED)
+    assert kinds["scalar-one-target-pi"][1][0] == Record(x=3)
+    assert kinds["missing-join"] == ("raise", KeyError)
+    assert kinds["missing-pi"] == ("raise", EvalError)
+    assert kinds["ill-typed-join"] == ("raise", EvalError)
+    assert kinds["unknown-join-op"] == ("raise", EvalError)
+    assert kinds["unknown-join-op-unreached"] == ("ok", ())
+    assert kinds["second-predicate-unreached"] == ("ok", ())
+    assert kinds["second-predicate-reached"] == ("raise", KeyError)
+    assert kinds["unknown-binop-operands-first"] == ("raise", EvalError)
+    assert "unbound variable" in assert_agree(
+        PINNED["unknown-binop-operands-first"], PIN_ENV)[2]
+
+
+def test_compiled_rows_hash_like_constructed_ones():
+    """Projected records and joined pairs are built without the generic
+    constructors; they hash and compare as constructed rows do."""
+    for expr in (PINNED["nested-pi"], PINNED["repeated-target"],
+                 PINNED["nested-join"], PINNED["nested-group"]):
+        rows = compile_expr(expr)(PIN_ENV, None)
+        assert rows
+        for row in rows:
+            twin = Record(dict(row)) if isinstance(row, Record) \
+                else PairRow(row.left, row.right)
+            assert row == twin and hash(row) == hash(twin)

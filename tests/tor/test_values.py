@@ -1,11 +1,16 @@
 """Unit tests for TOR runtime values: records, pairs, paths."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.tor.values import (
     PairRow,
     Record,
     as_relation,
+    field_getter,
+    make_record,
     resolve_path,
     row_fields,
     row_scalar,
@@ -76,6 +81,28 @@ class TestPairRow:
         with pytest.raises(AttributeError):
             p.left = 3
 
+    @pytest.mark.parametrize("hashed_first", [False, True])
+    @pytest.mark.parametrize("clone", [
+        lambda pair: pickle.loads(pickle.dumps(pair)), copy.deepcopy],
+        ids=["pickle", "deepcopy"])
+    def test_nested_pairs_round_trip(self, clone, hashed_first):
+        """Pairs rebuild through the constructor, before and after their
+        hash is computed and kept; the kept hash is not carried along,
+        since string hashes differ from one process to the next."""
+        pair = PairRow(PairRow(Record(a=1), Record(b="x")), Record(c=3))
+        if hashed_first:
+            hash(pair)
+        twin = clone(pair)
+        assert twin == pair and twin is not pair
+        assert hash(twin) == hash(pair)
+        assert twin.left.right == Record(b="x")
+        assert pair.__reduce__() == (PairRow, (pair.left, pair.right))
+
+    def test_make_record_matches_the_constructor(self):
+        record = make_record(("b", "a"), [2, 1])
+        assert record == Record(b=2, a=1) and record.fields == ("b", "a")
+        assert hash(record) == hash(Record(b=2, a=1))
+
 
 class TestResolvePath:
     def test_plain_field(self):
@@ -100,6 +127,35 @@ class TestResolvePath:
             resolve_path(Record(a=1), "b")
         with pytest.raises(KeyError):
             resolve_path(PairRow(Record(a=1), Record(b=2)), "middle.a")
+
+
+def _resolution(resolve, row, path):
+    try:
+        return ("ok", resolve(row, path))
+    except KeyError as exc:
+        return ("raise", str(exc))
+
+
+class TestFieldGetter:
+    ROWS = [
+        Record(id=1, left=2),
+        PairRow(Record(id=1), Record(id=2)),
+        PairRow(PairRow(Record(a=1), Record(b=2)), Record(c=3)),
+        PairRow(Record(id=1), 7),
+        Record(x=PairRow(Record(id=5), Record(id=6))),
+        7,
+        None,
+    ]
+    PATHS = ["id", "left", "right", "left.id", "right.id", "left.right.b",
+             "left.left", "right.c", "middle.a", "id.x", "x.right.id",
+             "left.left.a.b", "right.right"]
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_matches_resolve_path(self, path):
+        get = field_getter(path)
+        for row in self.ROWS:
+            assert _resolution(lambda r, p: get(r), row, path) == \
+                _resolution(resolve_path, row, path), (row, path)
 
 
 class TestRowHelpers:
