@@ -24,9 +24,10 @@ test:
 # memo-free oracle prover's), then the query-planner
 # floors (>= 3x for the hash-join chain on the three-table corpus
 # fragment and for index scans vs. full scans, >= 2x for the statement
-# cache vs. planning every call, and at most 24 Python calls per warm
-# statement-cache hit of a point lookup, an exact count that was 42
-# before the hit path was trimmed), the cost-based
+# cache vs. planning every call, and at most 12 Python calls per warm
+# statement-cache hit of a point lookup planned as a bare IndexScan, an
+# exact count that was 42 before the hit path was trimmed and 18
+# while a Project sat above the scan), the cost-based
 # join-order floor (>= 2x vs. the greedy FROM-order chain on a skewed
 # four-table corpus), then the partition-parallel scan floor (>= 1.8x
 # at 4 partitions on the worker pool, asserted on >= 4 usable cores,

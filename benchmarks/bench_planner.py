@@ -21,9 +21,11 @@ asserts regression floors:
 * **calls per statement-cache hit** — the Python function calls
   (``sys.setprofile`` ``call`` events) one warm hit of the same lookup
   makes, eight rows returned.  The hit path made 42 before it was
-  trimmed to what a run needs, on Python 3.9 and 3.11 alike.  Floor:
-  at most 24, recorded as the reduction ``42 / calls >= 1.75``.  The
-  count is exact, so the floor holds on any hardware.
+  trimmed to what a run needs, on Python 3.9 and 3.11 alike.  The
+  lookup's plan must be the bare index scan (its EXPLAIN root is
+  ``IndexScan``).  Floor: at most 12, recorded as the reduction
+  ``42 / calls >= 3.5`` beside the count.  The count is exact, so the
+  floor holds on any hardware.
 
 Both comparisons assert row-identical results, and the planned engine
 is additionally checked row-identical to the seed single-pass pipeline
@@ -35,9 +37,12 @@ Run directly::
     PYTHONPATH=src python benchmarks/bench_planner.py --smoke
 
 (``--smoke`` is the CI canary: one timing repeat, smaller tables,
-non-zero exit when a floor regresses.)
+non-zero exit when a floor regresses.  Each timed section starts with
+a full garbage collection, so a collection of an earlier section's
+garbage never lands in a single timed run.)
 """
 
+import gc
 import sys
 import time
 
@@ -53,9 +58,9 @@ MIN_HASH_CHAIN_SPEEDUP = 3.0
 MIN_INDEX_SCAN_SPEEDUP = 3.0
 MIN_STATEMENT_CACHE_SPEEDUP = 2.0
 #: Python calls per warm statement-cache hit of LOOKUP_SQL before the
-#: hit path was trimmed; the floor asks for at most 24 of them.
+#: hit path was trimmed; the floor asks for at most 12 of them.
 BASELINE_HIT_CALLS = 42
-MAX_HIT_CALLS = 24
+MAX_HIT_CALLS = 12
 MIN_HIT_CALL_REDUCTION = BASELINE_HIT_CALLS / MAX_HIT_CALLS
 
 #: The statement-cache workload: the ORM's association lookup shape.
@@ -89,6 +94,7 @@ def chain_sql():
 
 
 def timed(db, sql, repeats, params=None):
+    gc.collect()
     best = None
     rows = None
     for _ in range(repeats):
@@ -120,6 +126,7 @@ def statement_cache(db, lookups, repeats):
     planned_rows = [db.executor.execute(select, p).rows for p in bindings]
     assert cached_rows == planned_rows, "statement cache: rows differ"
     assert all(cached_rows), "statement cache: lookups returned no rows"
+    gc.collect()
     cached = planned = None
     for _ in range(repeats):
         start = time.perf_counter()
@@ -142,6 +149,9 @@ def statement_cache(db, lookups, repeats):
 
 def hit_calls(db):
     """The Python function calls one warm hit of LOOKUP_SQL makes."""
+    root = db.explain(LOOKUP_SQL).split("\n")[0]
+    assert root.startswith("IndexScan("), \
+        "hit calls: expected a bare index scan, got %s" % root
     params = {"key": 7}
     db.execute(LOOKUP_SQL, params)               # cached and current
     calls = 0
@@ -222,11 +232,12 @@ def run(smoke=False):
                                       MIN_INDEX_SCAN_SPEEDUP),
             "statement_cache": floor_entry(cache_speedup,
                                            MIN_STATEMENT_CACHE_SPEEDUP),
-            "hit_calls": floor_entry(BASELINE_HIT_CALLS / calls,
-                                     MIN_HIT_CALL_REDUCTION),
+            "hit_calls": dict(floor_entry(BASELINE_HIT_CALLS / calls,
+                                          MIN_HIT_CALL_REDUCTION),
+                              calls=calls, max_calls=MAX_HIT_CALLS),
         },
         extra={"sql": sql, "tables": {"r": n_r, "s": n_s, "u": n_u},
-               "repeats": repeats, "hit_calls": calls})
+               "repeats": repeats})
     print()
     if failures:
         for failure in failures:

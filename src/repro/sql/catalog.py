@@ -43,8 +43,6 @@ class Table:
         self.indexes: Dict[str, HashIndex] = {}
         #: optimizer statistics, maintained incrementally on insert.
         self.stats = TableStats(self.columns)
-        #: scan statistics for the benchmark harness.
-        self.rows_scanned = 0
         #: monotone content version, bumped by every mutation (insert,
         #: index creation, stats refresh).  The worker-pool cache keys
         #: shipped tables on it: an unchanged version means the cached

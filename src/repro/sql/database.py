@@ -16,7 +16,6 @@ from repro.sql.executor import (
     Executor,
     ExecutorOptions,
     QueryResult,
-    merge_stats,
 )
 from repro.sql.parser import parse
 from repro.tor import ast as T
@@ -64,8 +63,6 @@ class Database:
         #: the statement cache: SQL text -> its parsed AST, the names
         #: it reads and its idle physical plan.
         self._statements: Dict[str, _Statement] = {}
-        #: cumulative statistics across every executed query.
-        self.total_stats = ExecutionStats()
 
     # -- schema / data -----------------------------------------------------
 
@@ -200,7 +197,6 @@ class Database:
             result = self._run(statement, params)
         _QUERY_LATENCY.observe(time.perf_counter() - started)
         _QUERIES_BY_MODE[mode].inc()
-        merge_stats(self.total_stats, result.stats)
         return result
 
     def _run(self, statement: "_Statement",

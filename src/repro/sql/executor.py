@@ -64,8 +64,7 @@ class ExecutionStats:
 def merge_stats(into: "ExecutionStats", delta: "ExecutionStats") -> None:
     """Accumulate ``delta`` into ``into`` (all counters are additive).
 
-    The single definition used by :class:`~repro.sql.database.Database`
-    totals and by the partition-parallel driver, which merges each
+    Used by the partition-parallel driver, which merges each
     partition's private counters back in partition-index order.
     """
     into.rows_scanned += delta.rows_scanned
@@ -334,7 +333,6 @@ class Executor:
             candidate = list(enumerate(source.table.rows))
             stats.rows_scanned += len(candidate)
             stats.full_scans += 1
-            source.table.rows_scanned += len(candidate)
 
         if other_preds:
             filtered = []

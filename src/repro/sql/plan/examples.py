@@ -57,6 +57,9 @@ _SPECS: Tuple[Tuple[str, str, str, Optional[ExecutorOptions], bool], ...] = (
     ("index-scan", "Index scan with a residual filter",
      "SELECT p.login FROM participant p WHERE p.id = 4 AND p.role_id = 1",
      None, True),
+    ("point-lookup", "Point lookup: the scan is the plan",
+     "SELECT * FROM participant p WHERE p.id = 4",
+     None, True),
     ("join-chain", "Three-table hash-join chain",
      "SELECT p.login, d.descriptor_name "
      "FROM participant p, role r, role_descriptor d "

@@ -19,9 +19,13 @@ compiled once per plan (:mod:`repro.sql.plan.vector`).  Lowering
                    first-encounter order, HAVING, aggregate
                    projection), or :class:`PartialAggregateOp` above a
                    Gather when every aggregate is combinable
-* ``Project``   -> :class:`VecProjectOp`; ``Distinct`` / ``Limit`` and
-                   an ORDER BY over grouped rows -> :class:`DistinctOp`
-                   / :class:`LimitOp` / :class:`RowSortOp`
+* ``Project``   -> :class:`VecProjectOp`, or no operator at all for a
+                   lone ``*`` / ``alias.*`` over one unfiltered
+                   base-table scan, which then answers the query itself
+                   (:meth:`TableScanOp.rows`); ``Distinct`` / ``Limit``
+                   and an ORDER BY over grouped rows ->
+                   :class:`DistinctOp` / :class:`LimitOp` /
+                   :class:`RowSortOp`
 
 Operators print plain relational names (``HashJoin``, ``Filter``,
 ``PartitionedScan``, ...), so a plan reads the same whatever the batch
@@ -330,6 +334,13 @@ class VecOp(PhysicalOp):
         raise NotImplementedError
 
 
+class RowOp(PhysicalOp):
+    """Base class for operators producing projected output rows."""
+
+    def rows(self, ctx: _Ctx) -> Tuple[List[Record], Tuple[str, ...]]:
+        raise NotImplementedError
+
+
 class ChainOp(VecOp):
     """A scan, filter or join: runs serially or once per partition.
 
@@ -467,13 +478,74 @@ class ScanOp(ChainOp):
         return out
 
 
-class FullScanOp(ScanOp):
-    name = "FullScan"
+class TableScanOp(ScanOp, RowOp):
+    """A base-table scan: ``_read`` is its access path.
+
+    ``_read`` reads the table, counts the scan statistics and returns
+    the table with the positions of the rows the scan yields (None for
+    every row, in storage order).  ``_rows`` pairs those rows with
+    their positions for the batch entry points, and ``rows`` answers a
+    query on its own.  Lowering makes an unfiltered scan the plan's
+    root when the select list is a lone ``*`` / ``alias.*``, so a point
+    lookup runs as this one operator (LIMIT and DISTINCT may sit above
+    it).
+    """
 
     def __init__(self, table: str, alias: str,
                  predicates: Tuple[S.Expr, ...], batch_size: int = 1024):
         super().__init__(alias, predicates, batch_size)
         self.table = table
+
+    def _read(self, ctx: _Ctx):
+        raise NotImplementedError
+
+    def _rows(self, ctx: _Ctx) -> _ScannedSource:
+        table, positions = self._read(ctx)
+        return _ScannedSource(self.alias, table.columns,
+                              _pairs(table.rows, positions), table)
+
+    def rows(self, ctx: _Ctx) -> Tuple[List[Record], Tuple[str, ...]]:
+        """The stored records themselves, as ``SELECT *`` output.
+
+        Records are immutable, so sharing them is safe, and a lookup
+        builds no batch, pair or projected record.  A record whose
+        fields differ from the table's columns (written behind the
+        API), or a table whose duplicate column names the star
+        renames, takes the star projection (:func:`_project`).
+        """
+        table, positions = self._read(ctx)
+        stored = table.rows
+        records = stored[:] if positions is None \
+            else list(map(stored.__getitem__, positions))
+        columns = table.columns
+        for record in records:
+            if record.fields != columns:
+                break
+        else:
+            # A record's fields are distinct, so one matching record
+            # proves the columns are; an empty result checks them.
+            if records or len(set(columns)) == len(columns):
+                self.rows_out = len(records)
+                return records, columns
+        source = _ScannedSource(self.alias, columns,
+                                _pairs(stored, positions), table)
+        ctx.scanned.append(source)
+        rows, columns = _project(_STAR, (None,),
+                                 self._chunks(source.rows, ctx), ctx)
+        self.rows_out = len(rows)
+        return rows, columns
+
+
+def _pairs(stored: List[Record], positions: Optional[List[int]]):
+    """``(rowid, record)`` pairs of the stored rows at ``positions``
+    (every row when None)."""
+    if positions is None:
+        return list(enumerate(stored))
+    return list(zip(positions, map(stored.__getitem__, positions)))
+
+
+class FullScanOp(TableScanOp):
+    name = "FullScan"
 
     def _target(self) -> str:
         return "(%s AS %s)" % (self.table, self.alias)
@@ -494,24 +566,20 @@ class FullScanOp(ScanOp):
                                           table=table))
         return self.partitions
 
-    def _rows(self, ctx: _Ctx) -> _ScannedSource:
+    def _read(self, ctx: _Ctx):
         table = ctx.executor.catalog.table(self.table)
-        candidate = list(enumerate(table.rows))
-        ctx.stats.rows_scanned += len(candidate)
+        ctx.stats.rows_scanned += len(table.rows)
         ctx.stats.full_scans += 1
-        table.rows_scanned += len(candidate)
-        return _ScannedSource(alias=self.alias, columns=table.columns,
-                              rows=candidate, table=table)
+        return table, None
 
 
-class IndexScanOp(ScanOp):
+class IndexScanOp(TableScanOp):
     name = "IndexScan"
 
     def __init__(self, table: str, alias: str, column: str,
                  value_expr: S.Expr, predicates: Tuple[S.Expr, ...],
                  batch_size: int = 1024):
-        super().__init__(alias, predicates, batch_size)
-        self.table = table
+        super().__init__(table, alias, predicates, batch_size)
         self.column = column
         self.value_expr = value_expr
 
@@ -521,7 +589,7 @@ class IndexScanOp(ScanOp):
         return "(%s AS %s, %s = %s)" % (self.table, self.alias, self.column,
                                         expr_sql(self.value_expr))
 
-    def _rows(self, ctx: _Ctx) -> _ScannedSource:
+    def _read(self, ctx: _Ctx):
         # Every point lookup runs this, so the table and the parameter
         # are read directly; ``Catalog.table`` and ``_param`` are called
         # only to raise their typed errors.
@@ -539,10 +607,8 @@ class IndexScanOp(ScanOp):
         stats = ctx.stats
         stats.index_probes += 1
         stats.index_scans += 1
-        candidate = list(zip(positions, map(table.rows.__getitem__,
-                                            positions)))
-        stats.rows_scanned += len(candidate)
-        return _ScannedSource(self.alias, table.columns, candidate, table)
+        stats.rows_scanned += len(positions)
+        return table, positions
 
 
 class SubqueryScanOp(ScanOp):
@@ -812,13 +878,6 @@ class VecRestoreOp(VecOp):
 # -- row producers -------------------------------------------------------------
 
 
-class RowOp(PhysicalOp):
-    """Base class for operators producing projected output rows."""
-
-    def rows(self, ctx: _Ctx) -> Tuple[List[Record], Tuple[str, ...]]:
-        raise NotImplementedError
-
-
 class VecProjectOp(RowOp):
     """Projection evaluated column-wise over batches.
 
@@ -828,7 +887,9 @@ class VecProjectOp(RowOp):
     zipped vectors — the seed pipeline's values, names and order.  A
     lone ``*`` / ``alias.*`` over one source whose records already
     carry exactly the output columns returns those stored records
-    themselves (:meth:`_stored_rows`).
+    themselves (:meth:`_stored_rows`); over one unfiltered base-table
+    scan, lowering leaves this operator out and the scan answers
+    (:meth:`TableScanOp.rows`).
     """
 
     name = "Project"
@@ -860,7 +921,7 @@ class VecProjectOp(RowOp):
         stored = self._stored_rows(batches, ctx.scanned) \
             if self._lone_star else None
         if stored is None:
-            stored = self._project(batches, ctx)
+            stored = _project(self.items, self._item_fns, batches, ctx)
         rows, columns = stored
         self.rows_out = len(rows)
         return rows, columns
@@ -872,8 +933,7 @@ class VecProjectOp(RowOp):
         themselves, instead of an equal rebuilt :class:`Record` per row
         (records are immutable, so sharing them is safe).  None when
         the star matches several sources or the records differ;
-        :meth:`_project` then builds the rows.  Point lookups take this
-        path, so it makes no Python call per source or per row."""
+        :func:`_project` then builds the rows."""
         alias = self.items[0].expr.alias
         source = None
         for candidate in scanned:
@@ -894,41 +954,53 @@ class VecProjectOp(RowOp):
                 return None              # a row written behind the API
         return rows, columns
 
-    def _project(self, batches: List[Batch], ctx: _Ctx):
-        executor = ctx.executor
-        columns: List[str] = []
-        plan = []     # ("star", alias, column) | ("const", fn) | ("vec", fn)
-        for item, compiled in zip(self.items, self._item_fns):
-            if compiled is None:
-                star_sources = [s for s in ctx.scanned
-                                if item.expr.alias in (None, s.alias)]
-                if not star_sources:
-                    raise SQLExecutionError(
-                        "unknown alias %r in select list" % item.expr.alias)
-                for source in star_sources:
-                    for column in source.columns:
-                        name = executor._fresh_name(column, columns)
-                        columns.append(name)
-                        plan.append(("star", source.alias, column))
-            else:
-                name = item.as_name or _default_name(item.expr)
-                columns.append(executor._fresh_name(name, columns))
-                is_const, fn = compiled
-                plan.append(("const" if is_const else "vec", fn))
 
-        rows: List[Record] = []
-        for batch in batches:
-            vectors = []
-            for entry in plan:
-                if entry[0] == "star":
-                    vectors.append(batch.column(entry[1], entry[2]))
-                elif entry[0] == "const":
-                    vectors.append([entry[1](ctx)] * batch.n)
-                else:
-                    vectors.append(entry[1](batch, ctx))
-            for vals in zip(*vectors):
-                rows.append(Record(dict(zip(columns, vals))))
-        return rows, tuple(columns)
+#: the lone ``*`` select list a table scan projects when it cannot hand
+#: its stored records through (:meth:`TableScanOp.rows`).
+_STAR = (S.SelectItem(S.Star()),)
+
+
+def _project(items: Tuple[S.SelectItem, ...], item_fns,
+             batches: List[Batch],
+             ctx: _Ctx) -> Tuple[List[Record], Tuple[str, ...]]:
+    """The select list over ``batches``: one record per row.
+
+    ``item_fns`` holds each item's compiled closure (None for a star,
+    which expands over ``ctx.scanned``)."""
+    executor = ctx.executor
+    columns: List[str] = []
+    plan = []     # ("star", alias, column) | ("const", fn) | ("vec", fn)
+    for item, compiled in zip(items, item_fns):
+        if compiled is None:
+            star_sources = [s for s in ctx.scanned
+                            if item.expr.alias in (None, s.alias)]
+            if not star_sources:
+                raise SQLExecutionError(
+                    "unknown alias %r in select list" % item.expr.alias)
+            for source in star_sources:
+                for column in source.columns:
+                    name = executor._fresh_name(column, columns)
+                    columns.append(name)
+                    plan.append(("star", source.alias, column))
+        else:
+            name = item.as_name or _default_name(item.expr)
+            columns.append(executor._fresh_name(name, columns))
+            is_const, fn = compiled
+            plan.append(("const" if is_const else "vec", fn))
+
+    rows: List[Record] = []
+    for batch in batches:
+        vectors = []
+        for entry in plan:
+            if entry[0] == "star":
+                vectors.append(batch.column(entry[1], entry[2]))
+            elif entry[0] == "const":
+                vectors.append([entry[1](ctx)] * batch.n)
+            else:
+                vectors.append(entry[1](batch, ctx))
+        for vals in zip(*vectors):
+            rows.append(Record(dict(zip(columns, vals))))
+    return rows, tuple(columns)
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -1403,7 +1475,7 @@ def _tables_read(node: Any, names: set) -> None:
     """Collect the catalog tables a plan fragment can read: every scan
     target and every FROM table of any subquery inside it (walked
     through operator state, expressions and nested selects)."""
-    if isinstance(node, (FullScanOp, IndexScanOp, S.TableSource)):
+    if isinstance(node, (TableScanOp, S.TableSource)):
         names.add(node.table)
     if isinstance(node, PhysicalOp):
         children = node.__getstate__().values()
@@ -1902,8 +1974,15 @@ def _lower_rows(plan: L.LogicalPlan, size: int) -> RowOp:
     if isinstance(plan, L.Distinct):
         return _with_est(DistinctOp(_lower_rows(plan.child, size)), plan)
     if isinstance(plan, L.Project):
-        return _with_est(VecProjectOp(_lower_envs(plan.child, size),
-                                      plan.items), plan)
+        child = _lower_envs(plan.child, size)
+        star = plan.items[0].expr if len(plan.items) == 1 else None
+        if isinstance(child, TableScanOp) and not child.predicates \
+                and isinstance(star, S.Star) \
+                and star.alias in (None, child.alias):
+            # A lone star over one unfiltered base-table scan: the scan
+            # answers the query itself (TableScanOp.rows).
+            return child
+        return _with_est(VecProjectOp(child, plan.items), plan)
     if isinstance(plan, L.Aggregate):
         child = plan.child
         if isinstance(child, L.Gather) and combinable_aggregate(
@@ -1982,7 +2061,10 @@ def _lower_scan(scan: L.Scan, size: int) -> ScanOp:
 
 
 class PhysicalPlan:
-    """An executable physical plan (root operator + execution entry)."""
+    """An executable physical plan (root operator + execution entry).
+
+    The root is any row producer: a projection, an aggregate, LIMIT or
+    DISTINCT above one, or a table scan answering a lone ``*``."""
 
     def __init__(self, root: RowOp):
         self.root = root

@@ -1,13 +1,10 @@
-"""Per-query metrics and totals of ``Database.execute``.
+"""Per-query metrics of ``Database.execute``.
 
 Every execution adds exactly one to ``repro_queries_total{mode}`` and
 one observation to ``repro_query_seconds``, whichever path it takes
 (statement-cache hit or miss, seed pipeline, traced, profiled); a run
-that raises records nothing.  ``Database.total_stats`` is the sum of
-the statistics the runs returned.
+that raises records nothing.
 """
-
-import dataclasses
 
 import pytest
 
@@ -15,7 +12,7 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Span
 from repro.sql.database import Database
 from repro.sql.errors import SQLExecutionError
-from repro.sql.executor import ExecutionStats, ExecutorOptions, merge_stats
+from repro.sql.executor import ExecutorOptions
 
 POINT = "SELECT * FROM a AS t0 WHERE t0.k = :key"
 
@@ -75,35 +72,12 @@ def test_a_run_that_raises_records_nothing():
     db = _db()
     sql = "SELECT t0.id FROM a t0 WHERE t0.id < :bound"
     db.execute(sql, {"bound": 3})
-    before, totals = _recorded(), dataclasses.asdict(db.total_stats)
+    before = _recorded()
     with pytest.raises(SQLExecutionError, match="unbound parameter"):
         db.execute(sql)
     with pytest.raises(TypeError):
         db.execute(sql, {"bound": "x"})       # int < str, mid-run
     assert _recorded() == before
-    assert dataclasses.asdict(db.total_stats) == totals
-
-
-def test_total_stats_is_the_sum_of_returned_stats():
-    db = _db()
-    seed = db.view(ExecutorOptions(planner=False))
-    runs = [
-        (db, POINT, {"key": 1}, {}),          # miss
-        (db, POINT, {"key": 2}, {}),          # hit
-        (db, POINT, {"key": 3}, {"trace": True}),
-        (db, "SELECT t0.k, COUNT(*) AS n FROM a t0 GROUP BY t0.k", {}, {}),
-        (db, "SELECT t0.id FROM a t0 WHERE t0.k IN "
-             "(SELECT t1.k FROM a t1 WHERE t1.id = :id)", {"id": 5}, {}),
-        (seed, POINT, {"key": 1}, {}),
-    ]
-    sums = {id(db): ExecutionStats(), id(seed): ExecutionStats()}
-    for handle, sql, params, kwargs in runs:
-        result = handle.execute(sql, params, **kwargs)
-        merge_stats(sums[id(handle)], result.stats)
-    assert db.total_stats == sums[id(db)]
-    assert seed.total_stats == sums[id(seed)]
-    assert db.total_stats.index_probes >= 3
-    assert db.total_stats.full_scans >= 2
 
 
 def test_query_series_keep_exporting_after_registry_reset():

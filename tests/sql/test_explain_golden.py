@@ -26,6 +26,10 @@ GOLDEN = {
 Project(p.login)  [rows=1, est_rows=0.3, cost=1]
  └─ IndexScan(participant AS p, id = 4) filter=1  [rows=1, est_rows=0.3, cost=1]""",
 
+    # A lone * over one unfiltered scan: the scan is the whole plan.
+    "point-lookup": """\
+IndexScan(participant AS p, id = 4)  [rows=1, est_rows=1, cost=1]""",
+
     "join-chain": """\
 Project(p.login, d.descriptor_name)  [rows=36, est_rows=36, cost=69]
  └─ HashJoin(d.role_id = r.role_id)  [rows=36, est_rows=36, cost=69]
@@ -84,6 +88,10 @@ GREEDY_GOLDEN = {
     "index-scan": """\
 Project(p.login)  [rows=1]
  └─ IndexScan(participant AS p, id = 4) filter=1  [rows=1]""",
+
+    # Added with the lone-star rule; greedy mode lowers it the same way.
+    "point-lookup": """\
+IndexScan(participant AS p, id = 4)  [rows=1]""",
 
     "join-chain": """\
 Project(p.login, d.descriptor_name)  [rows=36]

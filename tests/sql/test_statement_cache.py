@@ -6,11 +6,15 @@ Misses are counted by wrapping ``repro.sql.plan.plan_select``, the one
 seam every planning call goes through.
 """
 
+import re
 import sys
 import threading
+import time
 
 import pytest
 
+from repro.obs.profile import NO_SPAN, Profiler
+from repro.obs.trace import format_tree
 from repro.service import faults
 from repro.service.faults import DeadlineExceeded, FaultPlan
 from repro.sql import plan as plan_mod
@@ -208,6 +212,17 @@ def test_run_that_raises_leaves_no_plan(plans):
     assert len(plans) == before + 1
 
 
+def test_point_lookup_that_raises_leaves_no_plan(plans):
+    db = _db()
+    db.execute(POINT, {"key": 1})
+    with pytest.raises(TypeError):
+        db.execute(POINT, {"key": [1]})       # unhashable, in the probe
+    assert db._statements[POINT].idle == []
+    before = len(plans)
+    assert [r.id for r in db.execute(POINT, {"key": 1}).rows] == [1, 5, 9]
+    assert len(plans) == before + 1
+
+
 def test_deadline_exceeded_leaves_no_plan(plans):
     db = _db()
     view = db.view(ExecutorOptions(parallel=3, deadline_seconds=0.2))
@@ -338,18 +353,150 @@ def test_star_returns_the_stored_records():
     for sql in ("SELECT * FROM a",
                 "SELECT t1.* FROM a t0, b t1 WHERE t0.k = t1.k"):
         _same_result(db.execute(sql), seed.execute(sql))
+    # The records are shared; the list that holds them is the caller's.
+    db.execute("SELECT * FROM a").rows.clear()
+    assert len(stored) == 12
 
 
 def test_star_rebuilds_rows_written_behind_the_api():
     """A record whose fields differ from the table's columns (here:
-    another order) is projected, exactly as the seed pipeline does."""
+    another order) is projected, exactly as the seed pipeline does,
+    whether a full scan or an index probe reads it."""
     db = _db()
-    db.table("a").rows.append(Record({"k": 1, "id": 50}))
+    stored = db.table("a").rows
+    stored.append(Record({"k": 1, "id": 50}))
+    # The same values in another field order, at a position the index
+    # on k lists under key 1.
+    stored[5] = Record({"k": 1, "id": 5})
     seed = db.view(ExecutorOptions(planner=False))
     for sql in ("SELECT * FROM a", "SELECT t0.* FROM a t0"):
         result = db.execute(sql)
         _same_result(result, seed.execute(sql))
         assert result.rows[-1].fields == ("id", "k")
+        assert result.rows[5].fields == ("id", "k")
+    for sql in (POINT, "SELECT t0.* FROM a t0 WHERE t0.k = :key"):
+        assert _operators_of(db.explain(sql)) == ["IndexScan"]
+        result = db.execute(sql, {"key": 1})
+        _same_result(result, seed.execute(sql, {"key": 1}))
+        assert [row.id for row in result.rows] == [1, 5, 9]
+        assert [row.fields for row in result.rows] == [("id", "k")] * 3
+        assert result.rows[1] is not stored[5]
+
+
+# -- a lone star over one unfiltered scan is the whole plan -------------------
+
+
+def _operators_of(explain):
+    """The operator names of an EXPLAIN tree, root first."""
+    return re.findall(r"^[ ├└│─]*(\w+)", explain, re.M)
+
+
+@pytest.mark.parametrize("sql, params", [
+    ("SELECT * FROM d AS t0 WHERE t0.k = :key", {"key": 1}),
+    ("SELECT * FROM d AS t0 WHERE t0.k = :key", {"key": 99}),
+    ("SELECT t0.* FROM d t0", {}),
+    ("SELECT * FROM e", {}),
+], ids=["index", "index-no-rows", "full-scan", "full-scan-no-rows"])
+def test_star_renames_duplicate_columns(sql, params):
+    """A table created with a repeated column name stores records with
+    one field per distinct name; ``*`` renames the repeat, as the seed
+    pipeline does, also when no row comes back."""
+    db = Database()
+    db.create_table("d", ["k", "k", "v"])
+    db.create_table("e", ["k", "k", "v"])
+    db.insert_many("d", ({"k": i % 2, "v": i} for i in range(6)))
+    db.create_index("d", "k")
+    assert _operators_of(db.explain(sql)) in (["IndexScan"], ["FullScan"])
+    result = db.execute(sql, params)
+    assert result.columns == ("k", "k_2", "v")
+    assert all(row.k == row.k_2 for row in result.rows)
+    _same_result(result, db.view(ExecutorOptions(planner=False))
+                 .execute(sql, params))
+    _same_result(db.execute(sql, params), result)          # a hit
+
+
+@pytest.mark.parametrize("sql, operators, key_1_rows", [
+    (POINT + " LIMIT 2", ["Limit", "IndexScan"], 2),
+    ("SELECT DISTINCT * FROM a AS t0 WHERE t0.k = :key",
+     ["Distinct", "IndexScan"], 3),
+    ("SELECT DISTINCT t0.* FROM a t0 WHERE t0.k = :key LIMIT 1",
+     ["Limit", "Distinct", "IndexScan"], 1),
+], ids=["limit", "distinct", "distinct-limit"])
+def test_limit_and_distinct_sit_above_the_scan(sql, operators, key_1_rows):
+    db = _db()
+    db.insert("a", {"id": 1, "k": 1})            # a duplicate row
+    seed = db.view(ExecutorOptions(planner=False))
+    assert _operators_of(db.explain(sql)) == operators
+    for key in (1, 2, 1, 99):
+        result = db.execute(sql, {"key": key})
+        _same_result(result, seed.execute(sql, {"key": key}))
+    assert len(db.execute(sql, {"key": 1}).rows) == key_1_rows
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT * FROM a t0 WHERE t0.k = 1 AND t0.id > 4",
+    "SELECT * FROM a t0 WHERE t0.k = 1 ORDER BY t0.id DESC",
+    "SELECT t0.* FROM a t0, c t1 WHERE t0.id = t1.id AND t0.k = 1",
+    "SELECT q.* FROM (SELECT * FROM a t WHERE t.k = 1) q",
+    "SELECT t0.*, t0.id AS again FROM a t0 WHERE t0.k = 1",
+], ids=["residual-filter", "order-by", "join", "from-subquery",
+        "star-and-more"])
+def test_other_star_shapes_keep_their_projection(sql):
+    db = _db()
+    assert _operators_of(db.explain(sql))[0] == "Project"
+    _same_result(db.execute(sql),
+                 db.view(ExecutorOptions(planner=False)).execute(sql))
+
+
+@pytest.mark.parametrize("planner", [False, True], ids=["seed", "planner"])
+def test_star_of_another_alias_is_an_error(planner):
+    db = _db().view(ExecutorOptions(planner=planner))
+    sql = "SELECT x.* FROM a t0 WHERE t0.k = 1"
+    with pytest.raises(SQLExecutionError,
+                       match="unknown alias 'x' in select list"):
+        db.execute(sql)
+
+
+def test_traced_point_lookup_is_one_span():
+    db = _db()
+    db.execute(POINT, {"key": 1})
+    for result in (db.execute(POINT, {"key": 1}, trace=True),
+                   db.view().execute(POINT, {"key": 1}, trace=True)):
+        assert format_tree(result.trace) == (
+            "query  [mode=planner, rows=3, sql=%s]\n"
+            "  IndexScan  [op=IndexScan(a AS t0, k = :key), rows=3]"
+            % POINT)
+        _same_result(result, db.view(ExecutorOptions(planner=False))
+                     .execute(POINT, {"key": 1}))
+
+
+def test_profiled_point_lookup_samples_its_scan():
+    db = Database()
+    db.create_table("big", ("id", "k"))
+    db.insert_many("big", ({"id": i, "k": 0} for i in range(20000)))
+    db.create_index("big", "k")
+    sql = "SELECT * FROM big AS t0 WHERE t0.k = :key"
+    label = "IndexScan(big AS t0, k = :key)"
+    result = db.execute(sql, {"key": 0}, profile=True)
+    assert result.profile.spans_seen == {"query", label}
+    _same_result(result, db.view(ExecutorOptions(planner=False))
+                 .execute(sql, {"key": 0}))
+    # Sample counts are statistical: sample query after query (the
+    # profiler runs only while one does) until the scan is sampled.  A
+    # short switch interval lets the sampler thread in mid-scan.
+    profiler = Profiler(interval_seconds=0.001)
+    deadline = time.monotonic() + 20.0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        while label not in {span for span, _ in profiler.samples} \
+                and time.monotonic() < deadline:
+            db.execute(sql, {"key": 0}, profile=profiler)
+    finally:
+        sys.setswitchinterval(interval)
+    spans = {span for span, _ in profiler.samples}
+    assert label in spans
+    assert spans <= {"query", label, NO_SPAN}
 
 
 # -- a missing parameter is an error, whatever the access path ----------------
