@@ -37,10 +37,13 @@ test:
 # unconditionally), the
 # worker-pool throughput floor (a warm pool >= 2x over a pool forked
 # per query on a repeated-query stream, asserted unconditionally — the
-# floor is overhead-based, not CPU-scaling), and the ORM entity-read
+# floor is overhead-based, not CPU-scaling), the ORM entity-read
 # floor (reading every column of 2,000 lazily loaded entities takes at
 # most 2x the time of the same reads on plain objects, asserted
-# unconditionally).  Perf regressions surface in seconds.
+# unconditionally), and the ORM eager-query floor (an eager load of
+# 2,000 Participants over 20 roles and 200 projects issues at most 221
+# queries, an exact count that was 4,001 before a session resolved
+# each association key once).  Perf regressions surface in seconds.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_synthesis_speed.py --smoke
 	$(PYTHON) benchmarks/bench_planner.py --smoke

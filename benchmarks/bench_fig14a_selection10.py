@@ -24,6 +24,9 @@ from repro.corpus.schema import create_wilos_database, populate_wilos
 from repro.corpus.wilos import make_wilos_service
 
 SIZES = [2_000, 10_000, 40_000]
+#: each measurement is the best of this many runs, each run after a
+#: full garbage collection (``repro.bench.harness``).
+REPEATS = 5
 SELECTIVITY = 0.10
 
 
@@ -43,9 +46,10 @@ def run_sweep(transformed, selectivity):
         for fetch in ("lazy", "eager"):
             out.append(measure_original(
                 "original w40", n_users, make_wilos_service, db,
-                "w40_unfinished_projects", fetch))
+                "w40_unfinished_projects", fetch, repeats=REPEATS))
         out.append(measure_transformed("inferred w40", n_users,
-                                       transformed, db))
+                                       transformed, db,
+                                       repeats=REPEATS))
         return out
 
     # One discarded pass at a tiny size so the first measured bucket

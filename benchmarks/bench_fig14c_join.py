@@ -24,6 +24,9 @@ from repro.corpus.schema import create_wilos_database, populate_wilos
 from repro.corpus.wilos import make_wilos_service
 
 SIZES = [100, 300, 1_000]
+#: each measurement is the best of this many runs, each run after a
+#: full garbage collection (``repro.bench.harness``).
+REPEATS = 5
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +45,9 @@ def run_sweep(transformed):
         for fetch in ("lazy", "eager"):
             out.append(measure_original(
                 "original w46", n, make_wilos_service, db,
-                "w46_get_role_users", fetch))
-        out.append(measure_transformed("inferred w46", n, transformed, db))
+                "w46_get_role_users", fetch, repeats=REPEATS))
+        out.append(measure_transformed("inferred w46", n, transformed, db,
+                                       repeats=REPEATS))
         return out
 
     # One discarded pass at a tiny size so the first measured bucket

@@ -23,6 +23,9 @@ from repro.corpus.schema import create_wilos_database, populate_wilos
 from repro.corpus.wilos import make_wilos_service
 
 SIZES = [2_000, 10_000, 40_000]
+#: each measurement is the best of this many runs, each run after a
+#: full garbage collection (``repro.bench.harness``).
+REPEATS = 5
 
 
 @pytest.fixture(scope="module")
@@ -41,8 +44,9 @@ def run_sweep(transformed):
         for fetch in ("lazy", "eager"):
             out.append(measure_original(
                 "original w38", n, make_wilos_service, db,
-                "w38_count_process_managers", fetch))
-        out.append(measure_transformed("inferred w38", n, transformed, db))
+                "w38_count_process_managers", fetch, repeats=REPEATS))
+        out.append(measure_transformed("inferred w38", n, transformed, db,
+                                       repeats=REPEATS))
         return out
 
     # One discarded pass at a tiny size so the first measured bucket

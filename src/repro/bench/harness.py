@@ -6,11 +6,14 @@ wall-clock time of executing the fragment — the original version runs
 its ORM fetches (hydrating every retrieved row into an entity object,
 optionally resolving associations eagerly) and its application-side
 loops; the QBS version runs the inferred SQL and hydrates only the
-returned rows.
+returned rows.  Each timed run starts after a full garbage collection,
+so garbage left by set-up or by the previous mode is not collected
+inside it; the figures keep the best of several runs.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -43,12 +46,14 @@ def measure_original(label: str, db_size: int, make_service: Callable,
                      db: Database, method: str, fetch: str,
                      args: tuple = (), repeats: int = 1
                      ) -> PageLoadMeasurement:
-    """Time the original fragment through the ORM."""
+    """Time the original fragment through the ORM, best of ``repeats``
+    runs, each on a fresh session and after a full collection."""
     best = None
     rows = 0
     service = None
     for _ in range(max(1, repeats)):
         service = make_service(db, fetch=fetch)
+        gc.collect()
         start = time.perf_counter()
         result = getattr(service, method)(*args)
         elapsed = time.perf_counter() - start
@@ -65,10 +70,12 @@ def measure_transformed(label: str, db_size: int,
                         transformed: TransformedFragment, db: Database,
                         params: Optional[Dict[str, Any]] = None,
                         repeats: int = 1) -> PageLoadMeasurement:
-    """Time the QBS-inferred query."""
+    """Time the QBS-inferred query, best of ``repeats`` runs, each after
+    a full collection."""
     best = None
     rows = 0
     for _ in range(max(1, repeats)):
+        gc.collect()
         start = time.perf_counter()
         result = transformed.execute(db, params)
         elapsed = time.perf_counter() - start

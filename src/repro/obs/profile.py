@@ -96,6 +96,8 @@ class Profiler:
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._started_at: Optional[float] = None
+        #: the interpreter's switch interval before ``start`` lowered it.
+        self._switch_interval: Optional[float] = None
         # span-label stack per thread ident, maintained by _on_span
         # (called from the owning thread) and read by the sampler.
         self._span_stacks: Dict[int, List[str]] = {}
@@ -112,6 +114,10 @@ class Profiler:
         Replaces a *stale* installed profiler (one inherited across
         ``fork``, whose pid no longer matches) silently; a second live
         profiler in the same process is a programming error.
+
+        While sampling, the interpreter's switch interval is at most a
+        tenth of ``interval_seconds``, so the sampler thread gets the
+        interpreter lock within a short query; ``stop`` restores it.
         """
         global _INSTALLED
         if self._thread is not None:
@@ -124,6 +130,9 @@ class Profiler:
         self._stop.clear()
         _INSTALLED = self
         obs_trace.set_profile_hook(self._on_span)
+        self._switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(min(self._switch_interval,
+                                  self.interval_seconds / 10))
         self._started_at = time.perf_counter()
         self._thread = threading.Thread(target=self._run,
                                         name="repro-profiler", daemon=True)
@@ -142,6 +151,7 @@ class Profiler:
         self._stop.set()
         thread.join(timeout=5.0)
         self._thread = None
+        sys.setswitchinterval(self._switch_interval)
         if self._started_at is not None:
             self.duration_seconds += time.perf_counter() - self._started_at
             self._started_at = None

@@ -40,10 +40,14 @@ class MappingRegistry:
         #: (entity name, row fields) -> the class such rows hydrate into,
         #: built by the session on first use; a registration drops them.
         self.entity_classes: Dict[Tuple[str, Tuple[str, ...]], Any] = {}
+        #: bumped by every registration; a session serves no association
+        #: it resolved under an earlier generation.
+        self.generation = 0
 
     def register(self, entity: EntityType) -> EntityType:
         self.entities[entity.name] = entity
         self.entity_classes.clear()
+        self.generation += 1
         return entity
 
     def entity(self, name: str) -> EntityType:

@@ -271,6 +271,12 @@ def _filtered(filt, batches: List[Batch], run) -> List[Batch]:
     return out
 
 
+#: value types whose ``==`` and ``<`` agree: comparing two of them
+#: raw gives the result, or raises the error, that comparing their
+#: ``_ReverseAware`` keys does.
+_RAW_ORDERED = frozenset((int, float, str, bool))
+
+
 def _order_key(order_by: Tuple[S.OrderItem, ...], batch: Batch,
                scanned: List[_ScannedSource]):
     """ORDER BY key of each row position of ``batch``.
@@ -278,7 +284,10 @@ def _order_key(order_by: Tuple[S.OrderItem, ...], batch: Batch,
     Key vectors are extracted column-wise, with the seed pipeline's
     resolution and errors (``Executor._order_value``): a bare name
     resolves against the scanned sources, an unknown alias or a
-    missing column raises :class:`SQLExecutionError`.
+    missing column raises :class:`SQLExecutionError`.  A single
+    ascending key of numbers and strings sorts by its raw values,
+    which orders and fails as the wrapped key does.  NULL is not among
+    them: two NULL keys are equal wrapped, and raw they do not compare.
     """
     vecs = []
     for item in order_by:
@@ -289,6 +298,9 @@ def _order_key(order_by: Tuple[S.OrderItem, ...], batch: Batch,
         if alias not in batch.pairs:
             raise SQLExecutionError("unknown alias %r in ORDER BY" % alias)
         vecs.append((batch.column(alias, col.column), item.descending))
+    if len(vecs) == 1 and not vecs[0][1] \
+            and _RAW_ORDERED.issuperset(map(type, vecs[0][0])):
+        return vecs[0][0].__getitem__
 
     def key(i: int):
         return tuple(_ReverseAware(vec[i], desc) for vec, desc in vecs)

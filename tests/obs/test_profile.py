@@ -7,6 +7,7 @@ entered while profiling is a property of the plan, not of scheduler
 timing.
 """
 
+import sys
 import threading
 import time
 
@@ -17,6 +18,7 @@ from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.obs.profile import NO_SPAN, Profiler, format_summary
 from repro.sql.database import Database
+from repro.sql.errors import SQLExecutionError
 from repro.sql.executor import ExecutorOptions
 
 SQL = "SELECT e.g, COUNT(*) AS n FROM ev AS e GROUP BY e.g"
@@ -167,6 +169,29 @@ def test_sampling_is_reentrancy_safe():
             assert prof.active
         assert prof.active
     assert not prof.active
+
+
+def test_switch_interval_is_lowered_while_sampling_and_restored():
+    """The sampler gets the interpreter lock within a short query:
+    sampling lowers the switch interval to at most a tenth of the
+    sampling interval, and stopping restores it, also after a profiled
+    query that raises."""
+    outside = sys.getswitchinterval()
+    sys.setswitchinterval(0.005)
+    try:
+        prof = Profiler(interval_seconds=0.002)
+        with prof.sampling():
+            assert sys.getswitchinterval() <= 0.0002
+        assert sys.getswitchinterval() == 0.005
+        with Profiler(interval_seconds=1.0).sampling():
+            assert sys.getswitchinterval() == 0.005
+        db = _make_db()
+        with pytest.raises(SQLExecutionError):
+            db.execute("SELECT e.nope FROM ev AS e", profile=True)
+        assert sys.getswitchinterval() == 0.005
+        assert obs_profile.installed() is None
+    finally:
+        sys.setswitchinterval(outside)
 
 
 def test_bad_interval_rejected():

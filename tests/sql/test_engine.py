@@ -176,3 +176,38 @@ def test_order_by_missing_column_is_a_typed_error(mode, suffix):
     empty = view.execute("SELECT t0.id FROM empty t0 ORDER BY t0.nope"
                          + suffix)
     assert empty.rows == []
+
+
+#: sort-key values on which comparing raw values could differ from the
+#: seed pipeline's wrapped keys: ties, equal numbers of other types,
+#: NULLs (two NULLs are equal, a NULL and a number do not compare),
+#: mixed types and values that compare only when unequal.
+ORDER_VALUES = {
+    "numbers": [2, 1.5, True, 0, -1.0, 1, 2],
+    "strings": ["b", "a", "c", "a"],
+    "nulls": [3, None, 1, None],
+    "all-null": [None, None, None],
+    "mixed": [3, "a", 1],
+    "tuples": [(1, None), (1, None), (0, 2)],
+}
+
+
+@pytest.mark.parametrize("values", sorted(ORDER_VALUES))
+@pytest.mark.parametrize("order", ["", " DESC"], ids=["asc", "desc"])
+def test_single_key_order_matches_the_seed_pipeline(values, order):
+    """One sort key orders, and fails, as the seed pipeline does in
+    every execution mode, whatever its values."""
+    db = Database()
+    db.create_table("t", ("id", "k"))
+    db.insert_many("t", [{"id": i, "k": v}
+                         for i, v in enumerate(ORDER_VALUES[values])])
+    sql = "SELECT t0.id FROM t t0 ORDER BY t0.k" + order
+    outcomes = {}
+    for mode, options in ORDER_MODES.items():
+        try:
+            rows = db.view(options).execute(sql).rows
+            outcomes[mode] = [row["id"] for row in rows]
+        except TypeError as exc:
+            outcomes[mode] = str(exc)
+    assert outcomes["planner"] == outcomes["seed"]
+    assert outcomes["parallel-2"] == outcomes["seed"]

@@ -482,18 +482,12 @@ def test_profiled_point_lookup_samples_its_scan():
     _same_result(result, db.view(ExecutorOptions(planner=False))
                  .execute(sql, {"key": 0}))
     # Sample counts are statistical: sample query after query (the
-    # profiler runs only while one does) until the scan is sampled.  A
-    # short switch interval lets the sampler thread in mid-scan.
+    # profiler runs only while one does) until the scan is sampled.
     profiler = Profiler(interval_seconds=0.001)
     deadline = time.monotonic() + 20.0
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-4)
-    try:
-        while label not in {span for span, _ in profiler.samples} \
-                and time.monotonic() < deadline:
-            db.execute(sql, {"key": 0}, profile=profiler)
-    finally:
-        sys.setswitchinterval(interval)
+    while label not in {span for span, _ in profiler.samples} \
+            and time.monotonic() < deadline:
+        db.execute(sql, {"key": 0}, profile=profiler)
     spans = {span for span, _ in profiler.samples}
     assert label in spans
     assert spans <= {"query", label, NO_SPAN}
