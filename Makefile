@@ -149,7 +149,11 @@ bench:
 
 # Executable documentation: doctest every README / docs example,
 # verify the EXPLAIN snippets in docs/explain.md against freshly
-# rendered plans, and run the quickstart the README advertises.
+# rendered plans, and run every script under examples/ (each must
+# exit 0).
 docs-check:
 	$(PYTHON) tools/check_docs.py
-	$(PYTHON) examples/quickstart.py
+	@for example in examples/*.py; do \
+		echo "== $$example"; \
+		$(PYTHON) "$$example" || exit 1; \
+	done

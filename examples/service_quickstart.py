@@ -1,28 +1,28 @@
-"""Service quickstart: the corpus pipeline behind the async facade.
+"""Service quickstart: the corpus pipeline behind the scheduler.
 
-Submits a handful of fragments to :class:`repro.service.QBSService`,
-streams outcomes as they complete, then re-gathers the same batch to
-show the persistent cache answering instead of the synthesizer.
+Runs a handful of fragments through :class:`repro.service.Scheduler`
+on two worker processes, streaming outcomes in submission order as
+they complete, then runs the same batch again to show the persistent
+cache answering instead of the synthesizer.
 
 Run:  PYTHONPATH=src python examples/service_quickstart.py
 """
 
-import asyncio
 import shutil
 import tempfile
 
-from repro.service import QBSService, ResultCache
+from repro.corpus.registry import fragment_by_id
+from repro.service import ResultCache, Scheduler
 
 FRAGMENTS = ["w46", "w40", "i2", "adv_top10", "adv_joincnt"]
 
 
-async def demo(cache: ResultCache) -> None:
-    service = QBSService(workers=2, cache=cache)
+def demo(cache: ResultCache) -> None:
+    scheduler = Scheduler(workers=2, cache=cache)
+    fragments = [fragment_by_id(fragment_id) for fragment_id in FRAGMENTS]
 
     print("streaming first run (computes everything):")
-    for fragment_id in FRAGMENTS:
-        await service.submit(fragment_id)
-    async for outcome in service.stream():
+    for outcome in scheduler.run_iter(fragments):
         result = outcome.result
         if result is None:
             print("  %-12s ! job failed: %s" % (outcome.job.fragment_id,
@@ -34,8 +34,7 @@ async def demo(cache: ResultCache) -> None:
             result.sql.sql if result.sql else result.reason[:50]))
 
     print("second run (answered from %s):" % cache.root)
-    outcomes = await service.run(FRAGMENTS)
-    for outcome in outcomes:
+    for outcome in scheduler.run(fragments).outcomes:
         print("  %-12s from_cache=%s  %.3fs" % (
             outcome.job.fragment_id, outcome.from_cache,
             outcome.elapsed_seconds))
@@ -44,7 +43,7 @@ async def demo(cache: ResultCache) -> None:
 def main() -> None:
     cache_dir = tempfile.mkdtemp(prefix="qbs-quickstart-")
     try:
-        asyncio.run(demo(ResultCache(cache_dir)))
+        demo(ResultCache(cache_dir))
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 

@@ -105,21 +105,6 @@ def sweep(sizes: List[int], run_one: Callable[[int], List[PageLoadMeasurement]]
     return out
 
 
-def speedup_table(measurements: List[PageLoadMeasurement]) -> Dict[int, float]:
-    """original(lazy) / inferred time per database size."""
-    by_size: Dict[int, Dict[str, float]] = {}
-    for m in measurements:
-        bucket = by_size.setdefault(m.db_size, {})
-        key = "inferred" if m.fetch == "n/a" else "original_%s" % m.fetch
-        bucket.setdefault(key, m.seconds)
-    out: Dict[int, float] = {}
-    for size, bucket in by_size.items():
-        if "inferred" in bucket and "original_lazy" in bucket \
-                and bucket["inferred"] > 0:
-            out[size] = bucket["original_lazy"] / bucket["inferred"]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Synthesis-search speed (the engine itself, not the generated queries)
 # ---------------------------------------------------------------------------

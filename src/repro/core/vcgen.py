@@ -64,10 +64,6 @@ class VCSet:
     #: unknown name -> loop id ("" for the postcondition).
     unknown_loops: Dict[str, str] = field(default_factory=dict)
 
-    @property
-    def postcondition_name(self) -> str:
-        return "pcon"
-
     def __str__(self) -> str:
         return "\n".join(str(vc) for vc in self.vcs)
 

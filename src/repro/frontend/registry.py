@@ -41,15 +41,6 @@ class AppRegistry:
 
     # -- registration ---------------------------------------------------------
 
-    def register_class(self, cls: type) -> type:
-        """Register every method of an application class."""
-        for name, member in vars(cls).items():
-            if hasattr(member, "__query_spec__"):
-                self.query_specs[name] = member.__query_spec__
-            elif inspect.isfunction(member):
-                self.register_function(member, name=name)
-        return cls
-
     def register_function(self, func: Callable,
                           name: Optional[str] = None) -> Callable:
         """Register one function/method by source."""

@@ -1,6 +1,6 @@
-"""Observability: trace spans, metrics, profiles, and the ops endpoint.
+"""Observability: trace spans, metrics and profiles.
 
-Four pieces with the same contract (default-off or cold-site-only):
+Three pieces with the same contract (default-off or cold-site-only):
 
 * :mod:`repro.obs.trace` — hierarchical spans on a contextvar.
   **Off by default**; when no trace is active, instrumented code pays
@@ -12,9 +12,6 @@ Four pieces with the same contract (default-off or cold-site-only):
 * :mod:`repro.obs.profile` — a sampling profiler attributing stack
   samples to the active span.  **Off until started**; the standing
   cost is one module-global read at span boundaries.
-* :mod:`repro.obs.httpd` — the ``/metrics`` / ``/healthz`` /
-  ``/traces/recent`` / ``/bench/latest`` ops endpoint
-  (``repro-qbs serve-metrics``).  Never started implicitly.
 
 See ``docs/observability.md`` for the user-facing tour.
 """

@@ -24,7 +24,6 @@ whose child order is deterministic regardless of completion order.
 from __future__ import annotations
 
 import time
-from collections import deque
 from contextvars import ContextVar
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -40,30 +39,11 @@ _ACTIVE: ContextVar[Optional["Span"]] = ContextVar("repro_obs_span",
 #: exist when tracing is on, so the untraced path is untouched.
 _PROFILE_HOOK: Optional[Callable[["Span", bool], None]] = None
 
-#: ring buffer of completed root spans for the ops endpoint's
-#: ``/traces/recent`` (None = disabled, the default).
-_RECENT_ROOTS: Optional[deque] = None
-
 
 def set_profile_hook(hook: Optional[Callable[["Span", bool], None]]) -> None:
     """Install (or, with None, remove) the profiler's span callback."""
     global _PROFILE_HOOK
     _PROFILE_HOOK = hook
-
-
-def keep_recent_roots(capacity: int = 32) -> None:
-    """Keep the last ``capacity`` completed root spans for
-    :func:`recent_roots` (``/traces/recent``); 0 disables and drops
-    the buffer.  Off by default — enabling costs one global read per
-    span exit, and only while tracing is on at all."""
-    global _RECENT_ROOTS
-    _RECENT_ROOTS = deque(maxlen=capacity) if capacity > 0 else None
-
-
-def recent_roots() -> List[Dict[str, Any]]:
-    """Completed root spans, oldest first, as ``to_dict`` payloads
-    wrapped with the wall-clock time they finished."""
-    return list(_RECENT_ROOTS) if _RECENT_ROOTS is not None else []
 
 
 #: ``current_span()`` is the ambient span, or None when tracing is off.
@@ -89,18 +69,13 @@ class Span:
     """
 
     __slots__ = ("name", "tags", "children", "elapsed_seconds",
-                 "detached", "_start", "_token")
+                 "_start", "_token")
 
     def __init__(self, name: str, **tags: Any):
         self.name = name
         self.tags: Dict[str, Any] = dict(tags)
         self.children: List[Span] = []
         self.elapsed_seconds: Optional[float] = None
-        #: True for worker-local spans (partition tasks) that complete
-        #: with no ambient parent by construction — they are stitched
-        #: into the driver's tree later and must not masquerade as
-        #: root spans in the recent-roots ring.
-        self.detached = False
         self._start: Optional[float] = None
         self._token = None
 
@@ -160,10 +135,6 @@ class Span:
             self._token = None
         if exc_type is not None:
             self.tags.setdefault("error", exc_type.__name__)
-        if _RECENT_ROOTS is not None and not self.detached \
-                and _ACTIVE.get() is None:
-            _RECENT_ROOTS.append({"recorded_unix": time.time(),
-                                  "trace": self.to_dict()})
         return False
 
     def __bool__(self) -> bool:

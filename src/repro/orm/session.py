@@ -108,16 +108,18 @@ def _record_field(name: str) -> property:
 
 class _Lookup:
     """How one association of an entity class loads: the target type and
-    the key lookup SQL, found on first use and shared by every entity of
-    the class."""
+    the key lookup SQL, found on first use, found again after a
+    registration, and shared by every entity of the class."""
 
-    __slots__ = ("assoc", "registry", "target", "sql", "store", "key",
-                 "many")
+    __slots__ = ("assoc", "registry", "target", "generation", "sql",
+                 "store", "key", "many")
 
     def __init__(self, assoc: Association, registry: MappingRegistry):
         self.assoc = assoc
         self.registry = registry
         self.target: Optional[EntityType] = None
+        #: the registry generation ``target`` was resolved under
+        self.generation = -1
         self.sql = ""
         #: the slot's setter; None when a column shadows the association
         self.store: Optional[Callable[[Entity, Any], None]] = None
@@ -129,12 +131,16 @@ class _Lookup:
         self.many = assoc.many
 
     def resolve_target(self) -> EntityType:
-        if self.target is None:
-            target = self.registry.entity(self.assoc.target)
-            self.sql = ("SELECT * FROM %s AS t0 WHERE t0.%s = :key"
-                        % (target.table, self.assoc.remote_column))
-            self.target = target
-        return self.target
+        """Find the target type under the registry's current
+        registrations.  Called again whenever the generation has moved:
+        an entity loaded before a registration keeps its class, and
+        with it this lookup."""
+        target = self.registry.entity(self.assoc.target)
+        self.sql = ("SELECT * FROM %s AS t0 WHERE t0.%s = :key"
+                    % (target.table, self.assoc.remote_column))
+        self.target = target
+        self.generation = self.registry.generation
+        return target
 
 
 class _EntityClass(NamedTuple):
@@ -277,12 +283,13 @@ class Session:
         project -> creator -> ... — terminate, matching Hibernate's
         bounded eager-fetch depth.
         """
+        generation = self.registry.generation
         target = lookup.target
-        if target is None:
+        if lookup.generation != generation:
             target = lookup.resolve_target()
         key = lookup.key(entity)
         table = self.db.catalog.table(target.table)
-        current = (table, table.data_version, self.registry.generation)
+        current = (table, table.data_version, generation)
         ident = (lookup.sql, target.name, key)
         try:
             entry = self._context.get(ident)

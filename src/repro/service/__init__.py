@@ -1,4 +1,4 @@
-"""The QBS service layer: parallel, cached, async-facing corpus runs.
+"""The QBS service layer: parallel, cached corpus runs.
 
 Modules:
 
@@ -16,8 +16,6 @@ Modules:
   share: the failure taxonomy, :class:`RetryPolicy`,
   :class:`Deadline`, and the deterministic fault-injection harness
   (:class:`FaultPlan`) the chaos suites drive;
-* :mod:`repro.service.facade` — ``submit``/``gather``/``stream``
-  coroutines for event-loop callers;
 * :mod:`repro.service.cli` — the ``repro-qbs`` command.
 
 Invariants every scheduler/cache change must preserve (pinned by
@@ -49,7 +47,6 @@ Invariants every scheduler/cache change must preserve (pinned by
 """
 
 from repro.service.cache import ResultCache, default_cache_dir
-from repro.service.facade import QBSService
 from repro.service.faults import Deadline, FaultPlan, RetryPolicy
 from repro.service.jobs import QBSJob, job_for, jobs_for
 from repro.service.scheduler import JobOutcome, RunReport, Scheduler
@@ -59,7 +56,6 @@ __all__ = [
     "FaultPlan",
     "JobOutcome",
     "QBSJob",
-    "QBSService",
     "ResultCache",
     "RetryPolicy",
     "RunReport",

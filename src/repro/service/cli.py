@@ -5,8 +5,6 @@ Subcommands::
     repro-qbs run            # run fragments through the scheduler + cache
     repro-qbs status         # corpus coverage of the current cache
     repro-qbs cache          # cache maintenance: info | list | clear | gc
-    repro-qbs metrics        # corpus run + metrics registry snapshot
-    repro-qbs serve-metrics  # live ops endpoint (/metrics, /healthz, ...)
 
 ``run`` prints the Appendix-A style marker table (X translated,
 * failed, † rejected) with per-fragment timing, cache provenance and
@@ -25,10 +23,7 @@ executes the batch under a trace and writes the stitched span tree as
 JSON; ``run --profile out.txt`` additionally samples the run and
 writes a collapsed-stack profile (``.json`` for the JSON summary);
 ``run --metrics`` appends the metrics registry's Prometheus text
-exposition (or a ``"metrics"`` key under ``--json``).  ``metrics`` is
-the standalone form: a corpus run followed by the registry snapshot
-with derived cache-hit-ratio / retry / degradation summary lines.
-``serve-metrics`` serves the live ops endpoint until interrupted.
+exposition (or a ``"metrics"`` key under ``--json``).
 """
 
 from __future__ import annotations
@@ -138,41 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the metrics registry after the run "
                           "(text exposition, or a 'metrics' key with "
                           "--json)")
-
-    metrics_cmd = sub.add_parser(
-        "metrics",
-        help="run fragments, then print the metrics registry snapshot")
-    _add_selection_args(metrics_cmd)
-    _add_cache_args(metrics_cmd)
-    metrics_cmd.add_argument("--workers", type=_positive_int, default=1,
-                             metavar="N",
-                             help="worker processes for the run")
-    metrics_cmd.add_argument("--retries", type=_nonnegative_int,
-                             default=0, metavar="N",
-                             help="retry budget for the run (as in run)")
-    metrics_cmd.add_argument("--refresh", action="store_true",
-                             help="recompute even on cache hit")
-    metrics_cmd.add_argument("--json", action="store_true",
-                             dest="json_output",
-                             help="JSON snapshot instead of the text "
-                                  "exposition")
-
-    serve = sub.add_parser(
-        "serve-metrics",
-        help="serve /metrics, /healthz, /traces/recent, /bench/latest")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=_nonnegative_int, default=9121,
-                       metavar="N",
-                       help="bind port; 0 picks a free one "
-                            "(default 9121)")
-    serve.add_argument("--trace-ring", type=_nonnegative_int, default=32,
-                       metavar="N",
-                       help="keep the last N completed root spans for "
-                            "/traces/recent; 0 disables (default 32)")
-    serve.add_argument("--bench-dir", default=None, metavar="PATH",
-                       help="where /bench/latest looks for BENCH_*.json "
-                            "(default: repo root, or $REPRO_BENCH_DIR)")
 
     status = sub.add_parser("status",
                             help="cache coverage of the corpus")
@@ -338,92 +298,6 @@ def _write_profile(path: str, profiler) -> None:
             handle.write(profiler.collapsed())
 
 
-def _counter_total(name: str) -> float:
-    instrument = obs_metrics.REGISTRY.get(name)
-    total = getattr(instrument, "total", None)
-    return total() if total is not None else 0.0
-
-
-def _metrics_summary() -> dict:
-    """Derived headline numbers over the registry: cache hit ratio,
-    retry counts, degradation totals."""
-    hits = _counter_total("repro_cache_hits_total")
-    misses = _counter_total("repro_cache_misses_total")
-    lookups = hits + misses
-    return {
-        "cache_hits": hits,
-        "cache_misses": misses,
-        "cache_hit_ratio": (hits / lookups) if lookups else None,
-        "jobs": _counter_total("repro_jobs_total"),
-        "retried_jobs": _counter_total("repro_job_retries_total"),
-        "backoff_waits": _counter_total("repro_backoff_waits_total"),
-        "degradations": _counter_total("repro_degradations_total"),
-    }
-
-
-def cmd_metrics(args) -> int:
-    """A corpus run followed by the registry snapshot."""
-    fragments = _selected(args)
-    cache = _cache_for(args)
-    scheduler = Scheduler(workers=args.workers, cache=cache,
-                          options=QBSOptions(), refresh=args.refresh,
-                          retry=RetryPolicy(max_attempts=args.retries + 1))
-    report = scheduler.run(fragments)
-    summary = _metrics_summary()
-    if args.json_output:
-        print(json.dumps({
-            "summary": dict(summary,
-                            fragments=len(report.outcomes),
-                            wall_seconds=report.wall_seconds,
-                            failed_jobs=report.failed),
-            "metrics": obs_metrics.REGISTRY.snapshot(),
-        }, indent=1, sort_keys=True))
-        return 0
-    print("Run: %d fragments in %.2fs  (%d computed, %d from cache, "
-          "%d failed jobs, workers=%d)" % (
-              len(report.outcomes), report.wall_seconds, report.computed,
-              report.cache_hits, report.failed, args.workers))
-    ratio = summary["cache_hit_ratio"]
-    print("cache hit ratio : %s" % (
-        "n/a (no lookups)" if ratio is None else "%.1f%%" % (ratio * 100)))
-    print("retried jobs    : %d  (backoff waits: %d)" % (
-        summary["retried_jobs"], summary["backoff_waits"]))
-    print("degradations    : %d" % summary["degradations"])
-    print()
-    sys.stdout.write(obs_metrics.REGISTRY.exposition())
-    return 0
-
-
-def _register_pool_instruments() -> None:
-    """The worker pool registers its gauges and counters at import
-    time; import it for that side effect so the ops endpoint exposes
-    ``repro_pool_*`` even in a process that never ran a pool query."""
-    from repro.service import pool
-
-    pool.refresh_worker_gauge()
-
-
-def cmd_serve_metrics(args) -> int:
-    """Foreground ops endpoint; Ctrl-C exits cleanly."""
-    from repro.obs import httpd as obs_httpd
-
-    _register_pool_instruments()
-    if args.trace_ring:
-        obs_trace.keep_recent_roots(args.trace_ring)
-    server = obs_httpd.OpsServer(host=args.host, port=args.port,
-                                 bench_dir=args.bench_dir)
-    print("serving ops endpoint on http://%s:%d  "
-          "(/metrics /healthz /traces/recent /bench/latest)"
-          % (server.host, server.port))
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
-    return 0
-
-
 def _failure_cell(outcome) -> str:
     """Failure-class table cell: taxonomy code (plus attempt count when
     the job was retried); ``-`` for clean first-attempt successes."""
@@ -565,8 +439,7 @@ def cmd_cache(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"run": cmd_run, "status": cmd_status,
-               "cache": cmd_cache, "metrics": cmd_metrics,
-               "serve-metrics": cmd_serve_metrics}[args.command]
+               "cache": cmd_cache}[args.command]
     try:
         return handler(args)
     except SelectionError as exc:

@@ -13,7 +13,7 @@ of policies:
   bound doubles as the per-job **circuit breaker**: a poison job stops
   consuming workers after ``max_attempts`` instead of respawn-looping;
 * a :class:`Deadline` — a monotonic-clock budget threaded from the
-  facade / scheduler / executor down into partition tasks, so a hung
+  scheduler / executor down into partition tasks, so a hung
   substrate surfaces a *classified timeout* instead of blocking;
 * a :class:`FaultPlan` — a **deterministic fault-injection harness**.
   Faults are decided by a seeded hash over the job id / partition

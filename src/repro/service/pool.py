@@ -71,8 +71,8 @@ import struct
 import threading
 import time
 from collections import OrderedDict
-from typing import (Any, Callable, Dict, Iterator, List, Mapping,
-                    NamedTuple, Optional, Sequence)
+from typing import (Any, Dict, Iterator, List, Mapping, NamedTuple,
+                    Optional, Sequence)
 
 from repro.obs import metrics as obs_metrics
 from repro.service import faults
@@ -84,10 +84,6 @@ CACHE_TABLES_PER_WORKER = 64
 #: grace given at each shutdown escalation step (shutdown frame,
 #: SIGTERM) before moving on to the next; SIGKILL ends the ladder.
 _JOIN_GRACE = 5.0
-
-#: how often a dispatch with a ``stop`` predicate checks it while
-#: waiting on busy workers.
-_STOP_POLL_SECONDS = 0.02
 
 _HEADER = struct.Struct(">I")
 
@@ -113,7 +109,8 @@ _RETRIES = obs_metrics.counter(
     "repro_pool_retries_total",
     "Pool job retries, labelled by failure kind.")
 
-# The gauge must appear on /metrics before the first pool is built.
+# An exposition reads "no pool" (0), not a missing series, until the
+# first pool is built.
 _WORKERS.set(0.0)
 
 
@@ -462,9 +459,7 @@ class WorkerPool:
                tables: Optional[Mapping[str, Any]] = None, deadline=None,
                plan=None, attempt: int = 1,
                job_timeout: Optional[float] = None,
-               profile: Optional[float] = None,
-               stop: Optional[Callable[[], bool]] = None
-               ) -> Iterator[Finished]:
+               profile: Optional[float] = None) -> Iterator[Finished]:
         """Run ``jobs`` on the pool, yielding each one's
         :class:`Finished` as it happens (completion order).
 
@@ -475,10 +470,8 @@ class WorkerPool:
         is profiling.  Failures retry under :attr:`retry` as the module
         docstring describes; at ``deadline`` expiry every unfinished
         job finishes with :class:`~repro.service.faults.
-        DeadlineExceeded`.  Once ``stop()`` returns true (polled every
-        :data:`_STOP_POLL_SECONDS` while workers are busy), the
-        generator ends as if closed early.  An early close scraps the
-        busy workers, so the next dispatch starts frame-aligned.
+        DeadlineExceeded`.  An early close scraps the busy workers, so
+        the next dispatch starts frame-aligned.
         """
         jobs = list(jobs)
         if not jobs:
@@ -498,8 +491,6 @@ class WorkerPool:
         unfinished = len(jobs)
         try:
             while unfinished:
-                if stop is not None and stop():
-                    return
                 now = time.perf_counter()
                 if deadline is not None and deadline.expired():
                     stuck = list(busy.items())
@@ -548,8 +539,6 @@ class WorkerPool:
                     _DISPATCHES.inc()
                     busy[worker] = (index, time.perf_counter())
                 bounds = [ready - now for ready, _ in delayed]
-                if stop is not None:
-                    bounds.append(_STOP_POLL_SECONDS)
                 if deadline is not None:
                     bounds.append(deadline.remaining())
                 if job_timeout is not None:
@@ -670,14 +659,3 @@ def reset_pool() -> None:
             with _POOL._dispatching:    # let a running dispatch end
                 _POOL.close()
             _POOL = None
-
-
-def refresh_worker_gauge() -> None:
-    """Re-pin ``repro_pool_workers`` to the live worker count.  The
-    import-time 0.0 sample can be dropped by a registry reset, so
-    surfaces that expose the registry (the ops endpoint) re-assert it:
-    a scraper should read "no pool" rather than a missing series."""
-    if _POOL is not None and not _POOL.closed:
-        _WORKERS.set(float(len(_POOL._workers)))
-    else:
-        _WORKERS.set(0.0)

@@ -32,7 +32,6 @@ is attached, which is what makes corpus re-runs incremental.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
@@ -86,10 +85,6 @@ _BACKOFF_SECONDS = obs_metrics.counter(
 _DEADLINE_MARGIN = obs_metrics.gauge(
     "repro_deadline_margin_seconds",
     "whole-run deadline margin when the last outcome was delivered")
-_JOBS_INFLIGHT = obs_metrics.gauge(
-    "repro_jobs_inflight",
-    "jobs executing right now (the live-ops view a /metrics scrape "
-    "sees mid-run)")
 
 
 @dataclass
@@ -191,15 +186,9 @@ class Scheduler:
         return RunReport(outcomes=outcomes,
                          wall_seconds=time.perf_counter() - start)
 
-    def run_iter(self, fragments: List[CorpusFragment],
-                 stop_event: Optional[threading.Event] = None
+    def run_iter(self, fragments: List[CorpusFragment]
                  ) -> Iterator[JobOutcome]:
         """Yield outcomes in submission order as they become available.
-
-        ``stop_event`` (settable from another thread, e.g. the async
-        facade's cancelled stream) makes the run wind down early: no
-        new jobs start, workers are reclaimed, and the iterator ends
-        without yielding the remaining outcomes.
 
         Every outcome is observed on its way out (:meth:`_observe`):
         metrics counters always, and — when the run happens under an
@@ -232,9 +221,9 @@ class Scheduler:
             return
 
         if self.workers == 1:
-            compute = self._run_inline(jobs, pending, stop_event)
+            compute = self._run_inline(jobs, pending)
         else:
-            compute = self._run_pool(jobs, pending, stop_event)
+            compute = self._run_pool(jobs, pending)
 
         # Interleave back into submission order.  The pool path computes
         # lazily, so streaming consumers see outcomes as soon as the
@@ -245,8 +234,6 @@ class Scheduler:
                     else next(compute)
                 self._observe(outcome, parent_span, run_started)
                 yield outcome
-        except StopIteration:   # compute wound down early (stop_event)
-            return
         finally:
             compute.close()     # a pool run closes its workers
 
@@ -292,8 +279,7 @@ class Scheduler:
 
     # -- execution strategies ---------------------------------------------
 
-    def _run_inline(self, jobs: List[QBSJob], pending: List[int],
-                    stop_event: Optional[threading.Event]
+    def _run_inline(self, jobs: List[QBSJob], pending: List[int]
                     ) -> Iterator[JobOutcome]:
         """In-process: no pool, no pickling overhead — but the same
         retry/backoff/deadline semantics as the pool path."""
@@ -301,8 +287,6 @@ class Scheduler:
         retry = self.retry
         deadline = Deadline.after(self.deadline_seconds)
         for index in pending:
-            if stop_event is not None and stop_event.is_set():
-                return
             job = jobs[index]
             if deadline is not None and deadline.expired():
                 yield JobOutcome(
@@ -312,7 +296,6 @@ class Scheduler:
                 continue
             attempt = 0
             start = time.perf_counter()
-            _JOBS_INFLIGHT.set(1)
             while True:
                 attempt += 1
                 faults.set_current_attempt(attempt)
@@ -335,10 +318,8 @@ class Scheduler:
                                    time.perf_counter() - start,
                                    attempts=attempt)
                 break
-            _JOBS_INFLIGHT.set(0)
 
-    def _run_pool(self, jobs: List[QBSJob], pending: List[int],
-                  stop_event: Optional[threading.Event]
+    def _run_pool(self, jobs: List[QBSJob], pending: List[int]
                   ) -> Iterator[JobOutcome]:
         """Fork a :class:`~repro.service.pool.WorkerPool` for this run
         and deliver its outcomes in submission order.
@@ -355,24 +336,19 @@ class Scheduler:
             pool = WorkerPool(size=min(self.workers, len(pending)),
                               retry=self.retry)
         except ValueError:  # pragma: no cover - no fork on this platform
-            yield from self._run_inline(jobs, pending, stop_event)
+            yield from self._run_inline(jobs, pending)
             return
         opts = options_payload(self.options)
         stream = pool.stream(
             [PoolJob(jobs[index].fragment_id, opts) for index in pending],
             deadline=Deadline.after(self.deadline_seconds),
-            job_timeout=self.job_timeout,
-            stop=None if stop_event is None else stop_event.is_set)
+            job_timeout=self.job_timeout)
         outcomes: Dict[int, JobOutcome] = {}
         next_pos = 0
         try:
             for done in stream:
                 index = pending[done.index]
                 outcomes[index] = self._outcome(jobs[index], done)
-                _JOBS_INFLIGHT.set(min(pool.size, len(pending) - next_pos
-                                       - len(outcomes)))
-                if stop_event is not None and stop_event.is_set():
-                    return
                 # Yield the finished in-order prefix.
                 while next_pos < len(pending) \
                         and pending[next_pos] in outcomes:
@@ -381,7 +357,6 @@ class Scheduler:
         finally:
             stream.close()
             pool.close()
-            _JOBS_INFLIGHT.set(0)
 
     def _outcome(self, job: QBSJob, done: Finished) -> JobOutcome:
         if done.error is None:

@@ -32,7 +32,6 @@ physical operators additionally record per-operator cardinalities that
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -268,15 +267,14 @@ class Executor:
         if _has_aggregate(select.items):
             return self._aggregate_result(select, envs, params, stats)
 
+        envs = self._order(select.order_by, envs, scanned)
         if select.order_by and select.limit is not None \
                 and not select.distinct:
-            # ORDER BY + LIMIT: a top-k heap selection is O(n log k)
-            # instead of a full O(n log n) sort.  DISTINCT must see the
-            # whole ordered set (duplicates are dropped before LIMIT),
-            # so it keeps the full sort.
-            envs = self._top_k(select.order_by, envs, scanned, select.limit)
-        else:
-            envs = self._order(select.order_by, envs, scanned)
+            # ORDER BY + LIMIT keeps the first rows of the one sort
+            # before projecting, as the planner's top-k sort does.
+            # DISTINCT must see the whole ordered set (duplicates are
+            # dropped before LIMIT).
+            envs = envs[: select.limit]
         rows, columns = self._project(select.items, envs, scanned, params,
                                       stats)
         if select.distinct:
@@ -453,26 +451,6 @@ class Executor:
             return tuple(parts)
 
         return sorted(envs, key=key)
-
-    def _top_k(self, order_by: Tuple[S.OrderItem, ...], envs: List[Env],
-               scanned: List["_ScannedSource"], limit: int) -> List[Env]:
-        """The first ``limit`` envs of the ORDER BY order, heap-selected.
-
-        Appending the input position to the key makes the selection
-        stable, so the result matches ``sorted(...)[:limit]`` exactly
-        (``heapq.nsmallest`` alone does not preserve tie order).
-        """
-        def key(pair):
-            idx, env = pair
-            parts = []
-            for item in order_by:
-                value = self._order_value(item.column, env, scanned)
-                parts.append(_ReverseAware(value, item.descending))
-            parts.append(idx)
-            return tuple(parts)
-
-        return [env for _, env in
-                heapq.nsmallest(limit, enumerate(envs), key=key)]
 
     def _order_value(self, column: S.ColumnRef, env: Env,
                      scanned: List["_ScannedSource"]) -> Any:

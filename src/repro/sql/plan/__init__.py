@@ -31,9 +31,9 @@ Invariants every rewrite must preserve (pinned by
 * **storage order** — unordered scans enumerate rows in insertion
   order, and join output is probe-major (probe order, then bucket
   order); the paper's ``Order`` axiom (Fig. 9) leans on this.
-* **tie order** — ORDER BY sorts are stable, and the top-k heap path
-  appends the input position to the sort key so it matches
-  ``sorted(...)[:limit]`` exactly.
+* **tie order** — ORDER BY sorts are stable, and ORDER BY ... LIMIT
+  is ``sorted(...)[:limit]`` in every serial mode, so serial modes
+  agree even on keys that do not compare consistently (NaN).
 * **first-encounter group order** — GROUP BY emits groups in the order
   their keys first appear in the (storage-ordered) input; the grouped
   analogue of storage order.

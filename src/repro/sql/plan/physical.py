@@ -813,8 +813,8 @@ class VecSortOp(VecOp):
 
     The sort permutes row positions with Python's stable sort, so tie
     order matches the seed pipeline's ``_order`` exactly; with a
-    ``top_k`` bound the result is ``sorted(...)[:k]``, which is what
-    the seed's heap selection returns.
+    ``top_k`` bound the result is ``sorted(...)[:k]``, the first rows
+    of the seed's one sort.
     """
 
     name = "Sort"
@@ -1474,9 +1474,7 @@ class _PoolPartitionJob:
         self.root.child.prepare(ctx)
         pctx = _PartCtx(executor, self.params)
         if self.traced:
-            pspan = obs_trace.Span("partition", part=self.part)
-            pspan.detached = True
-            with pspan:
+            with obs_trace.Span("partition", part=self.part) as pspan:
                 payload = self.root._partition(self.part, pctx, ctx.scanned)
             return payload, pctx.stats, pctx.recorded, pspan.to_dict()
         return (self.root._partition(self.part, pctx, ctx.scanned),
@@ -1571,12 +1569,7 @@ def _run_partitioned(root: "_FanOut", ctx: _Ctx,
         def task():
             pctx = _PartCtx(executor, params)
             if traced:
-                pspan = obs_trace.Span("partition", part=part)
-                # Worker-local by construction: it exits with no
-                # ambient parent and is stitched into the driver's
-                # tree afterwards — not a root for the recent ring.
-                pspan.detached = True
-                with pspan:
+                with obs_trace.Span("partition", part=part) as pspan:
                     payload = root._partition(part, pctx, scanned)
                 return payload, pctx.stats, pctx.recorded, pspan.to_dict()
             return (root._partition(part, pctx, scanned), pctx.stats,

@@ -201,12 +201,3 @@ def _back_map(field_name: str, side: T.TorNode) -> Optional[str]:
         if spec.target == field_name:
             return spec.source
     return None
-
-
-def is_translatable(expr: T.TorNode) -> bool:
-    """Cheap check used by template generation's symmetry breaking."""
-    try:
-        normalize(expr)
-        return True
-    except NotTranslatableError:
-        return False

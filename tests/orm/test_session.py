@@ -255,6 +255,26 @@ class TestEntityContract:
         again = session.load_all("User")[0].role
         assert type(again) is type(later)
 
+    def test_lookup_made_before_a_registration_hydrates_the_new_type(
+            self, setup):
+        """An entity loaded before a registration keeps its class and
+        that class's lookups; a lazy read through such a lookup must
+        hydrate the re-registered target, or the registry caches a class
+        built from the old type under the current name."""
+        db, registry = setup
+        session = Session(db, registry, fetch="lazy")
+        alice, bob = session.load_all("User")
+        assert alice.role.role_name == "admin"
+        registry.register(EntityType(
+            "Role", "roles", ("role_id", "role_name"),
+            associations=(Association("users", "User", "role_id",
+                                      "role_id", many=True),)))
+        assert bob.role.role_name == "user"
+        (admin,) = Session(db, registry).query(
+            "SELECT * FROM roles AS t0 WHERE t0.role_id = 10", "Role")
+        assert [user.name for user in admin.users] == ["alice"]
+        assert [user.name for user in bob.role.users] == ["bob"]
+
     def test_identity_and_rendering_are_unchanged(self, setup):
         db, registry = setup
         users = Session(db, registry, fetch="eager").load_all("User")

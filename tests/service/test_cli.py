@@ -1,5 +1,8 @@
-"""The repro-qbs CLI: exit codes and cache round-trips."""
+"""The repro-qbs CLI: exit codes, cache round-trips and metrics."""
 
+import json
+
+from repro.obs import metrics as obs_metrics
 from repro.service.cli import main
 
 SLICE = "w40,w42,i2"
@@ -52,3 +55,29 @@ def test_status_and_cache_subcommands(tmp_path, capsys):
     assert "w40" in capsys.readouterr().out
     assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
     assert "removed 1" in capsys.readouterr().out
+
+
+def test_run_metrics_ends_with_the_registry_exposition(capsys):
+    assert main(["run", "--fragments", "w40", "--no-cache",
+                 "--metrics"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(obs_metrics.REGISTRY.exposition())
+    exposition = out.rsplit("\n\n", 1)[1].splitlines()
+    assert any(line.startswith('repro_jobs_total{state="done"} ')
+               for line in exposition)
+    for name in ("dispatches", "cache_hits", "cache_misses",
+                 "rows_shipped", "respawns", "retries"):
+        assert "# TYPE repro_pool_%s_total counter" % name in exposition
+
+
+def test_run_json_metrics_carries_the_registry_snapshot(capsys):
+    assert main(["run", "--fragments", "w40", "--no-cache", "--json",
+                 "--metrics"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert document["summary"]["fragments"] == 1
+    metrics = document["metrics"]
+    assert sorted(metrics) == sorted(obs_metrics.REGISTRY.snapshot())
+    jobs = metrics["repro_jobs_total"]
+    assert jobs["type"] == "counter"
+    assert any(sample["labels"] == {"state": "done"} and sample["value"] >= 1
+               for sample in jobs["samples"])

@@ -180,51 +180,6 @@ def test_select_fragments_rejects_ids_outside_app_scope():
             for cf in select_fragments(app="itracker", ids=["i2"])] == ["i2"]
 
 
-def test_stop_event_winds_down_early(monkeypatch):
-    import threading
-
-    calls = []
-
-    def counting(fragment_id, options_dict):
-        calls.append(fragment_id)
-        return execute_job(fragment_id, options_dict)
-
-    monkeypatch.setattr(scheduler_module, "_JOB_RUNNER", counting)
-    fragments = select_fragments(ids=["w40", "w42", "w46", "i2"])
-    stop = threading.Event()
-    seen = []
-    for outcome in Scheduler(workers=1).run_iter(fragments,
-                                                 stop_event=stop):
-        seen.append(outcome)
-        stop.set()
-    assert len(seen) == 1
-    assert len(calls) < len(fragments)
-
-
-def test_stop_event_stops_a_pool_run_promptly(monkeypatch):
-    # Both workers sleep for a minute: a stop must not wait for them.
-    import multiprocessing
-    import threading
-
-    monkeypatch.setattr(scheduler_module, "_JOB_RUNNER",
-                        _very_sleepy_runner)
-    fragments = select_fragments(ids=["w40", "w42"])
-    before = {p.pid for p in multiprocessing.active_children()}
-    stop = threading.Event()
-    timer = threading.Timer(0.5, stop.set)
-    timer.start()
-    start = time.perf_counter()
-    try:
-        seen = list(Scheduler(workers=2).run_iter(fragments,
-                                                  stop_event=stop))
-    finally:
-        timer.cancel()
-    assert time.perf_counter() - start < 10
-    assert seen == []
-    # The busy workers were reaped, not left sleeping.
-    assert {p.pid for p in multiprocessing.active_children()} <= before
-
-
 def test_worker_dying_while_idle_is_replaced_without_failing_a_job(
         monkeypatch, tmp_path):
     import multiprocessing

@@ -18,6 +18,7 @@ import re
 import pytest
 
 from repro.corpus.schema import create_wilos_database, populate_wilos
+from repro.sql.database import Database
 from repro.sql.executor import ExecutorOptions
 
 
@@ -96,6 +97,23 @@ BATTERY = [
 def test_battery_equivalence(case, wilos_db):
     sql, params = BATTERY[case]
     _assert_identical(wilos_db, sql, params)
+
+
+def test_nan_sort_key_under_limit_matches_the_seed_pipeline():
+    """NaN compares false both ways, so the order of a NaN key is
+    whatever the sort makes of it; both modes keep the first LIMIT rows
+    of one stable sort, so they agree, and LIMIT returns a prefix of
+    the unlimited order.  Serial only: partitioned sorts merge NaN
+    keys into another order."""
+    db = Database()
+    db.create_table("t", ("id", "k"))
+    db.insert_many("t", [{"id": i, "k": k} for i, k in
+                         enumerate([2.0, float("nan"), 1.0, 0.5])])
+    ordered = "SELECT t0.id FROM t AS t0 ORDER BY t0.k"
+    for sql in (ordered, ordered + " LIMIT 2"):
+        _assert_identical(db, sql)
+    full = db.execute(ordered).rows
+    assert list(db.execute(ordered + " LIMIT 2").rows) == list(full[:2])
 
 
 # -- full-corpus equivalence ---------------------------------------------------
