@@ -40,10 +40,12 @@ test:
 # floor is overhead-based, not CPU-scaling), the ORM entity-read
 # floor (reading every column of 2,000 lazily loaded entities takes at
 # most 2x the time of the same reads on plain objects, asserted
-# unconditionally), and the ORM eager-query floor (an eager load of
+# unconditionally), and the ORM eager-load floors (an eager load of
 # 2,000 Participants over 20 roles and 200 projects issues at most 221
 # queries, an exact count that was 4,001 before a session resolved
-# each association key once).  Perf regressions surface in seconds.
+# each association key once, and enters at most 3,625 Python functions
+# after a warm-up load, an exact count that was 10,875 before hydration
+# went a result at a time).  Perf regressions surface in seconds.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_synthesis_speed.py --smoke
 	$(PYTHON) benchmarks/bench_planner.py --smoke

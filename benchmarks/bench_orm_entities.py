@@ -26,6 +26,15 @@ Claims:
   one lookup per row and association, before the session kept a
   persistence context.  Recorded as the reduction ``4001 / queries >=
   4001 / 221`` with the count beside it.
+* **eager-call floor** (an exact ``sys.setprofile`` count, as
+  ``bench_planner.py`` counts a statement-cache hit): after a warm-up
+  load, the same eager load enters at most 3,625 Python functions, a
+  third of the 10,875 it entered while hydration stored one column at a
+  time through a generic loop and resolved each association once per
+  row.  A class's builder now hydrates a run of rows with no Python
+  call per row, and each association is resolved once per result, so
+  the count is about 15 per distinct key looked up.  Recorded as the
+  reduction ``10875 / calls >= 3`` with the count beside it.
 
 Run directly::
 
@@ -60,6 +69,11 @@ N_PROJECTS = N_PARTICIPANTS // 10
 #: association before the session resolved each key once.
 MAX_EAGER_QUERIES = 1 + N_ROLES + N_PROJECTS
 BASELINE_EAGER_QUERIES = 1 + 2 * N_PARTICIPANTS
+#: Python functions the warm eager load entered while hydration stored
+#: one column at a time and resolved associations row by row; it may
+#: enter a third of that.
+BASELINE_EAGER_CALLS = 10_875
+MAX_EAGER_CALLS = BASELINE_EAGER_CALLS // 3
 REPEATS = 3
 COLUMNS = WILOS_TABLES["participant"]
 READ_ROW = operator.attrgetter(*COLUMNS)
@@ -81,19 +95,36 @@ def read_seconds(objects, passes: int) -> float:
     return time.perf_counter() - start
 
 
-def eager_queries():
-    """(queries, entities) of one eager load of every Participant."""
+def eager_load():
+    """(queries, entities, Python function entries) of one eager load of
+    every Participant, after a warm-up load that builds the entity
+    classes and caches the plans."""
     db = create_wilos_database()
     populate_wilos(db, n_users=N_PARTICIPANTS, n_roles=N_ROLES)
-    session = Session(db, wilos_mappings(), fetch="eager")
-    participants = session.load_all("Participant")
+    registry = wilos_mappings()
+    Session(db, registry, fetch="eager").load_all("Participant")
+    session = Session(db, registry, fetch="eager")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        participants = session.load_all("Participant")
+    finally:
+        sys.setprofile(None)
     assert len(participants) == N_PARTICIPANTS
     assert all(p.role.role_id == p.role_id and p.project.id == p.project_id
                for p in participants)
     print("%-28s %8d queries, %d entities (at most %d; %d before)"
           % ("eager load", session.queries_issued, session.objects_hydrated,
              MAX_EAGER_QUERIES, BASELINE_EAGER_QUERIES))
-    return session.queries_issued, session.objects_hydrated
+    print("%-28s %8d calls (at most %d; %d before)"
+          % ("eager load", calls, MAX_EAGER_CALLS, BASELINE_EAGER_CALLS))
+    return session.queries_issued, session.objects_hydrated, calls
 
 
 def run(smoke=False):
@@ -122,7 +153,7 @@ def run(smoke=False):
     print()
     print("entity reads take %.2fx the plain-object time (ceiling %.1fx)"
           % (slowdown, MAX_READ_SLOWDOWN))
-    queries, entities = eager_queries()
+    queries, entities, calls = eager_load()
 
     failures = []
     if slowdown > MAX_READ_SLOWDOWN:
@@ -131,18 +162,25 @@ def run(smoke=False):
     if queries > MAX_EAGER_QUERIES:
         failures.append("eager load issued %d queries > %d"
                         % (queries, MAX_EAGER_QUERIES))
+    if calls > MAX_EAGER_CALLS:
+        failures.append("eager load entered %d Python functions > %d"
+                        % (calls, MAX_EAGER_CALLS))
     write_bench_artifact(
         "orm_entities", not failures, smoke=smoke,
         # Floors are speedups (higher is better): the entity's read
-        # speed relative to the plain object's, and the reduction in
-        # eager-load queries, with the count beside it.
+        # speed relative to the plain object's, and the reductions in
+        # eager-load queries and calls, with each count beside it.
         floors={"entity_read_speed": floor_entry(
                     plain_s / entity_s, 1.0 / MAX_READ_SLOWDOWN,
                     asserted=True),
                 "eager_queries": dict(floor_entry(
                     BASELINE_EAGER_QUERIES / queries,
                     BASELINE_EAGER_QUERIES / MAX_EAGER_QUERIES),
-                    queries=queries, max_queries=MAX_EAGER_QUERIES)},
+                    queries=queries, max_queries=MAX_EAGER_QUERIES),
+                "eager_calls": dict(floor_entry(
+                    BASELINE_EAGER_CALLS / calls,
+                    BASELINE_EAGER_CALLS / MAX_EAGER_CALLS),
+                    calls=calls, max_calls=MAX_EAGER_CALLS)},
         extra={"participants": N_PARTICIPANTS, "columns": len(COLUMNS),
                "passes": passes, "repeats": REPEATS,
                "entity_seconds": entity_s, "plain_seconds": plain_s,

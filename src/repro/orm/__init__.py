@@ -6,11 +6,13 @@ ORM calls (Hibernate).  This package provides the analogous substrate:
 * :mod:`repro.orm.mapping` — entity declarations: table, columns and
   associations between entities;
 * :mod:`repro.orm.session` — the session: loads entities, hydrates row
-  records into Python objects, and implements the two association
-  fetch modes the paper benchmarks (``lazy`` proxies that query on
-  first access vs ``eager`` loading at hydration time); like a
-  Hibernate session it is a persistence context, which runs each
-  association lookup once per key;
+  records into Python objects a result at a time (a generated builder
+  per entity class fills a run of rows), and implements the two
+  association fetch modes the paper benchmarks (``lazy`` proxies that
+  query on first access vs ``eager`` loading at hydration time, which
+  resolves each association once per result); like a Hibernate session
+  it is a persistence context, which runs each association lookup once
+  per key;
 * :mod:`repro.orm.dao` — DAO base class and the ``@query_method``
   decorator that both *implements* a persistent-data method at runtime
   and *marks* it for the QBS frontend (the paper's "persistent data

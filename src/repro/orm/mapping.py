@@ -37,8 +37,9 @@ class MappingRegistry:
 
     def __init__(self):
         self.entities: Dict[str, EntityType] = {}
-        #: (entity name, row fields) -> the class such rows hydrate into,
-        #: built by the session on first use; a registration drops them.
+        #: (entity name, row fields) -> the class such rows hydrate into
+        #: and its builder, made by the session on first use; a
+        #: registration drops them.
         self.entity_classes: Dict[Tuple[str, Tuple[str, ...]], Any] = {}
         #: bumped by every registration; a session serves no association
         #: it resolved under an earlier generation.

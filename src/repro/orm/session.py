@@ -24,16 +24,26 @@ Entities read like the POJOs of the paper's Hibernate code: each row
 hydrates into an instance of a class built once per mapped type and
 row shape (see :func:`_entity_class`), with one slot per column and per
 association, so reading a loaded value is a plain attribute read.
+
+Hydration works a result at a time.  Each run of rows of one shape goes
+to its class's builder, generated code with one slot store per column
+unrolled and no Python call per row (see :func:`_builder_factory`).  In
+eager mode each association is then resolved once for the whole run:
+one currency stamp, and a key repeated within the result costs one dict
+probe.  A lazy read resolves through the same routine with one owner.
 """
 
 from __future__ import annotations
 
+import functools
+from itertools import groupby
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.orm.mapping import Association, EntityType, MappingRegistry
 from repro.sql.database import Database
-from repro.tor.values import Record, record_parts
+from repro.tor.values import Record
 
 
 class Entity:
@@ -53,14 +63,15 @@ class Entity:
 
     def __getattr__(self, name: str) -> Any:
         # Reached only when the slot is empty: a lazy association not
-        # read yet, or a name the entity does not have.
+        # read yet, or a name the entity does not have.  A lazy read
+        # resolves as eager hydration does, with this entity the one
+        # owner, and then reads the slot that filled.
         lookup = self._lookups.get(name)
         if lookup is None:
             raise AttributeError("%s has no column or association %r"
                                  % (type(self).__name__, name))
-        value = self._session._resolve_association(self, lookup)
-        lookup.store(self, value)
-        return value
+        self._session._resolve_association(lookup, (self,))
+        return object.__getattribute__(self, name)
 
     def __setattr__(self, name: str, value: Any):
         raise AttributeError("entities are read-only in this reproduction")
@@ -91,6 +102,8 @@ _ENTITY_ATTRIBUTES = frozenset(dir(Entity))
 
 _SET_SESSION = Entity._session.__set__
 _SET_DATA = Entity._data.__set__
+#: a row's field tuple, which picks its entity class
+_FIELDS = attrgetter("_fields")
 
 
 def _slot_name(name: str) -> bool:
@@ -147,22 +160,53 @@ class _EntityClass(NamedTuple):
     """One entity class and what hydration needs to fill it."""
 
     cls: type
-    #: one setter per row field, in field order
-    stores: Tuple[Callable[[Entity, Any], None], ...]
+    #: the builder: hydrates a run of rows with this class's field
+    #: tuple for a session
+    build: Callable[[Iterable[Record], "Session"], List[Entity]]
     #: every association in declaration order, shadowed ones included
     #: (eager hydration resolves them all)
     lookups: Tuple[_Lookup, ...]
 
 
-def _skip(entity: Entity, value: Any) -> None:
-    """The setter of a field that has no slot."""
+@functools.lru_cache(maxsize=256)
+def _builder_factory(width: int, slotted: Tuple[int, ...]) -> Callable:
+    """The compiled factory of builders for rows of ``width`` fields
+    whose fields at the positions ``slotted`` have slots.  Called with a
+    class and those slots' setters, it returns the class's builder: for
+    each row of a run, one entity with the session, the row and one slot
+    store per slotted field unrolled.
+
+    It is generated source, as ``collections.namedtuple`` and
+    ``dataclasses`` generate theirs.  Every name in it is positional
+    (``v0`` is a row's first value, ``s0`` the setter of its slot), so
+    no column name ever enters the source, and one compiled factory
+    serves every class of that width and those slotted positions: a
+    registry made per request compiles nothing after the first."""
+    values = "".join("v%d, " % i for i in range(width))
+    source = "\n".join(
+        ["def factory(cls, %s):" % "".join("s%d, " % i for i in slotted),
+         "    def build(rows, session):",
+         "        out = []",
+         "        for row in rows:",
+         "            e = new(cls)",
+         "            set_session(e, session)",
+         "            set_data(e, row)",
+         "            %s= row._values" % values if width else ""]
+        + ["            s%d(e, v%d)" % (i, i) for i in slotted]
+        + ["            out.append(e)",
+           "        return out",
+           "    return build"])
+    namespace = {"new": object.__new__, "set_session": _SET_SESSION,
+                 "set_data": _SET_DATA}
+    exec(source, namespace)
+    return namespace["factory"]
 
 
 def _entity_class(registry: MappingRegistry, entity_type: EntityType,
                   fields: Tuple[str, ...]) -> _EntityClass:
     """The class rows of ``entity_type`` with these ``fields`` hydrate
-    into, built once per registry: one slot per field, then one per
-    association whose name is not a field."""
+    into, and its builder, made once per registry: one slot per field,
+    then one per association whose name is not a field."""
     key = (entity_type.name, fields)
     built = registry.entity_classes.get(key)
     if built is not None:
@@ -180,9 +224,10 @@ def _entity_class(registry: MappingRegistry, entity_type: EntityType,
         _lookups={lookup.assoc.name: lookup for lookup in owned}))
     for lookup in owned:
         lookup.store = getattr(cls, lookup.assoc.name).__set__
-    stores = tuple(getattr(cls, f).__set__ if f in columns else _skip
-                   for f in fields)
-    built = registry.entity_classes[key] = _EntityClass(cls, stores,
+    slotted = tuple(i for i, f in enumerate(fields) if f in columns)
+    build = _builder_factory(len(fields), slotted)(
+        cls, *[getattr(cls, fields[i]).__set__ for i in slotted])
+    built = registry.entity_classes[key] = _EntityClass(cls, build,
                                                         tuple(lookups))
     return built
 
@@ -236,47 +281,46 @@ class Session:
 
     def _hydrate(self, entity_type: EntityType, rows: List[Record],
                  shallow: bool = False) -> List[Entity]:
+        """One entity per row, in row order.  Each run of rows with one
+        field tuple goes to its class's builder; in eager mode, each
+        association of the run's class is then resolved for the whole
+        run (:meth:`_resolve_association`)."""
         self.objects_hydrated += len(rows)
         eager = self.fetch == "eager" and not shallow
-        new, set_session, set_data = object.__new__, _SET_SESSION, _SET_DATA
-        # The registry's classes are read here first: most calls hydrate
-        # one association's row, of a shape already built.
         classes, name = self.registry.entity_classes, entity_type.name
-        shape_fields: Optional[Tuple[str, ...]] = None
-        out = []
-        for row in rows:
-            fields, values = record_parts(row)
-            if fields != shape_fields:
-                shape = classes.get((name, fields))
-                if shape is None:
-                    shape = _entity_class(self.registry, entity_type, fields)
-                shape_fields, cls, stores = fields, shape.cls, shape.stores
-                lookups = shape.lookups if eager else ()
-            entity = new(cls)
-            set_session(entity, self)
-            set_data(entity, row)
-            for store, value in zip(stores, values):
-                store(entity, value)
-            for lookup in lookups:
-                value = self._resolve_association(entity, lookup)
-                if lookup.store is not None:
-                    lookup.store(entity, value)
-            out.append(entity)
+        out: List[Entity] = []
+        for fields, run in groupby(rows, _FIELDS):
+            shape = classes.get((name, fields))
+            if shape is None:
+                shape = _entity_class(self.registry, entity_type, fields)
+            entities = shape.build(run, self)
+            if eager:
+                for lookup in shape.lookups:
+                    self._resolve_association(lookup, entities)
+            out += entities
         return out
 
     # -- associations -----------------------------------------------------------
 
-    def _resolve_association(self, entity: Entity, lookup: _Lookup):
-        """Resolve one association by key lookup, through the persistence
-        context.
+    def _resolve_association(self, lookup: _Lookup,
+                             owners: Sequence[Entity]) -> None:
+        """Resolve one association for each of ``owners`` by key lookup,
+        through the persistence context, and fill each owner's slot for
+        it (an association a column shadows has none).
 
-        A lookup this session has already run is answered with the
-        entities it hydrated then, without SQL, while the target table is
-        the same object at the same ``data_version`` (the statement
-        cache's currency rule) and no registration has run since.  Owners
-        that share a key share one entity, and each one-to-many owner gets
-        a list of its own.  A key that cannot be hashed is looked up
-        afresh every time, so it fails as the query does.
+        Eager hydration passes a run of owners, lazy loading one.  The
+        currency stamp (the target table, its ``data_version`` and the
+        registry generation) is taken once per call: resolving issues
+        only SELECTs, and a SELECT moves no ``data_version``.  A key is
+        then read off each owner and probed in a map local to the call,
+        so a key repeated among the owners costs one dict probe.  A key
+        new to the call is answered from the context while its entry's
+        stamp is current (the statement cache's currency rule, with no
+        registration since), and otherwise queried, hydrated and stored
+        there.  Keys are thus looked up in first-seen order.  Owners that
+        share a key share one entity, and each one-to-many owner gets a
+        list of its own.  A key that cannot be hashed is looked up afresh
+        every time, so it fails as the query does.
 
         Associated entities are hydrated *shallowly* (their own
         associations stay lazy) so that cyclic mappings — participant ->
@@ -287,22 +331,34 @@ class Session:
         target = lookup.target
         if lookup.generation != generation:
             target = lookup.resolve_target()
-        key = lookup.key(entity)
         table = self.db.catalog.table(target.table)
         current = (table, table.data_version, generation)
-        ident = (lookup.sql, target.name, key)
-        try:
-            entry = self._context.get(ident)
-        except TypeError:
-            ident = entry = None
-        if entry is not None and entry[0] == current:
-            entities = entry[1]
-        else:
-            result = self.db.execute(lookup.sql, {"key": key})
-            self.queries_issued += 1
-            entities = self._hydrate(target, result.rows, shallow=True)
-            if ident is not None:
-                self._context[ident] = (current, entities)
-        if lookup.many:
-            return list(entities)
-        return entities[0] if entities else None
+        sql, name, read_key = lookup.sql, target.name, lookup.key
+        store, many, context = lookup.store, lookup.many, self._context
+        #: key -> the entities its lookup hydrated
+        resolved: Dict[Any, List[Entity]] = {}
+        for owner in owners:
+            key = read_key(owner)
+            try:
+                entities = resolved.get(key)
+            except TypeError:
+                entities = self._fetch(sql, target, key)
+            else:
+                if entities is None:
+                    ident = (sql, name, key)
+                    entry = context.get(ident)
+                    if entry is not None and entry[0] == current:
+                        entities = entry[1]
+                    else:
+                        entities = self._fetch(sql, target, key)
+                        context[ident] = (current, entities)
+                    resolved[key] = entities
+            if store is not None:
+                store(owner, list(entities) if many
+                      else entities[0] if entities else None)
+
+    def _fetch(self, sql: str, target: EntityType, key: Any) -> List[Entity]:
+        """Run one association lookup and hydrate its rows shallowly."""
+        result = self.db.execute(sql, {"key": key})
+        self.queries_issued += 1
+        return self._hydrate(target, result.rows, shallow=True)

@@ -79,7 +79,7 @@ from repro.sql.plan import logical as L
 from repro.sql.plan.parallel import run_tasks
 from repro.sql.plan.vector import Batch, compile_filter, compile_scalar
 from repro.service.faults import classify_exception
-from repro.tor.values import Record
+from repro.tor.values import Record, make_record
 
 #: degradation events by rung transition and classified failure kind —
 #: the metrics face of the ``degraded=`` / ``degrade_kind=`` EXPLAIN
@@ -1000,6 +1000,7 @@ def _project(items: Tuple[S.SelectItem, ...], item_fns,
             is_const, fn = compiled
             plan.append(("const" if is_const else "vec", fn))
 
+    fields = tuple(columns)
     rows: List[Record] = []
     for batch in batches:
         vectors = []
@@ -1011,8 +1012,8 @@ def _project(items: Tuple[S.SelectItem, ...], item_fns,
             else:
                 vectors.append(entry[1](batch, ctx))
         for vals in zip(*vectors):
-            rows.append(Record(dict(zip(columns, vals))))
-    return rows, tuple(columns)
+            rows.append(make_record(fields, vals))
+    return rows, fields
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -1126,12 +1127,14 @@ def _first_env(whole: Batch, positions: List[int]):
 
 
 def _output_columns(items: Tuple[S.SelectItem, ...],
-                    executor) -> List[str]:
+                    executor) -> Tuple[str, ...]:
+    """The select list's output names, made distinct by
+    ``_fresh_name``: one field tuple for every record of the result."""
     columns: List[str] = []
     for item in items:
         name = item.as_name or _default_name(item.expr)
         columns.append(executor._fresh_name(name, columns))
-    return columns
+    return tuple(columns)
 
 
 def _aggregate_label(group_by: Tuple[S.Expr, ...],
@@ -1224,7 +1227,8 @@ class VecAggregateOp(RowOp):
             columns.append(ctx.executor._fresh_name(name, columns))
             values.append(value(item.expr))
         self.rows_out = 1
-        return [Record(dict(zip(columns, values)))], tuple(columns)
+        fields = tuple(columns)
+        return [make_record(fields, values)], fields
 
     def _grouped(self, batches: List[Batch], ctx: _Ctx):
         whole, groups = _groups(self._key_fns, batches, ctx)
@@ -1232,7 +1236,7 @@ class VecAggregateOp(RowOp):
         if any(isinstance(item.expr, S.Star) for item in self.items):
             raise SQLExecutionError(
                 "* cannot appear in a grouped select list")
-        columns = _output_columns(self.items, ctx.executor)
+        fields = _output_columns(self.items, ctx.executor)
 
         rows: List[Record] = []
         for _, positions in groups:
@@ -1243,9 +1247,9 @@ class VecAggregateOp(RowOp):
                 continue
             values = [self._group_value(item.expr, group, first_env, ctx)
                       for item in self.items]
-            rows.append(Record(dict(zip(columns, values))))
+            rows.append(make_record(fields, values))
         self.rows_out = len(rows)
-        return rows, tuple(columns)
+        return rows, fields
 
     def _group_value(self, expr: S.Expr, group: Batch, first_env,
                      ctx: _Ctx) -> Any:
@@ -1872,12 +1876,12 @@ class PartialAggregateOp(_FanOut, RowOp):
                 value = _combine_states(call, value, states[i])
             combined[id(call)] = _finish_state(call, value)
 
-        columns = _output_columns(self.items, ctx.executor)
+        fields = _output_columns(self.items, ctx.executor)
         values = [self._merge_eval(item.expr, combined, {}, ctx.params)
                   for item in self.items]
-        rows = [Record(dict(zip(columns, values)))]
+        rows = [make_record(fields, values)]
         self.rows_out = len(rows)
-        return rows, tuple(columns)
+        return rows, fields
 
     def _merge_grouped(self, parts, ctx: _Ctx):
         merged: Dict[Tuple, List[Any]] = {}
@@ -1896,7 +1900,7 @@ class PartialAggregateOp(_FanOut, RowOp):
                                                   states[i])
         self.groups_in = len(order)
 
-        columns = _output_columns(self.items, ctx.executor)
+        fields = _output_columns(self.items, ctx.executor)
         rows: List[Record] = []
         for key in order:
             agg_values = {id(call): _finish_state(call, merged[key][i])
@@ -1910,9 +1914,9 @@ class PartialAggregateOp(_FanOut, RowOp):
             values = [self._merge_eval(item.expr, agg_values,
                                        leaf_values, ctx.params)
                       for item in self.items]
-            rows.append(Record(dict(zip(columns, values))))
+            rows.append(make_record(fields, values))
         self.rows_out = len(rows)
-        return rows, tuple(columns)
+        return rows, fields
 
     def _merge_eval(self, expr: S.Expr, agg_values, leaf_values,
                     params) -> Any:

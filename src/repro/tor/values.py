@@ -129,12 +129,6 @@ class Record(Mapping[str, Any]):
         return Record(out)
 
 
-#: ``record_parts(r)`` is ``(r.fields, r's values in field order)``, in
-#: one C-level call: for loops that take many records apart, such as
-#: ORM hydration.
-record_parts = attrgetter("_fields", "_values")
-
-
 class PairRow:
     """A join output row: the pair ``(e, h)`` produced by the join axiom.
 

@@ -222,6 +222,34 @@ class TestEntityContract:
         full = session.load_all("User")[0]
         assert (full.id, full.name, full.role_id) == (1, "alice", 10)
 
+    @pytest.mark.parametrize("fetch", ["lazy", "eager"])
+    def test_columns_named_like_the_builders_names_read_back(self, fetch):
+        """The builder's source names nothing after a column, so columns
+        named like its locals or like keywords read back, keys
+        included."""
+        names = ("e", "row", "values", "session", "out", "v0", "s0", "cls",
+                 "class")
+        db = Database()
+        db.create_table("odd", names)
+        db.create_table("kin", ("out", "v0"))
+        db.create_index("kin", "out")
+        db.insert_many("odd", [{name: "%s%d" % (name, i) for name in names}
+                               for i in range(2)])
+        db.insert_many("kin", [{"out": "s0%d" % i, "v0": i}
+                               for i in range(2)])
+        registry = MappingRegistry()
+        registry.register(EntityType(
+            "Odd", "odd", names,
+            associations=(Association("kin", "Kin", "s0", "out"),)))
+        registry.register(EntityType("Kin", "kin", ("out", "v0")))
+        session = Session(db, registry, fetch=fetch)
+        odds = session.load_all("Odd")
+        assert [[getattr(odd, name) for name in names] for odd in odds] \
+            == [["%s%d" % (name, i) for name in names] for i in range(2)]
+        assert [(odd.kin.out, odd.kin.v0) for odd in odds] \
+            == [("s00", 0), ("s01", 1)]
+        assert session.queries_issued == 3
+
     def test_each_row_hydrates_by_its_own_fields(self, setup):
         db, registry = setup
         session = Session(db, registry)
@@ -232,6 +260,36 @@ class TestEntityContract:
         assert [u.id for u in users] == [1, 2, 3]
         assert [u.role_id for u in users] == [10, 20, 10]
         assert (users[0].name, users[2].name) == ("alice", "carol")
+
+    def test_eager_hydration_resolves_each_run(self, team, counted_getattr):
+        """An eager ``_hydrate`` over rows of mixed shapes hands each run
+        of one shape to its class's builder and resolves the run's
+        associations: every association slot is filled, and the queries
+        and entities match resolving one row at a time."""
+        db, registry = team
+        rows = [Record(id=1, name="alice", role_id=10),
+                Record(id=3, name="carol", role_id=10),
+                Record(role_id=20, id=2),
+                Record(role_id=10, id=4),
+                Record(id=5, name="erin", role_id=20)]
+        user = registry.entity("User")
+        by_run = Session(db, registry, fetch="eager")
+        users = by_run._hydrate(user, rows)
+        by_row = Session(db, registry, fetch="eager")
+        singles = [by_row._hydrate(user, [row])[0] for row in rows]
+        # One lookup per role and association; the five rows, two roles
+        # and three colleagues.
+        assert (by_run.queries_issued, by_run.objects_hydrated) \
+            == (by_row.queries_issued, by_row.objects_hydrated) == (4, 10)
+        assert [type(u) for u in users] == [type(u) for u in singles]
+        assert len({type(u) for u in users}) == 2
+        seen = [(u.record, u.role.record, entity_rows(u.colleagues))
+                for u in users]
+        assert seen == [(u.record, u.role.record, entity_rows(u.colleagues))
+                        for u in singles]
+        assert counted_getattr == []
+        assert users[0].role is users[1].role is users[3].role
+        assert users[2].role is users[4].role
 
     @pytest.mark.parametrize("fetch", ["lazy", "eager"])
     def test_registration_between_loads_yields_the_new_class(self, setup,
@@ -455,6 +513,39 @@ class TestPersistenceContext:
         else:
             assert loaded == 1 + 2 + 3
 
+    def test_an_eager_load_that_raises_leaves_a_sound_context(self, team):
+        """The indexed probe of an unhashable key raises part-way through
+        an eager load.  Lookups the load completed stay in the context,
+        and later loads still read what fresh queries return."""
+        db, registry = team
+        db.create_index("users", "role_id")
+        registry.register(EntityType(
+            "Pair", "users", ("id", "name", "role_id"),
+            associations=(
+                Association("colleagues", "User", "role_id", "role_id",
+                            many=True),
+                Association("odd", "User", "colleagues", "role_id"))))
+        session = Session(db, registry, fetch="eager")
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            session.load_all("Pair")
+        # The load and both colleague lookups: association-major order
+        # resolves them before ``odd``, whose probe raised uncounted.
+        assert session.queries_issued == 1 + 2
+        users = session.load_all("User")
+        # The load and one lookup per role; colleagues come from the
+        # context the failed load filled.
+        assert session.queries_issued == 3 + 1 + 2
+        sql = "SELECT * FROM %s AS t0 WHERE t0.role_id = :key"
+        for user in users:
+            assert user.role.record == \
+                db.execute(sql % "roles", {"key": user.role_id}).rows[0]
+            assert entity_rows(user.colleagues) == tuple(
+                db.execute(sql % "users", {"key": user.role_id}).rows)
+        alice, _, carol = users
+        assert alice.role is carol.role
+        assert [a is b for a, b in zip(alice.colleagues, carol.colleagues)] \
+            == [True, True]
+
     @pytest.mark.parametrize("indexed", [True, False])
     @pytest.mark.parametrize("fetch", ["lazy", "eager"])
     def test_equal_keys_of_other_types_read_as_a_fresh_query(self, fetch,
@@ -490,6 +581,25 @@ class TestPersistenceContext:
 _keys = st.one_of(st.none(), st.integers(min_value=0, max_value=3))
 
 
+def _assert_shared_within_result(owners, associations):
+    """Owners of one result that share a key share one entity: the
+    same object for a many-to-one, the same elements in lists of their
+    own for a one-to-many."""
+    for assoc in associations:
+        first = {}
+        for owner in owners:
+            key = getattr(owner, assoc.local_column)
+            value = getattr(owner, assoc.name)
+            if key not in first:
+                first[key] = value
+            elif assoc.many:
+                assert value is not first[key]
+                assert [a is b for a, b in zip(value, first[key])] \
+                    == [True] * len(value)
+            else:
+                assert value is first[key]
+
+
 @settings(max_examples=60, deadline=None)
 @given(owners=st.lists(_keys, max_size=8),
        targets=st.lists(st.tuples(_keys, _keys), max_size=8),
@@ -499,12 +609,15 @@ _keys = st.one_of(st.none(), st.integers(min_value=0, max_value=3))
 def test_context_answers_what_a_fresh_query_answers(owners, targets, indexed,
                                                     fetch, loads):
     """Over random tables, every association reads what a fresh query of
-    its lookup SQL returns, and the session issues one query per load and
-    one per distinct (SQL, key) pair."""
+    its lookup SQL returns, owners of one result that share a key share
+    one entity, and the session issues one query per load and one per
+    distinct (SQL, key) pair.  Each load reads the owners twice: every
+    column, and a narrower select list in another order, which hydrates
+    into another class with lookups of its own."""
     db = Database()
-    db.create_table("owners", ("id", "ref"))
+    db.create_table("owners", ("id", "ref", "pad"))
     db.create_table("targets", ("a", "b"))
-    db.insert_many("owners", [{"id": i, "ref": ref}
+    db.insert_many("owners", [{"id": i, "ref": ref, "pad": -i}
                               for i, ref in enumerate(owners)])
     db.insert_many("targets", [{"a": a, "b": b} for a, b in targets])
     if indexed:
@@ -514,23 +627,27 @@ def test_context_answers_what_a_fresh_query_answers(owners, targets, indexed,
                     Association("many_a", "Target", "ref", "a", many=True),
                     Association("one_b", "Target", "ref", "b"),
                     Association("many_b", "Target", "id", "b", many=True))
-    registry.register(EntityType("Owner", "owners", ("id", "ref"),
+    registry.register(EntityType("Owner", "owners", ("id", "ref", "pad"),
                                  associations=associations))
     registry.register(EntityType("Target", "targets", ("a", "b")))
     session = Session(db, registry, fetch=fetch)
     pairs = set()
     for _ in range(loads):
-        for owner in session.load_all("Owner"):
-            for assoc in associations:
-                sql = ("SELECT * FROM targets AS t0 WHERE t0.%s = :key"
-                       % assoc.remote_column)
-                key = getattr(owner, assoc.local_column)
-                pairs.add((sql, key))
-                fresh = tuple(db.execute(sql, {"key": key}).rows)
-                value = getattr(owner, assoc.name)
-                if assoc.many:
-                    assert entity_rows(value) == fresh
-                else:
-                    assert (value.record if value is not None else None) \
-                        == (fresh[0] if fresh else None)
-    assert session.queries_issued == loads + len(pairs)
+        for result in (session.load_all("Owner"),
+                       session.query("SELECT t0.ref, t0.id FROM owners AS t0",
+                                     "Owner")):
+            for owner in result:
+                for assoc in associations:
+                    sql = ("SELECT * FROM targets AS t0 WHERE t0.%s = :key"
+                           % assoc.remote_column)
+                    key = getattr(owner, assoc.local_column)
+                    pairs.add((sql, key))
+                    fresh = tuple(db.execute(sql, {"key": key}).rows)
+                    value = getattr(owner, assoc.name)
+                    if assoc.many:
+                        assert entity_rows(value) == fresh
+                    else:
+                        assert (value.record if value is not None
+                                else None) == (fresh[0] if fresh else None)
+            _assert_shared_within_result(result, associations)
+    assert session.queries_issued == 2 * loads + len(pairs)
