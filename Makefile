@@ -40,7 +40,10 @@ test:
 # floor is overhead-based, not CPU-scaling), the ORM entity-read
 # floor (reading every column of 2,000 lazily loaded entities takes at
 # most 2x the time of the same reads on plain objects, asserted
-# unconditionally), and the ORM eager-load floors (an eager load of
+# unconditionally), the ORM bytecode-read ceiling (the same reads from
+# a generated Python loop take at most 1.3x that loop's time over a
+# plain __slots__ class: 4.7-5.1x while Entity.__getattr__ existed), and
+# the ORM eager-load floors (an eager load of
 # 2,000 Participants over 20 roles and 200 projects issues at most 221
 # queries, an exact count that was 4,001 before a session resolved
 # each association key once, and enters at most 3,625 Python functions

@@ -23,19 +23,28 @@ reduces by pushing work into the database.
 Entities read like the POJOs of the paper's Hibernate code: each row
 hydrates into an instance of a class built once per mapped type and
 row shape (see :func:`_entity_class`), with one slot per column and per
-association, so reading a loaded value is a plain attribute read.
+association.  No entity class has a Python-level ``__getattr__``, so a
+column read is a plain slot read that CPython's specialising
+interpreter serves without a call, and a missing name raises CPython's
+own ``AttributeError``.  An association with a slot of its own reads
+through a small data descriptor over that slot (:class:`_Association`),
+which resolves a lazy association on its first read.
 
 Hydration works a result at a time.  Each run of rows of one shape goes
-to its class's builder, generated code with one slot store per column
-unrolled and no Python call per row (see :func:`_builder_factory`).  In
-eager mode each association is then resolved once for the whole run:
-one currency stamp, and a key repeated within the result costs one dict
-probe.  A lazy read resolves through the same routine with one owner.
+to its class's builder, generated code with one plain attribute store
+per column unrolled and no Python call per row (see
+:func:`_builder_factory`).  The builder fills a writable twin of the
+class (same slots, no read-only ``__setattr__``) and then assigns the
+read-only class as each entity's ``__class__``.  In eager mode each
+association is then resolved once for the whole run: one currency
+stamp, and a key repeated within the result costs one dict probe.  A
+lazy read resolves through the same routine with one owner.
 """
 
 from __future__ import annotations
 
 import functools
+import keyword
 from itertools import groupby
 from operator import attrgetter
 from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional,
@@ -44,6 +53,10 @@ from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional,
 from repro.orm.mapping import Association, EntityType, MappingRegistry
 from repro.sql.database import Database
 from repro.tor.values import Record
+
+
+#: what writing or deleting any attribute of an entity raises
+_READ_ONLY = "entities are read-only in this reproduction"
 
 
 class Entity:
@@ -57,27 +70,11 @@ class Entity:
 
     __slots__ = ("_session", "_data")
 
-    #: association name -> its lookup, for associations with a slot of
-    #: their own; set on each per-type subclass.
-    _lookups: Dict[str, "_Lookup"] = {}
-
-    def __getattr__(self, name: str) -> Any:
-        # Reached only when the slot is empty: a lazy association not
-        # read yet, or a name the entity does not have.  A lazy read
-        # resolves as eager hydration does, with this entity the one
-        # owner, and then reads the slot that filled.
-        lookup = self._lookups.get(name)
-        if lookup is None:
-            raise AttributeError("%s has no column or association %r"
-                                 % (type(self).__name__, name))
-        self._session._resolve_association(lookup, (self,))
-        return object.__getattribute__(self, name)
-
     def __setattr__(self, name: str, value: Any):
-        raise AttributeError("entities are read-only in this reproduction")
+        raise AttributeError(_READ_ONLY)
 
     def __delattr__(self, name: str):
-        raise AttributeError("entities are read-only in this reproduction")
+        raise AttributeError(_READ_ONLY)
 
     @property
     def record(self) -> Record:
@@ -100,17 +97,23 @@ class Entity:
 #: ``Entity`` itself win over a column or association, as they always have.
 _ENTITY_ATTRIBUTES = frozenset(dir(Entity))
 
-_SET_SESSION = Entity._session.__set__
-_SET_DATA = Entity._data.__set__
 #: a row's field tuple, which picks its entity class
 _FIELDS = attrgetter("_fields")
 
 
 def _slot_name(name: str) -> bool:
-    """Whether ``name`` can be a slot read back under that same name
-    (a ``__private`` name would be mangled)."""
-    return name.isidentifier() and not (
+    """Whether a column ``name`` gets a slot read back under that same
+    name: not an attribute of ``Entity``, and an identifier that is not
+    a ``__private`` name (which would be mangled)."""
+    return name not in _ENTITY_ATTRIBUTES and name.isidentifier() and not (
         name.startswith("__") and not name.endswith("__"))
+
+
+def _plain_store(name: str) -> bool:
+    """Whether generated source can store a slot as ``e.<name> = v``:
+    not a keyword, and ASCII, which the compiler reads as written (it
+    folds other identifiers to NFKC, which may name another slot)."""
+    return name.isascii() and not keyword.iskeyword(name)
 
 
 def _record_field(name: str) -> property:
@@ -156,6 +159,38 @@ class _Lookup:
         return target
 
 
+class _Association:
+    """An association with a slot of its own, read as a data descriptor
+    over that slot: it holds the slot's own descriptor, which it
+    displaces from the entity class.  A read returns the slot; the first
+    read of a lazy association resolves it as eager hydration does,
+    with this entity the one owner, and then reads the slot that filled.
+    Writing or deleting it raises, as for any attribute of an entity."""
+
+    __slots__ = ("lookup", "read")
+
+    def __init__(self, lookup: _Lookup, slot: Any):
+        self.lookup = lookup
+        #: the slot's getter: a C call that raises AttributeError while
+        #: the slot is empty
+        self.read = slot.__get__
+
+    def __get__(self, entity: Optional[Entity], owner: Any = None) -> Any:
+        if entity is None:
+            return self
+        try:
+            return self.read(entity)
+        except AttributeError:
+            entity._session._resolve_association(self.lookup, (entity,))
+            return self.read(entity)
+
+    def __set__(self, entity: Entity, value: Any):
+        raise AttributeError(_READ_ONLY)
+
+    def __delete__(self, entity: Entity):
+        raise AttributeError(_READ_ONLY)
+
+
 class _EntityClass(NamedTuple):
     """One entity class and what hydration needs to fill it."""
 
@@ -169,35 +204,53 @@ class _EntityClass(NamedTuple):
 
 
 @functools.lru_cache(maxsize=256)
-def _builder_factory(width: int, slotted: Tuple[int, ...]) -> Callable:
-    """The compiled factory of builders for rows of ``width`` fields
-    whose fields at the positions ``slotted`` have slots.  Called with a
-    class and those slots' setters, it returns the class's builder: for
-    each row of a run, one entity with the session, the row and one slot
-    store per slotted field unrolled.
+def _builder_factory(fields: Tuple[str, ...]) -> Callable:
+    """The compiled factory of builders for rows with this field tuple.
+    Called with an entity class's writable twin and the class itself,
+    it returns the class's builder: for each row of a run, one twin
+    instance with the session, the row and one store per column slot
+    unrolled, which then becomes an instance of the read-only class by
+    one ``__class__`` assignment.  The twin has the class's slots and
+    no read-only ``__setattr__``, so each store is a plain attribute
+    store that CPython's specialising interpreter serves without a
+    call; a column that cannot be written so (a keyword such as
+    ``class``, or a name outside ASCII) is stored through its slot's
+    setter.
 
     It is generated source, as ``collections.namedtuple`` and
-    ``dataclasses`` generate theirs.  Every name in it is positional
-    (``v0`` is a row's first value, ``s0`` the setter of its slot), so
-    no column name ever enters the source, and one compiled factory
-    serves every class of that width and those slotted positions: a
-    registry made per request compiles nothing after the first."""
-    values = "".join("v%d, " % i for i in range(width))
+    ``dataclasses`` generate theirs.  A column name enters it only after
+    ``e.``, where it cannot clash with the builder's locals (``v0`` is a
+    row's first value, ``s0`` the setter of its slot).  The source
+    depends only on the field tuple, so one compiled factory serves
+    every class of that shape: a registry made per request compiles
+    nothing after the first."""
+    width = len(fields)
+    setters, stores = [], []
+    for i, name in enumerate(fields):
+        if not _slot_name(name):
+            continue
+        if _plain_store(name):
+            stores.append("e.%s = v%d" % (name, i))
+        else:
+            setters.append("    s%d = getattr(twin, fields[%d]).__set__"
+                           % (i, i))
+            stores.append("s%d(e, v%d)" % (i, i))
     source = "\n".join(
-        ["def factory(cls, %s):" % "".join("s%d, " % i for i in slotted),
-         "    def build(rows, session):",
-         "        out = []",
-         "        for row in rows:",
-         "            e = new(cls)",
-         "            set_session(e, session)",
-         "            set_data(e, row)",
-         "            %s= row._values" % values if width else ""]
-        + ["            s%d(e, v%d)" % (i, i) for i in slotted]
-        + ["            out.append(e)",
+        ["def factory(twin, cls):"] + setters
+        + ["    def build(rows, session):",
+           "        out = []",
+           "        for row in rows:",
+           "            e = twin()",
+           "            e._session = session",
+           "            e._data = row",
+           "            %s= row._values" % "".join(
+               "v%d, " % i for i in range(width)) if width else ""]
+        + ["            " + store for store in stores]
+        + ["            e.__class__ = cls",
+           "            out.append(e)",
            "        return out",
            "    return build"])
-    namespace = {"new": object.__new__, "set_session": _SET_SESSION,
-                 "set_data": _SET_DATA}
+    namespace = {"fields": fields}
     exec(source, namespace)
     return namespace["factory"]
 
@@ -206,27 +259,34 @@ def _entity_class(registry: MappingRegistry, entity_type: EntityType,
                   fields: Tuple[str, ...]) -> _EntityClass:
     """The class rows of ``entity_type`` with these ``fields`` hydrate
     into, and its builder, made once per registry: one slot per field,
-    then one per association whose name is not a field."""
+    then one per association whose name is not a field, each read
+    through an :class:`_Association`.  The builder fills a writable twin
+    with the same slots, whose ``__class__`` it then sets to the class:
+    the two have the same base and slots, so CPython allows it."""
     key = (entity_type.name, fields)
     built = registry.entity_classes.get(key)
     if built is not None:
         return built
-    readable = [f for f in fields if f not in _ENTITY_ATTRIBUTES]
-    columns = tuple(f for f in readable if _slot_name(f))
+    columns = tuple(f for f in fields if _slot_name(f))
     lookups = [_Lookup(assoc, registry) for assoc in entity_type.associations]
     owned = [lookup for lookup in lookups
              if lookup.assoc.name not in fields
              and lookup.assoc.name not in _ENTITY_ATTRIBUTES]
-    namespace = {f: _record_field(f) for f in readable if f not in columns}
+    slots = columns + tuple(lookup.assoc.name for lookup in owned)
     cls = type(entity_type.name, (Entity,), dict(
-        namespace,
-        __slots__=columns + tuple(lookup.assoc.name for lookup in owned),
-        _lookups={lookup.assoc.name: lookup for lookup in owned}))
+        {f: _record_field(f) for f in fields
+         if f not in _ENTITY_ATTRIBUTES and f not in columns},
+        __slots__=slots))
     for lookup in owned:
-        lookup.store = getattr(cls, lookup.assoc.name).__set__
-    slotted = tuple(i for i, f in enumerate(fields) if f in columns)
-    build = _builder_factory(len(fields), slotted)(
-        cls, *[getattr(cls, fields[i]).__set__ for i in slotted])
+        slot = cls.__dict__[lookup.assoc.name]
+        lookup.store = slot.__set__
+        setattr(cls, lookup.assoc.name, _Association(lookup, slot))
+    # Both hooks: CPython fills one type slot from the pair, and stores
+    # specialise only while that slot is object's own.
+    twin = type(entity_type.name, (Entity,), dict(
+        __slots__=slots, __setattr__=object.__setattr__,
+        __delattr__=object.__delattr__))
+    build = _builder_factory(fields)(twin, cls)
     built = registry.entity_classes[key] = _EntityClass(cls, build,
                                                         tuple(lookups))
     return built

@@ -803,6 +803,11 @@ def _hash_build(source: "_ScannedSource", pred: S.BinOp
     for rowid, record in source.rows:
         buckets.setdefault(record[build_expr.column], []).append(
             (rowid, record))
+    # A key unequal to itself (NaN) matches no row under the engine's
+    # ``=``, as the nested loop finds, but a dict lookup matches the
+    # identical object before it compares: leave such keys out.
+    for key in [key for key in buckets if key != key]:
+        del buckets[key]
     return buckets, probe_expr
 
 

@@ -275,6 +275,10 @@ def _filtered(filt, batches: List[Batch], run) -> List[Batch]:
 #: raw gives the result, or raises the error, that comparing their
 #: ``_ReverseAware`` keys does.
 _RAW_ORDERED = frozenset((int, float, str, bool))
+#: the same within a tuple of keys.  A tuple comparison tests ``==``
+#: item by item with an identity shortcut, which calls a NaN object
+#: equal to itself where its wrapped key is not: so no floats.
+_RAW_TUPLED = frozenset((int, str, bool))
 
 
 def _order_key(order_by: Tuple[S.OrderItem, ...], batch: Batch,
@@ -285,9 +289,11 @@ def _order_key(order_by: Tuple[S.OrderItem, ...], batch: Batch,
     resolution and errors (``Executor._order_value``): a bare name
     resolves against the scanned sources, an unknown alias or a
     missing column raises :class:`SQLExecutionError`.  A single
-    ascending key of numbers and strings sorts by its raw values,
-    which orders and fails as the wrapped key does.  NULL is not among
-    them: two NULL keys are equal wrapped, and raw they do not compare.
+    ascending key of numbers and strings sorts by its raw values, and
+    several ascending keys of ints, strings and bools by tuples of
+    them; each orders and fails as the wrapped keys do.  NULL is not
+    among them: two NULL keys are equal wrapped, and raw they do not
+    compare.
     """
     vecs = []
     for item in order_by:
@@ -298,9 +304,12 @@ def _order_key(order_by: Tuple[S.OrderItem, ...], batch: Batch,
         if alias not in batch.pairs:
             raise SQLExecutionError("unknown alias %r in ORDER BY" % alias)
         vecs.append((batch.column(alias, col.column), item.descending))
-    if len(vecs) == 1 and not vecs[0][1] \
-            and _RAW_ORDERED.issuperset(map(type, vecs[0][0])):
-        return vecs[0][0].__getitem__
+    if not any(desc for _, desc in vecs):
+        if len(vecs) == 1:
+            if _RAW_ORDERED.issuperset(map(type, vecs[0][0])):
+                return vecs[0][0].__getitem__
+        elif all(_RAW_TUPLED.issuperset(map(type, vec)) for vec, _ in vecs):
+            return list(zip(*[vec for vec, _ in vecs])).__getitem__
 
     def key(i: int):
         return tuple(_ReverseAware(vec[i], desc) for vec, desc in vecs)
@@ -312,13 +321,16 @@ def _sort(batches: List[Batch], order_by: Tuple[S.OrderItem, ...],
           top_k: Optional[int], scanned: List[_ScannedSource],
           size: int) -> List[Batch]:
     """Stable ORDER BY over batches, truncated to ``top_k`` if given
-    (``sorted(...)[:k]`` exactly, ties included)."""
+    (``sorted(...)[:k]`` exactly, ties included).  Batches whose rows
+    are already in order come back as they are."""
     whole = _concat(batches)
     if whole is None:
         return []
     order = sorted(range(whole.n), key=_order_key(order_by, whole, scanned))
     if top_k is not None:
         order = order[:top_k]
+    if order == list(range(whole.n)):
+        return batches
     return _permute(whole, order, size)
 
 

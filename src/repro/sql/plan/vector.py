@@ -29,6 +29,7 @@ per-query or per-partition context): constant closures are called as
 from __future__ import annotations
 
 import operator
+from itertools import compress, repeat
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sql import ast as S
@@ -39,6 +40,11 @@ from repro.tor.values import Record
 #: One in-flight row of one source: (rowid, record) — the pair the
 #: scans read from storage, carried unchanged through every operator.
 Pair = Tuple[int, Record]
+
+_ROWID = operator.itemgetter(0)
+_RECORD = operator.itemgetter(1)
+_FIELDS = operator.attrgetter("_fields")
+_VALUES = operator.attrgetter("_values")
 
 #: Comparison operators with an exact vector counterpart; mirrors
 #: ``executor._apply_op`` (AND/OR are compiled separately, with
@@ -79,6 +85,12 @@ class Batch:
     def column(self, alias: str, column: str) -> List[Any]:
         """The column's value vector (``_rowid`` -> the rowid vector).
 
+        When the batch's records share one field tuple (compared by
+        equality: each stored record has a tuple of its own, and one
+        written behind the table API may order its fields otherwise),
+        the values are read from each record's stored values at the
+        column's position, by C-level ``map``s with no Python call per
+        row; otherwise each is read through ``Record.__getitem__``.
         A missing column raises the evaluator's qualified-reference
         error; callers resolving *bare* names check membership first
         (the evaluator's bare path never raises this message).
@@ -90,14 +102,12 @@ class Batch:
         if got is None:
             rows = self.pairs[alias]
             if column == "_rowid":
-                got = [pair[0] for pair in rows]
+                got = list(map(_ROWID, rows))
             else:
-                try:
-                    got = [pair[1][column] for pair in rows]
-                except KeyError:
+                got = _column_values(rows, column)
+                if got is None:
                     raise SQLExecutionError(
-                        "no column %r in source %r" % (column, alias)
-                    ) from None
+                        "no column %r in source %r" % (column, alias))
             self._cols[key] = got
         return got
 
@@ -123,6 +133,21 @@ class Batch:
             return [{alias: pair} for pair in self.pairs[alias]]
         columns = [self.pairs[a] for a in aliases]
         return [dict(zip(aliases, row)) for row in zip(*columns)]
+
+
+def _column_values(rows: List[Pair], column: str) -> Optional[List[Any]]:
+    """``column``'s value in each pair's record, or None when a record
+    lacks it."""
+    records = list(map(_RECORD, rows))
+    fields = records[0]._fields if records else ()
+    if column in fields and all(map(operator.eq, repeat(fields),
+                                    map(_FIELDS, records))):
+        return list(map(operator.itemgetter(fields.index(column)),
+                        map(_VALUES, records)))
+    try:
+        return [record[column] for record in records]
+    except KeyError:
+        return None
 
 
 #: compile_scalar's result: (is_const, fn).  Constant closures take
@@ -218,22 +243,20 @@ def _compile_comparison(op: str, left: S.Expr, right: S.Expr) -> Compiled:
     if lconst:
         def const_left(batch, run):
             lval = lf(run)
-            return [op_fn(lval, v) for v in rf(batch, run)]
+            return list(map(op_fn, repeat(lval), rf(batch, run)))
 
         return False, const_left
     if rconst:
         def const_right(batch, run):
             # Left before right, like the evaluator.
             lvec = lf(batch, run)
-            rval = rf(run)
-            return [op_fn(v, rval) for v in lvec]
+            return list(map(op_fn, lvec, repeat(rf(run))))
 
         return False, const_right
 
     def both(batch, run):
         lvec = lf(batch, run)
-        rvec = rf(batch, run)
-        return [op_fn(a, b) for a, b in zip(lvec, rvec)]
+        return list(map(op_fn, lvec, rf(batch, run)))
 
     return False, both
 
@@ -308,8 +331,8 @@ def compile_filter(predicates: Tuple[S.Expr, ...]) -> Callable:
                 if not _truthy(fn(run)):
                     return batch.select([])
             else:
-                vec = fn(batch, run)
-                keep = [i for i, v in enumerate(vec) if _truthy(v)]
+                # compress tests each value as _truthy does (bool()).
+                keep = list(compress(range(batch.n), fn(batch, run)))
                 if len(keep) != batch.n:
                     batch = batch.select(keep)
         return batch

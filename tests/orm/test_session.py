@@ -1,5 +1,8 @@
 """Unit tests for the ORM session: hydration, lazy/eager associations."""
 
+import sys
+from operator import attrgetter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,42 +103,56 @@ class TestEntity:
 class TestEntityContract:
     """Entities read like plain objects: loaded values sit in slots."""
 
-    @pytest.fixture
-    def counted_getattr(self, monkeypatch):
-        calls = []
-        original = Entity.__getattr__
-
-        def counting(entity, name):
-            calls.append(name)
-            return original(entity, name)
-
-        monkeypatch.setattr(Entity, "__getattr__", counting)
-        return calls
-
-    def test_loaded_values_read_without_getattr(self, setup,
-                                                counted_getattr):
+    def test_loaded_values_read_without_getattr(self, setup):
+        """A loaded column read enters no Python function, and a loaded
+        association read enters one, its descriptor's ``__get__``."""
         db, registry = setup
         session = Session(db, registry, fetch="eager")
-        users = session.load_all("User")
+        alice, bob = session.load_all("User")
         queries = session.queries_issued
-        seen = [(u.id, u.name, u.role_id, u.role.role_id, u.role.role_name)
-                for u in users]
-        assert seen == [(1, "alice", 10, 10, "admin"),
-                        (2, "bob", 20, 20, "user")]
-        assert counted_getattr == []
+        columns, entered = _entries(lambda: (
+            alice.id, alice.name, alice.role_id,
+            bob.id, bob.name, bob.role_id))
+        assert columns == (1, "alice", 10, 2, "bob", 20)
+        assert entered == []
+        roles, entered = _entries(lambda: (alice.role, bob.role))
+        assert entered == ["__get__", "__get__"]
+        seen, entered = _entries(lambda: (
+            roles[0].role_id, roles[0].role_name,
+            roles[1].role_id, roles[1].role_name))
+        assert seen == (10, "admin", 20, "user")
+        assert entered == []
         assert session.queries_issued == queries
 
-    def test_lazy_association_queries_once(self, setup, counted_getattr):
+    def test_lazy_association_queries_once(self, setup):
         db, registry = setup
         session = Session(db, registry, fetch="lazy")
         user = session.load_all("User")[0]
         assert session.queries_issued == 1
-        role = user.role
+        role, entered = _entries(lambda: user.role)
         assert session.queries_issued == 2
-        assert counted_getattr == ["role"]
-        assert user.role is role
+        assert entered[:2] == ["__get__", "_resolve_association"]
+        again, entered = _entries(lambda: user.role)
+        assert again is role
+        assert entered == ["__get__"]
         assert session.queries_issued == 2
-        assert counted_getattr == ["role"]
+
+    @pytest.mark.parametrize("fetch", ["lazy", "eager"])
+    def test_entities_are_instances_of_the_read_only_class(self, setup,
+                                                          fetch):
+        """Hydration fills a writable twin, then hands out entities of
+        the class the registry keeps, an ``Entity`` subclass."""
+        db, registry = setup
+        session = Session(db, registry, fetch=fetch)
+        users = session.load_all("User")
+        roles = [user.role for user in users]
+        for entities, key in ((users, ("User", ("id", "name", "role_id"))),
+                              (roles, ("Role", ("role_id", "role_name")))):
+            cls = registry.entity_classes[key].cls
+            assert {type(entity) for entity in entities} == {cls}
+            assert issubclass(cls, Entity)
+            assert cls.__setattr__ is Entity.__setattr__
+            assert cls.__delattr__ is Entity.__delattr__
 
     @pytest.mark.parametrize("fetch", ["lazy", "eager"])
     def test_column_shadows_association_of_same_name(self, fetch):
@@ -165,15 +182,16 @@ class TestEntityContract:
         assert session.objects_hydrated == 2
 
     def test_any_column_name_reads(self):
+        """Including a keyword, and a ligature that the compiler would
+        fold to another column's name (NFKC)."""
+        names = ("id", "a b", "__x", "class", "\ufb01le", "file")
         db = Database()
-        db.create_table("odd", ("id", "a b", "__x", "class"))
-        db.insert("odd", {"id": 1, "a b": 2, "__x": 3, "class": 4})
+        db.create_table("odd", names)
+        db.insert("odd", {name: i for i, name in enumerate(names)})
         registry = MappingRegistry()
-        registry.register(EntityType("Odd", "odd",
-                                     ("id", "a b", "__x", "class")))
+        registry.register(EntityType("Odd", "odd", names))
         (odd,) = Session(db, registry).load_all("Odd")
-        assert [getattr(odd, name) for name in ("id", "a b", "__x", "class")] \
-            == [1, 2, 3, 4]
+        assert [getattr(odd, name) for name in names] == list(range(6))
 
     @pytest.mark.parametrize("fetch", ["lazy", "eager"])
     def test_dotted_key_column_resolves(self, fetch):
@@ -261,7 +279,7 @@ class TestEntityContract:
         assert [u.role_id for u in users] == [10, 20, 10]
         assert (users[0].name, users[2].name) == ("alice", "carol")
 
-    def test_eager_hydration_resolves_each_run(self, team, counted_getattr):
+    def test_eager_hydration_resolves_each_run(self, team):
         """An eager ``_hydrate`` over rows of mixed shapes hands each run
         of one shape to its class's builder and resolves the run's
         associations: every association slot is filled, and the queries
@@ -283,11 +301,16 @@ class TestEntityContract:
             == (by_row.queries_issued, by_row.objects_hydrated) == (4, 10)
         assert [type(u) for u in users] == [type(u) for u in singles]
         assert len({type(u) for u in users}) == 2
-        seen = [(u.record, u.role.record, entity_rows(u.colleagues))
-                for u in users]
+        # Every association slot is filled: each read enters only its
+        # descriptor, and none queries.
+        associations, entered = _entries(lambda: tuple(
+            map(attrgetter("role", "colleagues"), users)))
+        assert entered == ["__get__"] * (2 * len(users))
+        assert by_run.queries_issued == 4
+        seen = [(u.record, role.record, entity_rows(colleagues))
+                for u, (role, colleagues) in zip(users, associations)]
         assert seen == [(u.record, u.role.record, entity_rows(u.colleagues))
                         for u in singles]
-        assert counted_getattr == []
         assert users[0].role is users[1].role is users[3].role
         assert users[2].role is users[4].role
 
@@ -351,6 +374,23 @@ class TestEntityContract:
         assert entity_rows(users) == (alice.record, users[1].record)
         assert entity_rows(set(users)) == tuple(
             sorted((u.record for u in users), key=repr))
+
+
+def _entries(read):
+    """``read()`` and the names of the Python functions it entered,
+    other than ``read`` itself, counted with ``sys.setprofile``."""
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is not read.__code__:
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        value = read()
+    finally:
+        sys.setprofile(None)
+    return value, entered
 
 
 # -- the persistence context ---------------------------------------------------

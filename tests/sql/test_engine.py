@@ -183,6 +183,7 @@ def test_order_by_missing_column_is_a_typed_error(mode, suffix):
 #: NULLs (two NULLs are equal, a NULL and a number do not compare),
 #: mixed types and values that compare only when unequal.
 ORDER_VALUES = {
+    "integers": [2, 0, True, 1, 0, 2],
     "numbers": [2, 1.5, True, 0, -1.0, 1, 2],
     "strings": ["b", "a", "c", "a"],
     "nulls": [3, None, 1, None],
@@ -202,6 +203,32 @@ def test_single_key_order_matches_the_seed_pipeline(values, order):
     db.insert_many("t", [{"id": i, "k": v}
                          for i, v in enumerate(ORDER_VALUES[values])])
     sql = "SELECT t0.id FROM t t0 ORDER BY t0.k" + order
+    outcomes = {}
+    for mode, options in ORDER_MODES.items():
+        try:
+            rows = db.view(options).execute(sql).rows
+            outcomes[mode] = [row["id"] for row in rows]
+        except TypeError as exc:
+            outcomes[mode] = str(exc)
+    assert outcomes["planner"] == outcomes["seed"]
+    assert outcomes["parallel-2"] == outcomes["seed"]
+
+
+@pytest.mark.parametrize("values", sorted(ORDER_VALUES))
+@pytest.mark.parametrize("second", ["parity", "reversed"])
+@pytest.mark.parametrize("order", ["", " DESC"], ids=["asc", "desc"])
+def test_two_key_order_matches_the_seed_pipeline(values, second, order):
+    """Two sort keys order, and fail, as the seed pipeline does in every
+    execution mode: ties of the first key fall to the second, whose
+    values are ints with ties or the first key's values reversed."""
+    first = ORDER_VALUES[values]
+    seconds = {"parity": [i % 2 for i in range(len(first))],
+               "reversed": first[::-1]}[second]
+    db = Database()
+    db.create_table("t", ("id", "k", "j"))
+    db.insert_many("t", [{"id": i, "k": k, "j": j}
+                         for i, (k, j) in enumerate(zip(first, seconds))])
+    sql = "SELECT t0.id FROM t t0 ORDER BY t0.k%s, t0.j" % order
     outcomes = {}
     for mode, options in ORDER_MODES.items():
         try:

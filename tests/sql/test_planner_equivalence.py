@@ -116,6 +116,41 @@ def test_nan_sort_key_under_limit_matches_the_seed_pipeline():
     assert list(db.execute(ordered + " LIMIT 2").rows) == list(full[:2])
 
 
+def test_shared_nan_in_a_two_key_sort_matches_the_seed_pipeline():
+    """One NaN object in two rows: wrapped, the seed pipeline's keys
+    call it unequal to itself, so the second key never breaks the tie;
+    a raw tuple's identity shortcut would call the two equal and sort
+    them by the second key.  Serial only, as above."""
+    nan = float("nan")
+    db = Database()
+    db.create_table("t", ("id", "k", "j"))
+    db.insert_many("t", [{"id": 0, "k": nan, "j": 2},
+                         {"id": 1, "k": nan, "j": 0},
+                         {"id": 2, "k": 1.0, "j": 1}])
+    _assert_identical(db, "SELECT t0.id FROM t AS t0 ORDER BY t0.k, t0.j")
+
+
+def test_shared_nan_join_key_matches_no_row():
+    """NaN is unequal to itself under the engine's ``=``, even as one
+    object stored in both tables: the hash join, planned or in the seed
+    pipeline, rejects the pair as the nested loop does."""
+    nan = float("nan")
+    db = Database()
+    for table, ids in (("a", (1, 2)), ("b", (10, 20))):
+        db.create_table(table, ("id", "k"))
+        db.insert_many(table, [{"id": ids[0], "k": nan},
+                               {"id": ids[1], "k": 1.0}])
+    sql = "SELECT a.id, b.id FROM a AS a, b AS b WHERE a.k = b.k"
+    _assert_identical(db, sql)
+    for options in (ExecutorOptions(), ExecutorOptions(planner=False),
+                    ExecutorOptions(hash_joins=False),
+                    ExecutorOptions(parallel=2)):
+        result = db.view(options).execute(sql)
+        assert [tuple(row.values()) for row in result.rows] == [(2, 20)]
+    assert db.execute("SELECT a.id FROM a AS a WHERE a.k = a.k").rows \
+        == db.execute("SELECT a.id FROM a AS a WHERE a.id = 2").rows
+
+
 # -- full-corpus equivalence ---------------------------------------------------
 # (corpus_sql / app_dbs are the session fixtures from conftest.py,
 # shared with tests/sql/test_parallel_equivalence.py.)

@@ -130,6 +130,36 @@ def test_single_batch_fast_path(boundary_db):
     assert "FullScan(one AS t0)  [rows=1," in text
 
 
+@pytest.mark.parametrize("size", [2, 1024])
+def test_columns_of_records_written_behind_the_api(size):
+    """A batch reads a column at its position in the records' one field
+    tuple only when every record of the batch has an equal tuple.  A
+    record written behind the table API in another field order reads by
+    name, and one that lacks the column raises the seed pipeline's
+    error."""
+    from repro.sql.errors import SQLExecutionError
+    from repro.tor.values import Record
+
+    db = Database()
+    db.create_table("t", ("id", "k", "v"))
+    db.insert_many("t", [{"id": i, "k": i % 3, "v": i * 10}
+                         for i in range(8)])
+    stored = db.table("t").rows
+    stored[3] = Record({"v": 30, "id": 3, "k": 0})
+    stored.append(Record({"k": 1, "v": 80, "id": 8}))
+    for sql in ("SELECT t0.id, t0.v FROM t t0 WHERE t0.k = 0",
+                "SELECT t0.id FROM t t0 WHERE t0.v >= 30 AND 1 = t0.k",
+                "SELECT t0.id FROM t t0 WHERE t0.k < t0.id ORDER BY t0.v"):
+        _assert_vectorized_identical(db, sql, batch_sizes=(size,))
+    stored.append(Record({"id": 9, "v": 90}))
+    for options in (ExecutorOptions(batch_size=size),
+                    ExecutorOptions(planner=False)):
+        with pytest.raises(SQLExecutionError,
+                           match="no column 'k' in source 't0'"):
+            db.view(options).execute(
+                "SELECT t0.id FROM t t0 WHERE t0.k = 1")
+
+
 # -- composition with parallel=K -----------------------------------------------
 
 
