@@ -5,9 +5,8 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test bench-smoke bench-synthesis bench bench-parallel \
-	bench-planner bench-join-order bench-parallel-scan \
-	bench-vectorized-scan bench-worker-pool fuzz-smoke serve-smoke \
-	chaos-smoke pool-smoke obs-smoke profile-smoke docs-check
+	bench-planner bench-join-order bench-vectorized-scan fuzz-smoke \
+	serve-smoke chaos-smoke pool-smoke obs-smoke profile-smoke docs-check
 
 # Tier-1 verification: the full unit/property/regression suite.
 test:
@@ -29,15 +28,10 @@ test:
 # exact count that was 42 before the hit path was trimmed and 18
 # while a Project sat above the scan), the cost-based
 # join-order floor (>= 2x vs. the greedy FROM-order chain on a skewed
-# four-table corpus), then the partition-parallel scan floor (>= 1.8x
-# at 4 partitions on the worker pool, asserted on >= 4 usable cores,
-# reported otherwise), the batch-execution floors (>= 2x over
+# four-table corpus), the batch-execution floors (>= 2x over
 # the seed pipeline on a 200k-row scan+filter+aggregate and on an
 # ORM-shaped stream of small indexed lookups, both asserted
-# unconditionally), the
-# worker-pool throughput floor (a warm pool >= 2x over a pool forked
-# per query on a repeated-query stream, asserted unconditionally — the
-# floor is overhead-based, not CPU-scaling), the ORM entity-read
+# unconditionally), the ORM entity-read
 # floor (reading every column of 2,000 lazily loaded entities takes at
 # most 2x the time of the same reads on plain objects, asserted
 # unconditionally), the ORM bytecode-read ceiling (the same reads from
@@ -53,9 +47,7 @@ bench-smoke:
 	$(PYTHON) benchmarks/bench_synthesis_speed.py --smoke
 	$(PYTHON) benchmarks/bench_planner.py --smoke
 	$(PYTHON) benchmarks/bench_join_order.py --smoke
-	$(PYTHON) benchmarks/bench_parallel_scan.py --smoke
 	$(PYTHON) benchmarks/bench_vectorized_scan.py --smoke
-	$(PYTHON) benchmarks/bench_worker_pool.py --smoke
 	$(PYTHON) benchmarks/bench_orm_entities.py --smoke
 
 # Query-planner comparison at full size (best of 3 repeats).
@@ -66,18 +58,10 @@ bench-planner:
 bench-join-order:
 	$(PYTHON) benchmarks/bench_join_order.py
 
-# Partition-parallel execution comparison at full size.
-bench-parallel-scan:
-	$(PYTHON) benchmarks/bench_parallel_scan.py
-
 # Batch execution vs. the seed pipeline at full size: the 200k-row
 # scan floor and the small-query floor.
 bench-vectorized-scan:
 	$(PYTHON) benchmarks/bench_vectorized_scan.py
-
-# Warm worker pool vs. a pool forked per query at full size.
-bench-worker-pool:
-	$(PYTHON) benchmarks/bench_worker_pool.py
 
 # Cross-mode differential fuzzing canary: a fixed-seed subset of the
 # generative SQL fuzzer plus the metamorphic relations.  Full scale
@@ -110,35 +94,31 @@ serve-smoke:
 	$(PYTHON) -m repro.service.cli status --fragments w40,w42,i2 \
 		--cache-dir "$$dir"
 
-# Chaos canary: deterministic fault injection against both callers of
-# the worker pool — scheduler retries / circuit breaker / deadlines /
-# shutdown escalation, and the SQL engine's degradation ladder
-# (pool -> serial) staying answer-identical.
+# Chaos canary: deterministic fault injection against the scheduler and
+# its worker pool — retries with exact attempt counts, circuit breaker,
+# deadlines, shutdown escalation, and the inline run when the pool
+# cannot start.
 chaos-smoke:
-	$(PYTHON) -m pytest tests/service/test_faults.py \
-		tests/sql/test_parallel_faults.py -q
+	$(PYTHON) -m pytest tests/service/test_faults.py -q
 
-# Worker-pool canary: the pool's full test surface — protocol/LRU unit
-# tests, seeded worker-kill chaos (respawn + retry with exact attempt
-# counts) for queries and for the scheduler's QBS batches, threads
-# sharing one pool, and battery/corpus equivalence through the pool.
+# Worker-pool canary: the pool's full test surface — protocol unit
+# tests, hung-worker replacement, the fd budget, and seeded chaos
+# against the scheduler's QBS batches (respawn + retry with exact
+# attempt counts).
 pool-smoke:
 	$(PYTHON) -m pytest tests/service/test_pool.py \
-		tests/service/test_faults.py \
-		tests/sql/test_pool_faults.py \
-		tests/sql/test_parallel_equivalence.py -q
+		tests/service/test_faults.py -q
 
 # Observability canary: golden span trees, metrics exposition format,
-# untraced-off byte-identity, parallel trace stitching, and one real
-# traced benchmark run validated against the BENCH_*.json schema.
+# untraced-off byte-identity, and one real traced benchmark run
+# validated against the BENCH_*.json schema.
 obs-smoke:
 	$(PYTHON) -m pytest tests/obs -q
 
 # Profiler canary: one profiled corpus run through the CLI (the
 # collapsed-stack file must come out non-empty), then the profiler's
 # own contract suite — off-path byte-identity, masked span-universe
-# goldens (serial == K=1; K=4 attributes to the serial span set over
-# pool workers), and the cross-process sample transport.
+# goldens, and merging sample buffers between profilers.
 profile-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(PYTHON) -m repro.service.cli run --fragments w40 --workers 1 \

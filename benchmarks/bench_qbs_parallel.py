@@ -44,7 +44,7 @@ from repro.bench.harness import (
 from repro.corpus.registry import ALL_FRAGMENTS
 from repro.service.cache import ResultCache
 from repro.service.faults import RetryPolicy
-from repro.sql.plan.parallel import usable_cores
+from repro.service.pool import usable_cores
 
 #: Acceptance thresholds (ISSUE 2).
 MIN_PARALLEL_SPEEDUP = 1.8

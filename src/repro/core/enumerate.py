@@ -31,27 +31,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 
-def merge_sorted_runs(runs: Sequence[Sequence[Any]],
-                      key: Callable[[Any], Any]) -> Iterator[Any]:
-    """Heap-based k-way merge of already-sorted runs, stable across runs.
-
-    The sequence-merge primitive :func:`best_first_product` embodies,
-    exposed directly: given runs each sorted by ``key`` (stably, i.e.
-    equal keys keep their original relative order within a run), yields
-    all items in nondecreasing ``key`` order, resolving ties to the
-    *earlier run*, then the earlier position within it.  Concatenating
-    partitions of a stably-sorted sequence and merging them therefore
-    reproduces the original stable sort exactly — the property the
-    partition-parallel ORDER BY operator
-    (:class:`repro.sql.plan.physical.GatherMergeOp`) is built on.
-
-    Holds one heap entry per run: O(k) memory for k runs.
-    :func:`heapq.merge` implements exactly this contract (its tie-break
-    counter is the iterable index), so the primitive delegates to it.
-    """
-    return heapq.merge(*runs, key=key)
-
-
 @dataclass
 class EnumerationStats:
     """Effort/memory accounting for one enumeration."""

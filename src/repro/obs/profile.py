@@ -10,11 +10,8 @@ for every thread but itself, and records each stack twice over —
   collapsed-stack format, one ``stack count`` line per distinct chain
   in :meth:`Profiler.collapsed`), and
 * against the **span label** active on the sampled thread.  Labels use
-  the span's ``op`` tag when present (the serial-equivalent operator
-  description — see ``PhysicalOp.trace_name``) and the span name
-  otherwise, so a profiled parallel query attributes its samples to
-  the same span set as the serial plan, with the partition fan-out
-  visible as the extra ``partition`` label.
+  the span's ``op`` tag when present (the operator description — see
+  ``PhysicalOp.describe``) and the span name otherwise.
 
 The contract is the repo-wide one: **off by default, free when off.**
 Nothing samples, and no span bookkeeping runs, until a profiler is
@@ -26,17 +23,12 @@ statistical, but the set of spans entered while profiling
 run — that is what the masked golden tests compare
 (:func:`format_summary` with ``mask_counts=True``).
 
-**Partition workers.**  A sampler thread does not survive ``fork``,
-so a pool worker running a profiled query's partition starts a fresh
-profiler of its own (replacing any stale one it inherited, whose
-``pid`` no longer matches) and ships the (picklable, plain-data)
-:meth:`Profiler.payload` home beside its result — the same transport
-partition stats and detached spans already ride — where the driver
-merges it with :meth:`Profiler.absorb`.
-:func:`call_profiled` / :func:`absorb_shipped` package exactly that
-for the worker pool (:meth:`repro.service.pool.WorkerPool.run_jobs`);
-the serial rung needs nothing, because it runs in the parent, whose
-sampler already sees it.
+**Other processes.**  A sampler thread does not survive ``fork``, and
+nothing samples the scheduler's pool workers: ``repro-qbs run
+--profile`` attributes a whole run only with ``--workers 1``.  A
+profiler started in a forked child replaces the stale one it inherited
+(whose ``pid`` no longer matches); :meth:`Profiler.payload` and
+:meth:`Profiler.absorb` carry samples between profilers as plain data.
 
 Surfaces: ``Database.execute(sql, profile=...)``, ``repro-qbs run
 --profile out.txt``, and ``Synthesizer.synthesize(profiler=...)`` for
@@ -210,8 +202,8 @@ class Profiler:
 
     @staticmethod
     def span_label(span) -> str:
-        """The attribution label: serial-equivalent ``op`` tag when the
-        span carries one, the span name otherwise."""
+        """The attribution label: the ``op`` tag when the span carries
+        one, the span name otherwise."""
         return span.tags.get("op") or span.name
 
     def _on_span(self, span, entered: bool) -> None:
@@ -310,36 +302,3 @@ def format_summary(summary: Dict[str, Any], mask_counts: bool = False) -> str:
         for name, count in summary.get("top_functions", ())[:5]:
             lines.append("top %s  samples=%d" % (name, count))
     return "\n".join(lines)
-
-
-# -- worker-process plumbing -------------------------------------------------
-
-
-def call_profiled(task, interval: Optional[float] = None) -> Dict[str, Any]:
-    """Run one fan-out task in a worker process under a fresh profiler
-    sampling every ``interval`` seconds (the driver's interval; None
-    runs it unprofiled).  The sample buffer rides home beside the
-    result (unwrap with :func:`absorb_shipped`)."""
-    if interval is None:
-        return {"result": task(), "profile": None}
-    child = Profiler(interval_seconds=interval)
-    child.start()
-    try:
-        result = task()
-    finally:
-        child.stop()
-    return {"result": result, "profile": child.payload()}
-
-
-def absorb_shipped(shipped: List[Dict[str, Any]]) -> List[Any]:
-    """Driver side of :func:`call_profiled`: merge each shipped sample
-    buffer into the installed profiler (in task order, so merging is
-    deterministic) and return the bare results."""
-    profiler = _INSTALLED
-    results = []
-    for entry in shipped:
-        payload = entry.get("profile")
-        if payload is not None and profiler is not None:
-            profiler.absorb(payload)
-        results.append(entry["result"])
-    return results

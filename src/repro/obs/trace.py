@@ -13,12 +13,8 @@ parent correctly without any explicit plumbing.
 
 Timings use :func:`time.perf_counter` (monotonic); tag values must be
 JSON-serializable.  Spans serialize with :meth:`Span.to_dict` /
-:meth:`Span.from_dict`, which is also the cross-process transport:
-partition tasks and forked workers build a detached span locally,
-ship ``to_dict()`` home beside their stats payload, and the driver
-re-parents the rebuilt span with :meth:`Span.adopt` in
-partition-index order — so a parallel query stitches into one tree
-whose child order is deterministic regardless of completion order.
+:meth:`Span.from_dict` (``repro-qbs run --trace`` writes the
+``to_dict`` form).
 """
 
 from __future__ import annotations
@@ -84,17 +80,6 @@ class Span:
     def child(self, name: str, **tags: Any) -> "Span":
         """Create (but do not start) a child span."""
         node = Span(name, **tags)
-        self.children.append(node)
-        return node
-
-    def adopt(self, payload: Any) -> "Span":
-        """Re-parent a span that was built elsewhere.
-
-        Accepts either a :class:`Span` or a :meth:`to_dict` payload
-        (the cross-process form).  Returns the adopted child.
-        """
-        node = payload if isinstance(payload, Span) \
-            else Span.from_dict(payload)
         self.children.append(node)
         return node
 
@@ -183,9 +168,6 @@ class _NullSpan:
     __slots__ = ()
 
     def child(self, name: str, **tags: Any) -> "_NullSpan":
-        return self
-
-    def adopt(self, payload: Any) -> "_NullSpan":
         return self
 
     def tag(self, **tags: Any) -> "_NullSpan":

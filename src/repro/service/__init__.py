@@ -8,12 +8,11 @@ Modules:
 * :mod:`repro.service.scheduler` — QBS batch fan-out with per-job
   timeouts, retries and an in-process path for ``workers=1``;
 * :mod:`repro.service.pool` — :class:`~repro.service.pool.WorkerPool`,
-  the one worker-process substrate: forked workers, one dispatch loop
-  (crash respawn, timeouts, deadline, retries) and per-worker table
-  caching.  The scheduler forks one per run; the SQL engine's
-  partition-parallel queries share one process-wide;
-* :mod:`repro.service.faults` — the resilience layer both substrates
-  share: the failure taxonomy, :class:`RetryPolicy`,
+  the one worker-process substrate: forked workers and one dispatch
+  loop (crash respawn, timeouts, deadline, retries).  The scheduler
+  forks one per ``workers>1`` run and closes it at the run's end;
+* :mod:`repro.service.faults` — the resilience layer the scheduler and
+  its pool share: the failure taxonomy, :class:`RetryPolicy`,
   :class:`Deadline`, and the deterministic fault-injection harness
   (:class:`FaultPlan`) the chaos suites drive;
 * :mod:`repro.service.cli` — the ``repro-qbs`` command.

@@ -1,9 +1,8 @@
 """The resilience layer: failure taxonomy, retries, deadlines, chaos.
 
-Both callers of the worker pool — the service scheduler's QBS batches
-and the SQL engine's partition-parallel fan-out — fail in the same small
-set of ways, so this module gives them one shared vocabulary and one set
-of policies:
+The scheduler's QBS batches fail in a small set of ways, whether they
+run in-process or on the worker pool, so this module gives both paths
+one shared vocabulary and one set of policies:
 
 * a **failure taxonomy** (`TIMEOUT | CRASH | CORRUPT_PAYLOAD |
   TRANSIENT_EXHAUSTED | PERMANENT`) with typed exceptions
@@ -13,16 +12,16 @@ of policies:
   bound doubles as the per-job **circuit breaker**: a poison job stops
   consuming workers after ``max_attempts`` instead of respawn-looping;
 * a :class:`Deadline` — a monotonic-clock budget threaded from the
-  scheduler / executor down into partition tasks, so a hung
-  substrate surfaces a *classified timeout* instead of blocking;
+  scheduler into the pool's dispatch loop, so a hung worker surfaces
+  a *classified timeout* instead of blocking;
 * a :class:`FaultPlan` — a **deterministic fault-injection harness**.
-  Faults are decided by a seeded hash over the job id / partition
-  index, never by wall-clock randomness, so a chaos run is exactly
+  Faults are decided by a seeded hash over the job id, never by
+  wall-clock randomness, so a chaos run is exactly
   reproducible: the same plan injects the same crash into the same
   job on the same attempt, every time.
 
-Everything here is stdlib-only; both ``repro.service.scheduler`` and
-``repro.sql.plan.parallel`` import it without creating cycles.
+Everything here is stdlib-only; ``repro.service.scheduler`` and
+``repro.service.pool`` import it without creating cycles.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import Any, Dict, Iterator, Mapping, Optional
 
 # -- failure taxonomy ----------------------------------------------------------
 
-#: The job/partition ran past its per-attempt or whole-run budget.
+#: The job ran past its per-attempt or whole-run budget.
 TIMEOUT = "timeout"
 #: The worker process died (nonzero exit, signal, EOF before replying).
 CRASH = "crash"
@@ -107,7 +106,7 @@ class CorruptPayload(TaskFault):
 
 
 class TaskTimeout(TaskFault):
-    """A job or partition ran past its budget."""
+    """A job ran past its budget."""
 
     kind = TIMEOUT
 
@@ -134,9 +133,9 @@ class JobFailed(TaskFault):
 
 
 class SubstrateUnavailable(TaskFault):
-    """A parallel substrate could not start (fork refused, thread
-    limit) — the degradation ladder's cue to fall back, never a final
-    classification by itself."""
+    """The worker pool could not start (no fork on this platform, a
+    daemonic parent, a process limit) — the scheduler's cue to run the
+    batch inline, never a final classification by itself."""
 
     kind = CRASH
 
@@ -275,7 +274,7 @@ def _fraction(seed: int, key: str) -> float:
 
 @dataclass
 class FaultPlan:
-    """Deterministic fault injection, seeded per job-id / partition key.
+    """Deterministic fault injection, seeded per job id.
 
     Rate-based faults draw once per key from a seeded hash (the same
     key always draws the same fault under the same seed) and *heal*
@@ -355,10 +354,9 @@ def _refuse_unpickle(key: str) -> None:
 class CorruptResult:
     """A payload that pickles cleanly but explodes when unpickled —
     the reproducible stand-in for a truncated/garbage pipe message.
-    In-process (the serial rung, the scheduler's ``workers=1`` path)
-    it never occurs; corruption is a transport property, so
-    :func:`perturb` raises :class:`CorruptPayload` directly there
-    instead."""
+    In-process (the scheduler's ``workers=1`` path) it never occurs;
+    corruption is a transport property, so :func:`perturb` raises
+    :class:`CorruptPayload` directly there instead."""
 
     def __init__(self, key: str = "?"):
         self.key = key
@@ -371,12 +369,12 @@ def perturb(plan: Optional[FaultPlan], key: str,
             attempt: Optional[int] = None) -> Optional[Any]:
     """Execute the plan's fault for (key, attempt), if any.
 
-    Call at the top of a job runner or partition task.  Returns a
+    Call at the top of a job runner.  Returns a
     poison payload to send in place of the real result (corrupt
     injection inside a forked child), or ``None`` when the caller
     should proceed normally.  Crash injection is a real ``os._exit``
     inside forked children and a raised :class:`WorkerCrash` in the
-    parent (the serial rung, the scheduler's in-process path).
+    parent (the scheduler's in-process path).
     """
     if plan is None:
         return None
@@ -403,7 +401,7 @@ def perturb(plan: Optional[FaultPlan], key: str,
                          % (key, attempt))
 
 
-# -- installed plan (consulted by the parallel substrates) ---------------------
+# -- installed plan (inherited by forked workers) ------------------------------
 
 _INSTALLED_PLAN: Optional[FaultPlan] = None
 

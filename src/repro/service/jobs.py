@@ -129,7 +129,9 @@ def execute_job(fragment_id: str,
 
 
 class PoolJob:
-    """One fragment's QBS run in the picklable form a pool worker runs.
+    """One fragment's QBS run in the picklable form a pool worker runs:
+    a zero-argument callable, as
+    :meth:`repro.service.pool.WorkerPool.stream` expects.
 
     The runner is looked up in the worker at run time
     (``scheduler._JOB_RUNNER``), so a swap made before the scheduler
@@ -141,16 +143,11 @@ class PoolJob:
 
     __slots__ = ("fragment_id", "options")
 
-    #: pool-job protocol: no tables, no size estimate, no partition.
-    digest_map: Dict[str, str] = {}
-    est = 0
-    part = 0
-
     def __init__(self, fragment_id: str, options: Dict[str, Any]):
         self.fragment_id = fragment_id
         self.options = options
 
-    def run_in_worker(self, cache: Dict[str, Any]) -> Dict[str, Any]:
+    def __call__(self) -> Dict[str, Any]:
         from repro.service import scheduler
 
         try:

@@ -23,8 +23,10 @@ fragment), so the scheduler's only obligations are
   replaces crashed and timed-out workers while the rest of the batch
   completes and turns an optional whole-run deadline into classified
   timeouts instead of a block;
-* **graceful degradation** — ``workers=1`` (or a platform without
-  fork) runs in-process with no multiprocessing machinery at all.
+* **graceful degradation** — ``workers=1`` runs in-process with no
+  multiprocessing machinery at all, and so does a ``workers>1`` run
+  whose pool cannot start (no fork on this platform, a daemonic
+  parent).
 
 Results are read through / written to a :class:`ResultCache` when one
 is attached, which is what makes corpus re-runs incremental.
@@ -329,13 +331,18 @@ class Scheduler:
         tracing wrappers.  The pool owns dispatch, per-job timeouts,
         the whole-run deadline, crash respawn and retries; each final
         failure becomes a classified failed outcome while the rest of
-        the batch carries on.  Where fork is unavailable the run goes
-        inline.
+        the batch carries on.  Where the workers cannot start (no fork
+        on this platform, or a daemonic parent, which may not fork) the
+        batch runs inline instead, with the same outcomes.
         """
+        pool = None
         try:
             pool = WorkerPool(size=min(self.workers, len(pending)),
                               retry=self.retry)
-        except ValueError:  # pragma: no cover - no fork on this platform
+            pool.ensure_workers()
+        except faults.SubstrateUnavailable:
+            if pool is not None:
+                pool.close()
             yield from self._run_inline(jobs, pending)
             return
         opts = options_payload(self.options)

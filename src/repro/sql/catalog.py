@@ -15,21 +15,12 @@ gone stale (rows written behind the ``insert`` API).
 
 from __future__ import annotations
 
-import hashlib
-import itertools
-import pickle
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.sql.errors import SQLExecutionError
 from repro.sql.indexes import HashIndex
 from repro.sql.stats import TableStats
 from repro.tor.values import Record
-
-#: process-unique table identities, folded into content digests so two
-#: different tables can never collide on an empty/equal digest cache
-#: entry by accident of naming.
-_TABLE_UIDS = itertools.count(1)
-
 
 class Table:
     """One base table: named columns, ordered rows, optional indexes."""
@@ -44,12 +35,9 @@ class Table:
         #: optimizer statistics, maintained incrementally on insert.
         self.stats = TableStats(self.columns)
         #: monotone content version, bumped by every mutation (insert,
-        #: index creation, stats refresh).  The worker-pool cache keys
-        #: shipped tables on it: an unchanged version means the cached
-        #: content digest — and the worker's cached copy — are current.
+        #: index creation, stats refresh).  The statement cache keys
+        #: cached plans on it (:meth:`repro.sql.database.Database.execute`).
         self.data_version = 0
-        self._uid = next(_TABLE_UIDS)
-        self._digest_cache: Optional[Tuple[int, str]] = None
 
     def insert(self, row: Mapping[str, Any]) -> int:
         """Insert one row; returns its rowid (= position)."""
@@ -93,29 +81,6 @@ class Table:
         self.stats.refresh(self.rows)
         self.data_version += 1
         return self.stats
-
-    def content_digest(self) -> str:
-        """A stable digest of this table's servable content (columns,
-        rows, index set), memoized by ``data_version``.
-
-        This is the worker pool's cache key: a worker holding a table
-        under this digest can execute against it without any rows being
-        re-shipped.  The digest folds in the table's process-unique id,
-        so the key identifies *this* table at *this* content version —
-        a deliberate choice: equality across coincidentally identical
-        tables is not worth risking staleness of derived state (stats,
-        index layout) that rides along with the shipped copy.
-        """
-        cached = self._digest_cache
-        if cached is not None and cached[0] == self.data_version:
-            return cached[1]
-        body = pickle.dumps(
-            (self._uid, self.data_version, self.columns,
-             tuple(sorted(self.indexes)), len(self.rows)),
-            protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha256(body).hexdigest()[:24]
-        self._digest_cache = (self.data_version, digest)
-        return digest
 
     def __len__(self) -> int:
         return len(self.rows)

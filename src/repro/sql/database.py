@@ -45,11 +45,10 @@ class Database:
 
     ``options`` selects the execution mode: the planning engine by
     default, the seed single-pass pipeline with
-    ``ExecutorOptions(planner=False)``, partition-parallel execution
-    with ``ExecutorOptions(parallel=K)``.  All modes are pinned
-    row/column/stats-identical by the regression suites; ``view``
-    opens a second mode over the same data for exactly that kind of
-    comparison.
+    ``ExecutorOptions(planner=False)``.  The planner's modes are pinned
+    row/column/stats-identical to the seed pipeline by the regression
+    suites; ``view`` opens a second mode over the same data for exactly
+    that kind of comparison.
 
     Statements are prepared once per handle: ``execute`` parses each
     distinct SQL string once and, under the planner, reuses its
@@ -97,16 +96,16 @@ class Database:
         The returned :class:`Database` shares tables and indexes with
         this one but executes under its own ``options`` — the standard
         way to compare execution modes on identical data (equivalence
-        tests, the planner and partition benchmarks):
+        tests, the planner benchmarks):
 
         >>> db = Database()
         >>> _ = db.create_table("users", ["id", "name"])
         >>> db.insert("users", {"id": 1, "name": "alice"})
         >>> legacy = db.view(ExecutorOptions(planner=False))
-        >>> parallel = db.view(ExecutorOptions(parallel=2))
+        >>> greedy = db.view(ExecutorOptions(cost_based=False))
         >>> sql = "SELECT u.name FROM users u"
         >>> (db.execute(sql).rows == legacy.execute(sql).rows
-        ...     == parallel.execute(sql).rows)
+        ...     == greedy.execute(sql).rows)
         True
         """
         other = Database(options)
@@ -142,8 +141,7 @@ class Database:
 
         ``trace=True`` runs the query under a trace span: every
         physical operator opens a child span (timed, tagged with its
-        description and observed rows; parallel partitions stitch in
-        partition-index order), and the root comes back as
+        description and observed rows), and the root comes back as
         ``result.trace``.  The same happens when an ambient trace is
         already active (e.g. a traced service job), in which case the
         query span also parents into it.  Off by default — the
@@ -155,11 +153,10 @@ class Database:
         to accumulate across queries (started only if idle).  Samples
         attribute to the query's spans, so profiling implies the
         traced path; the profiler comes back as ``result.profile``
-        (and the span tree as ``result.trace``).  Pool-worker
-        partitions ship their sample buffers home beside their stats.
-        With ``profile`` unset (the default) this path does not run at
-        all — results, EXPLAIN, traces and metrics are byte-identical,
-        pinned by ``tests/obs/test_profile.py``.
+        (and the span tree as ``result.trace``).  With ``profile``
+        unset (the default) this path does not run at all — results,
+        EXPLAIN, traces and metrics are byte-identical, pinned by
+        ``tests/obs/test_profile.py``.
         """
         statement = self._statements.get(sql)
         if statement is None:

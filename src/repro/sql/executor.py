@@ -31,9 +31,8 @@ physical operators additionally record per-operator cardinalities that
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sql import ast as S
 from repro.sql.catalog import Catalog, Table
@@ -52,33 +51,12 @@ class ExecutionStats:
     nested_loop_joins: int = 0
     index_scans: int = 0
     full_scans: int = 0
-    #: substrate degradations taken while executing (pool → serial
-    #: falls; see docs/robustness.md).  Not
-    #: part of the parallel-identity contract: degraded runs must match
-    #: serial runs on every *work* counter above, while this one
-    #: records that the fallback happened.
-    degradations: int = 0
-
-
-def merge_stats(into: "ExecutionStats", delta: "ExecutionStats") -> None:
-    """Accumulate ``delta`` into ``into`` (all counters are additive).
-
-    Used by the partition-parallel driver, which merges each
-    partition's private counters back in partition-index order.
-    """
-    into.rows_scanned += delta.rows_scanned
-    into.index_probes += delta.index_probes
-    into.hash_joins += delta.hash_joins
-    into.nested_loop_joins += delta.nested_loop_joins
-    into.index_scans += delta.index_scans
-    into.full_scans += delta.full_scans
-    into.degradations += delta.degradations
 
 
 @dataclass
 class ExecutorOptions:
-    """Execution options: the oracle switch, optimizer rule toggles,
-    parallelism, deadline and batch size.  The planner reads them too
+    """Execution options: the oracle switch, optimizer rule toggles and
+    batch size.  The planner reads them too
     (:func:`repro.sql.plan.plan_select`).
 
     ``planner``
@@ -89,23 +67,6 @@ class ExecutorOptions:
         Optimizer rule toggles, used by the planner benchmarks to
         measure each rule's contribution.  Ignored by the seed path
         (which always applies both, as it always did).
-    ``parallel``
-        Partition count for partition-parallel execution.  ``K > 1``
-        makes the optimizer split the leftmost scan into K range
-        partitions, run the join chain per partition, and merge above
-        it (``Gather``, ``GatherMerge`` under an ORDER BY, or partial
-        aggregation for combinable aggregates).  The partitions run on
-        the process-wide worker pool (:mod:`repro.service.pool`), whose
-        long-lived workers cache tables by content digest, so repeated
-        queries against an unchanged catalog pay no per-query fork and
-        re-ship zero rows (``benchmarks/bench_worker_pool.py``); where
-        the pool cannot run they run serially.  The serial plan is the
-        ``K = 1`` default, and every K is pinned row/column/stats-
-        identical to it (``tests/sql/test_parallel_equivalence.py``).
-        ``"auto"`` derives K per query from the estimated
-        leftmost-scan cardinality and the usable core count (the cost
-        rule ``repro.sql.plan.optimizer.resolve_auto_partitions``).
-        Requires the planner.
     ``cost_based``
         Plan with the statistics-driven cost model (the default):
         Selinger join-order search, cost-driven access paths, and
@@ -113,19 +74,11 @@ class ExecutorOptions:
         greedy FROM-order planner exactly as PR 3 built it.  Both
         modes are pinned row/column/stats-identical to the seed
         pipeline.
-    ``deadline_seconds``
-        Whole-query budget for partition-parallel execution.  At
-        expiry, unfinished partitions are abandoned and the query
-        raises a classified
-        :class:`~repro.service.faults.DeadlineExceeded` instead of
-        blocking.  ``None`` (the default, and the seed behaviour)
-        never expires.
     ``batch_size``
         Rows per column batch.  Every planned query streams batches of
         at most this many rows through once-compiled closures
-        (:mod:`repro.sql.plan.vector`); under ``parallel=K`` each
-        partition's row range is chunked the same way.  Results do not
-        depend on it (``tests/sql/test_vectorized.py``).
+        (:mod:`repro.sql.plan.vector`).  Results do not depend on it
+        (``tests/sql/test_vectorized.py``).
     ``vectorized``
         Inert: batch execution is the only planned engine, so this
         selects nothing and nothing reads it.  It stays constructible
@@ -136,9 +89,7 @@ class ExecutorOptions:
     planner: bool = True
     index_scans: bool = True
     hash_joins: bool = True
-    parallel: Union[int, str] = 1
     cost_based: bool = True
-    deadline_seconds: Optional[float] = None
     vectorized: bool = False
     batch_size: int = 1024
 
@@ -183,21 +134,11 @@ class Executor:
                  options: Optional[ExecutorOptions] = None):
         self.catalog = catalog
         self.options = options or ExecutorOptions()
-        parallel = self.options.parallel
-        if parallel != "auto":
-            if not isinstance(parallel, int) or parallel < 1:
-                raise ValueError("parallel must be >= 1 or 'auto', got %r"
-                                 % (parallel,))
-        if parallel != 1 and not self.options.planner:
-            raise ValueError(
-                "parallel execution requires the planner "
-                "(ExecutorOptions(planner=True))")
         batch_size = self.options.batch_size
         if not isinstance(batch_size, int) or isinstance(batch_size, bool) \
                 or batch_size < 1:
             raise ValueError("batch_size must be a positive integer, "
                              "got %r" % (batch_size,))
-        self._nested: Optional["Executor"] = None
 
     # -- public entry ----------------------------------------------------------
 
@@ -710,29 +651,9 @@ class Executor:
                 return record[ref.column]
         raise SQLExecutionError("cannot resolve column %r" % ref.column)
 
-    def _nested_executor(self) -> "Executor":
-        """The executor for nested subqueries: always serial.
-
-        An IN subquery evaluates once per candidate row, possibly
-        inside a partition worker.  Re-planning it with ``parallel=K``
-        there would dispatch to the pool once per row — and, inside a
-        pool worker, attempt to fork from a daemonic process, which
-        multiprocessing forbids.  A FROM subquery runs once, in the
-        outer plan's ``prepare``; with ``parallel=K`` it would fan out
-        on its own before the outer plan's partitions fan out again.
-        Serial nested execution is stats-identical (that is the
-        parallel-transparency invariant), so nothing observable changes.
-        """
-        if self.options.parallel == 1:
-            return self
-        if self._nested is None:
-            self._nested = Executor(
-                self.catalog, dataclasses.replace(self.options, parallel=1))
-        return self._nested
-
     def _eval_in(self, expr: S.InSubquery, env: Env, params, stats) -> bool:
         subject = self._eval(expr.subject, env, params, stats)
-        result = self._nested_executor().execute(expr.query, params, stats)
+        result = self.execute(expr.query, params, stats)
         found = False
         for row in result.rows:
             if isinstance(subject, Record):
@@ -787,8 +708,7 @@ def _hash_build(source: "_ScannedSource", pred: S.BinOp
     """The build phase of a hash join: bucket the new source's rows.
 
     Returns the buckets and the probe-side expression.  Shared by the
-    serial executor and the partition-parallel join, which builds once
-    and probes each partition independently.
+    seed pipeline and the planner's hash join.
     """
     left_expr, right_expr = pred.left, pred.right
     if not (isinstance(left_expr, S.ColumnRef)
@@ -816,9 +736,7 @@ def _hash_probe(executor: "Executor", envs: List[Env], buckets,
                 stats) -> List[Env]:
     """The probe phase: match ``envs`` against prebuilt buckets.
 
-    Output order is probe-major (env order, then bucket order), which
-    is what makes contiguous probe partitions concatenate back into
-    the serial result exactly.
+    Output order is probe-major (env order, then bucket order).
     """
     out: List[Env] = []
     append = out.append
@@ -924,17 +842,16 @@ def _apply_op(op: str, left: Any, right: Any) -> Any:
 
 
 def _avg_state(series: Sequence[Any]) -> Tuple[Any, int]:
-    """AVG's partial state: ``(exact running total, count)``.
+    """AVG's state: ``(exact running total, count)``.
 
     Finite floats accumulate as :class:`fractions.Fraction`, so the
-    total is *exact* and therefore order-insensitive — combining
-    per-partition states element-wise yields bit-for-bit the same mean
-    as the serial evaluation, which is what lets AVG lower to
-    :class:`~repro.sql.plan.physical.PartialAggregateOp` under every
-    ``parallel=K``.  Integer series keep an integer total (identical
-    to the historical ``sum(series)``), and non-finite floats (inf,
-    nan) degrade the total to a float so they propagate exactly as a
-    plain sum would.
+    total is *exact* and :func:`_avg_final` rounds the mean once, at
+    the end: the exactly-rounded mean, whatever the order or the
+    magnitudes of the values, in the seed pipeline and the planner
+    alike.  Integer series keep an integer total (identical to the
+    historical ``sum(series)``), and non-finite floats (inf, nan)
+    degrade the total to a float so they propagate exactly as a plain
+    sum would.
     """
     import math
     from fractions import Fraction
@@ -958,12 +875,6 @@ def _avg_final(state: Tuple[Any, int]) -> Any:
     if isinstance(total, Fraction):
         return float(total / count)
     return total / count
-
-
-def _combine_avg(left: Tuple[Any, int], right: Tuple[Any, int]
-                 ) -> Tuple[Any, int]:
-    """Fold two AVG partial states (exact, order-insensitive)."""
-    return left[0] + right[0], left[1] + right[1]
 
 
 def _default_name(expr: S.Expr) -> str:

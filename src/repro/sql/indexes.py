@@ -24,7 +24,16 @@ class HashIndex:
         self._buckets[value].append(position)
 
     def lookup(self, value: Any) -> List[int]:
-        """Row positions whose indexed column equals ``value``."""
+        """Row positions whose indexed column equals ``value``.
+
+        A value unequal to itself (NaN) equals no stored value under
+        the engine's ``=``, as a full scan finds, but a dict lookup
+        matches the identical object before it compares: it matches no
+        position, as ``_hash_build`` leaves such keys out of a hash
+        join's buckets.
+        """
+        if value != value:
+            return []
         return self._buckets.get(value, [])
 
     def __len__(self) -> int:

@@ -4,16 +4,12 @@ The subsystem behind ``ExecutorOptions(planner=True)``:
 
 * :mod:`repro.sql.plan.logical` — the logical plan IR and the
   ``Select`` -> logical-tree builder;
-* :mod:`repro.sql.plan.optimizer` — predicate pushdown, index-scan
-  selection, hash-join-chain ordering and the partition-parallel
-  Gather rewrite;
+* :mod:`repro.sql.plan.optimizer` — HAVING and predicate pushdown,
+  index-scan selection and cost-based join ordering;
 * :mod:`repro.sql.plan.physical` — the executable operators, one
-  batch family with per-operator statistics, run serially or per
-  partition under ``ExecutorOptions(parallel=K)``;
+  batch family with per-operator statistics;
 * :mod:`repro.sql.plan.vector` — the column batch and the expression
   compiler every operator evaluates through;
-* :mod:`repro.sql.plan.parallel` — the worker-pool substrate
-  partition tasks run on, with its ``pool → serial`` ladder;
 * :mod:`repro.sql.plan.explain` — the EXPLAIN tree printer
   (format reference: ``docs/explain.md``);
 * :mod:`repro.sql.plan.examples` — the executable EXPLAIN examples
@@ -25,8 +21,8 @@ reads the planner fields of
 :class:`~repro.sql.executor.ExecutorOptions`.
 
 Invariants every rewrite must preserve (pinned by
-``tests/sql/test_planner_equivalence.py`` and
-``tests/sql/test_parallel_equivalence.py``):
+``tests/sql/test_planner_equivalence.py``, the cost-planner suite and
+the differential fuzzer):
 
 * **storage order** — unordered scans enumerate rows in insertion
   order, and join output is probe-major (probe order, then bucket
@@ -37,14 +33,9 @@ Invariants every rewrite must preserve (pinned by
 * **first-encounter group order** — GROUP BY emits groups in the order
   their keys first appear in the (storage-ordered) input; the grouped
   analogue of storage order.
-* **partition transparency** — a partitioned chain splits the leftmost
-  scan into contiguous row ranges (chunked into batches like any other
-  row stream) and merges in partition-index order, which reproduces
-  the three orders above bit for bit; shared work (scans, hash-table
-  builds) is counted in the engine statistics exactly once, and
-  per-partition counters merge in partition-index order.
-  ``parallel=K`` is therefore row/column/stats-identical to the serial
-  plan for every K.
+* **no rows between runs** — a plan the statement cache keeps holds no
+  row once a run ends: scans and join build sides live in the run's
+  locals (``tests/sql/test_statement_cache.py``).
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ The example database is tiny and fully deterministic so rendered
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.sql.database import Database
 from repro.sql.executor import ExecutorOptions
@@ -42,61 +42,35 @@ def example_database() -> Database:
 
 @dataclass
 class ExplainExample:
-    """One rendered example: its slug names the doc snippet."""
+    """One rendered example: its slug names the doc snippet, ``text``
+    is its ``EXPLAIN ... analyze`` rendering."""
 
     slug: str
     title: str
     sql: str
-    options: Optional[ExecutorOptions]
-    analyze: bool
     text: str = ""
 
 
-#: (slug, title, sql, options, analyze) — rendered by render_examples.
-_SPECS: Tuple[Tuple[str, str, str, Optional[ExecutorOptions], bool], ...] = (
+#: (slug, title, sql) — rendered by render_examples.
+_SPECS: Tuple[Tuple[str, str, str], ...] = (
     ("index-scan", "Index scan with a residual filter",
-     "SELECT p.login FROM participant p WHERE p.id = 4 AND p.role_id = 1",
-     None, True),
+     "SELECT p.login FROM participant p WHERE p.id = 4 AND p.role_id = 1"),
     ("point-lookup", "Point lookup: the scan is the plan",
-     "SELECT * FROM participant p WHERE p.id = 4",
-     None, True),
+     "SELECT * FROM participant p WHERE p.id = 4"),
     ("join-chain", "Three-table hash-join chain",
      "SELECT p.login, d.descriptor_name "
      "FROM participant p, role r, role_descriptor d "
-     "WHERE p.role_id = r.role_id AND d.role_id = r.role_id",
-     None, True),
+     "WHERE p.role_id = r.role_id AND d.role_id = r.role_id"),
     ("group-by", "GROUP BY with HAVING",
      "SELECT p.role_id, COUNT(*) AS n FROM participant p "
-     "GROUP BY p.role_id HAVING COUNT(*) > 2",
-     None, True),
-    ("partitioned-join", "Partition-parallel join (parallel=2)",
-     "SELECT p.login, r.role_name FROM participant p, role r "
-     "WHERE p.role_id = r.role_id",
-     ExecutorOptions(parallel=2), True),
-    ("partial-aggregate", "Partition-parallel partial aggregation",
-     "SELECT COUNT(*) AS n, SUM(p.id) AS tot FROM participant p "
-     "WHERE p.role_id = 1",
-     ExecutorOptions(parallel=2), True),
-    ("partial-group-by", "Partition-parallel GROUP BY",
-     "SELECT p.role_id, COUNT(*) AS n FROM participant p "
-     "GROUP BY p.role_id",
-     ExecutorOptions(parallel=2), True),
-    ("having-fallback", "Gather fallback (AND short-circuits in HAVING)",
-     "SELECT p.role_id, COUNT(*) AS n FROM participant p "
-     "GROUP BY p.role_id HAVING COUNT(*) > 2 AND COUNT(*) < 9",
-     ExecutorOptions(parallel=2), False),
+     "GROUP BY p.role_id HAVING COUNT(*) > 2"),
     ("cost-reorder", "Cost-based join reordering with order restore",
      "SELECT d.descriptor_name, p.login "
      "FROM role_descriptor d, role r, participant p "
-     "WHERE p.role_id = r.role_id AND d.role_id = r.role_id",
-     None, True),
-    ("merge-sort", "Partition-parallel ORDER BY (sort + k-way merge)",
-     "SELECT p.login FROM participant p ORDER BY p.login DESC LIMIT 5",
-     ExecutorOptions(parallel=2), True),
+     "WHERE p.role_id = r.role_id AND d.role_id = r.role_id"),
     ("having-pushdown", "HAVING conjunct over a group key moves to WHERE",
      "SELECT p.role_id, COUNT(*) AS n FROM participant p "
-     "GROUP BY p.role_id HAVING p.role_id > 0 AND COUNT(*) > 2",
-     None, True),
+     "GROUP BY p.role_id HAVING p.role_id > 0 AND COUNT(*) > 2"),
 )
 
 
@@ -108,18 +82,10 @@ def render_examples(cost_based: bool = True) -> List[ExplainExample]:
     compatibility mode the golden tests pin against the pre-cost plan
     shapes.
     """
-    db = example_database()
-    out = []
-    for slug, title, sql, options, analyze in _SPECS:
-        effective = options or ExecutorOptions()
-        if not cost_based:
-            effective = replace(effective, cost_based=False)
-        view = db.view(effective)
-        text = view.explain(sql, analyze=analyze)
-        out.append(ExplainExample(slug=slug, title=title, sql=sql,
-                                  options=options, analyze=analyze,
-                                  text=text))
-    return out
+    view = example_database().view(ExecutorOptions(cost_based=cost_based))
+    return [ExplainExample(slug=slug, title=title, sql=sql,
+                           text=view.explain(sql, analyze=True))
+            for slug, title, sql in _SPECS]
 
 
 def example(slug: str) -> ExplainExample:

@@ -12,16 +12,6 @@ execution statistics in the style of ``EXPLAIN ANALYZE``::
          │   └─ FullScan(role AS t1)  [rows=3]
          └─ IndexScan(role_descriptor AS t2, role_id = 1)  [rows=4]
 
-Partition-parallel plans (``ExecutorOptions(parallel=K)``) print their
-partition count statically (``partitions=K`` in the operator body) and,
-under ``analyze``, each partitioned operator's per-partition output
-counts in partition-index order::
-
-    Gather(partitions=2)  [rows=9]
-     └─ PartitionedHashJoin(t0.role_id = t1.role_id)  [rows=9, parts=5|4]
-         ├─ PartitionedScan(FullScan(participant AS t0), partitions=2)  [rows=9, parts=5|4]
-         └─ FullScan(role AS t1)  [rows=3]
-
 The full format is documented in ``docs/explain.md``.
 """
 
@@ -58,16 +48,6 @@ def render(root: PhysicalOp, analyze: bool = False,
             bits.append("rows=%d" % op.rows_out)
         if analyze and timing and op.elapsed_seconds is not None:
             bits.append("time=%.3fms" % (op.elapsed_seconds * 1000.0))
-        if analyze:
-            parts = op.partition_rows
-            if parts is not None and any(n is not None for n in parts):
-                bits.append("parts=%s" % "|".join(
-                    "?" if n is None else str(n) for n in parts))
-            if op.degraded is not None:
-                bits.append("degraded=%s" % op.degraded)
-                if op.degraded_kinds:
-                    bits.append("degrade_kind=%s"
-                                % "|".join(op.degraded_kinds))
         if op.est_rows is not None:
             bits.append("est_rows=%s" % _estimate(op.est_rows))
         if op.est_cost is not None:

@@ -25,7 +25,7 @@ into hash-join chains — and the result lowers to physical operators
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.sql import ast as S
@@ -97,28 +97,6 @@ class Filter(LogicalPlan):
 
 
 @dataclass
-class Gather(LogicalPlan):
-    """Partition-parallel boundary inserted by the optimizer.
-
-    Everything below runs once per partition: the leftmost scan is
-    split into ``partitions`` contiguous range partitions, and the join
-    chain plus residual filters execute per partition against shared
-    build tables.  Gather concatenates the partitions in
-    partition-index order, which is exactly the serial row order —
-    everything above (Sort, Project, Aggregate, ...) is unchanged.  An
-    Aggregate directly above a Gather may instead lower to partial
-    aggregation with a combine step (see
-    :class:`repro.sql.plan.physical.PartialAggregateOp`).
-    """
-
-    child: LogicalPlan
-    partitions: int = 1
-
-    def children(self):
-        return (self.child,)
-
-
-@dataclass
 class Restore(LogicalPlan):
     """Re-establish the pinned FROM-order row order.
 
@@ -160,10 +138,6 @@ class Sort(LogicalPlan):
     order_by: Tuple[S.OrderItem, ...] = ()
     #: top-k selection bound when ORDER BY + LIMIT (and no DISTINCT).
     top_k: Optional[int] = None
-    #: set by the optimizer when the child is a Gather and the sort can
-    #: run as per-partition sorts + a k-way heap merge (lowering to
-    #: :class:`~repro.sql.plan.physical.GatherMergeOp`).
-    merge: bool = False
 
     def children(self):
         return (self.child,)

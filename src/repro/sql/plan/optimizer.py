@@ -36,15 +36,6 @@ The rewrites, applied in order:
    it (rows, columns, group order and engine statistics all match the
    seed pipeline exactly).
 
-5. **Partition parallelism** — with ``parallel = K > 1`` the whole
-   row-stream segment (scans, joins, residual filter) is wrapped in a
-   :class:`~repro.sql.plan.logical.Gather` boundary (see PR 4).
-   ``parallel="auto"`` resolves K from the estimated leftmost-scan
-   cardinality and the usable core count
-   (:func:`resolve_auto_partitions`).  An ORDER BY directly above the
-   boundary lowers to per-partition sorts plus a k-way heap merge
-   (``Sort.merge``).
-
 The rules read the planner fields of
 :class:`~repro.sql.executor.ExecutorOptions`.
 ``ExecutorOptions(cost_based=False)`` reproduces the greedy planner's
@@ -73,7 +64,6 @@ from repro.sql.executor import (
     _flatten_and,
 )
 from repro.sql.plan import logical as L
-from repro.sql.plan.parallel import usable_cores
 from repro.sql.stats import ROWID, TableStats
 
 #: Default selectivities when statistics cannot answer (System R's
@@ -86,30 +76,6 @@ UNKNOWN_SELECTIVITY = 1.0 / 3.0
 #: Join-order search switches to the greedy chain beyond this many
 #: sources (the DP is O(n·2^n)); QBS-generated queries have 2-4.
 MAX_DP_SOURCES = 12
-
-#: ``parallel="auto"``: one partition per this many (estimated) rows
-#: of the leftmost scan, capped by the usable core count.
-AUTO_ROWS_PER_PARTITION = 2048
-
-#: ``parallel="auto"`` stays serial below this many usable cores.  On
-#: 2 cores a cold pool ran ``benchmarks/bench_parallel_scan.py``'s
-#: aggregate at 0.37x (5k rows) to 1.06x (60k rows) of serial, and
-#: ``auto`` cannot tell a cold pool from a warm one.
-AUTO_MIN_CORES = 4
-
-
-def resolve_auto_partitions(est_rows: float, cores: int) -> int:
-    """The ``parallel="auto"`` cost rule: K from leftmost-scan size.
-
-    One partition per :data:`AUTO_ROWS_PER_PARTITION` estimated rows,
-    at least 1, never more than the usable cores — small inputs stay
-    serial (partitioning overhead would dominate), large inputs fan
-    out to the hardware.  Below :data:`AUTO_MIN_CORES` cores every
-    input stays serial.
-    """
-    if cores < AUTO_MIN_CORES:
-        return 1
-    return int(max(1, min(cores, est_rows // AUTO_ROWS_PER_PARTITION)))
 
 
 def optimize(plan: L.LogicalPlan, catalog: Catalog,
@@ -138,9 +104,7 @@ def optimize(plan: L.LogicalPlan, catalog: Catalog,
     pushed, join_pool, residual = _classify(conjuncts, scans, catalog,
                                             options)
 
-    model = _CostModel(scans, catalog) if (options.cost_based
-                                           or options.parallel == "auto") \
-        else None
+    model = _CostModel(scans, catalog) if options.cost_based else None
 
     for scan in scans:
         scan.predicates = tuple(pushed.get(scan.alias, ()))
@@ -159,21 +123,14 @@ def optimize(plan: L.LogicalPlan, catalog: Catalog,
     order_changed = tuple(s.alias for s in ordered) != from_order
     joined = _build_chain(ordered, join_pool, residual, options,
                           orient=options.cost_based)
-    leftmost = ordered[0]
     if residual:
         joined = L.Filter(joined, predicates=tuple(residual))
-
-    partitions = _resolve_partitions(options, leftmost, model)
-    if partitions > 1:
-        joined = L.Gather(joined, partitions=partitions)
 
     if order_changed:
         joined = L.Restore(joined, aliases=from_order)
 
     # Re-attach the wrappers, innermost last.
     for wrapper in reversed(wrappers):
-        if isinstance(wrapper, L.Sort) and isinstance(joined, L.Gather):
-            wrapper.merge = True
         _set_child(wrapper, joined)
         joined = wrapper
 
@@ -740,17 +697,6 @@ def _search_join_order(scans: List[L.Scan], join_pool: List[_JoinPred],
     return [scans[i] for i in order]
 
 
-# -- parallelism ---------------------------------------------------------------
-
-
-def _resolve_partitions(options: ExecutorOptions, leftmost: L.Scan,
-                        model: Optional[_CostModel]) -> int:
-    if options.parallel == "auto":
-        raw = model.raw_rows[leftmost.alias] if model is not None else 0
-        return resolve_auto_partitions(raw, usable_cores())
-    return options.parallel
-
-
 # -- estimate annotation -------------------------------------------------------
 
 
@@ -771,7 +717,7 @@ def _annotate(plan: L.LogicalPlan, model: _CostModel
         for pred in plan.predicates:
             est *= model.selectivity(pred)
         cost += est
-    elif isinstance(plan, (L.Gather, L.Distinct, L.Project)):
+    elif isinstance(plan, (L.Distinct, L.Project)):
         est, cost = _annotate(plan.children()[0], model)
     elif isinstance(plan, L.Restore):
         est, cost = _annotate(plan.child, model)

@@ -12,13 +12,10 @@ compiled once per plan (:mod:`repro.sql.plan.vector`).  Lowering
 * ``Filter``    -> :class:`VecFilterOp`
 * ``Restore``   -> :class:`VecRestoreOp`
 * ``Sort``      -> :class:`VecSortOp` (truncated to the LIMIT bound the
-                   optimizer attached), or :class:`GatherMergeOp`
-                   directly above a Gather
-* ``Gather``    -> :class:`GatherOp`
+                   optimizer attached)
 * ``Aggregate`` -> :class:`VecAggregateOp` (GROUP BY grouping in
                    first-encounter order, HAVING, aggregate
-                   projection), or :class:`PartialAggregateOp` above a
-                   Gather when every aggregate is combinable
+                   projection)
 * ``Project``   -> :class:`VecProjectOp`, or no operator at all for a
                    lone ``*`` / ``alias.*`` over one unfiltered
                    base-table scan, which then answers the query itself
@@ -28,7 +25,7 @@ compiled once per plan (:mod:`repro.sql.plan.vector`).  Lowering
                    :class:`RowSortOp`
 
 Operators print plain relational names (``HashJoin``, ``Filter``,
-``PartitionedScan``, ...), so a plan reads the same whatever the batch
+``FullScan``, ...), so a plan reads the same whatever the batch
 size.  Each operator records its output cardinality in
 ``rows_out``, which the EXPLAIN printer surfaces in ``analyze`` mode;
 engine-wide counters go to the
@@ -37,80 +34,54 @@ fills.  Scalar and aggregate semantics mirror the seed pipeline
 (``ExecutorOptions(planner=False)``), the oracle every planned mode is
 pinned to.
 
-The partition-parallel invariant: the scans, filters and joins below a
-Gather (:class:`ChainOp`) split into a shared ``prepare`` — the scan,
-each join's build side and hash table, counted in the statistics once
-— and a per-partition ``run_partition``.  A partition is a contiguous
-row range of the leftmost scan (:func:`_range_bounds`), chunked into
-batches; partitions merge in partition-index order, which is exactly
-the serial row order, so ``parallel=K`` is row/column/stats-identical
-to the serial plan for every K.
+A plan is built once and may run many times (the statement cache of
+:class:`~repro.sql.database.Database`), so a run keeps its rows in
+locals and in the per-run :class:`_Ctx`: between runs an operator holds
+its description, compiled closures and last ``rows_out``, never a row.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from operator import itemgetter
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.sql import ast as S
 from repro.sql.errors import SQLExecutionError
 from repro.sql.executor import (
-    ExecutionStats,
     Executor,
     ExecutorOptions,
     QueryResult,
     _apply_op,
     _avg_final,
     _avg_state,
-    _combine_avg,
     _default_name,
     _hash_build,
     _param,
     _ReverseAware,
     _ScannedSource,
     _truthy,
-    merge_stats,
 )
 from repro.sql.plan import logical as L
-from repro.sql.plan.parallel import run_tasks
 from repro.sql.plan.vector import Batch, compile_filter, compile_scalar
-from repro.service.faults import classify_exception
 from repro.tor.values import Record, make_record
-
-#: degradation events by rung transition and classified failure kind —
-#: the metrics face of the ``degraded=`` / ``degrade_kind=`` EXPLAIN
-#: annotations.
-_DEGRADATIONS = obs_metrics.counter(
-    "repro_degradations_total",
-    "substrate degradation events by rung transition and failure kind")
 
 
 class _Ctx:
     """Per-execution state threaded through the operator tree."""
 
-    __slots__ = ("executor", "params", "stats", "scanned", "deadline",
-                 "part")
+    __slots__ = ("executor", "params", "stats", "scanned")
 
-    def __init__(self, executor, params: Dict[str, Any], stats,
-                 deadline: Any = None, part: Optional[int] = None):
+    def __init__(self, executor, params: Dict[str, Any], stats):
         self.executor = executor        # repro.sql.executor.Executor
         self.params = params
         self.stats = stats              # ExecutionStats (engine-wide)
         self.scanned: List[_ScannedSource] = []
-        #: optional repro.service.faults.Deadline bounding the whole
-        #: query; partitioned drivers abandon unfinished partitions at
-        #: expiry.
-        self.deadline = deadline
-        #: the one partition a pool job prepares for (None prepares all).
-        self.part = part
 
 
 #: operator entry points that open a trace span when a trace is active.
-_TRACED_METHODS = ("scanned", "rows", "run_partition", "batches")
+_TRACED_METHODS = ("scanned", "rows", "batches")
 
 #: the ambient span: a C-level contextvar read, all that an untraced
 #: entry point pays.
@@ -126,34 +97,26 @@ def _traced(method):
     engine's.  Entry points take positional arguments only, so the
     wrapper passes no keyword dict.
     With a trace active it opens a child span named after the
-    operator, tagged with the serial-equivalent description
-    (``trace_name``) and the observed row count.  ``run_partition``
-    timings stay in the span only (partition tasks run in pool worker
-    processes, where mutating the shared operator would be lost);
-    methods run by the query's own thread also accumulate
-    ``elapsed_seconds`` on the operator for EXPLAIN's ``time=`` column.
+    operator, tagged with its description and the observed row count,
+    and accumulates ``elapsed_seconds`` on the operator for EXPLAIN's
+    ``time=`` column.
     """
-    is_partition = method.__name__ == "run_partition"
 
     @functools.wraps(method)
     def wrapper(self, *args):
         parent = _current_span()
         if parent is None:
             return method(self, *args)
-        # The op tag rides on the span from creation (trace_name is
-        # constructor state) so the sampling profiler can attribute
-        # samples to the serial-equivalent operator label live, while
-        # the operator is still running.
-        node = parent.child(type(self).name, op=self.trace_name())
+        # The op tag rides on the span from creation (the description
+        # is constructor state) so the sampling profiler can attribute
+        # samples to the operator label live, while it is still running.
+        node = parent.child(type(self).name, op=self.describe())
         with node:
             out = method(self, *args)
-        if is_partition:
-            node.tag(rows=_count(out))
-        else:
-            if self.rows_out is not None:
-                node.tag(rows=self.rows_out)
-            self.elapsed_seconds = ((self.elapsed_seconds or 0.0)
-                                    + (node.elapsed_seconds or 0.0))
+        if self.rows_out is not None:
+            node.tag(rows=self.rows_out)
+        self.elapsed_seconds = ((self.elapsed_seconds or 0.0)
+                                + (node.elapsed_seconds or 0.0))
         return out
 
     wrapper._obs_traced = True
@@ -177,41 +140,15 @@ class PhysicalOp:
 
     def __init__(self):
         self.rows_out: Optional[int] = None
-        #: per-partition output counts, filled by the parallel driver
-        #: (None on serial operators).
-        self.partition_rows: Optional[List[Optional[int]]] = None
         #: the cost-based optimizer's estimates, copied from the
         #: logical node at lowering time (None in greedy mode); the
         #: EXPLAIN printer renders them as ``est_rows=`` / ``cost=``.
         self.est_rows: Optional[float] = None
         self.est_cost: Optional[float] = None
-        #: substrate degradation path taken while executing this
-        #: operator (``"pool->serial"``); None when the pool ran it.
-        #: EXPLAIN ANALYZE renders it as ``degraded=``.
-        self.degraded: Optional[str] = None
-        #: classified failure kind of that fall, rendered by EXPLAIN
-        #: ANALYZE as ``degrade_kind=``.
-        self.degraded_kinds: Optional[List[str]] = None
         #: wall-clock seconds spent in this operator, accumulated by
         #: the span wrapper when tracing is active; None otherwise.
         #: EXPLAIN renders it as ``time=`` when asked (``timing=True``).
         self.elapsed_seconds: Optional[float] = None
-
-    #: prepared/runtime state that never crosses the pool's process
-    #: boundary: either rebuilt by the worker's own ``prepare`` (row
-    #: slices, hash buckets, build rows) or compiled closures that
-    #: cannot pickle at all (recompiled on first use).  Dropping them
-    #: keeps partition jobs small — a shipped plan fragment carries
-    #: structure, never data.  ``_run_partitioned`` drops them too once a
-    #: fan-out ends, so a plan kept for reuse pins no rows.
-    _UNPICKLED_STATE = ("_slices", "_filter", "_buckets", "_probe",
-                        "_build_rows", "_partial_fns")
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        for attr in self._UNPICKLED_STATE:
-            state.pop(attr, None)
-        return state
 
     @property
     def children(self) -> Tuple["PhysicalOp", ...]:
@@ -219,16 +156,6 @@ class PhysicalOp:
 
     def describe(self) -> str:
         return self.name
-
-    def trace_name(self) -> str:
-        """The operator description used as the span's ``op`` tag.
-
-        Operators under a Gather override this with their serial
-        description, so a stitched parallel trace carries the same
-        operator set as the serial trace (the partitioning is visible
-        in the ``partition`` nodes, not in the operator identity).
-        """
-        return self.describe()
 
 
 #: the record of a ``(rowid, record)`` pair, read by a C call.
@@ -365,54 +292,15 @@ class RowOp(PhysicalOp):
         raise NotImplementedError
 
 
-class ChainOp(VecOp):
-    """A scan, filter or join: runs serially or once per partition.
-
-    ``batches`` runs the operator serially.  Under a Gather, lowering
-    sets ``partitions``, and the fan-out operator above calls
-    ``prepare`` once — it does the shared work (the scan, each join's
-    build side and hash table, counted in the statistics exactly once)
-    and returns the partition count — then ``run_partition`` per
-    partition, using only partition-local state and recording its
-    output count in the partition context.  EXPLAIN prints partitioned
-    operators with a ``Partitioned`` prefix; spans keep the serial
-    description.
-    """
-
-    def __init__(self):
-        super().__init__()
-        #: the Gather's partition count when this operator runs per
-        #: partition; None for serial operators and build sides.
-        self.partitions: Optional[int] = None
-
-    def _describe(self, label: str) -> str:
-        return label
-
-    def describe(self) -> str:
-        if self.partitions:
-            return self._describe("Partitioned" + self.name)
-        return self._describe(self.name)
-
-    def trace_name(self) -> str:
-        return self._describe(self.name)
-
-    def prepare(self, ctx: _Ctx) -> int:
-        raise NotImplementedError
-
-    def run_partition(self, part: int, pctx: "_PartCtx") -> List[Batch]:
-        raise NotImplementedError
-
-
 # -- scans -------------------------------------------------------------------
 
 
-class ScanOp(ChainOp):
+class ScanOp(VecOp):
     """Base scan: an access path (``_rows``) plus pushed-down predicates.
 
     The predicates compile once into a batch filter.  ``batches``
     streams the filtered rows; ``scanned`` materializes them as a
-    join's build side; ``prepare`` / ``run_partition`` split them into
-    the contiguous row ranges of :func:`_range_bounds`.  Every scan
+    join's build side.  Every scan
     registers its source in ``ctx.scanned`` for downstream name
     resolution (``*`` expansion, ORDER BY aliasing); consumers read
     only its alias and columns.
@@ -426,13 +314,7 @@ class ScanOp(ChainOp):
         self.batch_size = batch_size
 
     def describe(self) -> str:
-        if self.partitions:
-            return "PartitionedScan(%s, partitions=%d)" % (
-                self._describe(self.name), self.partitions)
-        return self._describe(self.name)
-
-    def _describe(self, label: str) -> str:
-        body = label + self._target()
+        body = self.name + self._target()
         if self.predicates:
             body += " filter=%d" % len(self.predicates)
         return body
@@ -487,18 +369,6 @@ class ScanOp(ChainOp):
                 else []
         out = self._chunks(rows, ctx)
         self.rows_out = _count(out)
-        return out
-
-    def prepare(self, ctx: _Ctx) -> int:
-        source = self._rows(ctx)   # scan-level stats count once here
-        self._slices = [source.rows[start:stop] for start, stop in
-                        _range_bounds(len(source.rows), self.partitions)]
-        ctx.scanned.append(source)
-        return self.partitions
-
-    def run_partition(self, part: int, pctx: "_PartCtx") -> List[Batch]:
-        out = self._chunks(self._slices[part], pctx)
-        pctx.record(self, _count(out))
         return out
 
 
@@ -574,22 +444,6 @@ class FullScanOp(TableScanOp):
     def _target(self) -> str:
         return "(%s AS %s)" % (self.table, self.alias)
 
-    def prepare(self, ctx: _Ctx) -> int:
-        if ctx.part is None:
-            return super().prepare(ctx)
-        # A pool job runs one partition: read only its row range
-        # instead of copying the whole table (the query's own prepare already
-        # counted the scan statistics).
-        table = ctx.executor.catalog.table(self.table)
-        start, stop = _range_bounds(len(table.rows),
-                                    self.partitions)[ctx.part]
-        self._slices = {ctx.part: list(zip(range(start, stop),
-                                           table.rows[start:stop]))}
-        ctx.scanned.append(_ScannedSource(alias=self.alias,
-                                          columns=table.columns, rows=[],
-                                          table=table))
-        return self.partitions
-
     def _read(self, ctx: _Ctx):
         table = ctx.executor.catalog.table(self.table)
         ctx.stats.rows_scanned += len(table.rows)
@@ -647,11 +501,7 @@ class SubqueryScanOp(ScanOp):
         return "(AS %s)" % self.alias
 
     def _rows(self, ctx: _Ctx) -> _ScannedSource:
-        # Serial, as IN subqueries are: the outer plan's partitions
-        # already fan out, and a subquery planned with the same K would
-        # fan out again on its own.
-        sub = ctx.executor._nested_executor().execute(self.query,
-                                                      ctx.params, ctx.stats)
+        sub = ctx.executor.execute(self.query, ctx.params, ctx.stats)
         candidate = [(idx, row) for idx, row in enumerate(sub.rows)]
         ctx.stats.rows_scanned += len(candidate)
         ctx.stats.full_scans += 1
@@ -662,12 +512,12 @@ class SubqueryScanOp(ScanOp):
 # -- filters and joins ---------------------------------------------------------
 
 
-class VecFilterOp(ChainOp):
+class VecFilterOp(VecOp):
     """Residual predicates applied per batch via a compiled closure."""
 
     name = "Filter"
 
-    def __init__(self, child: ChainOp, predicates: Tuple[S.Expr, ...]):
+    def __init__(self, child: VecOp, predicates: Tuple[S.Expr, ...]):
         super().__init__()
         self.child = child
         self.predicates = predicates
@@ -676,10 +526,10 @@ class VecFilterOp(ChainOp):
     def children(self):
         return (self.child,)
 
-    def _describe(self, label: str) -> str:
+    def describe(self) -> str:
         from repro.sql.pretty import expr_sql
 
-        return "%s(%s)" % (label, " AND ".join(
+        return "%s(%s)" % (self.name, " AND ".join(
             expr_sql(p) for p in self.predicates))
 
     @functools.cached_property
@@ -691,23 +541,16 @@ class VecFilterOp(ChainOp):
         self.rows_out = _count(out)
         return out
 
-    def prepare(self, ctx: _Ctx) -> int:
-        return self.child.prepare(ctx)
 
-    def run_partition(self, part: int, pctx: "_PartCtx") -> List[Batch]:
-        out = _filtered(self._filter,
-                        self.child.run_partition(part, pctx), pctx)
-        pctx.record(self, _count(out))
-        return out
-
-
-class _JoinOp(ChainOp):
+class _JoinOp(VecOp):
     """Base for the joins: ``left`` is the running chain, ``right`` the
     new source.  ``_build`` scans the new source once, after the left
-    side's scans (the seed pipeline's scan order); ``_join`` extends
-    left batches with it."""
+    side's scans (the seed pipeline's scan order), and returns the
+    build side; ``_join`` extends left batches with it.  The build side
+    lives only in the run's locals, so an idle cached plan pins none of
+    the rows it read."""
 
-    def __init__(self, left: ChainOp, right: ScanOp):
+    def __init__(self, left: VecOp, right: ScanOp):
         super().__init__()
         self.left = left
         self.right = right
@@ -716,27 +559,17 @@ class _JoinOp(ChainOp):
     def children(self):
         return (self.left, self.right)
 
-    def _build(self, ctx: _Ctx) -> None:
+    def _build(self, ctx: _Ctx) -> Any:
         raise NotImplementedError
 
-    def _join(self, incoming: List[Batch], run) -> List[Batch]:
+    def _join(self, incoming: List[Batch], build: Any,
+              run) -> List[Batch]:
         raise NotImplementedError
 
     def batches(self, ctx: _Ctx) -> List[Batch]:
         incoming = self.left.batches(ctx)
-        self._build(ctx)
-        out = self._join(incoming, ctx)
+        out = self._join(incoming, self._build(ctx), ctx)
         self.rows_out = _count(out)
-        return out
-
-    def prepare(self, ctx: _Ctx) -> int:
-        partitions = self.left.prepare(ctx)
-        self._build(ctx)
-        return partitions
-
-    def run_partition(self, part: int, pctx: "_PartCtx") -> List[Batch]:
-        out = self._join(self.left.run_partition(part, pctx), pctx)
-        pctx.record(self, _count(out))
         return out
 
 
@@ -746,30 +579,29 @@ class VecHashJoinOp(_JoinOp):
     The build phase is the shared :func:`_hash_build`; the probe key
     is evaluated as a vector per batch, then matches expand
     probe-major (probe position order, then bucket order) via index
-    gather — the seed pipeline's ``_hash_probe`` order, which is what
-    makes contiguous probe partitions concatenate back into the serial
-    result exactly.
+    gather — the seed pipeline's ``_hash_probe`` order.
     """
 
     name = "HashJoin"
 
-    def __init__(self, left: ChainOp, right: ScanOp, predicate: S.BinOp):
+    def __init__(self, left: VecOp, right: ScanOp, predicate: S.BinOp):
         super().__init__(left, right)
         self.predicate = predicate
 
-    def _describe(self, label: str) -> str:
+    def describe(self) -> str:
         from repro.sql.pretty import expr_sql
 
-        return "%s(%s)" % (label, expr_sql(self.predicate))
+        return "%s(%s)" % (self.name, expr_sql(self.predicate))
 
-    def _build(self, ctx: _Ctx) -> None:
+    def _build(self, ctx: _Ctx):
         source = self.right.scanned(ctx)
         ctx.stats.hash_joins += 1
-        self._buckets, probe_expr = _hash_build(source, self.predicate)
-        _, self._probe = compile_scalar(probe_expr)  # ColumnRef: a vector
+        buckets, probe_expr = _hash_build(source, self.predicate)
+        _, probe = compile_scalar(probe_expr)  # ColumnRef: a vector
+        return buckets, probe
 
-    def _join(self, incoming: List[Batch], run) -> List[Batch]:
-        buckets, probe = self._buckets, self._probe
+    def _join(self, incoming: List[Batch], build, run) -> List[Batch]:
+        buckets, probe = build
         build_alias = self.right.alias
         out: List[Batch] = []
         for batch in incoming:
@@ -796,12 +628,13 @@ class VecNestedLoopOp(_JoinOp):
 
     name = "NestedLoop"
 
-    def _build(self, ctx: _Ctx) -> None:
-        self._build_rows = self.right.scanned(ctx).rows
+    def _build(self, ctx: _Ctx):
+        rows = self.right.scanned(ctx).rows
         ctx.stats.nested_loop_joins += 1
+        return rows
 
-    def _join(self, incoming: List[Batch], run) -> List[Batch]:
-        rows, alias = self._build_rows, self.right.alias
+    def _join(self, incoming: List[Batch], rows, run) -> List[Batch]:
+        alias = self.right.alias
         out: List[Batch] = []
         if rows:
             m = len(rows)
@@ -1069,17 +902,14 @@ def _series(compiled, batches: List[Batch], run) -> List[Any]:
     return out
 
 
-def _agg_state(call: S.FuncCall, compiled, batches: List[Batch], n: int,
+def _agg_value(call: S.FuncCall, compiled, batches: List[Batch], n: int,
                run) -> Any:
-    """One aggregate call's state over the ``n`` rows of ``batches``.
+    """One aggregate call's value over the ``n`` rows of ``batches``.
 
     ``Executor._eval_aggregate``'s semantics, folded in row order with
     the same arithmetic: COUNT(*) counts rows, COUNT(x) drops None,
-    SUM of nothing is 0, MIN/MAX of nothing is None.  For
-    COUNT/SUM/MIN/MAX the state *is* the value; AVG's state is the
-    ``(exact total, count)`` pair (:func:`_avg_state`), finished by
-    :func:`_finish_state` — after a combine, when partitions each
-    folded their own rows.
+    SUM of nothing is 0, MIN/MAX of nothing is None, and AVG is the
+    exactly-rounded mean of :func:`_avg_state`'s exact total.
     """
     if call.name == "COUNT" and call.arg is None:
         return n
@@ -1093,28 +923,8 @@ def _agg_state(call: S.FuncCall, compiled, batches: List[Batch], n: int,
     if call.name == "MIN":
         return min(series) if series else None
     if call.name == "AVG":
-        return _avg_state(series)
+        return _avg_final(_avg_state(series))
     raise SQLExecutionError("unknown aggregate %r" % call.name)
-
-
-def _finish_state(call: S.FuncCall, state: Any) -> Any:
-    """Turn a (fully combined) aggregate state into the value."""
-    if call.name == "AVG":
-        return _avg_final(state)
-    return state
-
-
-def _combine_states(call: S.FuncCall, left: Any, right: Any) -> Any:
-    """Fold two partial states of one aggregate call."""
-    if call.name in ("COUNT", "SUM"):
-        return left + right
-    if call.name == "AVG":
-        return _combine_avg(left, right)
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return max(left, right) if call.name == "MAX" else min(left, right)
 
 
 def _groups(key_fns, batches: List[Batch], run):
@@ -1210,8 +1020,7 @@ class VecAggregateOp(RowOp):
 
     def _fold(self, call: S.FuncCall, batches: List[Batch], n: int,
               ctx: _Ctx) -> Any:
-        return _finish_state(call, _agg_state(call, self._arg_fns[id(call)],
-                                              batches, n, ctx))
+        return _agg_value(call, self._arg_fns[id(call)], batches, n, ctx)
 
     def _whole(self, batches: List[Batch], ctx: _Ctx):
         n = _count(batches)
@@ -1363,611 +1172,6 @@ class LimitOp(RowOp):
         return rows, columns
 
 
-# -- partition-parallel execution ---------------------------------------------
-
-
-class _PartCtx:
-    """Per-partition execution state: private stats, private counters.
-
-    Each partition task owns one of these so nothing is mutated
-    concurrently; the driver merges ``stats`` back into the query's
-    :class:`ExecutionStats` in partition-index order and copies
-    ``recorded`` per-operator counts into ``partition_rows``.  Both
-    survive a process boundary (the payload is plain data), which is
-    what lets pool workers report honest per-partition statistics.
-    """
-
-    __slots__ = ("executor", "params", "stats", "recorded")
-
-    def __init__(self, executor, params):
-        self.executor = executor
-        self.params = params
-        self.stats = ExecutionStats()
-        self.recorded: Dict[int, int] = {}
-
-    def record(self, op: PhysicalOp, count: int) -> None:
-        self.recorded[op._ordinal] = count
-
-
-def _range_bounds(n: int, partitions: int) -> List[Tuple[int, int]]:
-    """``(start, stop)`` of contiguous range partitions of near-equal
-    size over ``n`` rows (sizes differ by at most one; earlier
-    partitions take the remainder)."""
-    base, extra = divmod(n, partitions)
-    bounds = []
-    start = 0
-    for part in range(partitions):
-        stop = start + base + (1 if part < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
-
-
-def _subtree(op: PhysicalOp) -> Iterator[PhysicalOp]:
-    """``op`` and every operator below it, pre-order."""
-    yield op
-    for child in op.children:
-        yield from _subtree(child)
-
-
-def _split_estimates(est_rows: Optional[float],
-                     partitions: int) -> List[int]:
-    """The cost model's row estimate divided over the partitions by the
-    same remainder rule as :func:`_range_bounds` (earlier partitions
-    take one extra), so the pool's longest-estimate-first dispatch
-    order mirrors the actual contiguous-slice sizes.  Estimates steer
-    dispatch order only — results merge in partition-index order."""
-    total = int(est_rows) if est_rows and est_rows > 0 else 0
-    base, extra = divmod(total, partitions)
-    return [base + (1 if part < extra else 0)
-            for part in range(partitions)]
-
-
-class _PoolPartitionJob:
-    """One partition of a fan-out, in shippable form.
-
-    Carries the unprepared fan-out operator (:class:`GatherOp`,
-    :class:`GatherMergeOp` or :class:`PartialAggregateOp`, with its
-    chain; runtime state is stripped by
-    :meth:`PhysicalOp.__getstate__`), the executor options and a
-    ``digest_map`` naming, by content digest, every catalog table the
-    chain and its subqueries read — the pool ships table content
-    separately and caches it per worker, so a warm pool receives only
-    this job.  The worker rebuilds a catalog from its cache,
-    re-prepares the chain for its own partition against the exact same
-    content (identical slices, buckets and statistics by construction)
-    and returns the standard partition payload ``(result, stats,
-    recorded, span_dict)`` — the same 4-tuple a serial rerun of the
-    task produces, so the merge is shared.
-    """
-
-    __slots__ = ("root", "part", "params", "options", "traced",
-                 "digest_map", "est")
-
-    def __init__(self, root: "_FanOut", part: int, params, options,
-                 traced: bool, digest_map: Dict[str, str], est: int):
-        self.root = root
-        self.part = part
-        self.params = params
-        self.options = options
-        self.traced = traced
-        self.digest_map = digest_map      # table name -> content digest
-        self.est = est
-
-    def run_in_worker(self, cache: Dict[str, Any]):
-        """Execute this partition inside a pool worker against the
-        worker's digest-keyed table ``cache``."""
-        from repro.service import faults
-        from repro.sql.catalog import Catalog
-        from repro.sql.executor import Executor
-
-        missing = sorted(name for name, digest in self.digest_map.items()
-                         if digest not in cache)
-        if missing:
-            # The driver never evicts a table a dispatched job reads,
-            # so a store frame was lost.  This returns as an ``exc``
-            # reply, which the pool never retries: the ladder falls
-            # straight to serial.
-            raise faults.CorruptPayload(
-                "pool worker cache is missing tables: %s"
-                % ", ".join(missing))
-        catalog = Catalog()
-        catalog.tables = {name: cache[digest]
-                          for name, digest in self.digest_map.items()}
-        # The worker executes with *serialized* options: partitioning
-        # is already baked into the shipped op tree, and anything the
-        # fragment re-plans from scratch (FROM-subqueries during
-        # prepare, per-row IN subqueries) must run serial — spawning a
-        # substrate from inside a daemonic pool worker is forbidden.
-        options = dataclasses.replace(self.options, parallel=1)
-        executor = Executor(catalog, options)
-        ctx = _Ctx(executor=executor, params=self.params,
-                   stats=ExecutionStats(), part=self.part)
-        # Worker-side prepare recounts the shared scan/build statistics
-        # into a throwaway ExecutionStats — the driver already prepared
-        # (and counted) once; only the per-partition pctx.stats ship
-        # home, exactly as a serial rerun merges them.
-        self.root.child.prepare(ctx)
-        pctx = _PartCtx(executor, self.params)
-        if self.traced:
-            with obs_trace.Span("partition", part=self.part) as pspan:
-                payload = self.root._partition(self.part, pctx, ctx.scanned)
-            return payload, pctx.stats, pctx.recorded, pspan.to_dict()
-        return (self.root._partition(self.part, pctx, ctx.scanned),
-                pctx.stats, pctx.recorded, None)
-
-
-def _tables_read(node: Any, names: set) -> None:
-    """Collect the catalog tables a plan fragment can read: every scan
-    target and every FROM table of any subquery inside it (walked
-    through operator state, expressions and nested selects)."""
-    if isinstance(node, (TableScanOp, S.TableSource)):
-        names.add(node.table)
-    if isinstance(node, PhysicalOp):
-        children = node.__getstate__().values()
-    elif isinstance(node, (list, tuple)):
-        children = node
-    elif hasattr(node, "__dataclass_fields__"):    # an S expression
-        children = [getattr(node, name) for name in node.__dataclass_fields__]
-    else:
-        return
-    for child in children:
-        _tables_read(child, names)
-
-
-def _attach_pool_jobs(tasks: List[Any], root: "_FanOut", ctx: _Ctx,
-                      traced: bool) -> None:
-    """Give every partition task its picklable pool payload.
-
-    The pool rung of :func:`~repro.sql.plan.parallel.run_tasks` reads
-    ``task.pool_job`` / ``task.pool_tables``; the task closures stay
-    callable unchanged, which is what the degradation ladder runs when
-    the pool rung fails.  Jobs name only the tables they read, so a
-    cold worker is never sent the rest of the catalog."""
-    executor = ctx.executor
-    catalog = executor.catalog
-    names = set()
-    _tables_read(root, names)
-    digest_map = {name: catalog.tables[name].content_digest()
-                  for name in sorted(names) if name in catalog.tables}
-    pool_tables = {digest: catalog.tables[name]
-                   for name, digest in digest_map.items()}
-    ests = _split_estimates(root.child.est_rows, len(tasks))
-    for part, task in enumerate(tasks):
-        task.pool_job = _PoolPartitionJob(
-            root=root, part=part, params=ctx.params,
-            options=executor.options, traced=traced,
-            digest_map=digest_map, est=ests[part])
-        task.pool_tables = pool_tables
-
-
-def _run_partitioned(root: "_FanOut", ctx: _Ctx,
-                     records: bool = False) -> List[Any]:
-    """Drive a partitioned chain: prepare serially, fan partitions out.
-
-    ``root._partition(part, pctx, scanned)`` runs per partition in a
-    pool worker and its picklable results come back in partition-index
-    order.  Partition stats merge into the query stats in that same
-    order, and each chain operator's ``partition_rows`` / ``rows_out``
-    are filled from the per-partition counters; with ``records`` the
-    fan-out operator itself (partial aggregation, whose workers also
-    record counts) joins the same ordinal space.
-
-    Substrate faults never fail the query: :func:`run_tasks` degrades
-    pool → serial, and each task builds a fresh :class:`_PartCtx`, so
-    a degraded rerun merges exactly one run's statistics and stays
-    stats-identical to serial.  The path taken is
-    recorded on the fan-out operator (``degraded``, surfaced by EXPLAIN
-    ANALYZE) and counted in ``ctx.stats.degradations``.
-    """
-    chain = root.child
-    count = chain.prepare(ctx)
-    ops = [op for op in _subtree(chain)
-           if isinstance(op, ChainOp) and op.partitions]
-    if records:
-        ops.append(root)
-    for ordinal, op in enumerate(ops):
-        op._ordinal = ordinal
-        op.partition_rows = [None] * count
-
-    executor, params, scanned = ctx.executor, ctx.params, ctx.scanned
-    # Cross-process stitching: when a trace is active, every partition
-    # builds a *detached* root span where it runs (a fresh one per
-    # attempt, so a degraded rerun never double-counts) and ships its
-    # ``to_dict`` payload home beside the stats — the same transport
-    # partition statistics already ride.  The driver re-parents them
-    # below in partition-index order, so the stitched tree's child
-    # order is deterministic regardless of completion order.
-    parent_span = obs_trace.current_span()
-    traced = parent_span is not None
-
-    def make_task(part: int):
-        def task():
-            pctx = _PartCtx(executor, params)
-            if traced:
-                with obs_trace.Span("partition", part=part) as pspan:
-                    payload = root._partition(part, pctx, scanned)
-                return payload, pctx.stats, pctx.recorded, pspan.to_dict()
-            return (root._partition(part, pctx, scanned), pctx.stats,
-                    pctx.recorded, None)
-        return task
-
-    def on_degrade(from_rung: str, to_rung: str, fault: Exception) -> None:
-        ctx.stats.degradations += 1
-        kind = classify_exception(fault)
-        root.degraded = "%s->%s" % (from_rung, to_rung)
-        root.degraded_kinds = [kind]
-        _DEGRADATIONS.inc(**{"from": from_rung, "to": to_rung,
-                             "kind": kind})
-
-    tasks = [make_task(part) for part in range(count)]
-    _attach_pool_jobs(tasks, root, ctx, traced)
-    results = run_tasks(tasks, deadline=ctx.deadline, on_degrade=on_degrade)
-    for op in _subtree(root):
-        for attr in PhysicalOp._UNPICKLED_STATE:
-            op.__dict__.pop(attr, None)
-    payloads = []
-    for part, (payload, pstats, recorded, span_dict) in enumerate(results):
-        merge_stats(ctx.stats, pstats)
-        for ordinal, rows in recorded.items():
-            ops[ordinal].partition_rows[part] = rows
-        if span_dict is not None and parent_span is not None:
-            parent_span.adopt(span_dict)
-        payloads.append(payload)
-    for op in ops:
-        op.rows_out = sum(rows for rows in op.partition_rows
-                          if rows is not None)
-    return payloads
-
-
-class _FanOut(PhysicalOp):
-    """Base for the operators that drive a partitioned chain
-    (``child``) through :func:`_run_partitioned`: ``_partition`` is
-    their per-partition work, run on the parallel substrate."""
-
-    def __init__(self, child: ChainOp, partitions: int):
-        super().__init__()
-        self.child = child
-        self.partitions = partitions
-
-    @property
-    def children(self):
-        return (self.child,)
-
-    def _partition(self, part: int, pctx: _PartCtx,
-                   scanned: List[_ScannedSource]) -> Any:
-        raise NotImplementedError
-
-
-class GatherOp(_FanOut, VecOp):
-    """Merge a partitioned chain back into one batch stream.
-
-    Partitions are concatenated in partition-index order — the serial
-    row order — so every operator above a Gather is oblivious to the
-    parallelism below it.  A partition's result is a full row set:
-    the pool pickles it back (its workers cache table content, so only
-    result rows cross); the serial rung hands it over by reference.
-    """
-
-    name = "Gather"
-
-    def describe(self) -> str:
-        return "%s(partitions=%d)" % (self.name, self.partitions)
-
-    def _partition(self, part, pctx, scanned):
-        return self.child.run_partition(part, pctx)
-
-    def batches(self, ctx: _Ctx) -> List[Batch]:
-        out = [batch for part in _run_partitioned(self, ctx)
-               for batch in part]
-        self.rows_out = _count(out)
-        return out
-
-
-class GatherMergeOp(_FanOut, VecOp):
-    """Partition-parallel ORDER BY: per-partition sorts + k-way merge.
-
-    Each partition sorts (and truncates to ``top_k``) its own rows on
-    the substrate; the query's own thread merges the sorted runs with the
-    enumerator's heap merge
-    (:func:`repro.core.enumerate.merge_sorted_runs`), whose ties
-    resolve to the earlier partition — which is the earlier input
-    position, so the merged sequence equals the serial stable sort of
-    the concatenated input *exactly* (and, with ``top_k``, its first k
-    rows: any row of the global top k is within its own partition's
-    top k, so per-partition truncation loses nothing).
-    """
-
-    name = "GatherMerge"
-
-    def __init__(self, child: ChainOp, partitions: int,
-                 order_by: Tuple[S.OrderItem, ...],
-                 top_k: Optional[int], batch_size: int):
-        super().__init__(child, partitions)
-        self.order_by = order_by
-        self.top_k = top_k
-        self.batch_size = batch_size
-
-    def describe(self) -> str:
-        body = "%s(partitions=%d, %s)" % (self.name, self.partitions,
-                                          _sort_keys(self.order_by))
-        if self.top_k is not None:
-            body += " top_k=%d" % self.top_k
-        return body
-
-    def _partition(self, part, pctx, scanned):
-        return _sort(self.child.run_partition(part, pctx), self.order_by,
-                     self.top_k, scanned, self.batch_size)
-
-    def batches(self, ctx: _Ctx) -> List[Batch]:
-        from repro.core.enumerate import merge_sorted_runs
-
-        runs, flat, start = [], [], 0
-        for part in _run_partitioned(self, ctx):
-            n = _count(part)
-            runs.append(range(start, start + n))
-            flat.extend(part)
-            start += n
-        whole = _concat(flat)
-        if whole is None:
-            self.rows_out = 0
-            return []
-        key = _order_key(self.order_by, whole, ctx.scanned)
-        order = list(merge_sorted_runs(runs, key=key))
-        if self.top_k is not None:
-            order = order[:self.top_k]
-        self.rows_out = len(order)
-        return _permute(whole, order, self.batch_size)
-
-
-#: Aggregates with an exact, order-insensitive combine step.  AVG
-#: qualifies via ``(exact total, count)`` partials: finite floats
-#: accumulate as exact fractions (:func:`repro.sql.executor._avg_state`),
-#: so combining partition states in any order yields the same
-#: exactly-rounded mean as the serial evaluation — the float-bitwise
-#: identity the engine's contract demands.
-_COMBINABLE_AGGREGATES = ("COUNT", "SUM", "MIN", "MAX", "AVG")
-
-
-def combinable_aggregate(items: Tuple[S.SelectItem, ...],
-                         group_by: Tuple[S.Expr, ...],
-                         having: Optional[S.Expr]) -> bool:
-    """Whether this aggregation can run as partials + a combine step.
-
-    Conservative by design — anything not provably identical to the
-    serial evaluation (AND/OR short-circuits, subqueries whose
-    statistics would be double-counted across partitions) falls back
-    to :class:`GatherOp` + :class:`VecAggregateOp`, which is always
-    correct.
-    """
-    grouped = bool(group_by)
-    # With HAVING, the serial path never evaluates select-list
-    # aggregates for filtered-out groups; partials evaluate them for
-    # every group, so their arguments must be statistics-free.
-    pure_args = grouped and having is not None
-    trees = [item.expr for item in items]
-    if having is not None:
-        trees.append(having)
-    return all(not isinstance(tree, S.Star)
-               and _combinable_expr(tree, grouped, pure_args)
-               for tree in trees)
-
-
-def _combinable_expr(expr: S.Expr, grouped: bool,
-                     pure_args: bool) -> bool:
-    if isinstance(expr, S.FuncCall):
-        if expr.name not in _COMBINABLE_AGGREGATES:
-            return False
-        if expr.arg is not None and pure_args \
-                and not _pure_scalar(expr.arg):
-            return False
-        return True
-    if isinstance(expr, S.BinOp):
-        if expr.op in ("AND", "OR"):
-            return False            # short-circuit evaluation parity
-        return (_combinable_expr(expr.left, grouped, pure_args)
-                and _combinable_expr(expr.right, grouped, pure_args))
-    if isinstance(expr, (S.Literal, S.Param)):
-        return True
-    if grouped:
-        # Non-aggregate subtree: evaluated on the group's first
-        # row, potentially once per partition — must not touch
-        # engine statistics.
-        return _pure_scalar(expr)
-    return False
-
-
-def _pure_scalar(expr: S.Expr) -> bool:
-    """No aggregates, no subqueries: evaluation is repeatable and
-    statistics-free."""
-    if isinstance(expr, (S.Literal, S.Param, S.ColumnRef, S.RowRef)):
-        return True
-    if isinstance(expr, S.BinOp):
-        return _pure_scalar(expr.left) and _pure_scalar(expr.right)
-    if isinstance(expr, S.NotOp):
-        return _pure_scalar(expr.expr)
-    return False
-
-
-class PartialAggregateOp(_FanOut, RowOp):
-    """Aggregation as per-partition partials plus an exact combine.
-
-    Each partition computes, per group (or for the whole input), the
-    partial state of every COUNT/SUM/MIN/MAX/AVG call
-    (:func:`_agg_state`); the query's own thread merges partitions in
-    partition-index order, which preserves the serial **first-encounter
-    group order** and picks each group's first row from the earliest
-    partition that saw the group — so non-aggregate select items
-    evaluate exactly as they do serially.  Only
-    ``combinable_aggregate`` shapes lower here; everything else uses
-    :class:`GatherOp` + :class:`VecAggregateOp`.
-
-    This is the operator the pool pays off on: a partition's result
-    is a handful of scalars, so worker processes buy real CPU
-    parallelism without shipping row sets back.
-    """
-
-    name = "PartialAggregate"
-
-    def __init__(self, child: ChainOp, partitions: int,
-                 items: Tuple[S.SelectItem, ...],
-                 group_by: Tuple[S.Expr, ...],
-                 having: Optional[S.Expr]):
-        super().__init__(child, partitions)
-        self.items = items
-        self.group_by = group_by
-        self.having = having
-        self.groups_in = None
-        self._agg_calls: List[S.FuncCall] = []
-        self._leaves: List[S.Expr] = []
-        trees = [item.expr for item in items]
-        if having is not None:
-            trees.append(having)
-        for tree in trees:
-            _collect_partial_nodes(tree, self._agg_calls, self._leaves)
-
-    def describe(self) -> str:
-        from repro.sql.pretty import expr_sql
-
-        if not self.group_by:
-            return "PartialAggregate(whole input, partitions=%d)" \
-                % self.partitions
-        body = "PartialGroupBy(%s, partitions=%d)" % (
-            ", ".join(expr_sql(e) for e in self.group_by),
-            self.partitions)
-        if self.having is not None:
-            body += " having %s" % expr_sql(self.having)
-        return body
-
-    def trace_name(self) -> str:
-        return _aggregate_label(self.group_by, self.having)
-
-    @functools.cached_property
-    def _partial_fns(self):
-        return _compile_aggregate(self._agg_calls, self.group_by)
-
-    def rows(self, ctx: _Ctx) -> Tuple[List[Record], Tuple[str, ...]]:
-        parts = _run_partitioned(self, ctx, records=True)
-        if self.group_by:
-            return self._merge_grouped(parts, ctx)
-        return self._merge_whole(parts, ctx)
-
-    # -- per-partition work (runs on the parallel substrate) ---------------
-
-    def _partition(self, part, pctx, scanned):
-        batches = self.child.run_partition(part, pctx)
-        arg_fns, key_fns = self._partial_fns
-        if not self.group_by:
-            n = _count(batches)
-            pctx.record(self, n)
-            return tuple(_agg_state(call, arg_fns[id(call)], batches, n,
-                                    pctx)
-                         for call in self._agg_calls)
-        executor, params, stats = pctx.executor, pctx.params, pctx.stats
-        whole, groups = _groups(key_fns, batches, pctx)
-        out = []
-        for key, positions in groups:
-            group = [whole.select(positions)]
-            states = tuple(_agg_state(call, arg_fns[id(call)], group,
-                                      len(positions), pctx)
-                           for call in self._agg_calls)
-            first_env = _first_env(whole, positions)
-            leaves = tuple(executor._eval(leaf, first_env, params, stats)
-                           for leaf in self._leaves)
-            out.append((key, states, leaves))
-        pctx.record(self, len(out))
-        return out
-
-    # -- merge (serial, partition-index order) -----------------------------
-
-    def _merge_whole(self, parts, ctx: _Ctx):
-        combined: Dict[int, Any] = {}
-        for i, call in enumerate(self._agg_calls):
-            value = parts[0][i]
-            for states in parts[1:]:
-                value = _combine_states(call, value, states[i])
-            combined[id(call)] = _finish_state(call, value)
-
-        fields = _output_columns(self.items, ctx.executor)
-        values = [self._merge_eval(item.expr, combined, {}, ctx.params)
-                  for item in self.items]
-        rows = [make_record(fields, values)]
-        self.rows_out = len(rows)
-        return rows, fields
-
-    def _merge_grouped(self, parts, ctx: _Ctx):
-        merged: Dict[Tuple, List[Any]] = {}
-        first_leaves: Dict[Tuple, Tuple] = {}
-        order: List[Tuple] = []
-        for part in parts:
-            for key, states, leaves in part:
-                seen = merged.get(key)
-                if seen is None:
-                    merged[key] = list(states)
-                    first_leaves[key] = leaves
-                    order.append(key)
-                else:
-                    for i, call in enumerate(self._agg_calls):
-                        seen[i] = _combine_states(call, seen[i],
-                                                  states[i])
-        self.groups_in = len(order)
-
-        fields = _output_columns(self.items, ctx.executor)
-        rows: List[Record] = []
-        for key in order:
-            agg_values = {id(call): _finish_state(call, merged[key][i])
-                          for i, call in enumerate(self._agg_calls)}
-            leaf_values = {id(leaf): first_leaves[key][i]
-                           for i, leaf in enumerate(self._leaves)}
-            if self.having is not None and not _truthy(
-                    self._merge_eval(self.having, agg_values,
-                                     leaf_values, ctx.params)):
-                continue
-            values = [self._merge_eval(item.expr, agg_values,
-                                       leaf_values, ctx.params)
-                      for item in self.items]
-            rows.append(make_record(fields, values))
-        self.rows_out = len(rows)
-        return rows, fields
-
-    def _merge_eval(self, expr: S.Expr, agg_values, leaf_values,
-                    params) -> Any:
-        key = id(expr)
-        if key in agg_values:
-            return agg_values[key]
-        if key in leaf_values:
-            return leaf_values[key]
-        if isinstance(expr, S.BinOp):
-            return _apply_op(
-                expr.op,
-                self._merge_eval(expr.left, agg_values, leaf_values,
-                                 params),
-                self._merge_eval(expr.right, agg_values, leaf_values,
-                                 params))
-        if isinstance(expr, S.Literal):
-            return expr.value
-        if isinstance(expr, S.Param):
-            return _param(params, expr.name)
-        raise SQLExecutionError("unsupported aggregate expression %r"
-                                % (expr,))
-
-
-def _collect_partial_nodes(expr: S.Expr, agg_calls: List[S.FuncCall],
-                           leaves: List[S.Expr]) -> None:
-    """Split a combinable tree into aggregate calls and scalar leaves,
-    mirroring ``_combinable_expr``'s traversal exactly."""
-    if isinstance(expr, S.FuncCall):
-        agg_calls.append(expr)
-        return
-    if isinstance(expr, S.BinOp):
-        _collect_partial_nodes(expr.left, agg_calls, leaves)
-        _collect_partial_nodes(expr.right, agg_calls, leaves)
-        return
-    if isinstance(expr, (S.Literal, S.Param)):
-        return
-    leaves.append(expr)
-
-
 # -- lowering -----------------------------------------------------------------
 
 
@@ -2005,14 +1209,7 @@ def _lower_rows(plan: L.LogicalPlan, size: int) -> RowOp:
             return child
         return _with_est(VecProjectOp(child, plan.items), plan)
     if isinstance(plan, L.Aggregate):
-        child = plan.child
-        if isinstance(child, L.Gather) and combinable_aggregate(
-                plan.items, plan.group_by, plan.having):
-            return _with_est(PartialAggregateOp(
-                _lower_envs(child.child, size, child.partitions),
-                child.partitions, plan.items, plan.group_by,
-                plan.having), plan)
-        return _with_est(VecAggregateOp(_lower_envs(child, size),
+        return _with_est(VecAggregateOp(_lower_envs(plan.child, size),
                                         plan.items, plan.group_by,
                                         plan.having), plan)
     if isinstance(plan, L.Sort):
@@ -2025,30 +1222,18 @@ def _lower_rows(plan: L.LogicalPlan, size: int) -> RowOp:
                     % (plan,))
 
 
-def _lower_envs(plan: L.LogicalPlan, size: int,
-                partitions: Optional[int] = None) -> VecOp:
-    """Lower a row-stream segment; ``partitions`` is set below a
-    Gather, where the scan/filter/join chain runs per partition."""
+def _lower_envs(plan: L.LogicalPlan, size: int) -> VecOp:
+    """Lower a row-stream segment."""
     if isinstance(plan, L.Sort):
-        child = plan.child
-        if plan.merge and isinstance(child, L.Gather):
-            return _with_est(GatherMergeOp(
-                _lower_envs(child.child, size, child.partitions),
-                child.partitions, plan.order_by, plan.top_k, size), plan)
-        return _with_est(VecSortOp(_lower_envs(child, size), plan.order_by,
-                                   plan.top_k, size), plan)
+        return _with_est(VecSortOp(_lower_envs(plan.child, size),
+                                   plan.order_by, plan.top_k, size), plan)
     if isinstance(plan, L.Restore):
         return _with_est(VecRestoreOp(_lower_envs(plan.child, size),
                                       plan.aliases, size), plan)
-    if isinstance(plan, L.Gather):
-        return _with_est(GatherOp(_lower_envs(plan.child, size,
-                                              plan.partitions),
-                                  plan.partitions), plan)
     if isinstance(plan, L.Filter):
-        op = VecFilterOp(_lower_envs(plan.child, size, partitions),
-                         plan.predicates)
+        op = VecFilterOp(_lower_envs(plan.child, size), plan.predicates)
     elif isinstance(plan, L.Join):
-        left = _lower_envs(plan.left, size, partitions)
+        left = _lower_envs(plan.left, size)
         right = _lower_scan(plan.right, size)
         if plan.strategy == "hash":
             op = VecHashJoinOp(left, right, plan.predicate)
@@ -2059,7 +1244,6 @@ def _lower_envs(plan: L.LogicalPlan, size: int,
     else:
         raise TypeError("expected a row-stream logical node, got %r"
                         % (plan,))
-    op.partitions = partitions
     return _with_est(op, plan)
 
 
@@ -2092,12 +1276,5 @@ class PhysicalPlan:
 
     def execute(self, executor, params: Dict[str, Any],
                 stats) -> QueryResult:
-        deadline = None
-        seconds = executor.options.deadline_seconds
-        if seconds is not None:
-            from repro.service.faults import Deadline
-
-            deadline = Deadline.after(seconds)
-        rows, columns = self.root.rows(_Ctx(executor, params, stats,
-                                            deadline))
+        rows, columns = self.root.rows(_Ctx(executor, params, stats))
         return QueryResult(rows, columns, stats)

@@ -22,7 +22,7 @@ per row it is asked about, exactly as in the seed pipeline.
 
 Closures take the running query's context (``run``: anything with
 ``executor``, ``params`` and ``stats``, i.e. the physical layer's
-per-query or per-partition context): constant closures are called as
+per-query context): constant closures are called as
 ``fn(run)``, vector closures as ``fn(batch, run)``.
 """
 
@@ -76,11 +76,6 @@ class Batch:
         self.pairs = pairs
         self.n = n
         self._cols: Optional[Dict[Tuple[str, str], List[Any]]] = None
-
-    def __reduce__(self):
-        # Partition results cross the pool's pipes as batches; the
-        # column cache is derived data and stays behind.
-        return Batch, (self.aliases, self.pairs, self.n)
 
     def column(self, alias: str, column: str) -> List[Any]:
         """The column's value vector (``_rowid`` -> the rowid vector).

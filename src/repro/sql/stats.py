@@ -5,8 +5,8 @@ Every :class:`~repro.sql.catalog.Table` owns a :class:`TableStats`
 the number of distinct values (NDV) and the min/max bounds.  The cost
 model in :mod:`repro.sql.plan.optimizer` turns these into selectivity
 and cardinality estimates — ``1/ndv`` for an equality predicate,
-``|A|·|B|/max(ndv)`` for an equality join — which drive join ordering,
-access-path choice and the ``parallel="auto"`` partition-count rule.
+``|A|·|B|/max(ndv)`` for an equality join — which drive join ordering
+and access-path choice.
 
 Maintenance is **incremental**: :meth:`TableStats.observe` runs on
 every ``Table.insert`` (a set membership test and two comparisons per

@@ -87,9 +87,7 @@ class Record(Mapping[str, Any]):
     def __reduce__(self):
         # The default slot-based pickling would restore fields through
         # __setattr__, which records forbid; rebuild through __init__
-        # instead.  Records cross process boundaries when the SQL
-        # engine's partition-parallel aggregates fan out over forked
-        # workers.
+        # instead.
         return (Record, (dict(zip(self._fields, self._values)),))
 
     def __eq__(self, other: Any) -> bool:

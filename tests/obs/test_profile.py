@@ -19,7 +19,6 @@ from repro.obs import trace as obs_trace
 from repro.obs.profile import NO_SPAN, Profiler, format_summary
 from repro.sql.database import Database
 from repro.sql.errors import SQLExecutionError
-from repro.sql.executor import ExecutorOptions
 
 SQL = "SELECT e.g, COUNT(*) AS n FROM ev AS e GROUP BY e.g"
 
@@ -28,15 +27,6 @@ GOLDEN_SERIAL = """\
 profile  samples=*
 span FullScan(ev AS e)  samples=*
 span GroupBy(e.g)  samples=*
-span query  samples=*"""
-
-#: K=4 adds only the partition fan-out span; every operator span keeps
-#: its serial-equivalent label (PhysicalOp.trace_name).
-GOLDEN_PARALLEL = """\
-profile  samples=*
-span FullScan(ev AS e)  samples=*
-span GroupBy(e.g)  samples=*
-span partition  samples=*
 span query  samples=*"""
 
 
@@ -116,26 +106,6 @@ def test_masked_golden_serial():
     assert _masked(result.profile) == GOLDEN_SERIAL
 
 
-def test_masked_golden_parallel_k1_equals_serial():
-    """parallel=1 is the serial plan — same span universe."""
-    db = _make_db(ExecutorOptions(parallel=1))
-    result = db.execute(SQL, profile=True)
-    assert _masked(result.profile) == GOLDEN_SERIAL
-
-
-def test_masked_golden_parallel_k4():
-    db = _make_db(ExecutorOptions(parallel=4))
-    serial = _make_db().execute(SQL, profile=True)
-    result = db.execute(SQL, profile=True)
-    assert result.rows == serial.rows
-    assert _masked(result.profile) == GOLDEN_PARALLEL
-    # Modulo the fan-out span, a parallel run attributes to exactly
-    # the serial span set — including across fork, where the samples
-    # ship home in the workers' payloads.
-    assert (set(result.profile.spans_seen) - {"partition"}
-            == set(serial.profile.spans_seen))
-
-
 def test_shared_profiler_accumulates_across_queries():
     db = _make_db()
     prof = Profiler(interval_seconds=0.001)
@@ -199,7 +169,7 @@ def test_bad_interval_rejected():
         Profiler(interval_seconds=0)
 
 
-# -- cross-process transport -------------------------------------------------
+# -- merging profiles --------------------------------------------------------
 
 
 def test_payload_absorb_roundtrip_merges():
@@ -209,20 +179,14 @@ def test_payload_absorb_roundtrip_merges():
     a.sample_count = 3
     b = Profiler()
     b.samples[("query", "main;run")] = 2
-    b.samples[("partition", "main;part")] = 1
-    b.spans_seen.update({"query", "partition"})
+    b.samples[("worker", "main;work")] = 1
+    b.spans_seen.update({"query", "worker"})
     b.sample_count = 3
     a.absorb(b.payload())
     assert a.samples[("query", "main;run")] == 5
-    assert a.samples[("partition", "main;part")] == 1
-    assert a.spans_seen == {"query", "partition"}
+    assert a.samples[("worker", "main;work")] == 1
+    assert a.spans_seen == {"query", "worker"}
     assert a.sample_count == 6
-
-
-def test_call_profiled_without_installed_profiler_is_passthrough():
-    shipped = obs_profile.call_profiled(lambda: 41 + 1)
-    assert shipped == {"result": 42, "profile": None}
-    assert obs_profile.absorb_shipped([shipped]) == [42]
 
 
 # -- surfaces ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end tracing contracts across the engine and the service.
 
-Three acceptance claims from the observability layer, pinned here:
+Two acceptance claims from the observability layer, pinned here,
+plus the scheduler's job spans:
 
 * **off means off** — with no trace active, queries return exactly
   what they returned before the layer existed (``result.trace`` is
@@ -8,23 +9,16 @@ Three acceptance claims from the observability layer, pinned here:
 * **golden tree shape** — a traced run yields a deterministic span
   tree (:func:`repro.obs.trace.format_tree` masks the one
   nondeterministic field, wall-clock), asserted against a golden
-  rendering;
-* **cross-process stitching** — a K-partition parallel query adopts
-  exactly K partition spans in partition-index order, and the set of
-  operators in the stitched tree equals the serial tree's.
+  rendering.
 """
 
 import pytest
 
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Span, format_tree
-from repro.service import faults
-from repro.service.faults import FaultPlan
 from repro.service.scheduler import Scheduler
 from repro.corpus.registry import select_fragments
 from repro.sql.database import Database
-from repro.sql.executor import ExecutorOptions
 
 SQL = "SELECT e.g, COUNT(*) AS n FROM ev AS e GROUP BY e.g"
 
@@ -42,12 +36,6 @@ def db():
     db.insert_many("ev", ({"id": i, "g": i % 3, "v": i}
                           for i in range(10)))
     return db
-
-
-def _operator_set(root):
-    """The ``op=`` tags in a tree, ignoring stitching scaffolding."""
-    return {node.tags["op"] for _, node in root.walk()
-            if "op" in node.tags}
 
 
 # -- off means off -------------------------------------------------------------
@@ -92,67 +80,6 @@ def test_trace_rides_an_ambient_root(db):
     (query,) = root.children
     assert query.name == "query"
     assert query.tags["rows"] == 3
-
-
-# -- cross-process stitching ---------------------------------------------------
-
-
-@pytest.mark.parametrize("partitions", [1, 2, 4])
-def test_parallel_stitches_to_serial_operator_set(db, partitions):
-    serial = db.execute(SQL, trace=True)
-    view = db.view(ExecutorOptions(parallel=partitions))
-    parallel = view.execute(SQL, trace=True)
-    assert list(parallel.rows) == list(serial.rows)
-    assert _operator_set(parallel.trace) == _operator_set(serial.trace)
-
-    parts = [node for _, node in parallel.trace.walk()
-             if node.name == "partition"]
-    if partitions > 1:
-        assert len(parts) == partitions
-        assert [p.tags["part"] for p in parts] == list(range(partitions))
-    else:
-        assert parts == []
-
-
-def test_fork_backend_stitches_too(db):
-    # The partition spans come back from forked pool workers, not
-    # from a serial fallback in this process.
-    dispatches = REGISTRY.get("repro_pool_dispatches_total")
-    before = dispatches.value()
-    view = db.view(ExecutorOptions(parallel=2))
-    result = view.execute(SQL, trace=True)
-    assert dispatches.value() > before
-    assert result.stats.degradations == 0
-    parts = [node for _, node in result.trace.walk()
-             if node.name == "partition"]
-    assert [p.tags["part"] for p in parts] == [0, 1]
-    assert _operator_set(result.trace) \
-        == _operator_set(db.execute(SQL, trace=True).trace)
-
-
-# -- degradation classification ------------------------------------------------
-
-
-def test_degradation_kind_in_explain_and_counter(db):
-    view = db.view(ExecutorOptions(parallel=3))
-    counter = REGISTRY.get("repro_degradations_total")
-    labels = {"from": "pool", "to": "serial", "kind": "crash"}
-    before = counter.value(**labels)
-    # Three crashes spend the pool's retry budget; serial heals.
-    plan = FaultPlan(faults={"part:1": faults.CRASH}, faulty_attempts=3)
-    with faults.injected(plan):
-        result = view.execute(SQL)
-        text = view.explain(SQL, analyze=True)
-    assert result.stats.degradations == 1
-    assert "degraded=pool->serial" in text
-    assert "degrade_kind=crash" in text
-    assert counter.value(**labels) == before + 2    # execute + explain
-
-
-def test_undegraded_explain_has_no_kind_annotation(db):
-    text = db.view(ExecutorOptions(parallel=2)).explain(SQL, analyze=True)
-    assert "degrade_kind=" not in text
-    assert "degraded=" not in text
 
 
 # -- scheduler job spans -------------------------------------------------------

@@ -8,6 +8,8 @@ failure mode — crash, hang, corrupt payload, SIGTERM-ignoring worker —
 leaks a zombie or hangs the parent.
 """
 
+import functools
+import multiprocessing
 import os
 import signal
 import time
@@ -35,7 +37,6 @@ from repro.service.faults import (
 )
 from repro.service.jobs import execute_job
 from repro.service.pool import WorkerPool
-from test_pool import FnJob
 from repro.service.scheduler import Scheduler, outcome_fingerprint
 
 # -- taxonomy / policy units ---------------------------------------------------
@@ -327,7 +328,7 @@ def test_run_deadline_fails_unfinished_work_classified(monkeypatch, workers):
 # -- worker shutdown escalation (zombie-leak regression) -----------------------
 
 
-def _stubborn_worker_main(recv_fd, send_fd, cache):
+def _stubborn_worker_main(recv_fd, send_fd):
     """A worker that ignores both the shutdown frame and SIGTERM."""
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     pool_mod._write_frame(send_fd, b"ready")
@@ -352,16 +353,95 @@ def test_shutdown_escalates_to_sigkill_for_stubborn_workers(monkeypatch):
     assert elapsed < 5                        # escalated, not grace x2
 
 
+# -- exact attempt accounting under chaos --------------------------------------
+
+
+@pytest.mark.parametrize("plan, deltas", [
+    (FaultPlan(faults={"w40": faults.CRASH}),
+     {"dispatches": 3, "respawns": 1, "retries": 1}),
+    (FaultPlan(faults={"w40": faults.CRASH}, faulty_attempts=2),
+     {"dispatches": 4, "respawns": 2, "retries": 2}),
+    (FaultPlan(faults={"w40": faults.HANG}, hang_seconds=30.0),
+     {"dispatches": 3, "respawns": 1, "retries": 1}),
+    (FaultPlan(faults={"w40": faults.CORRUPT_PAYLOAD}),
+     {"dispatches": 3, "respawns": 0, "retries": 1}),
+], ids=["crash", "two-attempt-crash", "hang", "corrupt"])
+def test_pool_recovery_counts_are_exact(monkeypatch, plan, deltas):
+    """Two jobs, one faulted: a killed or hung worker is respawned and
+    its job retried, once per faulty attempt; a reply that will not
+    decode is retried on the same, still healthy, worker.  The run
+    converges to the fault-free fingerprint."""
+    fragments = select_fragments(ids=["w40", "w42"])
+    baseline = Scheduler(workers=1).run(fragments)
+    counters = {"dispatches": pool_mod._DISPATCHES,
+                "respawns": pool_mod._RESPAWNS,
+                "retries": pool_mod._RETRIES}
+    before = {name: c.total() for name, c in counters.items()}
+    monkeypatch.setattr(scheduler_module, "_JOB_RUNNER", _chaos_runner)
+    with faults.injected(plan):
+        report = Scheduler(
+            workers=2, job_timeout=1.5,
+            retry=RetryPolicy(max_attempts=3, backoff_base=0.01),
+        ).run(fragments)
+    assert {name: c.total() - before[name]
+            for name, c in counters.items()} == deltas
+    assert outcome_fingerprint(report.outcomes) \
+        == outcome_fingerprint(baseline.outcomes)
+    by_id = {o.job.fragment_id: o for o in report.outcomes}
+    assert by_id["w40"].attempts == 1 + plan.faulty_attempts
+    assert by_id["w42"].attempts == 1
+
+
+# -- the pool cannot start: the batch runs inline ------------------------------
+
+
+def _no_fork(method=None):
+    raise ValueError("cannot find context for %r" % method)
+
+
+def _assert_runs_inline(fragments):
+    dispatches = pool_mod._DISPATCHES.total()
+    report = Scheduler(workers=2, cache=None).run(fragments)
+    assert pool_mod._DISPATCHES.total() == dispatches
+    assert report.failed == 0
+    assert outcome_fingerprint(report.outcomes) == outcome_fingerprint(
+        Scheduler(workers=1, cache=None).run(fragments).outcomes)
+
+
+def test_no_fork_on_the_platform_runs_the_batch_inline(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_context", _no_fork)
+    with pytest.raises(faults.SubstrateUnavailable, match="no fork"):
+        WorkerPool(size=2)
+    _assert_runs_inline(select_fragments(ids=["w40", "w42"]))
+
+
+def test_daemonic_parent_runs_the_batch_inline(monkeypatch):
+    """A daemonic process may not fork: the pool's first worker fails
+    to start, as it would under a pool worker of another pool."""
+    monkeypatch.setitem(multiprocessing.current_process()._config,
+                        "daemon", True)
+    with pytest.raises(faults.SubstrateUnavailable, match="cannot spawn"):
+        WorkerPool(size=2).ensure_workers()
+    _assert_runs_inline(select_fragments(ids=["w40", "w42"]))
+
+
 # -- typed failures of pool jobs -----------------------------------------------
 
 
 def _run(fn, items, deadline=None):
+    """Stream ``fn`` over ``items`` on a fresh two-worker pool without
+    retries: the first failure raises, else the values in item order."""
     pool = WorkerPool(size=2, retry=faults.NO_RETRY)
     try:
-        return pool.run_jobs([FnJob(fn, item) for item in items], {},
-                             deadline=deadline)
+        done = sorted(pool.stream([functools.partial(fn, item)
+                                   for item in items], deadline=deadline),
+                      key=lambda d: d.index)
     finally:
         pool.close()
+    for finished in done:
+        if finished.error is not None:
+            raise finished.error
+    return [finished.value for finished in done]
 
 
 def _lock_on_two(x):
@@ -401,7 +481,7 @@ def test_pool_worker_death_is_worker_crash():
 
 
 def _corrupt_on_two(x):
-    return faults.CorruptResult("part:%d" % x) if x == 2 else x
+    return faults.CorruptResult("item %d" % x) if x == 2 else x
 
 
 def test_pool_corrupt_result_object_is_corrupt_payload():
@@ -414,27 +494,35 @@ def _slow(x):
     return x
 
 
+def _double(x):
+    return x * 2
+
+
 def test_pool_deadline_reaps_workers():
     pool = WorkerPool(size=2)
     pool.ensure_workers()
     first = [worker.process for worker in pool._workers]
     start = time.perf_counter()
     try:
-        with pytest.raises(DeadlineExceeded, match="while running"):
-            pool.run_jobs([FnJob(_slow, 1), FnJob(_slow, 2)], {},
-                          deadline=Deadline.after(0.3))
+        done = list(pool.stream([functools.partial(_slow, 1),
+                                 functools.partial(_slow, 2)],
+                                deadline=Deadline.after(0.3)))
+        assert sorted(d.index for d in done) == [0, 1]
+        for finished in done:
+            assert isinstance(finished.error, DeadlineExceeded)
+            assert "while running" in str(finished.error)
         assert time.perf_counter() - start < 10   # workers terminated
         assert not any(process.is_alive() for process in first)
         # A deadline spent before dispatch starts nothing.
-        with pytest.raises(DeadlineExceeded, match="before start"):
-            pool.run_jobs([FnJob(_slow, 1)], {},
-                          deadline=Deadline.after(0.0))
+        (late,) = pool.stream([functools.partial(_slow, 1)],
+                              deadline=Deadline.after(0.0))
+        assert isinstance(late.error, DeadlineExceeded)
+        assert "before start" in str(late.error) and late.attempts == 0
+        # The reaped workers are replaced: the pool serves the next run.
+        assert [d.value for d in pool.stream(
+            [functools.partial(_double, 4)])] == [8]
     finally:
         pool.close()
-
-
-def _double(x):
-    return x * 2
 
 
 def test_pool_still_succeeds_with_deadline_headroom():

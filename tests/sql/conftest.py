@@ -1,8 +1,8 @@
 """Shared fixtures for the SQL engine suites.
 
 The corpus fixtures are session-scoped because running every fragment
-through QBS is the expensive part; the planner- and parallel-
-equivalence suites both iterate the same inferred SQL statements.
+through QBS is the expensive part; the planner-equivalence suites
+iterate the inferred SQL statements.
 """
 
 import pytest

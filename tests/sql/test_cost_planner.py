@@ -115,12 +115,6 @@ class TestOrderSensitiveShapesUnderReorder:
         seed = skew_db.view(ExecutorOptions(planner=False)).execute(sql)
         assert list(cost.rows) == list(seed.rows)
 
-    def test_parallel_over_reordered_chain(self, skew_db):
-        for k in (2, 4):
-            par = skew_db.view(ExecutorOptions(parallel=k))
-            assert list(par.execute(SKEW_SQL).rows) == \
-                list(skew_db.execute(SKEW_SQL).rows), k
-
 
 class TestCostDrivenAccessPaths:
     def test_picks_most_selective_index(self):

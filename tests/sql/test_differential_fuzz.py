@@ -4,8 +4,7 @@ A seeded generator builds random schemas, data and SELECT statements
 (joins, filters, uncorrelated IN subqueries, aggregates, GROUP BY /
 HAVING, ORDER BY / LIMIT), then executes each query under every
 execution mode the engine offers — the seed pipeline (the oracle, on
-every case), greedy planner, cost-based planner, partition-parallel at
-K in {1, 2, 4} (K > 1 on the persistent worker pool) and a small batch
+every case), greedy planner, cost-based planner and a small batch
 size — and asserts the identity contract: same rows
 (values *and* order) and columns everywhere, plus engine-statistics
 identity within each stats family (see ``_modes`` — cost-based
@@ -273,16 +272,13 @@ def _modes(index, rng):
     planner may legitimately choose different join strategies or
     access paths than the greedy chain (that is its job), so the
     greedy planner and the seed pipeline pin stats against *each
-    other*, while every parallel/batch-size mode — which only changes
-    the execution substrate, never the chosen plan semantics — pins
-    stats against the cost-based baseline.  Rows and columns must be
+    other*, while the batch-size mode — which only changes how rows
+    are chunked, never the chosen plan — pins stats against the
+    cost-based baseline.  Rows and columns must be
     identical across all modes unconditionally.
     """
     modes = [("greedy", ExecutorOptions(cost_based=False), "greedy"),
              ("seed-pipeline", ExecutorOptions(planner=False), "greedy")]
-    for k in (1, 2, 4):
-        modes.append(("parallel-%d" % k, ExecutorOptions(parallel=k),
-                      "baseline"))
     size = rng.choice((1, 3, 7))
     modes.append(("batch-%d" % size, ExecutorOptions(batch_size=size),
                   "baseline"))

@@ -154,7 +154,6 @@ class TestPlanner:
 ORDER_MODES = {
     "seed": ExecutorOptions(planner=False),
     "planner": ExecutorOptions(),
-    "parallel-2": ExecutorOptions(parallel=2),
 }
 
 
@@ -211,7 +210,6 @@ def test_single_key_order_matches_the_seed_pipeline(values, order):
         except TypeError as exc:
             outcomes[mode] = str(exc)
     assert outcomes["planner"] == outcomes["seed"]
-    assert outcomes["parallel-2"] == outcomes["seed"]
 
 
 @pytest.mark.parametrize("values", sorted(ORDER_VALUES))
@@ -237,4 +235,3 @@ def test_two_key_order_matches_the_seed_pipeline(values, second, order):
         except TypeError as exc:
             outcomes[mode] = str(exc)
     assert outcomes["planner"] == outcomes["seed"]
-    assert outcomes["parallel-2"] == outcomes["seed"]

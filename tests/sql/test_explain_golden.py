@@ -5,9 +5,8 @@ The plans come from :mod:`repro.sql.plan.examples` — the same fixtures
 a plan-shape change fails here with a readable diff *and* flags every
 doc snippet that needs regenerating.  The golden strings are spelled
 out verbatim: the point is to pin the exact rendering (tree glyphs,
-``[rows=..., parts=...]`` annotations, the cost-based optimizer's
-``est_rows=``/``cost=`` estimates, partition counts), not just its
-general shape.
+``[rows=...]`` annotations, the cost-based optimizer's
+``est_rows=``/``cost=`` estimates), not just its general shape.
 
 Two golden sets: ``GOLDEN`` pins the default (cost-based) planner,
 ``GREEDY_GOLDEN`` pins ``ExecutorOptions(cost_based=False)`` — the
@@ -42,26 +41,6 @@ Project(p.login, d.descriptor_name)  [rows=36, est_rows=36, cost=69]
 GroupBy(p.role_id) having COUNT(*) > 2  [rows=3, est_rows=3, cost=12]
  └─ FullScan(participant AS p)  [rows=9, est_rows=9, cost=9]""",
 
-    "partitioned-join": """\
-Project(p.login, r.role_name)  [rows=9, est_rows=9, cost=21]
- └─ Gather(partitions=2)  [rows=9, est_rows=9, cost=21]
-     └─ PartitionedHashJoin(p.role_id = r.role_id)  [rows=9, parts=5|4, est_rows=9, cost=21]
-         ├─ PartitionedScan(FullScan(participant AS p), partitions=2)  [rows=9, parts=5|4, est_rows=9, cost=9]
-         └─ FullScan(role AS r)  [rows=3, est_rows=3, cost=3]""",
-
-    "partial-aggregate": """\
-PartialAggregate(whole input, partitions=2)  [rows=1, parts=2|1, est_rows=1, cost=10]
- └─ PartitionedScan(FullScan(participant AS p) filter=1, partitions=2)  [rows=3, parts=2|1, est_rows=3, cost=9]""",
-
-    "partial-group-by": """\
-PartialGroupBy(p.role_id, partitions=2)  [rows=3, parts=3|3, est_rows=3, cost=12]
- └─ PartitionedScan(FullScan(participant AS p), partitions=2)  [rows=9, parts=5|4, est_rows=9, cost=9]""",
-
-    "having-fallback": """\
-GroupBy(p.role_id) having COUNT(*) > 2 AND COUNT(*) < 9  [est_rows=3, cost=12]
- └─ Gather(partitions=2)  [est_rows=9, cost=9]
-     └─ PartitionedScan(FullScan(participant AS p), partitions=2)  [est_rows=9, cost=9]""",
-
     "cost-reorder": """\
 Project(d.descriptor_name, p.login)  [rows=36, est_rows=36, cost=105]
  └─ Restore(d, r, p)  [rows=36, est_rows=36, cost=105]
@@ -70,12 +49,6 @@ Project(d.descriptor_name, p.login)  [rows=36, est_rows=36, cost=105]
          │   ├─ FullScan(role AS r)  [rows=3, est_rows=3, cost=3]
          │   └─ FullScan(participant AS p)  [rows=9, est_rows=9, cost=9]
          └─ FullScan(role_descriptor AS d)  [rows=12, est_rows=12, cost=12]""",
-
-    "merge-sort": """\
-Limit(5)  [rows=5, est_rows=5, cost=19]
- └─ Project(p.login)  [rows=5, est_rows=5, cost=14]
-     └─ GatherMerge(partitions=2, p.login DESC) top_k=5  [rows=5, est_rows=5, cost=14]
-         └─ PartitionedScan(FullScan(participant AS p), partitions=2)  [rows=9, parts=5|4, est_rows=9, cost=9]""",
 
     "having-pushdown": """\
 GroupBy(p.role_id) having COUNT(*) > 2  [rows=2, est_rows=3, cost=12]
@@ -104,26 +77,6 @@ Project(p.login, d.descriptor_name)  [rows=36]
     "group-by": """\
 GroupBy(p.role_id) having COUNT(*) > 2  [rows=3]
  └─ FullScan(participant AS p)  [rows=9]""",
-
-    "partitioned-join": """\
-Project(p.login, r.role_name)  [rows=9]
- └─ Gather(partitions=2)  [rows=9]
-     └─ PartitionedHashJoin(p.role_id = r.role_id)  [rows=9, parts=5|4]
-         ├─ PartitionedScan(FullScan(participant AS p), partitions=2)  [rows=9, parts=5|4]
-         └─ FullScan(role AS r)  [rows=3]""",
-
-    "partial-aggregate": """\
-PartialAggregate(whole input, partitions=2)  [rows=1, parts=2|1]
- └─ PartitionedScan(FullScan(participant AS p) filter=1, partitions=2)  [rows=3, parts=2|1]""",
-
-    "partial-group-by": """\
-PartialGroupBy(p.role_id, partitions=2)  [rows=3, parts=3|3]
- └─ PartitionedScan(FullScan(participant AS p), partitions=2)  [rows=9, parts=5|4]""",
-
-    "having-fallback": """\
-GroupBy(p.role_id) having COUNT(*) > 2 AND COUNT(*) < 9
- └─ Gather(partitions=2)
-     └─ PartitionedScan(FullScan(participant AS p), partitions=2)""",
 
     # The reordering fixture in greedy mode: the plain FROM-order
     # chain, no Restore, no estimates.

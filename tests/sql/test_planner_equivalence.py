@@ -103,8 +103,7 @@ def test_nan_sort_key_under_limit_matches_the_seed_pipeline():
     """NaN compares false both ways, so the order of a NaN key is
     whatever the sort makes of it; both modes keep the first LIMIT rows
     of one stable sort, so they agree, and LIMIT returns a prefix of
-    the unlimited order.  Serial only: partitioned sorts merge NaN
-    keys into another order."""
+    the unlimited order."""
     db = Database()
     db.create_table("t", ("id", "k"))
     db.insert_many("t", [{"id": i, "k": k} for i, k in
@@ -120,7 +119,7 @@ def test_shared_nan_in_a_two_key_sort_matches_the_seed_pipeline():
     """One NaN object in two rows: wrapped, the seed pipeline's keys
     call it unequal to itself, so the second key never breaks the tie;
     a raw tuple's identity shortcut would call the two equal and sort
-    them by the second key.  Serial only, as above."""
+    them by the second key."""
     nan = float("nan")
     db = Database()
     db.create_table("t", ("id", "k", "j"))
@@ -143,17 +142,49 @@ def test_shared_nan_join_key_matches_no_row():
     sql = "SELECT a.id, b.id FROM a AS a, b AS b WHERE a.k = b.k"
     _assert_identical(db, sql)
     for options in (ExecutorOptions(), ExecutorOptions(planner=False),
-                    ExecutorOptions(hash_joins=False),
-                    ExecutorOptions(parallel=2)):
+                    ExecutorOptions(hash_joins=False)):
         result = db.view(options).execute(sql)
         assert [tuple(row.values()) for row in result.rows] == [(2, 20)]
     assert db.execute("SELECT a.id FROM a AS a WHERE a.k = a.k").rows \
         == db.execute("SELECT a.id FROM a AS a WHERE a.id = 2").rows
 
 
+def test_avg_is_the_exactly_rounded_mean():
+    """AVG totals finite floats exactly and rounds once: 1e16 + 1.0
+    rounds back to 1e16 in float arithmetic, so a running float sum
+    would give 0.25 here instead of 0.5."""
+    db = Database()
+    db.create_table("t", ("id", "v"))
+    db.insert_many("t", [{"id": i, "v": v} for i, v in
+                         enumerate([1e16, 1.0, -1e16, 1.0])])
+    sql = "SELECT AVG(t0.v) AS m FROM t AS t0"
+    _assert_identical(db, sql)
+    assert db.execute(sql).scalar() == 0.5
+
+
+@pytest.mark.parametrize("indexed", [False, True],
+                         ids=["full-scan", "index-probe"])
+def test_shared_nan_probe_key_matches_no_row(indexed):
+    """One NaN object stored in ``b.k`` and passed as ``:key``: the
+    engine's ``=`` finds it unequal to itself, so neither a full scan
+    nor an index probe returns its row, on the planner and the seed
+    pipeline alike.  A dict lookup would match the identical object."""
+    nan = float("nan")
+    db = Database()
+    db.create_table("b", ("id", "k"))
+    db.insert_many("b", [{"id": 0, "k": nan}, {"id": 1, "k": 1.0}])
+    if indexed:
+        db.create_index("b", "k")
+    sql = "SELECT b.id FROM b AS b WHERE b.k = :key"
+    _assert_identical(db, sql, {"key": nan})
+    assert db.execute(sql, {"key": nan}).rows == []
+    assert [row["id"] for row in db.execute(sql, {"key": 1.0}).rows] == [1]
+    scan = "IndexScan" if indexed else "FullScan"
+    assert scan in db.explain(sql, {"key": nan})
+
+
 # -- full-corpus equivalence ---------------------------------------------------
-# (corpus_sql / app_dbs are the session fixtures from conftest.py,
-# shared with tests/sql/test_parallel_equivalence.py.)
+# (corpus_sql / app_dbs are the session fixtures from conftest.py.)
 
 
 def test_full_corpus_sql_equivalence(corpus_sql, app_dbs):

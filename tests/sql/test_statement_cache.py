@@ -6,24 +6,23 @@ Misses are counted by wrapping ``repro.sql.plan.plan_select``, the one
 seam every planning call goes through.
 """
 
+import gc
 import re
 import sys
 import threading
 import time
+import types
 
 import pytest
 
 from repro.obs.profile import NO_SPAN, Profiler
 from repro.obs.trace import format_tree
-from repro.service import faults
-from repro.service.faults import DeadlineExceeded, FaultPlan
 from repro.sql import plan as plan_mod
 from repro.sql.database import Database
 from repro.sql.errors import SQLExecutionError
 from repro.sql.executor import Executor, ExecutorOptions
 from repro.sql.parser import parse
 from repro.sql.plan import PhysicalPlan, render
-from repro.sql.plan.physical import PhysicalOp
 from repro.tor.values import Record
 
 POINT = "SELECT * FROM a AS t0 WHERE t0.k = :key"
@@ -135,8 +134,6 @@ JOIN = ("SELECT t0.id, t1.v FROM a t0, b t1 WHERE t0.k = t1.k "
 FROM_SUB = ("SELECT t0.id, q.v FROM a t0, "
             "(SELECT t.id, t.v FROM c t WHERE t.v < 3) q "
             "WHERE t0.id = q.id")
-PAR_JOIN = ("SELECT t0.id, t1.id FROM a t0, b t1 WHERE t0.k = t1.k "
-            "ORDER BY t0.id, t1.id")
 
 
 @pytest.mark.parametrize("mutate, sql", [
@@ -223,21 +220,6 @@ def test_point_lookup_that_raises_leaves_no_plan(plans):
     assert len(plans) == before + 1
 
 
-def test_deadline_exceeded_leaves_no_plan(plans):
-    db = _db()
-    view = db.view(ExecutorOptions(parallel=3, deadline_seconds=0.2))
-    view.execute(PAR_JOIN)
-    assert len(view._statements[PAR_JOIN].idle) == 1
-    hang = FaultPlan(faults={"part:1": faults.HANG}, hang_seconds=1.0)
-    with faults.injected(hang):
-        with pytest.raises(DeadlineExceeded):
-            view.execute(PAR_JOIN)
-    assert view._statements[PAR_JOIN].idle == []
-    before = plans.count(parse(PAR_JOIN))
-    _same_result(view.execute(PAR_JOIN), db.execute(PAR_JOIN))
-    assert plans.count(parse(PAR_JOIN)) == before + 2
-
-
 def test_reentrant_run_gets_its_own_plan(monkeypatch):
     db = _db()
     db.execute(POINT, {"key": 1})
@@ -265,11 +247,9 @@ def test_reentrant_run_gets_its_own_plan(monkeypatch):
 
 def test_concurrent_runs_never_share_a_plan():
     """Threads running one statement on one handle each hold a plan of
-    their own.  A partitioned plan keeps per-run state (the key's row
-    slices) on its operators, so two runs sharing one would mix keys
-    or lose that state mid-run."""
+    their own, and each gets its own key's rows."""
     db = _db()
-    view = db.view(ExecutorOptions(parallel=2))
+    view = db.view()
     expected = {key: list(db.execute(JOIN, {"key": key}).rows)
                 for key in range(4)}
     failures = []
@@ -309,31 +289,52 @@ def test_seed_pipeline_never_plans(plans):
     assert plans == []
 
 
-def _operators(op):
-    yield op
-    scan = getattr(op, "scan", None)
-    if scan is not None:
-        yield from _operators(scan)
-    for child in op.children:
-        yield from _operators(child)
+def _reachable(root):
+    """Every object reachable from ``root`` through instance state,
+    containers and closure cells; module globals, classes and code
+    are not followed."""
+    seen = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType,
+                                               types.CodeType)):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents
+                         for cell in obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return seen
 
 
-def test_cached_parallel_plan_holds_no_rows():
+@pytest.mark.parametrize("sql, operator", [
+    ("SELECT t0.id, t1.v FROM a t0, b t1 WHERE t0.k = t1.k", "HashJoin("),
+    ("SELECT t0.id, t2.id FROM a t0, c t2", "NestedLoop"),
+    ("SELECT q.* FROM (SELECT * FROM c t) q WHERE q.v < 3",
+     "SubqueryScan"),
+    ("SELECT t0.id FROM a t0 WHERE t0.k IN (SELECT t1.k FROM b t1)",
+     "FullScan(a AS t0) filter=1"),
+], ids=["hash-join", "nested-loop", "from-subquery", "in-subquery"])
+def test_cached_plan_holds_no_rows(sql, operator):
+    """A plan kept for reuse pins none of the rows its last run read:
+    no stored record is reachable from the idle plan's operators."""
     db = _db()
-    view = db.view(ExecutorOptions(parallel=2))
-    sql = PAR_JOIN
-    first = view.execute(sql)
-    plan = _cached_plan(view, sql)
-    ops = list(_operators(plan.root))
-    assert any(op.describe().startswith("PartitionedHashJoin(")
-               for op in ops)
-    for op in ops:
-        held = [a for a in PhysicalOp._UNPICKLED_STATE if a in op.__dict__]
-        assert held == [], (type(op).__name__, held)
-    second = view.execute(sql)
-    assert _cached_plan(view, sql) is plan
+    first = db.execute(sql)
+    plan = _cached_plan(db, sql)
+    assert operator in render(plan.root)
+    stored = {id(row) for table in db.catalog.tables.values()
+              for row in table.rows}
+    held = [obj for key, obj in _reachable(plan.root).items()
+            if key in stored]
+    assert held == []
+    second = db.execute(sql)
+    assert _cached_plan(db, sql) is plan
     _same_result(second, first)
-    _same_result(second, db.execute(sql))
+    _same_result(second, db.view(ExecutorOptions(planner=False))
+                 .execute(sql))
 
 
 # -- SELECT * passes stored records through ------------------------------------
@@ -500,7 +501,6 @@ MODES = {
     "seed": ExecutorOptions(planner=False),
     "planner": ExecutorOptions(),
     "vectorized": ExecutorOptions(vectorized=True),
-    "parallel-2": ExecutorOptions(parallel=2),
 }
 
 

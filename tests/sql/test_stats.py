@@ -1,16 +1,10 @@
-"""The statistics layer: incremental maintenance, ANALYZE, estimator
+"""The statistics layer: incremental maintenance, ANALYZE and estimator
 edge cases (empty tables, constant/all-distinct columns, stale stats,
-degradation on unhashable/incomparable values) and the auto-partition
-cost rule."""
+degradation on unhashable/incomparable values)."""
 
 import pytest
 
 from repro.sql import Database, ExecutorOptions
-from repro.sql.plan.optimizer import (
-    AUTO_MIN_CORES,
-    AUTO_ROWS_PER_PARTITION,
-    resolve_auto_partitions,
-)
 from repro.sql.stats import TableStats
 
 
@@ -112,68 +106,3 @@ def test_estimates_survive_unknown_stats(db):
     result = db.execute(sql)
     legacy = db.view(ExecutorOptions(planner=False)).execute(sql)
     assert list(result.rows) == list(legacy.rows)
-
-
-def test_resolve_auto_partitions_rule():
-    cores = 8
-    assert resolve_auto_partitions(0, cores) == 1
-    assert resolve_auto_partitions(AUTO_ROWS_PER_PARTITION - 1,
-                                   cores) == 1
-    assert resolve_auto_partitions(AUTO_ROWS_PER_PARTITION * 3,
-                                   cores) == 3
-    # Capped by the usable cores.
-    assert resolve_auto_partitions(AUTO_ROWS_PER_PARTITION * 100,
-                                   cores) == cores
-    assert resolve_auto_partitions(10 ** 9, 1) == 1
-    # Below AUTO_MIN_CORES cores every input stays serial.
-    assert AUTO_MIN_CORES == 4
-    assert resolve_auto_partitions(10 ** 9, 2) == 1
-    assert resolve_auto_partitions(10 ** 9, 3) == 1
-
-
-def test_parallel_auto_is_identity(db):
-    auto = db.view(ExecutorOptions(parallel="auto"))
-    for sql in ("SELECT t0.id FROM t t0 WHERE t0.v = 2",
-                "SELECT COUNT(*), SUM(t0.id) FROM t t0",
-                "SELECT t0.v, COUNT(*) AS n FROM t t0 GROUP BY t0.v"):
-        assert list(auto.execute(sql).rows) == \
-            list(db.execute(sql).rows), sql
-
-
-def _big_db():
-    db = Database()
-    db.create_table("big", ("id", "g"))
-    db.insert_many("big", ({"id": i, "g": i % 5}
-                           for i in range(AUTO_ROWS_PER_PARTITION * 4)))
-    return db
-
-
-def test_parallel_auto_fans_out_large_scans(monkeypatch):
-    import repro.sql.plan.optimizer as O
-
-    db = _big_db()
-    monkeypatch.setattr(O, "usable_cores", lambda: 4)
-    auto = db.view(ExecutorOptions(parallel="auto"))
-    sql = "SELECT COUNT(*) AS n FROM big t0"
-    assert "partitions=4" in auto.explain(sql)
-    assert auto.execute(sql).scalar() == db.execute(sql).scalar()
-
-
-def test_parallel_auto_stays_serial_on_two_cores(monkeypatch):
-    import repro.sql.plan.optimizer as O
-
-    db = _big_db()
-    monkeypatch.setattr(O, "usable_cores", lambda: 2)
-    auto = db.view(ExecutorOptions(parallel="auto"))
-    sql = "SELECT COUNT(*) AS n FROM big t0"
-    plan = auto.explain(sql)
-    assert "partitions=" not in plan
-    assert plan == db.explain(sql)
-    assert auto.execute(sql).scalar() == db.execute(sql).scalar()
-
-
-def test_parallel_auto_requires_planner():
-    with pytest.raises(ValueError):
-        Database(ExecutorOptions(planner=False, parallel="auto"))
-    with pytest.raises(ValueError):
-        Database(ExecutorOptions(parallel="nope"))

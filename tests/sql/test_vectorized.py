@@ -10,8 +10,6 @@ Layers:
 * batch-boundary sizes {1, 2, 1023, 1024, 1025, > table} over a table
   sized to straddle the default boundary, plus empty-table and
   single-batch fast paths;
-* composition with ``parallel=K`` for K in {1, 2, 4}, where each
-  partition's row range is chunked into batches;
 * shapes without a column form (IN subqueries, mixed with column
   predicates): per-row closures inside the batch, evaluated on the
   same rows as the seed pipeline;
@@ -160,47 +158,6 @@ def test_columns_of_records_written_behind_the_api(size):
                 "SELECT t0.id FROM t t0 WHERE t0.k = 1")
 
 
-# -- composition with parallel=K -----------------------------------------------
-
-
-PARALLEL_QUERIES = (
-    # Partial aggregation (the shape the pool pays off on).
-    "SELECT COUNT(*) AS n, SUM(t0.v) AS tot, MIN(t0.v) AS lo, "
-    "MAX(t0.v) AS hi FROM t t0 WHERE t0.k > 1",
-    # Grouped partial aggregation.
-    "SELECT t0.k, COUNT(*) AS n FROM t t0 WHERE t0.v > 3 GROUP BY t0.k",
-    # GatherMerge above the boundary.
-    "SELECT t0.id FROM t t0 WHERE t0.v > 15 ORDER BY t0.v DESC, t0.id "
-    "LIMIT 20",
-    # AVG partials, exactly combined.
-    "SELECT AVG(t0.v) FROM t t0 WHERE t0.k > 1",
-)
-
-
-@pytest.mark.parametrize("sql", PARALLEL_QUERIES)
-def test_vectorized_composes_with_parallel(boundary_db, sql):
-    """Partition row ranges chunk into batches; small batches make
-    every partition carry several."""
-    seed = boundary_db.view(ExecutorOptions(planner=False)).execute(sql)
-    for k in (1, 2, 4):
-        view = boundary_db.view(ExecutorOptions(batch_size=64, parallel=k))
-        result = view.execute(sql)
-        assert list(result.rows) == list(seed.rows), (sql, k)
-        assert result.columns == seed.columns, (sql, k)
-        assert _stats_tuple(result.stats) == _stats_tuple(seed.stats), \
-            (sql, k)
-
-
-def test_parallel_shapes_survive_vectorization(boundary_db):
-    """The Gather shapes keep their plan names whatever the batch
-    size."""
-    view = boundary_db.view(ExecutorOptions(batch_size=64, parallel=2))
-    plan = view.explain(PARALLEL_QUERIES[0])
-    assert "PartialAggregate(whole input, partitions=2)" in plan
-    merge_plan = view.explain(PARALLEL_QUERIES[2])
-    assert "GatherMerge(partitions=2" in merge_plan
-
-
 # -- shapes without a column form ----------------------------------------------
 
 
@@ -281,20 +238,18 @@ def test_profile_attaches_under_vectorized(boundary_db):
 
 def test_vectorized_flag_is_inert(wilos_db):
     """``ExecutorOptions.vectorized`` selects nothing: over the whole
-    battery, serial and parallel, it leaves EXPLAIN ANALYZE, rows,
-    columns and statistics exactly as the default options do."""
+    battery it leaves EXPLAIN ANALYZE, rows, columns and statistics
+    exactly as the default options do."""
+    plain = wilos_db.view(ExecutorOptions())
+    flagged = wilos_db.view(ExecutorOptions(vectorized=True))
     for sql, params in BATTERY:
-        for k in (1, 2):
-            plain = wilos_db.view(ExecutorOptions(parallel=k))
-            flagged = wilos_db.view(ExecutorOptions(parallel=k,
-                                                    vectorized=True))
-            assert flagged.explain(sql, params, analyze=True) == \
-                plain.explain(sql, params, analyze=True), (sql, k)
-            got, want = (flagged.execute(sql, params),
-                         plain.execute(sql, params))
-            assert list(got.rows) == list(want.rows), (sql, k)
-            assert got.columns == want.columns, (sql, k)
-            assert got.stats == want.stats, (sql, k)
+        assert flagged.explain(sql, params, analyze=True) == \
+            plain.explain(sql, params, analyze=True), sql
+        got, want = (flagged.execute(sql, params),
+                     plain.execute(sql, params))
+        assert list(got.rows) == list(want.rows), sql
+        assert got.columns == want.columns, sql
+        assert got.stats == want.stats, sql
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "1024"])
