@@ -4,8 +4,9 @@ The scheduler-level contracts (outcome identity, chaos runs with exact
 attempt counts) live in ``test_scheduler.py`` and ``test_faults.py``;
 this file pins the pool mechanics in isolation: the length-prefixed
 frame protocol, list-order dispatch through :meth:`WorkerPool.stream`,
-job failures carried home unchanged, hung-worker replacement, the
-closed-pool refusal and the file-descriptor budget.
+job failures carried home unchanged, hung-worker replacement, a queued
+job's wait bounded by the deadline, the closed-pool refusal and the
+file-descriptor budget.
 """
 
 import functools
@@ -141,6 +142,28 @@ def test_hung_worker_is_replaced_and_the_job_retried():
             == [101]
     finally:
         pool.close()
+
+
+def test_waiting_for_the_pool_honours_the_deadline(one_worker_pool):
+    """A job queued behind a busy worker waits no longer than the run's
+    deadline: at expiry the running job is reaped and the waiting one
+    finishes without ever starting."""
+    jobs = [functools.partial(_hang_on_first_attempt, 1),
+            functools.partial(_plus_100, 2)]
+    begin = time.perf_counter()
+    running, waiting = sorted(
+        one_worker_pool.stream(jobs, deadline=faults.Deadline.after(0.3)),
+        key=lambda d: d.index)
+    assert time.perf_counter() - begin < 10
+    assert isinstance(running.error, faults.DeadlineExceeded)
+    assert "while running" in str(running.error)
+    assert running.attempts == 1
+    assert isinstance(waiting.error, faults.DeadlineExceeded)
+    assert "before start" in str(waiting.error)
+    assert waiting.attempts == 0
+    # The reaped worker is replaced: the pool serves the next run.
+    assert [d.value for d in one_worker_pool.stream(
+        _jobs(_plus_100, (1,)))] == [101]
 
 
 def test_many_jobs_fit_a_small_fd_budget():

@@ -245,6 +245,23 @@ def test_reentrant_run_gets_its_own_plan(monkeypatch):
     assert len(db._statements[POINT].idle) == 1
 
 
+def _in_threads(worker, count=6):
+    """Run ``worker(n)`` for n < ``count``, each on a thread of its
+    own, all at once, switching threads every 10 microseconds."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,))
+                   for n in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
 def test_concurrent_runs_never_share_a_plan():
     """Threads running one statement on one handle each hold a plan of
     their own, and each gets its own key's rows."""
@@ -264,18 +281,7 @@ def test_concurrent_runs_never_share_a_plan():
         except Exception as exc:     # noqa: BLE001 - reported below
             failures.append(exc)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=worker, args=(n,))
-                   for n in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    _in_threads(worker)
     assert failures == []
 
 
@@ -310,14 +316,25 @@ def _reachable(root):
     return seen
 
 
-@pytest.mark.parametrize("sql, operator", [
+ROW_READERS = [
     ("SELECT t0.id, t1.v FROM a t0, b t1 WHERE t0.k = t1.k", "HashJoin("),
     ("SELECT t0.id, t2.id FROM a t0, c t2", "NestedLoop"),
     ("SELECT q.* FROM (SELECT * FROM c t) q WHERE q.v < 3",
      "SubqueryScan"),
     ("SELECT t0.id FROM a t0 WHERE t0.k IN (SELECT t1.k FROM b t1)",
      "FullScan(a AS t0) filter=1"),
-], ids=["hash-join", "nested-loop", "from-subquery", "in-subquery"])
+]
+
+
+def _stored_records_held(db, plan):
+    stored = {id(row) for table in db.catalog.tables.values()
+              for row in table.rows}
+    return [obj for key, obj in _reachable(plan.root).items()
+            if key in stored]
+
+
+@pytest.mark.parametrize("sql, operator", ROW_READERS, ids=[
+    "hash-join", "nested-loop", "from-subquery", "in-subquery"])
 def test_cached_plan_holds_no_rows(sql, operator):
     """A plan kept for reuse pins none of the rows its last run read:
     no stored record is reachable from the idle plan's operators."""
@@ -325,16 +342,40 @@ def test_cached_plan_holds_no_rows(sql, operator):
     first = db.execute(sql)
     plan = _cached_plan(db, sql)
     assert operator in render(plan.root)
-    stored = {id(row) for table in db.catalog.tables.values()
-              for row in table.rows}
-    held = [obj for key, obj in _reachable(plan.root).items()
-            if key in stored]
-    assert held == []
+    assert _stored_records_held(db, plan) == []
     second = db.execute(sql)
     assert _cached_plan(db, sql) is plan
     _same_result(second, first)
     _same_result(second, db.view(ExecutorOptions(planner=False))
                  .execute(sql))
+
+
+def test_cached_parallel_plan_holds_no_rows():
+    """Parallel runs put back plans that pin no rows either: six
+    threads run the shapes above at once, each statement's runs
+    overlapping, and the one plan each statement keeps holds no stored
+    record."""
+    db = _db()
+    statements = [sql for sql, _ in ROW_READERS]
+    expected = {sql: list(db.execute(sql).rows) for sql in statements}
+    failures = []
+
+    def worker(offset):
+        try:
+            for i in range(24):
+                sql = statements[(i + offset) % len(statements)]
+                rows = list(db.execute(sql).rows)
+                if rows != expected[sql]:
+                    failures.append((sql, rows))
+        except Exception as exc:     # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    _in_threads(worker)
+    assert failures == []
+    for sql, operator in ROW_READERS:
+        plan = _cached_plan(db, sql)
+        assert operator in render(plan.root)
+        assert _stored_records_held(db, plan) == [], sql
 
 
 # -- SELECT * passes stored records through ------------------------------------
