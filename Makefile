@@ -101,13 +101,12 @@ serve-smoke:
 chaos-smoke:
 	$(PYTHON) -m pytest tests/service/test_faults.py -q
 
-# Worker-pool canary: the pool's full test surface — protocol unit
-# tests, hung-worker replacement, the fd budget, and seeded chaos
-# against the scheduler's QBS batches (respawn + retry with exact
-# attempt counts).
+# Worker-pool canary: the pool's own test surface — protocol unit
+# tests, job order, hung-worker replacement, the queueing deadline and
+# the fd budget.  Seeded chaos against the scheduler's QBS batches
+# (respawn + retry with exact attempt counts) is chaos-smoke's.
 pool-smoke:
-	$(PYTHON) -m pytest tests/service/test_pool.py \
-		tests/service/test_faults.py -q
+	$(PYTHON) -m pytest tests/service/test_pool.py -q
 
 # Observability canary: golden span trees, metrics exposition format,
 # untraced-off byte-identity, and one real traced benchmark run
@@ -117,8 +116,8 @@ obs-smoke:
 
 # Profiler canary: one profiled corpus run through the CLI (the
 # collapsed-stack file must come out non-empty), then the profiler's
-# own contract suite — off-path byte-identity, masked span-universe
-# goldens, and merging sample buffers between profilers.
+# own contract suite — off-path byte-identity and masked span-universe
+# goldens.
 profile-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(PYTHON) -m repro.service.cli run --fragments w40 --workers 1 \

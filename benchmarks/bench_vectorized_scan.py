@@ -4,9 +4,9 @@ Every planned query runs on the batch operators
 (``repro.sql.plan.physical``): scalar expressions compile once per plan
 into closures over column vectors (``repro.sql.plan.vector``), so the
 per-row environment dict and recursive ``_eval`` walk are amortized
-across ``batch_size`` rows.  The baseline on both floors is the seed
-single-pass pipeline (``ExecutorOptions(planner=False)``), the
-engine's oracle.
+across each operator's whole batch.  The baseline on both floors is
+the seed single-pass pipeline (``ExecutorOptions(planner=False)``),
+the engine's oracle.
 
 Claims:
 
@@ -51,10 +51,9 @@ from repro.sql.executor import ExecutorOptions
 MIN_VECTORIZED_SPEEDUP = 2.0
 MIN_SMALL_QUERY_SPEEDUP = 2.0
 N_ROWS = 200_000
-BATCH_SIZE = 1024
 
 #: Scan + filter + aggregate: per-row interpretation dominates, the
-#: compiled closures amortize it per batch.
+#: compiled closures amortize it over the batch.
 AGG_SQL = ("SELECT COUNT(*) AS n, SUM(t0.v) AS tot, MIN(t0.v) AS lo, "
            "MAX(t0.v) AS hi FROM ev t0 "
            "WHERE t0.a > 13 AND t0.b < 880 AND t0.v > 4")
@@ -148,16 +147,13 @@ def small_queries(pages: int, repeats: int) -> float:
 def run(smoke=False):
     repeats = 1 if smoke else 3
 
-    engine = build_database(N_ROWS).view(ExecutorOptions(
-        batch_size=BATCH_SIZE))
+    engine = build_database(N_ROWS)
     seed = engine.view(ExecutorOptions(planner=False))
     print(engine.explain(AGG_SQL))
     print()
 
-    speedup = compare("agg scan, batch=%d" % BATCH_SIZE, engine, seed,
-                      AGG_SQL, repeats)
-    grouped = compare("grouped agg, batch=%d" % BATCH_SIZE, engine, seed,
-                      GROUP_SQL, repeats)
+    speedup = compare("agg scan", engine, seed, AGG_SQL, repeats)
+    grouped = compare("grouped agg", engine, seed, GROUP_SQL, repeats)
     small = small_queries(50 if smoke else 200, 2 if smoke else 3)
 
     print()
@@ -178,8 +174,8 @@ def run(smoke=False):
                                                MIN_VECTORIZED_SPEEDUP),
                 "small_query": floor_entry(small,
                                            MIN_SMALL_QUERY_SPEEDUP)},
-        extra={"rows": N_ROWS, "batch_size": BATCH_SIZE,
-               "repeats": repeats, "baseline": "seed pipeline",
+        extra={"rows": N_ROWS, "repeats": repeats,
+               "baseline": "seed pipeline",
                "grouped_speedup": grouped})
     for failure in failures:
         print("FAIL: " + failure)

@@ -27,8 +27,7 @@ run — that is what the masked golden tests compare
 nothing samples the scheduler's pool workers: ``repro-qbs run
 --profile`` attributes a whole run only with ``--workers 1``.  A
 profiler started in a forked child replaces the stale one it inherited
-(whose ``pid`` no longer matches); :meth:`Profiler.payload` and
-:meth:`Profiler.absorb` carry samples between profilers as plain data.
+(whose ``pid`` no longer matches).
 
 Surfaces: ``Database.execute(sql, profile=...)``, ``repro-qbs run
 --profile out.txt``, and ``Synthesizer.synthesize(profiler=...)`` for
@@ -218,28 +217,6 @@ class Profiler:
                 stack.pop()
                 if not stack:
                     self._span_stacks.pop(tid, None)
-
-    # -- cross-process transport -------------------------------------------
-
-    def payload(self) -> Dict[str, Any]:
-        """Plain-data (picklable) form for shipping samples home from a
-        forked worker, merged with :meth:`absorb` on the driver side."""
-        return {
-            "schema": PROFILE_SCHEMA,
-            "samples": [[label, stack, count] for (label, stack), count
-                        in sorted(self.samples.items())],
-            "spans_seen": sorted(self.spans_seen),
-            "sample_count": self.sample_count,
-            "duration_seconds": self.duration_seconds,
-        }
-
-    def absorb(self, payload: Dict[str, Any]) -> None:
-        """Merge a shipped :meth:`payload` into this profiler."""
-        for label, stack, count in payload.get("samples", ()):
-            key = (label, stack)
-            self.samples[key] = self.samples.get(key, 0) + count
-        self.spans_seen.update(payload.get("spans_seen", ()))
-        self.sample_count += payload.get("sample_count", 0)
 
     # -- reports -----------------------------------------------------------
 

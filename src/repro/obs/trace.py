@@ -12,9 +12,8 @@ nested calls — including re-entrant executor calls for subqueries —
 parent correctly without any explicit plumbing.
 
 Timings use :func:`time.perf_counter` (monotonic); tag values must be
-JSON-serializable.  Spans serialize with :meth:`Span.to_dict` /
-:meth:`Span.from_dict` (``repro-qbs run --trace`` writes the
-``to_dict`` form).
+JSON-serializable.  Spans serialize with :meth:`Span.to_dict`, the
+plain-data form ``repro-qbs run --trace`` writes.
 """
 
 from __future__ import annotations
@@ -110,8 +109,8 @@ class Span:
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
         elapsed = time.perf_counter() - (self._start or 0.0)
-        # A span can be re-entered (e.g. an operator called once per
-        # batch); accumulate rather than overwrite.
+        # A span object can be entered more than once; accumulate
+        # rather than overwrite.
         self.elapsed_seconds = (self.elapsed_seconds or 0.0) + elapsed
         if _PROFILE_HOOK is not None:
             _PROFILE_HOOK(self, False)
@@ -134,15 +133,6 @@ class Span:
             "elapsed_seconds": self.elapsed_seconds,
             "children": [c.to_dict() for c in self.children],
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Span":
-        node = cls(str(payload.get("name", "")))
-        node.tags = dict(payload.get("tags") or {})
-        node.elapsed_seconds = payload.get("elapsed_seconds")
-        node.children = [cls.from_dict(c)
-                         for c in payload.get("children") or []]
-        return node
 
     # -- inspection --------------------------------------------------------
 

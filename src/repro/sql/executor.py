@@ -55,9 +55,8 @@ class ExecutionStats:
 
 @dataclass
 class ExecutorOptions:
-    """Execution options: the oracle switch, optimizer rule toggles and
-    batch size.  The planner reads them too
-    (:func:`repro.sql.plan.plan_select`).
+    """Execution options: the oracle switch and optimizer rule toggles.
+    The planner reads them too (:func:`repro.sql.plan.plan_select`).
 
     ``planner``
         Plan-then-execute through :mod:`repro.sql.plan` (the default).
@@ -74,11 +73,6 @@ class ExecutorOptions:
         greedy FROM-order planner exactly as PR 3 built it.  Both
         modes are pinned row/column/stats-identical to the seed
         pipeline.
-    ``batch_size``
-        Rows per column batch.  Every planned query streams batches of
-        at most this many rows through once-compiled closures
-        (:mod:`repro.sql.plan.vector`).  Results do not depend on it
-        (``tests/sql/test_vectorized.py``).
     ``vectorized``
         Inert: batch execution is the only planned engine, so this
         selects nothing and nothing reads it.  It stays constructible
@@ -91,7 +85,6 @@ class ExecutorOptions:
     hash_joins: bool = True
     cost_based: bool = True
     vectorized: bool = False
-    batch_size: int = 1024
 
 
 @dataclass
@@ -134,11 +127,6 @@ class Executor:
                  options: Optional[ExecutorOptions] = None):
         self.catalog = catalog
         self.options = options or ExecutorOptions()
-        batch_size = self.options.batch_size
-        if not isinstance(batch_size, int) or isinstance(batch_size, bool) \
-                or batch_size < 1:
-            raise ValueError("batch_size must be a positive integer, "
-                             "got %r" % (batch_size,))
 
     # -- public entry ----------------------------------------------------------
 
@@ -189,7 +177,8 @@ class Executor:
         sources = [self._resolve_source(src, params, stats)
                    for src in select.sources]
         conjuncts = _flatten_and(select.where)
-        pushed, join_preds, residual = self._classify(conjuncts, sources)
+        pushed, join_preds, residual = _classify(
+            conjuncts, [(source.alias, source.columns) for source in sources])
 
         # Scan each source with its pushed-down predicates.
         scanned: List[_ScannedSource] = []
@@ -282,7 +271,7 @@ class Executor:
                     filtered.append((rowid, record))
             candidate = filtered
         return _ScannedSource(alias=source.alias, columns=source.columns,
-                              rows=candidate, table=source.table)
+                              rows=candidate)
 
     def _index_probe(self, pred: S.Expr, source: "_Source", params
                      ) -> Optional[Tuple[str, Any]]:
@@ -301,41 +290,10 @@ class Executor:
                     return column, value
         return None
 
-    # -- predicate classification -----------------------------------------------------
-
-    def _classify(self, conjuncts: List[S.Expr],
-                  sources: Sequence["_Source"]
-                  ) -> Tuple[Dict[str, List[S.Expr]],
-                             List[Tuple[str, str, S.Expr]], List[S.Expr]]:
-        aliases = {s.alias for s in sources}
-        by_column: Dict[str, str] = {}
-        for source in sources:
-            for column in source.columns:
-                # Ambiguous bare columns resolve to the first source.
-                by_column.setdefault(column, source.alias)
-
-        pushed: Dict[str, List[S.Expr]] = {}
-        join_preds: List[Tuple[str, str, S.Expr]] = []
-        residual: List[S.Expr] = []
-        for pred in conjuncts:
-            used = _aliases_used(pred, aliases, by_column)
-            if used is None:
-                residual.append(pred)
-            elif len(used) <= 1:
-                alias = next(iter(used), sources[0].alias)
-                pushed.setdefault(alias, []).append(pred)
-            elif len(used) == 2 and isinstance(pred, S.BinOp) \
-                    and pred.op == "=":
-                a, b = sorted(used)
-                join_preds.append((a, b, pred))
-            else:
-                residual.append(pred)
-        return pushed, join_preds, residual
-
     # -- joins ------------------------------------------------------------------------
 
     def _join_all(self, scanned: List["_ScannedSource"],
-                  join_preds: List[Tuple[str, str, S.Expr]],
+                  join_preds: List["_JoinPred"],
                   params, stats) -> List[Env]:
         if not scanned:
             return [{}]
@@ -349,14 +307,15 @@ class Executor:
             # to this source: that enables a hash join.
             connector = None
             for entry in remaining:
-                a, b, pred = entry
-                if {a, b} & joined_aliases and source.alias in (a, b):
+                if {entry.a, entry.b} & joined_aliases \
+                        and source.alias in (entry.a, entry.b):
                     connector = entry
                     break
             if connector is not None:
                 remaining.remove(connector)
-                envs = self._hash_join(envs, source, connector[2], params,
-                                       stats)
+                envs = self._hash_join(envs, source,
+                                       _orient(connector, source.alias),
+                                       params, stats)
             else:
                 stats.nested_loop_joins += 1
                 envs = [dict(env, **{source.alias: row})
@@ -364,16 +323,16 @@ class Executor:
             joined_aliases.add(source.alias)
 
         # Any join predicates not used as connectors become filters.
-        for _, _, pred in remaining:
+        for entry in remaining:
             envs = [env for env in envs
-                    if _truthy(self._eval(pred, env, params, stats))]
+                    if _truthy(self._eval(entry.pred, env, params, stats))]
         return envs
 
     def _hash_join(self, envs: List[Env], source: "_ScannedSource",
                    pred: S.BinOp, params, stats) -> List[Env]:
         """Build a hash table on the new source, probe with ``envs``."""
         stats.hash_joins += 1
-        buckets, probe_expr = _hash_build(source, pred)
+        buckets, probe_expr = _hash_build(source.alias, source.rows, pred)
         return _hash_probe(self, envs, buckets, probe_expr, source.alias,
                            params, stats)
 
@@ -689,38 +648,111 @@ class _Source:
 
 
 class _ScannedSource:
-    """A FROM source after its scan: alias, columns, the ``(rowid,
-    record)`` rows that passed its pushed-down predicates, and the base
-    table (None for a subquery)."""
+    """A FROM source after its scan: alias, columns and the ``(rowid,
+    record)`` rows that passed its pushed-down predicates."""
 
-    __slots__ = ("alias", "columns", "rows", "table")
+    __slots__ = ("alias", "columns", "rows")
 
     def __init__(self, alias: str, columns: Tuple[str, ...],
-                 rows: List[Tuple[int, Record]], table: Optional[Table]):
+                 rows: List[Tuple[int, Record]]):
         self.alias = alias
         self.columns = columns
         self.rows = rows
-        self.table = table
 
 
-def _hash_build(source: "_ScannedSource", pred: S.BinOp
+@dataclass
+class _JoinPred:
+    """One ``a.x = b.y`` WHERE conjunct, with its resolved side owners.
+
+    ``a``/``b`` are the two aliases (sorted); ``left_alias`` /
+    ``right_alias`` name the alias each *syntactic side* of the
+    predicate belongs to (None when a side does not resolve to a single
+    alias), which :func:`_orient` reads.
+    """
+
+    a: str
+    b: str
+    pred: S.BinOp
+    left_alias: Optional[str]
+    right_alias: Optional[str]
+
+
+def _classify(conjuncts: Sequence[S.Expr],
+              sources: Sequence[Tuple[str, Tuple[str, ...]]]
+              ) -> Tuple[Dict[str, List[S.Expr]], List[_JoinPred],
+                         List[S.Expr]]:
+    """Split WHERE conjuncts into pushed / join / residual groups.
+
+    ``sources`` holds each FROM source's ``(alias, columns)`` in FROM
+    order.  Shared by the seed pipeline and the planner, so both push,
+    join and filter the same conjuncts.
+    """
+    aliases = {alias for alias, _ in sources}
+    by_column: Dict[str, str] = {}
+    for alias, columns in sources:
+        for column in columns:
+            # Ambiguous bare columns resolve to the first source.
+            by_column.setdefault(column, alias)
+
+    def owner(side: S.Expr) -> Optional[str]:
+        used = _aliases_used(side, aliases, by_column)
+        return next(iter(used)) if used is not None and len(used) == 1 \
+            else None
+
+    pushed: Dict[str, List[S.Expr]] = {}
+    join_preds: List[_JoinPred] = []
+    residual: List[S.Expr] = []
+    for pred in conjuncts:
+        used = _aliases_used(pred, aliases, by_column)
+        if used is None:
+            residual.append(pred)
+        elif len(used) <= 1:
+            alias = next(iter(used), sources[0][0])
+            pushed.setdefault(alias, []).append(pred)
+        elif len(used) == 2 and isinstance(pred, S.BinOp) \
+                and pred.op == "=":
+            a, b = sorted(used)
+            join_preds.append(_JoinPred(a, b, pred, owner(pred.left),
+                                        owner(pred.right)))
+        else:
+            residual.append(pred)
+    return pushed, join_preds, residual
+
+
+def _orient(entry: _JoinPred, build_alias: str) -> S.BinOp:
+    """The join predicate with its sides where :func:`_hash_build`
+    looks for the build column: swapped iff the build alias owns the
+    left side without naming it.  Every mode orients a hash join's
+    connector here, whatever the join order."""
+    pred = entry.pred
+    if isinstance(pred.left, S.ColumnRef) and pred.left.alias == build_alias:
+        return pred
+    if entry.left_alias == build_alias and entry.right_alias != build_alias:
+        return S.BinOp(pred.op, pred.right, pred.left)
+    return pred
+
+
+def _hash_build(alias: str, rows: List[Tuple[int, Record]], pred: S.BinOp
                 ) -> Tuple[Dict[Any, List[Tuple[int, Record]]], S.Expr]:
     """The build phase of a hash join: bucket the new source's rows.
 
-    Returns the buckets and the probe-side expression.  Shared by the
-    seed pipeline and the planner's hash join.
+    ``alias`` names the new source and ``pred`` comes oriented
+    (:func:`_orient`): the left side is the build column when it is
+    qualified with ``alias``, the right side otherwise.  Returns the
+    buckets and the probe-side expression.  Shared by the seed pipeline
+    and the planner's hash join.
     """
     left_expr, right_expr = pred.left, pred.right
     if not (isinstance(left_expr, S.ColumnRef)
             and isinstance(right_expr, S.ColumnRef)):
         raise SQLExecutionError("hash join needs column = column")
-    if left_expr.alias == source.alias:
+    if left_expr.alias == alias:
         probe_expr, build_expr = right_expr, left_expr
     else:
         probe_expr, build_expr = left_expr, right_expr
 
     buckets: Dict[Any, List[Tuple[int, Record]]] = {}
-    for rowid, record in source.rows:
+    for rowid, record in rows:
         buckets.setdefault(record[build_expr.column], []).append(
             (rowid, record))
     # A key unequal to itself (NaN) matches no row under the engine's

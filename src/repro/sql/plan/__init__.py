@@ -7,7 +7,8 @@ The subsystem behind ``ExecutorOptions(planner=True)``:
 * :mod:`repro.sql.plan.optimizer` — HAVING and predicate pushdown,
   index-scan selection and cost-based join ordering;
 * :mod:`repro.sql.plan.physical` — the executable operators, one
-  batch family with per-operator statistics;
+  batch family with per-operator statistics: each returns its whole
+  output as one column batch;
 * :mod:`repro.sql.plan.vector` — the column batch and the expression
   compiler every operator evaluates through;
 * :mod:`repro.sql.plan.explain` — the EXPLAIN tree printer
@@ -36,6 +37,10 @@ the differential fuzzer):
 * **no rows between runs** — a plan the statement cache keeps holds no
   row once a run ends: scans and join build sides live in the run's
   locals (``tests/sql/test_statement_cache.py``).
+* **nothing evaluated over no rows** — an operator whose input is empty
+  returns before it calls a compiled closure or reads a sort key, as
+  the seed pipeline evaluates nothing over no rows; a bare column name
+  resolves against the rows it is given, and over none it would raise.
 """
 
 from __future__ import annotations
@@ -66,4 +71,4 @@ def plan_select(select: S.Select, catalog: Catalog,
     """Build, optimize and lower the plan for one SELECT."""
     logical = build_logical(select)
     optimized = optimize(logical, catalog, options)
-    return PhysicalPlan(lower(optimized, options))
+    return PhysicalPlan(lower(optimized))

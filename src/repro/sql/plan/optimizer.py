@@ -41,15 +41,15 @@ The rules read the planner fields of
 ``ExecutorOptions(cost_based=False)`` reproduces the greedy planner's
 plans exactly; ``cost_based=True`` (the default) additionally annotates
 every logical node with ``est_rows`` / ``est_cost``, which lowering
-copies onto the physical operators and EXPLAIN prints.  The
-classification logic deliberately mirrors the legacy executor's
-(`Executor._classify` / `_join_all`), so every mode stays row-for-row
-identical to the seed pipeline.
+copies onto the physical operators and EXPLAIN prints.  Conjuncts are
+classified and hash-join predicates oriented by the seed pipeline's own
+helpers (``executor._classify`` / ``_orient``), and the chain takes its
+connectors as the seed's ``_join_all`` does, so every mode stays
+row-for-row identical to the seed pipeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,9 +59,11 @@ from repro.sql.errors import SQLExecutionError
 from repro.sql.executor import (
     Executor,
     ExecutorOptions,
-    _aliases_used,
+    _classify,
     _default_name,
     _flatten_and,
+    _JoinPred,
+    _orient,
 )
 from repro.sql.plan import logical as L
 from repro.sql.stats import ROWID, TableStats
@@ -101,8 +103,9 @@ def optimize(plan: L.LogicalPlan, catalog: Catalog,
     _push_having(wrappers, conjuncts)
 
     scans = _collect_scans(node)
-    pushed, join_pool, residual = _classify(conjuncts, scans, catalog,
-                                            options)
+    pushed, join_pool, residual = _classify(
+        conjuncts, [(scan.alias, _scan_columns(scan, catalog))
+                    for scan in scans])
 
     model = _CostModel(scans, catalog) if options.cost_based else None
 
@@ -121,8 +124,7 @@ def optimize(plan: L.LogicalPlan, catalog: Catalog,
     else:
         ordered = list(scans)
     order_changed = tuple(s.alias for s in ordered) != from_order
-    joined = _build_chain(ordered, join_pool, residual, options,
-                          orient=options.cost_based)
+    joined = _build_chain(ordered, join_pool, residual, options)
     if residual:
         joined = L.Filter(joined, predicates=tuple(residual))
 
@@ -191,66 +193,7 @@ def _references_only_keys(expr: S.Expr, keys) -> bool:
     return False  # aggregates, subqueries, row refs stay in HAVING
 
 
-# -- predicate classification --------------------------------------------------
-
-
-def _classify(conjuncts: Sequence[S.Expr], scans: Sequence[L.Scan],
-              catalog: Catalog, options: ExecutorOptions
-              ) -> Tuple[Dict[str, List[S.Expr]],
-                         List["_JoinPred"], List[S.Expr]]:
-    """Split WHERE conjuncts into pushed / join / residual groups."""
-    aliases = {scan.alias for scan in scans}
-    by_column: Dict[str, str] = {}
-    for scan in scans:
-        for column in _scan_columns(scan, catalog):
-            by_column.setdefault(column, scan.alias)
-
-    pushed: Dict[str, List[S.Expr]] = {}
-    join_pool: List[_JoinPred] = []
-    residual: List[S.Expr] = []
-    for pred in conjuncts:
-        used = _aliases_used(pred, aliases, by_column)
-        if used is None:
-            residual.append(pred)
-        elif len(used) <= 1:
-            alias = next(iter(used), scans[0].alias)
-            pushed.setdefault(alias, []).append(pred)
-        elif len(used) == 2 and isinstance(pred, S.BinOp) \
-                and pred.op == "=":
-            a, b = sorted(used)
-            join_pool.append(_JoinPred(
-                a, b, pred,
-                _side_alias(pred.left, aliases, by_column),
-                _side_alias(pred.right, aliases, by_column)))
-        else:
-            residual.append(pred)
-    return pushed, join_pool, residual
-
-
-@dataclass
-class _JoinPred:
-    """One ``a.x = b.y`` WHERE conjunct, with its resolved side owners.
-
-    ``a``/``b`` are the two aliases (sorted); ``left_alias`` /
-    ``right_alias`` name which alias each *syntactic side* of the
-    predicate belongs to (``None`` when a side could not be resolved
-    to a single alias) — the cost-based chain builder uses them to
-    orient the predicate so the build side is always syntactically
-    recognizable, whatever join order was chosen.
-    """
-
-    a: str
-    b: str
-    pred: S.BinOp
-    left_alias: Optional[str]
-    right_alias: Optional[str]
-
-
-def _side_alias(expr: S.Expr, aliases, by_column) -> Optional[str]:
-    used = _aliases_used(expr, aliases, by_column)
-    if used is not None and len(used) == 1:
-        return next(iter(used))
-    return None
+# -- source columns ------------------------------------------------------------
 
 
 def _scan_columns(scan: L.Scan, catalog: Catalog) -> Tuple[str, ...]:
@@ -518,16 +461,12 @@ def _estimate_select(select: S.Select, catalog: Catalog) -> float:
 def _build_chain(ordered: Sequence[L.Scan],
                  join_pool: List[_JoinPred],
                  residual: List[S.Expr],
-                 options: ExecutorOptions,
-                 orient: bool = False) -> L.LogicalPlan:
+                 options: ExecutorOptions) -> L.LogicalPlan:
     """Left-deep join chain over ``ordered``; connectors taken greedily.
 
-    With ``orient`` (cost-based mode) each hash-join predicate is
-    *oriented*: when the build-side expression is not recognizably the
-    build alias's (qualified) syntactic left, the sides are swapped so
-    the executor's build/probe assignment (`_hash_build`) recognizes
-    the build side regardless of the chosen order.  Greedy mode passes
-    predicates through untouched — the seed behaviour.
+    Each hash-join predicate is oriented (``executor._orient``) so the
+    build/probe assignment of ``_hash_build`` finds the build side
+    whatever the chosen order and however the predicate names it.
     """
     plan: L.LogicalPlan = ordered[0]
     joined_aliases = {ordered[0].alias}
@@ -542,9 +481,8 @@ def _build_chain(ordered: Sequence[L.Scan],
                     break
         if connector is not None:
             remaining.remove(connector)
-            pred = _orient(connector, scan.alias) if orient \
-                else connector.pred
-            plan = L.Join(plan, scan, strategy="hash", predicate=pred)
+            plan = L.Join(plan, scan, strategy="hash",
+                          predicate=_orient(connector, scan.alias))
         else:
             plan = L.Join(plan, scan, strategy="nested")
         joined_aliases.add(scan.alias)
@@ -631,18 +569,6 @@ def _collect_bare_columns(expr: S.Expr, out: set) -> None:
             _collect_bare_columns(expr.arg, out)
     elif isinstance(expr, S.InSubquery):
         _collect_bare_columns(expr.subject, out)
-
-
-def _orient(entry: _JoinPred, build_alias: str) -> S.BinOp:
-    """Swap predicate sides iff the executor would mis-assign them."""
-    pred = entry.pred
-    syntactic_build_is_left = (
-        isinstance(pred.left, S.ColumnRef)
-        and pred.left.alias == build_alias)
-    if not syntactic_build_is_left and entry.left_alias == build_alias \
-            and entry.right_alias != build_alias:
-        return S.BinOp(pred.op, pred.right, pred.left)
-    return pred
 
 
 def _search_join_order(scans: List[L.Scan], join_pool: List[_JoinPred],

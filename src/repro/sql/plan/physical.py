@@ -1,10 +1,11 @@
 """Physical operators: the executable form of an optimized plan.
 
-Every planned query runs on one operator family.  Operators stream
-column batches (:class:`~repro.sql.plan.vector.Batch`, at most
-``batch_size`` rows each) and evaluate expressions through closures
-compiled once per plan (:mod:`repro.sql.plan.vector`).  Lowering
-(:func:`lower`) maps each logical node onto an operator object:
+Every planned query runs on one operator family.  Each row-stream
+operator returns its whole output as one column batch
+(:class:`~repro.sql.plan.vector.Batch`) and evaluates expressions
+through closures compiled once per plan (:mod:`repro.sql.plan.vector`);
+no closure runs on an empty batch.  Lowering (:func:`lower`) maps each
+logical node onto an operator object:
 
 * ``Scan``      -> :class:`FullScanOp` / :class:`IndexScanOp` /
                    :class:`SubqueryScanOp`
@@ -25,8 +26,7 @@ compiled once per plan (:mod:`repro.sql.plan.vector`).  Lowering
                    :class:`RowSortOp`
 
 Operators print plain relational names (``HashJoin``, ``Filter``,
-``FullScan``, ...), so a plan reads the same whatever the batch
-size.  Each operator records its output cardinality in
+``FullScan``, ...).  Each operator records its output cardinality in
 ``rows_out``, which the EXPLAIN printer surfaces in ``analyze`` mode;
 engine-wide counters go to the
 :class:`~repro.sql.executor.ExecutionStats` the seed pipeline also
@@ -51,7 +51,6 @@ from repro.sql import ast as S
 from repro.sql.errors import SQLExecutionError
 from repro.sql.executor import (
     Executor,
-    ExecutorOptions,
     QueryResult,
     _apply_op,
     _avg_final,
@@ -81,7 +80,7 @@ class _Ctx:
 
 
 #: operator entry points that open a trace span when a trace is active.
-_TRACED_METHODS = ("scanned", "rows", "batches")
+_TRACED_METHODS = ("rows", "batch")
 
 #: the ambient span: a C-level contextvar read, all that an untraced
 #: entry point pays.
@@ -162,42 +161,6 @@ class PhysicalOp:
 _RECORD = itemgetter(1)
 
 
-def _count(batches: List[Batch]) -> int:
-    n = 0
-    for batch in batches:     # a loop: this runs on every tiny lookup
-        n += batch.n
-    return n
-
-
-def _concat(batches: List[Batch]) -> Optional[Batch]:
-    """The batches as one batch (None when there are none)."""
-    if not batches:
-        return None
-    if len(batches) == 1:
-        return batches[0]
-    aliases = batches[0].aliases
-    pairs = {a: [pair for batch in batches for pair in batch.pairs[a]]
-             for a in aliases}
-    return Batch(aliases, pairs, _count(batches))
-
-
-def _permute(batch: Batch, order: List[int], size: int) -> List[Batch]:
-    """``batch``'s rows in ``order``, re-chunked into ``size`` batches."""
-    return [batch.select(order[start:start + size])
-            for start in range(0, len(order), size)]
-
-
-def _filtered(filt, batches: List[Batch], run) -> List[Batch]:
-    """Apply a compiled filter per batch, dropping emptied batches so
-    no downstream closure ever sees ``n == 0``."""
-    out = []
-    for batch in batches:
-        batch = filt(batch, run)
-        if batch.n:
-            out.append(batch)
-    return out
-
-
 #: value types whose ``==`` and ``<`` agree: comparing two of them
 #: raw gives the result, or raises the error, that comparing their
 #: ``_ReverseAware`` keys does.
@@ -244,23 +207,6 @@ def _order_key(order_by: Tuple[S.OrderItem, ...], batch: Batch,
     return key
 
 
-def _sort(batches: List[Batch], order_by: Tuple[S.OrderItem, ...],
-          top_k: Optional[int], scanned: List[_ScannedSource],
-          size: int) -> List[Batch]:
-    """Stable ORDER BY over batches, truncated to ``top_k`` if given
-    (``sorted(...)[:k]`` exactly, ties included).  Batches whose rows
-    are already in order come back as they are."""
-    whole = _concat(batches)
-    if whole is None:
-        return []
-    order = sorted(range(whole.n), key=_order_key(order_by, whole, scanned))
-    if top_k is not None:
-        order = order[:top_k]
-    if order == list(range(whole.n)):
-        return batches
-    return _permute(whole, order, size)
-
-
 def _sort_keys(order_by: Tuple[S.OrderItem, ...]) -> str:
     return ", ".join(
         ("%s.%s" % (o.column.alias, o.column.column)
@@ -273,15 +219,15 @@ def _sort_keys(order_by: Tuple[S.OrderItem, ...]) -> str:
 
 
 class VecOp(PhysicalOp):
-    """Base class for operators streaming column batches.
+    """Base class for row-stream operators.
 
-    ``batches`` returns a list of :class:`Batch` objects whose
-    concatenation is the operator's row stream in order.  Every batch
-    is non-empty; empty batches are dropped at the producer so
-    downstream closures never see ``n == 0``.
+    ``batch`` returns the operator's whole row stream, in order, as one
+    :class:`Batch` (``n == 0`` when empty).  No compiled closure runs
+    on an empty batch: an operator whose input is empty returns before
+    it calls one, as the seed pipeline evaluates nothing over no rows.
     """
 
-    def batches(self, ctx: _Ctx) -> List[Batch]:
+    def batch(self, ctx: _Ctx) -> Batch:
         raise NotImplementedError
 
 
@@ -298,20 +244,17 @@ class RowOp(PhysicalOp):
 class ScanOp(VecOp):
     """Base scan: an access path (``_rows``) plus pushed-down predicates.
 
-    The predicates compile once into a batch filter.  ``batches``
-    streams the filtered rows; ``scanned`` materializes them as a
-    join's build side.  Every scan
-    registers its source in ``ctx.scanned`` for downstream name
-    resolution (``*`` expansion, ORDER BY aliasing); consumers read
-    only its alias and columns.
+    The predicates compile once into a batch filter, which ``batch``
+    applies to the rows the access path reads.  Every scan registers
+    its source in ``ctx.scanned`` for downstream name resolution (``*``
+    expansion, ORDER BY aliasing); consumers read only its alias and
+    columns.
     """
 
-    def __init__(self, alias: str, predicates: Tuple[S.Expr, ...],
-                 batch_size: int = 1024):
+    def __init__(self, alias: str, predicates: Tuple[S.Expr, ...]):
         super().__init__()
         self.alias = alias
         self.predicates = predicates
-        self.batch_size = batch_size
 
     def describe(self) -> str:
         body = self.name + self._target()
@@ -329,47 +272,15 @@ class ScanOp(VecOp):
     def _filter(self):
         return compile_filter(self.predicates) if self.predicates else None
 
-    def _chunks(self, rows, run) -> List[Batch]:
-        """``rows`` as filtered batches of at most ``batch_size``."""
-        alias, size = self.alias, self.batch_size
-        if len(rows) <= size:
-            # The common small scan: one batch, no copy of the rows.
-            out = [Batch((alias,), {alias: rows}, len(rows))] if rows \
-                else []
-        else:
-            out = [Batch((alias,), {alias: rows[start:start + size]},
-                         min(size, len(rows) - start))
-                   for start in range(0, len(rows), size)]
-        if self._filter is not None:
-            return _filtered(self._filter, out, run)
-        return out
-
-    def scanned(self, ctx: _Ctx) -> _ScannedSource:
+    def batch(self, ctx: _Ctx) -> Batch:
         source = self._rows(ctx)
         ctx.scanned.append(source)
+        alias, rows = self.alias, source.rows
+        batch = Batch((alias,), {alias: rows}, len(rows))
         if self._filter is not None:
-            rows = [pair for batch in self._chunks(source.rows, ctx)
-                    for pair in batch.pairs[self.alias]]
-            source = _ScannedSource(alias=source.alias,
-                                    columns=source.columns, rows=rows,
-                                    table=source.table)
-        self.rows_out = len(source.rows)
-        return source
-
-    def batches(self, ctx: _Ctx) -> List[Batch]:
-        source = self._rows(ctx)
-        ctx.scanned.append(source)
-        rows = source.rows
-        n = len(rows)
-        if n <= self.batch_size and self._filter is None:
-            # A point lookup's shape: the rows are the one batch as
-            # they are, with no chunking or counting calls.
-            self.rows_out = n
-            return [Batch((self.alias,), {self.alias: rows}, n)] if n \
-                else []
-        out = self._chunks(rows, ctx)
-        self.rows_out = _count(out)
-        return out
+            batch = self._filter(batch, ctx)
+        self.rows_out = batch.n
+        return batch
 
 
 class TableScanOp(ScanOp, RowOp):
@@ -378,16 +289,15 @@ class TableScanOp(ScanOp, RowOp):
     ``_read`` reads the table, counts the scan statistics and returns
     the table with the positions of the rows the scan yields (None for
     every row, in storage order).  ``_rows`` pairs those rows with
-    their positions for the batch entry points, and ``rows`` answers a
-    query on its own.  Lowering makes an unfiltered scan the plan's
-    root when the select list is a lone ``*`` / ``alias.*``, so a point
-    lookup runs as this one operator (LIMIT and DISTINCT may sit above
-    it).
+    their positions for ``batch``, and ``rows`` answers a query on its
+    own.  Lowering makes an unfiltered scan the plan's root when the
+    select list is a lone ``*`` / ``alias.*``, so a point lookup runs as
+    this one operator (LIMIT and DISTINCT may sit above it).
     """
 
     def __init__(self, table: str, alias: str,
-                 predicates: Tuple[S.Expr, ...], batch_size: int = 1024):
-        super().__init__(alias, predicates, batch_size)
+                 predicates: Tuple[S.Expr, ...]):
+        super().__init__(alias, predicates)
         self.table = table
 
     def _read(self, ctx: _Ctx):
@@ -396,7 +306,7 @@ class TableScanOp(ScanOp, RowOp):
     def _rows(self, ctx: _Ctx) -> _ScannedSource:
         table, positions = self._read(ctx)
         return _ScannedSource(self.alias, table.columns,
-                              _pairs(table.rows, positions), table)
+                              _pairs(table.rows, positions))
 
     def rows(self, ctx: _Ctx) -> Tuple[List[Record], Tuple[str, ...]]:
         """The stored records themselves, as ``SELECT *`` output.
@@ -421,11 +331,11 @@ class TableScanOp(ScanOp, RowOp):
             if records or len(set(columns)) == len(columns):
                 self.rows_out = len(records)
                 return records, columns
-        source = _ScannedSource(self.alias, columns,
-                                _pairs(stored, positions), table)
-        ctx.scanned.append(source)
+        alias, pairs = self.alias, _pairs(stored, positions)
+        ctx.scanned.append(_ScannedSource(alias, columns, pairs))
         rows, columns = _project(_STAR, (None,),
-                                 self._chunks(source.rows, ctx), ctx)
+                                 Batch((alias,), {alias: pairs}, len(pairs)),
+                                 ctx)
         self.rows_out = len(rows)
         return rows, columns
 
@@ -455,9 +365,8 @@ class IndexScanOp(TableScanOp):
     name = "IndexScan"
 
     def __init__(self, table: str, alias: str, column: str,
-                 value_expr: S.Expr, predicates: Tuple[S.Expr, ...],
-                 batch_size: int = 1024):
-        super().__init__(table, alias, predicates, batch_size)
+                 value_expr: S.Expr, predicates: Tuple[S.Expr, ...]):
+        super().__init__(table, alias, predicates)
         self.column = column
         self.value_expr = value_expr
 
@@ -493,8 +402,8 @@ class SubqueryScanOp(ScanOp):
     name = "SubqueryScan"
 
     def __init__(self, query: S.Select, alias: str,
-                 predicates: Tuple[S.Expr, ...], batch_size: int = 1024):
-        super().__init__(alias, predicates, batch_size)
+                 predicates: Tuple[S.Expr, ...]):
+        super().__init__(alias, predicates)
         self.query = query
 
     def _target(self) -> str:
@@ -506,14 +415,14 @@ class SubqueryScanOp(ScanOp):
         ctx.stats.rows_scanned += len(candidate)
         ctx.stats.full_scans += 1
         return _ScannedSource(alias=self.alias, columns=sub.columns,
-                              rows=candidate, table=None)
+                              rows=candidate)
 
 
 # -- filters and joins ---------------------------------------------------------
 
 
 class VecFilterOp(VecOp):
-    """Residual predicates applied per batch via a compiled closure."""
+    """Residual predicates applied via a compiled closure."""
 
     name = "Filter"
 
@@ -536,19 +445,18 @@ class VecFilterOp(VecOp):
     def _filter(self):
         return compile_filter(self.predicates)
 
-    def batches(self, ctx: _Ctx) -> List[Batch]:
-        out = _filtered(self._filter, self.child.batches(ctx), ctx)
-        self.rows_out = _count(out)
-        return out
+    def batch(self, ctx: _Ctx) -> Batch:
+        batch = self._filter(self.child.batch(ctx), ctx)
+        self.rows_out = batch.n
+        return batch
 
 
 class _JoinOp(VecOp):
     """Base for the joins: ``left`` is the running chain, ``right`` the
-    new source.  ``_build`` scans the new source once, after the left
-    side's scans (the seed pipeline's scan order), and returns the
-    build side; ``_join`` extends left batches with it.  The build side
-    lives only in the run's locals, so an idle cached plan pins none of
-    the rows it read."""
+    new source, scanned once after the left side's scans (the seed
+    pipeline's scan order).  ``_match`` pairs the left batch's rows with
+    the new source's.  Both sides live only in the run's locals, so an
+    idle cached plan pins none of the rows it read."""
 
     def __init__(self, left: VecOp, right: ScanOp):
         super().__init__()
@@ -559,27 +467,31 @@ class _JoinOp(VecOp):
     def children(self):
         return (self.left, self.right)
 
-    def _build(self, ctx: _Ctx) -> Any:
+    def _match(self, left: Batch, rows: List, ctx: _Ctx
+               ) -> Tuple[List[int], List]:
+        """Each output row's left position and new-source pair, in
+        output order."""
         raise NotImplementedError
 
-    def _join(self, incoming: List[Batch], build: Any,
-              run) -> List[Batch]:
-        raise NotImplementedError
-
-    def batches(self, ctx: _Ctx) -> List[Batch]:
-        incoming = self.left.batches(ctx)
-        out = self._join(incoming, self._build(ctx), ctx)
-        self.rows_out = _count(out)
+    def batch(self, ctx: _Ctx) -> Batch:
+        left = self.left.batch(ctx)
+        alias = self.right.alias
+        idx, rows = self._match(left, self.right.batch(ctx).pairs[alias],
+                                ctx)
+        pairs = {a: [ps[i] for i in idx] for a, ps in left.pairs.items()}
+        pairs[alias] = rows
+        out = Batch(left.aliases + (alias,), pairs, len(rows))
+        self.rows_out = out.n
         return out
 
 
 class VecHashJoinOp(_JoinOp):
-    """Hash join: build on the new source, probe with whole batches.
+    """Hash join: build on the new source, probe with the left batch.
 
     The build phase is the shared :func:`_hash_build`; the probe key
-    is evaluated as a vector per batch, then matches expand
-    probe-major (probe position order, then bucket order) via index
-    gather — the seed pipeline's ``_hash_probe`` order.
+    is evaluated as one vector, then matches expand probe-major (probe
+    position order, then bucket order) via index gather — the seed
+    pipeline's ``_hash_probe`` order.
     """
 
     name = "HashJoin"
@@ -593,34 +505,21 @@ class VecHashJoinOp(_JoinOp):
 
         return "%s(%s)" % (self.name, expr_sql(self.predicate))
 
-    def _build(self, ctx: _Ctx):
-        source = self.right.scanned(ctx)
+    def _match(self, left: Batch, rows: List, ctx: _Ctx):
         ctx.stats.hash_joins += 1
-        buckets, probe_expr = _hash_build(source, self.predicate)
-        _, probe = compile_scalar(probe_expr)  # ColumnRef: a vector
-        return buckets, probe
-
-    def _join(self, incoming: List[Batch], build, run) -> List[Batch]:
-        buckets, probe = build
-        build_alias = self.right.alias
-        out: List[Batch] = []
-        for batch in incoming:
-            idx: List[int] = []
-            rows: List = []
-            for i, value in enumerate(probe(batch, run)):
-                matches = buckets.get(value)
-                if matches:
-                    for row in matches:
+        buckets, probe_expr = _hash_build(self.right.alias, rows,
+                                          self.predicate)
+        idx: List[int] = []
+        matched: List = []
+        if left.n:           # a bare probe column resolves only over rows
+            _, probe = compile_scalar(probe_expr)  # ColumnRef: a vector
+            for i, value in enumerate(probe(left, ctx)):
+                bucket = buckets.get(value)
+                if bucket:
+                    for row in bucket:
                         idx.append(i)
-                        rows.append(row)
-            if not idx:
-                continue
-            pairs = {a: [ps[i] for i in idx]
-                     for a, ps in batch.pairs.items()}
-            pairs[build_alias] = rows
-            out.append(Batch(batch.aliases + (build_alias,), pairs,
-                             len(rows)))
-        return out
+                        matched.append(row)
+        return idx, matched
 
 
 class VecNestedLoopOp(_JoinOp):
@@ -628,33 +527,18 @@ class VecNestedLoopOp(_JoinOp):
 
     name = "NestedLoop"
 
-    def _build(self, ctx: _Ctx):
-        rows = self.right.scanned(ctx).rows
+    def _match(self, left: Batch, rows: List, ctx: _Ctx):
         ctx.stats.nested_loop_joins += 1
-        return rows
-
-    def _join(self, incoming: List[Batch], rows, run) -> List[Batch]:
-        alias = self.right.alias
-        out: List[Batch] = []
-        if rows:
-            m = len(rows)
-            for batch in incoming:
-                # Prefix-major: each prefix row pairs with every source
-                # row before the next prefix row.
-                idx = [i for i in range(batch.n) for _ in range(m)]
-                pairs = {a: [ps[i] for i in idx]
-                         for a, ps in batch.pairs.items()}
-                pairs[alias] = rows * batch.n
-                out.append(Batch(batch.aliases + (alias,), pairs,
-                                 len(idx)))
-        return out
+        # Prefix-major: each left row pairs with every source row
+        # before the next left row.
+        return [i for i in range(left.n) for _ in rows], rows * left.n
 
 
 # -- ordering ------------------------------------------------------------------
 
 
 class VecSortOp(VecOp):
-    """ORDER BY over batches: materialize, sort by key vectors, re-chunk.
+    """ORDER BY: sort row positions by key vectors, then gather.
 
     The sort permutes row positions with Python's stable sort, so tie
     order matches the seed pipeline's ``_order`` exactly; with a
@@ -665,12 +549,11 @@ class VecSortOp(VecOp):
     name = "Sort"
 
     def __init__(self, child: VecOp, order_by: Tuple[S.OrderItem, ...],
-                 top_k: Optional[int], batch_size: int):
+                 top_k: Optional[int]):
         super().__init__()
         self.child = child
         self.order_by = order_by
         self.top_k = top_k
-        self.batch_size = batch_size
 
     @property
     def children(self):
@@ -681,11 +564,17 @@ class VecSortOp(VecOp):
             return "TopK(%d, %s)" % (self.top_k, _sort_keys(self.order_by))
         return "%s(%s)" % (self.name, _sort_keys(self.order_by))
 
-    def batches(self, ctx: _Ctx) -> List[Batch]:
-        out = _sort(self.child.batches(ctx), self.order_by, self.top_k,
-                    ctx.scanned, self.batch_size)
-        self.rows_out = _count(out)
-        return out
+    def batch(self, ctx: _Ctx) -> Batch:
+        batch = self.child.batch(ctx)
+        if batch.n:          # an empty input reads no sort key
+            order = sorted(range(batch.n),
+                           key=_order_key(self.order_by, batch, ctx.scanned))
+            if self.top_k is not None:
+                order = order[:self.top_k]
+            if order != list(range(batch.n)):
+                batch = batch.select(order)
+        self.rows_out = batch.n
+        return batch
 
 
 class VecRestoreOp(VecOp):
@@ -703,12 +592,10 @@ class VecRestoreOp(VecOp):
 
     name = "Restore"
 
-    def __init__(self, child: VecOp, aliases: Tuple[str, ...],
-                 batch_size: int):
+    def __init__(self, child: VecOp, aliases: Tuple[str, ...]):
         super().__init__()
         self.child = child
         self.aliases = aliases
-        self.batch_size = batch_size
 
     @property
     def children(self):
@@ -717,31 +604,30 @@ class VecRestoreOp(VecOp):
     def describe(self) -> str:
         return "%s(%s)" % (self.name, ", ".join(self.aliases))
 
-    def batches(self, ctx: _Ctx) -> List[Batch]:
-        whole = _concat(self.child.batches(ctx))
+    def batch(self, ctx: _Ctx) -> Batch:
+        batch = self.child.batch(ctx)
         position = {alias: i for i, alias in enumerate(self.aliases)}
         ctx.scanned.sort(
             key=lambda src: position.get(src.alias, len(position)))
-        if whole is None:
-            self.rows_out = 0
-            return []
-        rowids = [whole.column(a, "_rowid") for a in self.aliases]
-        order = sorted(range(whole.n),
-                       key=lambda i: tuple(vec[i] for vec in rowids))
-        self.rows_out = whole.n
-        return _permute(whole, order, self.batch_size)
+        if batch.n:
+            rowids = [batch.column(a, "_rowid") for a in self.aliases]
+            batch = batch.select(sorted(
+                range(batch.n),
+                key=lambda i: tuple(vec[i] for vec in rowids)))
+        self.rows_out = batch.n
+        return batch
 
 
 # -- row producers -------------------------------------------------------------
 
 
 class VecProjectOp(RowOp):
-    """Projection evaluated column-wise over batches.
+    """Projection evaluated column-wise over the input batch.
 
-    Select items compile once at plan time; per batch, each item
-    yields one value vector (``*`` expands to direct column gathers,
-    constants broadcast) and output records assemble row-wise from the
-    zipped vectors — the seed pipeline's values, names and order.  A
+    Select items compile once at plan time; each item yields one value
+    vector (``*`` expands to direct column gathers, constants
+    broadcast) and output records assemble row-wise from the zipped
+    vectors — the seed pipeline's values, names and order.  A
     lone ``*`` / ``alias.*`` over one source whose records already
     carry exactly the output columns returns those stored records
     themselves (:meth:`_stored_rows`); over one unfiltered base-table
@@ -774,17 +660,16 @@ class VecProjectOp(RowOp):
                            ", ".join(_item(i) for i in self.items))
 
     def rows(self, ctx: _Ctx) -> Tuple[List[Record], Tuple[str, ...]]:
-        batches = self.child.batches(ctx)
-        stored = self._stored_rows(batches, ctx.scanned) \
+        batch = self.child.batch(ctx)
+        stored = self._stored_rows(batch, ctx.scanned) \
             if self._lone_star else None
         if stored is None:
-            stored = _project(self.items, self._item_fns, batches, ctx)
+            stored = _project(self.items, self._item_fns, batch, ctx)
         rows, columns = stored
         self.rows_out = len(rows)
         return rows, columns
 
-    def _stored_rows(self, batches: List[Batch],
-                     scanned: List[_ScannedSource]):
+    def _stored_rows(self, batch: Batch, scanned: List[_ScannedSource]):
         """``SELECT *`` / ``SELECT alias.*`` over one source whose records
         already carry exactly the output columns: those records
         themselves, instead of an equal rebuilt :class:`Record` per row
@@ -803,9 +688,7 @@ class VecProjectOp(RowOp):
         columns = source.columns
         if len(set(columns)) != len(columns):
             return None                  # projection renames duplicates
-        rows: List[Record] = []
-        for batch in batches:
-            rows.extend(map(_RECORD, batch.pairs[source.alias]))
+        rows = list(map(_RECORD, batch.pairs[source.alias]))
         for row in rows:
             if row.fields != columns:
                 return None              # a row written behind the API
@@ -817,10 +700,9 @@ class VecProjectOp(RowOp):
 _STAR = (S.SelectItem(S.Star()),)
 
 
-def _project(items: Tuple[S.SelectItem, ...], item_fns,
-             batches: List[Batch],
+def _project(items: Tuple[S.SelectItem, ...], item_fns, batch: Batch,
              ctx: _Ctx) -> Tuple[List[Record], Tuple[str, ...]]:
-    """The select list over ``batches``: one record per row.
+    """The select list over ``batch``: one record per row.
 
     ``item_fns`` holds each item's compiled closure (None for a star,
     which expands over ``ctx.scanned``)."""
@@ -846,19 +728,17 @@ def _project(items: Tuple[S.SelectItem, ...], item_fns,
             plan.append(("const" if is_const else "vec", fn))
 
     fields = tuple(columns)
-    rows: List[Record] = []
-    for batch in batches:
-        vectors = []
-        for entry in plan:
-            if entry[0] == "star":
-                vectors.append(batch.column(entry[1], entry[2]))
-            elif entry[0] == "const":
-                vectors.append([entry[1](ctx)] * batch.n)
-            else:
-                vectors.append(entry[1](batch, ctx))
-        for vals in zip(*vectors):
-            rows.append(make_record(fields, vals))
-    return rows, fields
+    if not batch.n:               # no closure runs on an empty batch
+        return [], fields
+    vectors = []
+    for entry in plan:
+        if entry[0] == "star":
+            vectors.append(batch.column(entry[1], entry[2]))
+        elif entry[0] == "const":
+            vectors.append([entry[1](ctx)] * batch.n)
+        else:
+            vectors.append(entry[1](batch, ctx))
+    return [make_record(fields, vals) for vals in zip(*vectors)], fields
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -890,21 +770,17 @@ def _compile_aggregate(calls: List[S.FuncCall],
             [compile_scalar(key) for key in group_by])
 
 
-def _series(compiled, batches: List[Batch], run) -> List[Any]:
-    """One compiled expression's values over ``batches``, in row order."""
+def _series(compiled, batch: Batch, run) -> List[Any]:
+    """One compiled expression's values over ``batch``, in row order
+    (none over an empty batch, where the closure does not run)."""
+    if not batch.n:
+        return []
     is_const, fn = compiled
-    out: List[Any] = []
-    for batch in batches:
-        if is_const:
-            out.extend([fn(run)] * batch.n)
-        else:
-            out.extend(fn(batch, run))
-    return out
+    return [fn(run)] * batch.n if is_const else fn(batch, run)
 
 
-def _agg_value(call: S.FuncCall, compiled, batches: List[Batch], n: int,
-               run) -> Any:
-    """One aggregate call's value over the ``n`` rows of ``batches``.
+def _agg_value(call: S.FuncCall, compiled, batch: Batch, run) -> Any:
+    """One aggregate call's value over the rows of ``batch``.
 
     ``Executor._eval_aggregate``'s semantics, folded in row order with
     the same arithmetic: COUNT(*) counts rows, COUNT(x) drops None,
@@ -912,8 +788,8 @@ def _agg_value(call: S.FuncCall, compiled, batches: List[Batch], n: int,
     exactly-rounded mean of :func:`_avg_state`'s exact total.
     """
     if call.name == "COUNT" and call.arg is None:
-        return n
-    series = _series(compiled, batches, run)
+        return batch.n
+    series = _series(compiled, batch, run)
     if call.name == "COUNT":
         return sum(1 for v in series if v is not None)
     if call.name == "SUM":
@@ -927,20 +803,17 @@ def _agg_value(call: S.FuncCall, compiled, batches: List[Batch], n: int,
     raise SQLExecutionError("unknown aggregate %r" % call.name)
 
 
-def _groups(key_fns, batches: List[Batch], run):
-    """Bucket row positions by key tuple in **first-encounter order**.
-
-    Returns the input as one batch (None when empty) and the
-    ``(key, positions)`` groups, positions ascending.
-    """
-    key_vecs = [_series(fn, batches, run) for fn in key_fns]
+def _groups(key_fns, batch: Batch, run):
+    """Bucket row positions by key tuple in **first-encounter order**:
+    the ``(key, positions)`` groups, positions ascending."""
+    key_vecs = [_series(fn, batch, run) for fn in key_fns]
     buckets: Dict[Tuple, List[int]] = {}
     for i, key in enumerate(zip(*key_vecs)):
         got = buckets.get(key)
         if got is None:
             buckets[key] = got = []
         got.append(i)
-    return _concat(batches), list(buckets.items())
+    return list(buckets.items())
 
 
 def _first_env(whole: Batch, positions: List[int]):
@@ -972,7 +845,7 @@ def _aggregate_label(group_by: Tuple[S.Expr, ...],
 
 
 class VecAggregateOp(RowOp):
-    """Aggregate / GROUP BY / HAVING evaluation over batches.
+    """Aggregate / GROUP BY / HAVING evaluation over the input batch.
 
     Without group keys this is the seed pipeline's whole-input
     aggregation (one output row; ORDER BY / DISTINCT / LIMIT and a
@@ -1013,22 +886,19 @@ class VecAggregateOp(RowOp):
         return _aggregate_label(self.group_by, self.having)
 
     def rows(self, ctx: _Ctx) -> Tuple[List[Record], Tuple[str, ...]]:
-        batches = self.child.batches(ctx)
+        batch = self.child.batch(ctx)
         if self.group_by:
-            return self._grouped(batches, ctx)
-        return self._whole(batches, ctx)
+            return self._grouped(batch, ctx)
+        return self._whole(batch, ctx)
 
-    def _fold(self, call: S.FuncCall, batches: List[Batch], n: int,
-              ctx: _Ctx) -> Any:
-        return _agg_value(call, self._arg_fns[id(call)], batches, n, ctx)
+    def _fold(self, call: S.FuncCall, batch: Batch, ctx: _Ctx) -> Any:
+        return _agg_value(call, self._arg_fns[id(call)], batch, ctx)
 
-    def _whole(self, batches: List[Batch], ctx: _Ctx):
-        n = _count(batches)
-
+    def _whole(self, batch: Batch, ctx: _Ctx):
         def value(expr: S.Expr) -> Any:
-            # Executor._eval_aggregate's structure, over batches.
+            # Executor._eval_aggregate's structure, over the batch.
             if isinstance(expr, S.FuncCall):
-                return self._fold(expr, batches, n, ctx)
+                return self._fold(expr, batch, ctx)
             if isinstance(expr, S.BinOp):
                 return _apply_op(expr.op, value(expr.left),
                                  value(expr.right))
@@ -1051,8 +921,8 @@ class VecAggregateOp(RowOp):
         fields = tuple(columns)
         return [make_record(fields, values)], fields
 
-    def _grouped(self, batches: List[Batch], ctx: _Ctx):
-        whole, groups = _groups(self._key_fns, batches, ctx)
+    def _grouped(self, batch: Batch, ctx: _Ctx):
+        groups = _groups(self._key_fns, batch, ctx)
         self.groups_in = len(groups)
         if any(isinstance(item.expr, S.Star) for item in self.items):
             raise SQLExecutionError(
@@ -1061,8 +931,8 @@ class VecAggregateOp(RowOp):
 
         rows: List[Record] = []
         for _, positions in groups:
-            group = whole.select(positions)
-            first_env = _first_env(whole, positions)
+            group = batch.select(positions)
+            first_env = _first_env(batch, positions)
             if self.having is not None and not _truthy(
                     self._group_value(self.having, group, first_env, ctx)):
                 continue
@@ -1077,7 +947,7 @@ class VecAggregateOp(RowOp):
         """A select/HAVING expression over one group's rows
         (``Executor._eval_group``'s structure)."""
         if isinstance(expr, S.FuncCall):
-            return self._fold(expr, [group], group.n, ctx)
+            return self._fold(expr, group, ctx)
         if isinstance(expr, S.BinOp):
             left = self._group_value(expr.left, group, first_env, ctx)
             if expr.op == "AND":
@@ -1175,14 +1045,10 @@ class LimitOp(RowOp):
 # -- lowering -----------------------------------------------------------------
 
 
-def lower(plan: L.LogicalPlan,
-          options: Optional[ExecutorOptions] = None) -> RowOp:
-    """Lower an optimized logical plan to a physical operator tree.
-
-    ``options`` supplies the batch size; every other choice was made
-    by the optimizer.
-    """
-    return _lower_rows(plan, (options or ExecutorOptions()).batch_size)
+def lower(plan: L.LogicalPlan) -> RowOp:
+    """Lower an optimized logical plan to a physical operator tree;
+    every choice was made by the optimizer."""
+    return _lower_rows(plan)
 
 
 def _with_est(op: PhysicalOp, plan: L.LogicalPlan) -> PhysicalOp:
@@ -1192,14 +1058,13 @@ def _with_est(op: PhysicalOp, plan: L.LogicalPlan) -> PhysicalOp:
     return op
 
 
-def _lower_rows(plan: L.LogicalPlan, size: int) -> RowOp:
+def _lower_rows(plan: L.LogicalPlan) -> RowOp:
     if isinstance(plan, L.Limit):
-        return _with_est(LimitOp(_lower_rows(plan.child, size), plan.count),
-                         plan)
+        return _with_est(LimitOp(_lower_rows(plan.child), plan.count), plan)
     if isinstance(plan, L.Distinct):
-        return _with_est(DistinctOp(_lower_rows(plan.child, size)), plan)
+        return _with_est(DistinctOp(_lower_rows(plan.child)), plan)
     if isinstance(plan, L.Project):
-        child = _lower_envs(plan.child, size)
+        child = _lower_envs(plan.child)
         star = plan.items[0].expr if len(plan.items) == 1 else None
         if isinstance(child, TableScanOp) and not child.predicates \
                 and isinstance(star, S.Star) \
@@ -1209,57 +1074,57 @@ def _lower_rows(plan: L.LogicalPlan, size: int) -> RowOp:
             return child
         return _with_est(VecProjectOp(child, plan.items), plan)
     if isinstance(plan, L.Aggregate):
-        return _with_est(VecAggregateOp(_lower_envs(plan.child, size),
+        return _with_est(VecAggregateOp(_lower_envs(plan.child),
                                         plan.items, plan.group_by,
                                         plan.having), plan)
     if isinstance(plan, L.Sort):
         child = plan.child
         if isinstance(child, L.Aggregate):
-            return _with_est(RowSortOp(_lower_rows(child, size),
-                                       plan.order_by), plan)
+            return _with_est(RowSortOp(_lower_rows(child), plan.order_by),
+                             plan)
         raise TypeError("Sort over %r cannot be lowered here" % (child,))
     raise TypeError("expected a row-producing logical node, got %r"
                     % (plan,))
 
 
-def _lower_envs(plan: L.LogicalPlan, size: int) -> VecOp:
+def _lower_envs(plan: L.LogicalPlan) -> VecOp:
     """Lower a row-stream segment."""
     if isinstance(plan, L.Sort):
-        return _with_est(VecSortOp(_lower_envs(plan.child, size),
-                                   plan.order_by, plan.top_k, size), plan)
+        return _with_est(VecSortOp(_lower_envs(plan.child), plan.order_by,
+                                   plan.top_k), plan)
     if isinstance(plan, L.Restore):
-        return _with_est(VecRestoreOp(_lower_envs(plan.child, size),
-                                      plan.aliases, size), plan)
+        return _with_est(VecRestoreOp(_lower_envs(plan.child),
+                                      plan.aliases), plan)
     if isinstance(plan, L.Filter):
-        op = VecFilterOp(_lower_envs(plan.child, size), plan.predicates)
+        op = VecFilterOp(_lower_envs(plan.child), plan.predicates)
     elif isinstance(plan, L.Join):
-        left = _lower_envs(plan.left, size)
-        right = _lower_scan(plan.right, size)
+        left = _lower_envs(plan.left)
+        right = _lower_scan(plan.right)
         if plan.strategy == "hash":
             op = VecHashJoinOp(left, right, plan.predicate)
         else:
             op = VecNestedLoopOp(left, right)
     elif isinstance(plan, L.Scan):
-        op = _lower_scan(plan, size)
+        op = _lower_scan(plan)
     else:
         raise TypeError("expected a row-stream logical node, got %r"
                         % (plan,))
     return _with_est(op, plan)
 
 
-def _lower_scan(scan: L.Scan, size: int) -> ScanOp:
+def _lower_scan(scan: L.Scan) -> ScanOp:
     if scan.subquery is not None:
         return _with_est(SubqueryScanOp(scan.subquery, scan.alias,
-                                        scan.predicates, size), scan)
+                                        scan.predicates), scan)
     if scan.index is not None:
         column, value_expr, index_pred = scan.index
         # The probe consumes the chosen predicate; the rest filter.
         predicates = tuple(p for p in scan.predicates
                            if p is not index_pred)
         return _with_est(IndexScanOp(scan.table, scan.alias, column,
-                                     value_expr, predicates, size), scan)
-    return _with_est(FullScanOp(scan.table, scan.alias,
-                                scan.predicates, size), scan)
+                                     value_expr, predicates), scan)
+    return _with_est(FullScanOp(scan.table, scan.alias, scan.predicates),
+                     scan)
 
 
 # -- plan driver ---------------------------------------------------------------

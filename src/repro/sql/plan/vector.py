@@ -1,13 +1,15 @@
 """Batch-at-a-time expression compilation: the engine's one evaluator
 for planned queries.
 
-Every physical operator streams :class:`Batch` objects — per-alias
-lists of the engine's ``(rowid, Record)`` pairs — instead of one
-environment dict per row.  Scalar expressions are compiled **once per
-plan** into closures that evaluate a whole batch per call
-(:func:`compile_scalar` / :func:`compile_filter`), amortizing the
-interpreter's per-row dispatch the same way ``tor/compile.py`` did for
-synthesis evaluation.
+Every row-stream operator returns its whole output as one
+:class:`Batch` — per-alias lists of the engine's ``(rowid, Record)``
+pairs — instead of one environment dict per row.  Scalar expressions
+are compiled **once per plan** into closures that evaluate a whole
+batch per call (:func:`compile_scalar` / :func:`compile_filter`),
+amortizing the interpreter's per-row dispatch the same way
+``tor/compile.py`` did for synthesis evaluation.  Operators call no
+closure on an empty batch: a bare column name resolves against the
+rows it is given, and over none it would raise.
 
 The compiled semantics mirror ``Executor._eval`` exactly — same values,
 same error messages, same short-circuit evaluation sets for AND/OR

@@ -169,26 +169,6 @@ def test_bad_interval_rejected():
         Profiler(interval_seconds=0)
 
 
-# -- merging profiles --------------------------------------------------------
-
-
-def test_payload_absorb_roundtrip_merges():
-    a = Profiler()
-    a.samples[("query", "main;run")] = 3
-    a.spans_seen.add("query")
-    a.sample_count = 3
-    b = Profiler()
-    b.samples[("query", "main;run")] = 2
-    b.samples[("worker", "main;work")] = 1
-    b.spans_seen.update({"query", "worker"})
-    b.sample_count = 3
-    a.absorb(b.payload())
-    assert a.samples[("query", "main;run")] == 5
-    assert a.samples[("worker", "main;work")] == 1
-    assert a.spans_seen == {"query", "worker"}
-    assert a.sample_count == 6
-
-
 # -- surfaces ----------------------------------------------------------------
 
 

@@ -4,10 +4,11 @@ Every other observability suite builds on these invariants: the
 module-level :func:`repro.obs.trace.span` helper returns the shared
 falsy ``NULL_SPAN`` singleton when no trace is active (so traceable
 code never allocates), entering a real span makes it ambient for
-nested calls, and the dict round-trip used as the cross-process
-transport preserves the tree exactly.
+nested calls, and the dict form written as the ``--trace`` file is
+plain data.
 """
 
+import json
 import pickle
 
 import pytest
@@ -84,16 +85,21 @@ def test_finish_closes_without_timing():
 
 
 def test_dict_roundtrip_preserves_tree():
+    """The ``to_dict`` form is the ``--trace`` file format: plain data
+    that survives pickle and JSON unchanged, children in order."""
     root = Span("query", sql="SELECT 1")
     a = root.child("scan", part=0)
     a.finish(0.002)
     root.child("scan", part=1).child("probe")
     payload = root.to_dict()
-    # The dict form is plain data: it survives pickling.
-    payload = pickle.loads(pickle.dumps(payload))
-    rebuilt = Span.from_dict(payload)
-    assert rebuilt.to_dict() == root.to_dict()
-    assert format_tree(rebuilt) == format_tree(root)
+    assert pickle.loads(pickle.dumps(payload)) == payload
+    assert json.loads(json.dumps(payload)) == payload
+    assert payload["children"][0] == {
+        "name": "scan", "tags": {"part": 0}, "elapsed_seconds": 0.002,
+        "children": []}
+    assert [c["tags"] for c in payload["children"]] == [{"part": 0},
+                                                        {"part": 1}]
+    assert payload["children"][1]["children"][0]["name"] == "probe"
 
 
 def test_walk_is_preorder_and_deterministic():

@@ -4,12 +4,11 @@ A seeded generator builds random schemas, data and SELECT statements
 (joins, filters, uncorrelated IN subqueries, aggregates, GROUP BY /
 HAVING, ORDER BY / LIMIT), then executes each query under every
 execution mode the engine offers — the seed pipeline (the oracle, on
-every case), greedy planner, cost-based planner and a small batch
-size — and asserts the identity contract: same rows
-(values *and* order) and columns everywhere, plus engine-statistics
-identity within each stats family (see ``_modes`` — cost-based
-planning may legitimately pick different join strategies than the
-greedy chain).
+every case), greedy planner and cost-based planner — and asserts the
+identity contract: same rows (values *and* order) and columns
+everywhere, plus engine-statistics identity within each stats family
+(see ``MODES`` — cost-based planning may legitimately pick different
+join strategies than the greedy chain).
 
 Determinism: every case derives its own ``random.Random`` from a fixed
 seed and the case index, so a failing case index reproduces exactly.
@@ -265,24 +264,16 @@ def _make_db(tables):
     return db
 
 
-def _modes(index, rng):
-    """The mode matrix for one case: (label, options, stats_family).
-
-    Stats compare within a family, not globally: the cost-based
-    planner may legitimately choose different join strategies or
-    access paths than the greedy chain (that is its job), so the
-    greedy planner and the seed pipeline pin stats against *each
-    other*, while the batch-size mode — which only changes how rows
-    are chunked, never the chosen plan — pins stats against the
-    cost-based baseline.  Rows and columns must be
-    identical across all modes unconditionally.
-    """
-    modes = [("greedy", ExecutorOptions(cost_based=False), "greedy"),
-             ("seed-pipeline", ExecutorOptions(planner=False), "greedy")]
-    size = rng.choice((1, 3, 7))
-    modes.append(("batch-%d" % size, ExecutorOptions(batch_size=size),
-                  "baseline"))
-    return modes
+#: The mode matrix: (label, options, stats_family).  Stats compare
+#: within a family, not globally: the cost-based planner may
+#: legitimately choose different join strategies or access paths than
+#: the greedy chain (that is its job), so the greedy planner and the
+#: seed pipeline pin stats against *each other*, while the cost-based
+#: mode, on a view of its own, pins its stats to the baseline's.  Rows
+#: and columns must be identical across all modes unconditionally.
+MODES = (("cost-based", ExecutorOptions(), "baseline"),
+         ("greedy", ExecutorOptions(cost_based=False), "greedy"),
+         ("seed-pipeline", ExecutorOptions(planner=False), "greedy"))
 
 
 def _run(db, sql, params):
@@ -305,17 +296,16 @@ def _differs(result, baseline, family, family_stats):
     return stats != family_stats.setdefault(family, stats)
 
 
-def _mismatch(tables, sql, params, index):
+def _mismatch(tables, sql, params):
     """The first diverging mode label, or None if all modes agree.
 
     Every mode runs the query twice on one view: the second run reuses
     the first run's cached plan and must meet the same contract.
     """
     db = _make_db(tables)
-    rng = random.Random(SEED * 7 + index)
     baseline = _run(db, sql, params)
     family_stats = {}
-    for label, options, family in _modes(index, rng):
+    for label, options, family in MODES:
         view = db.view(options)
         first = _run(view, sql, params)
         second = _run(view, sql, params)
@@ -329,7 +319,7 @@ def _mismatch(tables, sql, params, index):
 # -- reduction + repro ---------------------------------------------------------
 
 
-def _reduce(tables, sql, params, index, budget=80):
+def _reduce(tables, sql, params, budget=80):
     """Shrink table data while the mismatch persists."""
     current = {name: dict(spec, rows=list(spec["rows"]))
                for name, spec in tables.items()}
@@ -344,7 +334,7 @@ def _reduce(tables, sql, params, index, budget=80):
                              if n == name else spec)
                          for n, spec in current.items()}
                 budget -= 1
-                if _mismatch(trial, sql, params, index):
+                if _mismatch(trial, sql, params):
                     current = trial
                     rows = current[name]["rows"]
                     shrunk = True
@@ -381,9 +371,9 @@ def _repro_script(tables, sql, params, index, label):
 def _run_cases(start, stop):
     for index in range(start, stop):
         tables, sql, params = build_case(index)
-        label = _mismatch(tables, sql, params, index)
+        label = _mismatch(tables, sql, params)
         if label is not None:
-            reduced = _reduce(tables, sql, params, index)
+            reduced = _reduce(tables, sql, params)
             print(_repro_script(reduced, sql, params, index, label))
             pytest.fail("fuzz case %d: mode %r diverged from the "
                         "default planner on %r (reduced repro above)"

@@ -1,5 +1,5 @@
 """Metamorphic relations: transformed queries with provably equal (or
-prefix-related) semantics must agree, row at a time and in batches.
+prefix-related) semantics must agree, row at a time and as a batch.
 
 Unlike the differential fuzzer — which compares the *same* SQL across
 execution modes — these relations compare *different* SQL texts whose
@@ -17,9 +17,10 @@ results are related by construction:
   equality, so stats are compared just for the safe shapes).
 
 Every relation runs under the seed pipeline, which evaluates row at a
-time (mode ``rows``), and under the batch engine at a
-boundary-straddling batch size (``vectorized``) and at the default
-one (``vectorized-1024``).
+time (mode ``rows``), and under the default planner, whose operators
+evaluate column batches: over the same 150-row table (``vectorized``)
+and over one of 1,030 rows, past the 1,024 rows a batch once held
+(``vectorized-1024``).
 """
 
 import pytest
@@ -27,33 +28,44 @@ import pytest
 from repro.sql.database import Database
 from repro.sql.executor import ExecutorOptions
 
-MODES = (
-    ("rows", ExecutorOptions(planner=False)),
-    ("vectorized", ExecutorOptions(batch_size=7)),
-    ("vectorized-1024", ExecutorOptions(batch_size=1024)),
-)
+#: mode -> (options, rows in the ``ev`` table)
+MODES = {
+    "rows": (ExecutorOptions(planner=False), 150),
+    "vectorized": (ExecutorOptions(), 150),
+    "vectorized-1024": (ExecutorOptions(), 1030),
+}
 
 
 @pytest.fixture(scope="module")
-def db():
-    db = Database()
-    db.create_table("ev", ("id", "a", "b", "g", "v"))
-    db.insert_many("ev", ({"id": i, "a": i % 11, "b": i % 7,
-                           "g": i % 3, "v": (i * 13) % 97}
-                          for i in range(150)))
-    db.create_index("ev", "a")
-    return db
+def dbs():
+    """One ``ev`` database per table size in MODES."""
+    built = {}
+    for _, size in MODES.values():
+        if size in built:
+            continue
+        db = Database()
+        db.create_table("ev", ("id", "a", "b", "g", "v"))
+        db.insert_many("ev", ({"id": i, "a": i % 11, "b": i % 7,
+                               "g": i % 3, "v": (i * 13) % 97}
+                              for i in range(size)))
+        db.create_index("ev", "a")
+        built[size] = db
+    return built
 
 
-@pytest.mark.parametrize("mode", [m[0] for m in MODES])
+def _view(dbs, mode):
+    options, size = MODES[mode]
+    return dbs[size].view(options)
+
+
+@pytest.mark.parametrize("mode", list(MODES))
 @pytest.mark.parametrize("left,right", [
     ("t0.a = 3", "t0.v > 40"),
     ("t0.v > 40", "t0.b < 4"),
     ("t0.a > 2", "NOT t0.g = 1"),
 ])
-def test_predicate_commutation(db, mode, left, right):
-    options = dict(MODES)[mode]
-    view = db.view(options)
+def test_predicate_commutation(dbs, mode, left, right):
+    view = _view(dbs, mode)
     forward = view.execute(
         "SELECT t0.id, t0.v FROM ev t0 WHERE %s AND %s" % (left, right))
     backward = view.execute(
@@ -64,16 +76,15 @@ def test_predicate_commutation(db, mode, left, right):
     assert forward.columns == backward.columns
 
 
-@pytest.mark.parametrize("mode", [m[0] for m in MODES])
+@pytest.mark.parametrize("mode", list(MODES))
 @pytest.mark.parametrize("sql", [
     "SELECT t0.id, t0.v FROM ev t0 WHERE t0.v > 20 "
     "ORDER BY t0.v DESC, t0.id",
     "SELECT t0.g AS g, COUNT(*) AS n FROM ev t0 GROUP BY t0.g "
     "ORDER BY n DESC",
 ])
-def test_limit_monotonicity(db, mode, sql):
-    options = dict(MODES)[mode]
-    view = db.view(options)
+def test_limit_monotonicity(dbs, mode, sql):
+    view = _view(dbs, mode)
     unlimited = view.execute(sql)
     total = len(unlimited.rows)
     for k in (0, 1, 2, 5, total, total + 10):
@@ -87,15 +98,14 @@ def _stats_tuple(stats):
             stats.nested_loop_joins, stats.index_scans, stats.full_scans)
 
 
-@pytest.mark.parametrize("mode", [m[0] for m in MODES])
+@pytest.mark.parametrize("mode", list(MODES))
 @pytest.mark.parametrize("predicate", [
     "t0.v > 40",
     "t0.b < 3",
     "(t0.a > 5 OR t0.g = 1)",
 ])
-def test_double_negation(db, mode, predicate):
-    options = dict(MODES)[mode]
-    view = db.view(options)
+def test_double_negation(dbs, mode, predicate):
+    view = _view(dbs, mode)
     plain = view.execute(
         "SELECT t0.id FROM ev t0 WHERE %s" % predicate)
     doubled = view.execute(

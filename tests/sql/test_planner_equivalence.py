@@ -1,11 +1,14 @@
 """Planner-vs-legacy outcome equivalence.
 
-Two layers:
+Three layers:
 
 * a hand-written query battery over the application schemas, covering
   every operator combination the grammar admits (joins, index probes,
   IN subqueries, FROM subqueries, top-k, DISTINCT, aggregates, GROUP BY
   with HAVING, grouped ORDER BY / LIMIT);
+* bare column names under both planner modes: hash joins whose build
+  column is written bare or first, and inputs emptied by an index
+  probe, a filter or a join;
 * the full Fig. 13 + advanced corpus: every fragment QBS translates is
   executed against its populated application database under
   ``ExecutorOptions(planner=True)`` and ``planner=False``, asserting
@@ -181,6 +184,66 @@ def test_shared_nan_probe_key_matches_no_row(indexed):
     assert [row["id"] for row in db.execute(sql, {"key": 1.0}).rows] == [1]
     scan = "IndexScan" if indexed else "FullScan"
     assert scan in db.explain(sql, {"key": nan})
+
+
+# -- bare column names ---------------------------------------------------------
+
+#: the planner's two modes, cost-based and greedy, each pinned to the
+#: seed pipeline below.
+PLANNER_MODES = (ExecutorOptions(), ExecutorOptions(cost_based=False))
+
+
+@pytest.fixture(scope="module")
+def bare_db():
+    """``t(id, v, name)`` with ``t.id`` indexed, and ``u(tid, w)``: every
+    column name belongs to one table, so each may be written bare."""
+    db = Database()
+    db.create_table("t", ("id", "v", "name"))
+    db.create_table("u", ("tid", "w"))
+    db.insert_many("t", [{"id": i, "v": 10 * i, "name": "n%d" % i}
+                         for i in range(3)])
+    db.insert_many("u", [{"tid": i, "w": 100 + i} for i in (2, 0, 1)])
+    db.create_index("t", "id")
+    return db
+
+
+@pytest.mark.parametrize("predicate", [
+    "tid = id", "tid = t.id", "id = tid", "u.tid = id"])
+def test_hash_join_finds_a_bare_build_column(bare_db, predicate):
+    """Every mode decides a hash join's build side from the owners that
+    classification resolves for each side of the predicate, so a build
+    column written bare, or first, is read from the build side."""
+    sql = "SELECT t.id, w FROM t, u WHERE " + predicate
+    for options in PLANNER_MODES:
+        _assert_identical(bare_db.view(options), sql)
+    for options in (ExecutorOptions(planner=False),) + PLANNER_MODES:
+        result = bare_db.view(options).execute(sql)
+        assert [tuple(row.values()) for row in result.rows] == \
+            [(0, 100), (1, 101), (2, 102)], (sql, options)
+        assert result.stats.hash_joins == 1
+
+
+@pytest.mark.parametrize("sql,operator", [
+    ("SELECT name FROM t WHERE id = 99", "IndexScan"),
+    ("SELECT name FROM t AS x WHERE x.v > 99", "filter=1"),
+    ("SELECT SUM(v), MAX(name) FROM t WHERE v > 99", "Aggregate"),
+    ("SELECT v, COUNT(*) FROM t WHERE v > 99 GROUP BY v", "GroupBy"),
+    ("SELECT id FROM t WHERE v > 99 ORDER BY name", "Sort"),
+    ("SELECT id FROM t WHERE v > 99 ORDER BY nosuch", "Sort"),
+    ("SELECT t.id, w FROM t, u WHERE t.v > 99 AND id = tid", "HashJoin"),
+], ids=["index-probe", "aliased-filter", "aggregate", "group-by",
+        "order-by", "order-by-unknown-column", "hash-join"])
+def test_no_closure_runs_on_an_empty_input(bare_db, sql, operator):
+    """An input emptied by an index probe, a pushed filter or a join
+    evaluates no expression and reads no sort key, as in the seed
+    pipeline: a bare name resolves against the rows it is given, and
+    over no rows it would raise ``cannot resolve column``.  The join's
+    left side is empty, so its bare probe column ``id`` is never
+    read."""
+    for options in PLANNER_MODES:
+        view = bare_db.view(options)
+        assert operator in view.explain(sql)
+        _assert_identical(view, sql)
 
 
 # -- full-corpus equivalence ---------------------------------------------------

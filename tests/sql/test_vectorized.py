@@ -1,21 +1,19 @@
 """Batch execution is invisible: every planned query runs on column
-batches, and its rows, columns and engine statistics are identical to
-the seed single-pass pipeline's (``ExecutorOptions(planner=False)``,
-GROUP BY / HAVING included) for every ``batch_size``.
+batches, one per operator, and its rows, columns and engine statistics
+are identical to the seed single-pass pipeline's
+(``ExecutorOptions(planner=False)``, GROUP BY / HAVING included).
 
 Layers:
 
-* the planner-equivalence query battery under batch sizes spanning the
-  degenerate (1) and the default (1024);
-* batch-boundary sizes {1, 2, 1023, 1024, 1025, > table} over a table
-  sized to straddle the default boundary, plus empty-table and
-  single-batch fast paths;
+* the planner-equivalence query battery;
+* a table of 1,030 rows, past the 1,024 a batch held while operators
+  streamed chunks, plus empty-table and single-row fast paths;
 * shapes without a column form (IN subqueries, mixed with column
   predicates): per-row closures inside the batch, evaluated on the
   same rows as the seed pipeline;
-* observability surfaces: trace span operator sets equal across batch
-  sizes, profile attachment;
-* option validation, and the inert ``vectorized`` flag;
+* observability surfaces: trace span operator sets, profile
+  attachment;
+* the inert ``vectorized`` flag;
 * every corpus-inferred SQL statement.
 """
 
@@ -29,29 +27,18 @@ from repro.sql.executor import ExecutorOptions
 
 from test_planner_equivalence import BATTERY
 
-BOUNDARY_SIZES = (1, 2, 1023, 1024, 1025, 5000)
-
 
 def _stats_tuple(stats):
     return (stats.rows_scanned, stats.index_probes, stats.hash_joins,
             stats.nested_loop_joins, stats.index_scans, stats.full_scans)
 
 
-def _assert_vectorized_identical(db, sql, params=None,
-                                 batch_sizes=(1024,)):
-    references = [
-        ("serial planner", db.execute(sql, params)),
-        ("seed pipeline",
-         db.view(ExecutorOptions(planner=False)).execute(sql, params))]
-    for size in batch_sizes:
-        view = db.view(ExecutorOptions(batch_size=size))
-        result = view.execute(sql, params)
-        for label, reference in references:
-            assert list(result.rows) == list(reference.rows), \
-                (sql, size, label)
-            assert result.columns == reference.columns, (sql, size, label)
-            assert _stats_tuple(result.stats) == \
-                _stats_tuple(reference.stats), (sql, size, label)
+def _assert_vectorized_identical(db, sql, params=None):
+    result = db.execute(sql, params)
+    reference = db.view(ExecutorOptions(planner=False)).execute(sql, params)
+    assert list(result.rows) == list(reference.rows), sql
+    assert result.columns == reference.columns, sql
+    assert _stats_tuple(result.stats) == _stats_tuple(reference.stats), sql
 
 
 @pytest.fixture(scope="module")
@@ -70,17 +57,15 @@ def wilos_db():
 @pytest.mark.parametrize("case", range(len(BATTERY)))
 def test_battery_vectorized_equivalence(case, wilos_db):
     sql, params = BATTERY[case]
-    _assert_vectorized_identical(wilos_db, sql, params,
-                                 batch_sizes=(1, 7, 1024))
+    _assert_vectorized_identical(wilos_db, sql, params)
 
 
-# -- batch boundaries ----------------------------------------------------------
+# -- table sizes ---------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def boundary_db():
-    """1030 rows: every size in BOUNDARY_SIZES lands a partial batch,
-    an exact split, or a single batch larger than the table."""
+    """1030 rows, one table with none and one with a single row."""
     db = Database()
     db.create_table("t", ("id", "k", "v"))
     db.insert_many("t", ({"id": i, "k": i % 9, "v": i % 31}
@@ -104,27 +89,21 @@ BOUNDARY_QUERIES = (
 
 @pytest.mark.parametrize("sql", BOUNDARY_QUERIES)
 def test_batch_boundary_sizes(boundary_db, sql):
-    _assert_vectorized_identical(boundary_db, sql,
-                                 batch_sizes=BOUNDARY_SIZES)
+    _assert_vectorized_identical(boundary_db, sql)
 
 
 def test_empty_table_fast_path(boundary_db):
-    _assert_vectorized_identical(boundary_db, "SELECT * FROM empty",
-                                 batch_sizes=(1, 1024))
+    _assert_vectorized_identical(boundary_db, "SELECT * FROM empty")
     _assert_vectorized_identical(
-        boundary_db, "SELECT COUNT(*), SUM(t0.v) FROM empty t0",
-        batch_sizes=(1, 1024))
-    view = boundary_db.view(ExecutorOptions(batch_size=1))
-    text = view.explain("SELECT * FROM empty", analyze=True)
+        boundary_db, "SELECT COUNT(*), SUM(t0.v) FROM empty t0")
+    text = boundary_db.explain("SELECT * FROM empty", analyze=True)
     assert "FullScan(empty AS empty)  [rows=0," in text
 
 
 def test_single_batch_fast_path(boundary_db):
     _assert_vectorized_identical(boundary_db,
-                                 "SELECT t0.v FROM one t0 WHERE t0.v > 1",
-                                 batch_sizes=(1024,))
-    view = boundary_db.view(ExecutorOptions(batch_size=1024))
-    text = view.explain("SELECT t0.v FROM one t0", analyze=True)
+                                 "SELECT t0.v FROM one t0 WHERE t0.v > 1")
+    text = boundary_db.explain("SELECT t0.v FROM one t0", analyze=True)
     assert "FullScan(one AS t0)  [rows=1," in text
 
 
@@ -134,24 +113,24 @@ def test_columns_of_records_written_behind_the_api(size):
     tuple only when every record of the batch has an equal tuple.  A
     record written behind the table API in another field order reads by
     name, and one that lacks the column raises the seed pipeline's
-    error."""
+    error.  The table API first writes ``size`` records: the odd ones
+    sit beside one record, and among 1,024."""
     from repro.sql.errors import SQLExecutionError
     from repro.tor.values import Record
 
     db = Database()
     db.create_table("t", ("id", "k", "v"))
     db.insert_many("t", [{"id": i, "k": i % 3, "v": i * 10}
-                         for i in range(8)])
+                         for i in range(size)])
     stored = db.table("t").rows
-    stored[3] = Record({"v": 30, "id": 3, "k": 0})
-    stored.append(Record({"k": 1, "v": 80, "id": 8}))
+    stored[1] = Record({"v": 10, "id": 1, "k": 1})
+    stored.append(Record({"k": 0, "v": size * 10, "id": size}))
     for sql in ("SELECT t0.id, t0.v FROM t t0 WHERE t0.k = 0",
-                "SELECT t0.id FROM t t0 WHERE t0.v >= 30 AND 1 = t0.k",
+                "SELECT t0.id FROM t t0 WHERE t0.v >= 10 AND 1 = t0.k",
                 "SELECT t0.id FROM t t0 WHERE t0.k < t0.id ORDER BY t0.v"):
-        _assert_vectorized_identical(db, sql, batch_sizes=(size,))
-    stored.append(Record({"id": 9, "v": 90}))
-    for options in (ExecutorOptions(batch_size=size),
-                    ExecutorOptions(planner=False)):
+        _assert_vectorized_identical(db, sql)
+    stored.append(Record({"id": size + 1, "v": (size + 1) * 10}))
+    for options in (ExecutorOptions(), ExecutorOptions(planner=False)):
         with pytest.raises(SQLExecutionError,
                            match="no column 'k' in source 't0'"):
             db.view(options).execute(
@@ -182,15 +161,14 @@ def test_in_subquery_runs_on_batches(fallback_db):
         " └─ FullScan(r AS t0) filter=1  [rows=5,")
     result = fallback_db.execute(sql)
     assert result.stats.rows_scanned == 23 + 23 * 11
-    _assert_vectorized_identical(fallback_db, sql, batch_sizes=(1, 1024))
+    _assert_vectorized_identical(fallback_db, sql)
 
 
 def test_aggregate_comparison_expression_vectorizes(fallback_db):
     _assert_vectorized_identical(
         fallback_db,
         "SELECT COUNT(*) > 10 AS big, SUM(t0.id) AS tot FROM r t0 "
-        "WHERE t0.a > 1",
-        batch_sizes=(1, 1024))
+        "WHERE t0.a > 1")
 
 
 def test_mixed_predicates_run_on_batches(fallback_db):
@@ -203,7 +181,7 @@ def test_mixed_predicates_run_on_batches(fallback_db):
     result = fallback_db.execute(sql)
     admitted = sum(1 for i in range(23) if i % 5 > 1)
     assert result.stats.rows_scanned == 23 + admitted * 11
-    _assert_vectorized_identical(fallback_db, sql, batch_sizes=(1, 7))
+    _assert_vectorized_identical(fallback_db, sql)
 
 
 # -- observability surfaces ----------------------------------------------------
@@ -212,8 +190,7 @@ def test_mixed_predicates_run_on_batches(fallback_db):
 def test_trace_operator_set_matches_serial(boundary_db):
     sql = "SELECT t0.k, COUNT(*) AS n FROM t t0 GROUP BY t0.k"
     serial = boundary_db.execute(sql, trace=True)
-    vec = boundary_db.view(ExecutorOptions(batch_size=64)).execute(
-        sql, trace=True)
+    vec = boundary_db.view(ExecutorOptions()).execute(sql, trace=True)
 
     def ops(root):
         return {node.tags["op"] for _, node in root.walk()
@@ -226,14 +203,13 @@ def test_trace_operator_set_matches_serial(boundary_db):
 
 
 def test_profile_attaches_under_vectorized(boundary_db):
-    view = boundary_db.view(ExecutorOptions(batch_size=64))
-    result = view.execute(
+    result = boundary_db.execute(
         "SELECT t0.k, COUNT(*) AS n FROM t t0 GROUP BY t0.k",
         profile=True)
     assert result.profile is not None
 
 
-# -- option validation ---------------------------------------------------------
+# -- the inert flag ------------------------------------------------------------
 
 
 def test_vectorized_flag_is_inert(wilos_db):
@@ -252,12 +228,6 @@ def test_vectorized_flag_is_inert(wilos_db):
         assert got.stats == want.stats, sql
 
 
-@pytest.mark.parametrize("bad", [0, -1, 2.5, True, "1024"])
-def test_batch_size_must_be_a_positive_integer(bad):
-    with pytest.raises(ValueError):
-        Database(ExecutorOptions(batch_size=bad))
-
-
 # -- full-corpus equivalence ---------------------------------------------------
 
 
@@ -267,5 +237,4 @@ def test_full_corpus_sql_vectorized(corpus_sql, app_dbs):
         db = app_dbs[app]
         params = {name: 1
                   for name in set(re.findall(r":(\w+)", sql))}
-        _assert_vectorized_identical(db, sql, params,
-                                     batch_sizes=(3, 1024))
+        _assert_vectorized_identical(db, sql, params)
