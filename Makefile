@@ -14,13 +14,18 @@ test:
 
 # Fast perf canary: the synthesis-speed comparison with a single
 # timing repeat (fails below 2x wall-clock / 3x evaluator-call
-# reduction vs. the seed implementation, or on three exact counts per
-# corpus QBS pass: above half the Fourier-Motzkin runs the prover made
-# before it memoised entailment, above 1/20 of the resolve_path plus
-# _scalar_binop calls made before TOR compilation resolved paths and
-# operators once, above two thirds of the rewrite passes made before
-# the prover memoised them; or if any outcome differs from the
-# memo-free oracle prover's), then the query-planner
+# reduction vs. the seed implementation, or on five exact counts per
+# corpus QBS pass: above 1/2.75 of the Fourier-Motzkin runs the prover
+# made before it memoised entailment (1,906 with the memo, 1,338 since
+# one fact or a free atom settles a goal without elimination), above
+# 1/20 of the resolve_path plus _scalar_binop calls made before TOR
+# compilation resolved paths and operators once, above two thirds of
+# the rewrite passes made before the prover memoised them, above
+# 1/1.75 of the checker states built before static guards filtered
+# the enumerables' ranges (26,056) or of the states that reached
+# derivation before invariant bounds were checked ahead of it
+# (14,048); or if any outcome differs from the memo-free oracle
+# prover's), then the query-planner
 # floors (>= 3x for the hash-join chain on the three-table corpus
 # fragment and for index scans vs. full scans, >= 2x for the statement
 # cache vs. planning every call, and at most 12 Python calls per warm

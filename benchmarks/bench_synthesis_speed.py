@@ -15,9 +15,15 @@ asserting them:
 * candidate-enumeration memory bounded by the combinations actually
   consumed, independent of ``max_combinations``,
 * bit-identical synthesis outcomes,
-* at most half the Fourier-Motzkin runs per corpus QBS pass that the
-  prover made before it memoised entailment (an exact count), with
-  every status and SQL text equal to the memo-free oracle prover's,
+* at most 1/2.75 of the Fourier-Motzkin runs per corpus QBS pass that
+  the prover made before it memoised entailment and decided goals one
+  fact or a free atom settles without eliminating (an exact count),
+  with every status and SQL text equal to the memo-free oracle
+  prover's,
+* at most 1/1.75 of the checker states built and of the states that
+  reach derivation per corpus QBS pass before state lists were built
+  from guard-filtered domains and invariant bounds were checked ahead
+  of derivation (exact counts),
 * at most 1/20 of the per-row path resolutions and operator dispatches
   (``resolve_path`` plus ``_scalar_binop`` calls) one corpus QBS pass
   made before TOR compilation resolved paths and operators once per
@@ -40,6 +46,7 @@ import itertools
 import sys
 
 import repro.core.arith as arith
+import repro.core.checker as checker_module
 import repro.core.qbs as qbs_module
 import repro.tor.compile as tor_compile
 import repro.tor.semantics as tor_semantics
@@ -64,9 +71,21 @@ MIN_EVAL_CALL_REDUCTION = 3.0
 
 #: Fourier-Motzkin runs (``repro.core.arith._feasible``) in one QBS pass
 #: over the corpus before the prover memoised entailment.  The floor
-#: asks for at most half: BASELINE_FM_CALLS / calls >= 2.
+#: asks for at most 1/2.75: BASELINE_FM_CALLS / calls >= 2.75 (1,906
+#: runs, 2.04x, with the memo alone; 1,338 once one fact or a free atom
+#: settles a goal without elimination).
 BASELINE_FM_CALLS = 3887
-MIN_FM_CALL_REDUCTION = 2.0
+MIN_FM_CALL_REDUCTION = 2.75
+
+#: Base environments the checker built (``_product_envs`` yields) in
+#: one QBS pass over the corpus while it built the whole product and
+#: then dropped the states a static guard rules out, and states that
+#: reached derivation (``_VCPlan.derive`` calls) before invariant
+#: bounds were checked ahead of it.  The floors ask for at most 1/1.75
+#: of each.
+BASELINE_STATES_BUILT = 26056
+BASELINE_STATES_DERIVED = 14048
+MIN_STATE_REDUCTION = 1.75
 
 #: ``resolve_path`` plus ``_scalar_binop`` calls in one QBS pass over
 #: the corpus while every compiled closure resolved its paths and
@@ -158,26 +177,35 @@ def corpus_outcomes():
 #: a module holds the name (their own modules, the interpreter, and
 #: ``tor/compile.py`` when it imports them), so a call is counted
 #: whichever name it goes through.
-_COUNTED = [("fm", arith, "_feasible"), ("rewrite", Prover, "_rewrite")] + [
+_COUNTED = [("fm", arith, "_feasible"), ("rewrite", Prover, "_rewrite"),
+            ("states_derived", checker_module._VCPlan, "derive")] + [
     ("paths", module, name)
     for module in (tor_values, tor_semantics, tor_compile)
     for name in ("resolve_path", "_scalar_binop") if hasattr(module, name)]
+
+#: (counter, owner, attribute) for every generator :func:`call_probe`
+#: counts the items of: the checker's base environments.
+_YIELDED = [("states_built", checker_module, "_product_envs")]
 
 
 def call_probe():
     """Exact counts of one corpus QBS pass; do outcomes match the oracle?
 
-    Counts by wrapping the functions named in ``_COUNTED`` from here:
-    FM runs (``repro.core.arith._feasible``), the prover's rewrite
-    passes (``Prover._rewrite``), and per-row path resolutions plus
-    operator dispatches (``resolve_path`` and ``_scalar_binop``).  Then
+    Counts by wrapping the functions named in ``_COUNTED`` and
+    ``_YIELDED`` from here: FM runs (``repro.core.arith._feasible``),
+    the prover's rewrite passes (``Prover._rewrite``), per-row path
+    resolutions plus operator dispatches (``resolve_path`` and
+    ``_scalar_binop``), the checker's states that reach derivation
+    (``_VCPlan.derive``) and the base environments it builds (items
+    of ``_product_envs``).  Then
     repeats the pass with ``Prover(nf_cache=False)``, which answers
     every question without a memo, and compares status and SQL per
     fragment.  Returns (counts by counter, outcomes identical).
     """
-    counts = dict.fromkeys((counter for counter, _, _ in _COUNTED), 0)
+    probed = _COUNTED + _YIELDED
+    counts = dict.fromkeys((counter for counter, _, _ in probed), 0)
     originals = [(owner, name, getattr(owner, name))
-                 for _, owner, name in _COUNTED]
+                 for _, owner, name in probed]
 
     def counting(counter, fn):
         def wrapper(*args):
@@ -185,8 +213,17 @@ def call_probe():
             return fn(*args)
         return wrapper
 
-    for (counter, owner, name), (_, _, fn) in zip(_COUNTED, originals):
-        setattr(owner, name, counting(counter, fn))
+    def counting_items(counter, fn):
+        def wrapper(*args):
+            for item in fn(*args):
+                counts[counter] += 1
+                yield item
+        return wrapper
+
+    for counter, owner, name in _COUNTED:
+        setattr(owner, name, counting(counter, getattr(owner, name)))
+    for counter, owner, name in _YIELDED:
+        setattr(owner, name, counting_items(counter, getattr(owner, name)))
     try:
         outcomes = corpus_outcomes()
     finally:
@@ -200,19 +237,28 @@ def call_probe():
     return counts, outcomes == oracle
 
 
-def count_reductions(counts):
-    """Baseline over measured count, per floor (a count of 0 reads as 1)."""
-    return {
-        "fm_calls": BASELINE_FM_CALLS / max(counts["fm"], 1),
-        "path_calls": BASELINE_PATH_CALLS / max(counts["paths"], 1),
-        "rewrite_calls": BASELINE_REWRITE_CALLS / max(counts["rewrite"], 1),
-    }
-
+#: (label, counter, baseline, floor name) per exact count.
+COUNT_ROWS = (
+    ("FM runs", "fm", BASELINE_FM_CALLS, "fm_calls"),
+    ("path/operator calls", "paths", BASELINE_PATH_CALLS, "path_calls"),
+    ("rewrite passes", "rewrite", BASELINE_REWRITE_CALLS, "rewrite_calls"),
+    ("checker states built", "states_built", BASELINE_STATES_BUILT,
+     "states_built"),
+    ("states derived", "states_derived", BASELINE_STATES_DERIVED,
+     "states_derived"))
 
 #: floor name -> the reduction it asks for.
 COUNT_FLOORS = {"fm_calls": MIN_FM_CALL_REDUCTION,
                 "path_calls": MIN_PATH_CALL_REDUCTION,
-                "rewrite_calls": MIN_REWRITE_CALL_REDUCTION}
+                "rewrite_calls": MIN_REWRITE_CALL_REDUCTION,
+                "states_built": MIN_STATE_REDUCTION,
+                "states_derived": MIN_STATE_REDUCTION}
+
+
+def count_reductions(counts):
+    """Baseline over measured count, per floor (a count of 0 reads as 1)."""
+    return {floor: baseline / max(counts[counter], 1)
+            for _, counter, baseline, floor in COUNT_ROWS}
 
 
 def test_synthesis_speed_vs_seed(benchmark):
@@ -238,12 +284,14 @@ def test_synthesis_speed_vs_seed(benchmark):
     assert len(synth_peaks) == 2 and synth_peaks[0] == synth_peaks[1]
     assert enum_peak < product_size / 100
 
-    # Memoised entailment halves FM runs, compiled paths and operators
-    # all but remove per-row resolution, memoised rewrite passes cut the
-    # prover's; outcomes do not move.
+    # Memoised entailment and its shortcuts cut FM runs, compiled paths
+    # and operators all but remove per-row resolution, memoised rewrite
+    # passes cut the prover's, guard-filtered domains and invariant
+    # bounds cut the checker's states; outcomes do not move.
     counts, oracle_match = call_probe()
     print("  per corpus QBS pass: %(fm)d FM runs, %(paths)d path/operator "
-          "calls, %(rewrite)d rewrite passes" % counts)
+          "calls, %(rewrite)d rewrite passes, %(states_built)d states "
+          "built, %(states_derived)d derived" % counts)
     assert oracle_match
     for floor, reduction in count_reductions(counts).items():
         assert reduction >= COUNT_FLOORS[floor], floor
@@ -272,15 +320,10 @@ def main(argv):
           "bare enumerator %d of product %d"
           % (" vs ".join(str(p) for p in synth_peaks), enum_peak,
              product_size))
-    for label, counter, baseline, floor in (
-            ("FM runs", "fm", BASELINE_FM_CALLS, "fm_calls"),
-            ("path/operator calls", "paths", BASELINE_PATH_CALLS,
-             "path_calls"),
-            ("rewrite passes", "rewrite", BASELINE_REWRITE_CALLS,
-             "rewrite_calls")):
+    for label, counter, baseline, floor in COUNT_ROWS:
         print("%-24s: %d per QBS pass of baseline %d, %.2fx fewer "
-              "(floor %.1fx)" % (label, counts[counter], baseline,
-                                 reductions[floor], COUNT_FLOORS[floor]))
+              "(floor %gx)" % (label, counts[counter], baseline,
+                               reductions[floor], COUNT_FLOORS[floor]))
     print("outcomes %s the oracle prover's"
           % ("match" if oracle_match else "DIFFER from"))
     ok = (ratios["wall_clock"] >= MIN_WALL_CLOCK_SPEEDUP
@@ -305,6 +348,8 @@ def main(argv):
                "product_size": product_size, "repeats": repeats,
                "fm_calls": counts["fm"], "path_calls": counts["paths"],
                "rewrite_calls": counts["rewrite"],
+               "states_built": counts["states_built"],
+               "states_derived": counts["states_derived"],
                "fm_oracle_match": oracle_match})
     print("RESULT: %s" % ("PASS" if ok else "FAIL"))
     return 0 if ok else 1

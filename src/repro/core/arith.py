@@ -154,14 +154,19 @@ class FactSet:
     answer of :meth:`entails`.  The prover passes one dict to every
     FactSet it builds, so a question asked again under the same facts —
     in another VC, case split or candidate — is answered without
-    elimination.  Copies share their original's memo.
+    elimination.  ``feasible_memo``, when given, maps ``signature()``
+    to whether the facts alone are satisfiable, the answer a goal over
+    an unconstrained atom reduces to (:meth:`_entails_geq`).  Copies
+    share their original's memos.
     """
 
     def __init__(self, int_vars: Optional[Set[str]] = None,
-                 memo: Optional[Dict[Tuple, bool]] = None):
+                 memo: Optional[Dict[Tuple, bool]] = None,
+                 feasible_memo: Optional[Dict[Tuple, bool]] = None):
         self.constraints: List[Constraint] = []
         self.int_vars: Set[str] = set(int_vars or ())
         self._memo = memo
+        self._feasible_memo = feasible_memo
         # Content signature, used by the prover's memos.  Entailment is
         # a function of the ingested comparisons (plus int_vars), so two
         # FactSets with equal signatures answer every query identically.
@@ -171,7 +176,7 @@ class FactSet:
         self._sig: Optional[Tuple] = None
 
     def copy(self) -> "FactSet":
-        out = FactSet(self.int_vars, self._memo)
+        out = FactSet(self.int_vars, self._memo, self._feasible_memo)
         out.constraints = list(self.constraints)
         out._sig_entries = list(self._sig_entries)
         out._sig = self._sig
@@ -274,21 +279,56 @@ class FactSet:
         Fourier-Motzkin.  Negation of ``lin >= 0`` is ``-lin > 0``;
         negation of ``lin > 0`` is ``-lin >= 0`` (with integer
         tightening when applicable).
+
+        Two cases are decided without eliminating, with elimination's
+        answer.  A stored constraint over exactly the goal's terms
+        settles it when the goal is that constraint plus a constant
+        ``k`` large enough: ``k >= 0``, or for a strict goal ``k > 0``
+        (``k = 0`` over a strict constraint).  And when the goal has a
+        non-``size`` atom that no constraint mentions, eliminating that
+        atom first drops the negated goal, so the goal is entailed
+        exactly when the facts, with their implicit ``size`` rows, are
+        infeasible.
         """
-        system = list(self.constraints)
+        terms = lin.terms
+        for con in self.constraints:
+            if con.lin.terms == terms:
+                k = lin.const - con.lin.const
+                if k > 0 or (k == 0 and (con.strict or not strict)):
+                    return True
+        for atom in terms:
+            if not isinstance(atom, T.Size) and not any(
+                    atom in con.lin.terms for con in self.constraints):
+                return not self._facts_feasible()
         neg = -lin
         if strict:
-            system.append(Constraint(neg, strict=False))
+            goal = Constraint(neg, strict=False)
+        elif all(_is_int_atom(a, self.int_vars) for a in neg.atoms()):
+            goal = Constraint(neg.shift(-1), strict=False)
         else:
-            if all(_is_int_atom(a, self.int_vars) for a in neg.atoms()):
-                system.append(Constraint(neg.shift(-1), strict=False))
-            else:
-                system.append(Constraint(neg, strict=True))
-        # Implicit size(...) >= 0 facts, in order of first appearance.
-        sizes = {atom: None for con in system for atom in con.lin.terms
-                 if isinstance(atom, T.Size)}
-        system.extend(Constraint(LinExpr({atom: 1})) for atom in sizes)
-        return not _feasible(system)
+            goal = Constraint(neg, strict=True)
+        return not _feasible(_with_sizes(self.constraints + [goal]))
+
+    def _facts_feasible(self) -> bool:
+        """Are the facts, with their implicit ``size`` rows, satisfiable?"""
+        memo = self._feasible_memo
+        if memo is None:
+            return _feasible(_with_sizes(list(self.constraints)))
+        key = self.signature()
+        answer = memo.get(key)
+        if answer is None:
+            answer = memo[key] = _feasible(
+                _with_sizes(list(self.constraints)))
+        return answer
+
+
+def _with_sizes(system: List[Constraint]) -> List[Constraint]:
+    """``system`` extended by ``size(...) >= 0`` for each size atom in it,
+    in order of first appearance."""
+    sizes = {atom: None for con in system for atom in con.lin.terms
+             if isinstance(atom, T.Size)}
+    system.extend(Constraint(LinExpr({atom: 1})) for atom in sizes)
+    return system
 
 
 #: A row of the elimination: coefficients (one per live atom, then the

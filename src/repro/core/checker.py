@@ -34,7 +34,17 @@ Performance architecture (optimized mode, the default):
   is keyed on them: thousands of combinations sharing a clause prefix
   reuse verdicts instead of re-walking states.
 * State enumeration is pre-indexed per (VC, enumerable shape, world)
-  and generated once, not per candidate.
+  and generated once, not per candidate.  Static guards (Bool
+  hypotheses over no derived variable) filter the list as it is built:
+  a guard over one enumerable filters that enumerable's index range
+  once, the others the product of the filtered ranges, so only the
+  states they admit are built, in the seed product's order.
+* An invariant's comparison clauses over parameters bound to underived
+  arguments (``i < size(users)``), applied at the top level of a VC's
+  hypotheses, are checked before any derivation runs: a state failing
+  one is vacuous, so it pays for no derivation.  An application under
+  ``Or`` or ``NotF`` gets no such check, since a false clause there
+  does not make the hypothesis false.
 * The CEGIS cache is deduplicated and its replay verdicts are memoized
   per clause structure; it lives as long as the checker — one per
   synthesizer — so killer states persist across template levels.
@@ -162,23 +172,38 @@ def eval_formula(formula: Formula, env: Dict[str, Any], db,
 class _VCPlan:
     """One VC compiled against one clause structure.
 
+    ``bounds_fn`` (or None) is a closure ``fn(env, db, wkey) -> bool``
+    over the base environment: the comparison clauses of the invariant
+    applications in conjunctive hypothesis position whose parameters
+    read no derived variable (``i < size(users)``).  A state failing
+    one is vacuous, so it is checked before any derivation runs.
     ``derivers`` mutate a state environment in hypothesis order (the
     pinned-variable derivation of :meth:`BoundedChecker._violates`);
     ``hyp_fns`` and ``concl_fn`` are closures ``fn(env, db, wkey) ->
-    bool`` evaluating the hypotheses and the conclusion with no formula
-    dispatch left at run time.  ``guard_fns`` holds the static guards
-    omitted from ``hyp_fns`` because fresh-scan state lists are
-    pre-filtered by them; the CEGIS replay path re-checks them, since
-    replayed states may originate from a different derivation shape.
+    bool`` evaluating the rest of the hypotheses and the conclusion
+    with no formula dispatch left at run time.  ``guard_fns`` holds the
+    static guards omitted from ``hyp_fns`` because fresh-scan state
+    lists are pre-filtered by them; the CEGIS replay path re-checks
+    them, since replayed states may originate from a different
+    derivation shape.
     """
 
-    __slots__ = ("derivers", "hyp_fns", "concl_fn", "guard_fns")
+    __slots__ = ("bounds_fn", "derivers", "hyp_fns", "concl_fn",
+                 "guard_fns")
 
-    def __init__(self, derivers, hyp_fns, concl_fn, guard_fns):
+    def __init__(self, bounds_fn, derivers, hyp_fns, concl_fn, guard_fns):
+        self.bounds_fn = bounds_fn
         self.derivers = derivers
         self.hyp_fns = hyp_fns
         self.concl_fn = concl_fn
         self.guard_fns = guard_fns
+
+    def derive(self, env: Dict[str, Any], db, wkey) -> Dict[str, Any]:
+        """A copy of ``env`` with every pinned variable derived."""
+        full_env = dict(env)
+        for derive in self.derivers:
+            derive(full_env, db, wkey)
+        return full_env
 
 
 class _PlanBuilder:
@@ -365,38 +390,49 @@ class _PlanBuilder:
             return lambda env, db, wkey: (not ante_fn(env, db, wkey)) \
                 or cons_fn(env, db, wkey)
         if isinstance(formula, PredApp):
-            predicate = assignment[formula.name]
-            arg_fns = []
-            param_rel: Dict[str, Tuple[str, ...]] = {}
-            for param, arg in zip(formula.params, formula.args):
-                rel = self.rel_of_expr(arg)
-                param_rel[param] = rel
-                arg_fns.append((param, self.slot_fn(arg, rel)))
-            clause_fns = []
-            for clause in predicate.clauses:
-                if not isinstance(clause, (EqClause, CmpClause)):
-                    continue
-                rel_set: set = set()
-                for name in T.free_vars(clause.expr):
-                    rel_set.update(param_rel.get(name, ()))
-                fn = self.slot_fn(clause.expr, tuple(sorted(rel_set)))
-                clause_fns.append(
-                    (clause.var if isinstance(clause, EqClause) else None,
-                     fn))
-
-            def run_pred(env: Dict[str, Any], db, wkey) -> bool:
-                values = {}
-                for param, fn in arg_fns:
-                    values[param] = fn(env, env, db, wkey)
-                for var, fn in clause_fns:
-                    if var is not None:
-                        if values[var] != fn(values, env, db, wkey):
-                            return False
-                    elif not fn(values, env, db, wkey):
-                        return False
-                return True
-            return run_pred
+            return self.build_app(formula,
+                                  assignment[formula.name].clauses,
+                                  formula.params)
         raise TypeError(formula)
+
+    def build_app(self, app: PredApp, clauses, params):
+        """Compile ``clauses`` applied to ``app`` to ``fn(env, db, wkey)``.
+
+        The closure binds ``params`` to their argument values, in the
+        application's order, then tests the clauses in order.  A
+        hypothesis binds every parameter; the bounds check binds only
+        those its clauses read, none of them derived.
+        """
+        arg_fns = []
+        param_rel: Dict[str, Tuple[str, ...]] = {}
+        for param, arg in zip(app.params, app.args):
+            rel = self.rel_of_expr(arg)
+            param_rel[param] = rel
+            if param in params:
+                arg_fns.append((param, self.slot_fn(arg, rel)))
+        clause_fns = []
+        for clause in clauses:
+            if not isinstance(clause, (EqClause, CmpClause)):
+                continue
+            rel_set: set = set()
+            for name in T.free_vars(clause.expr):
+                rel_set.update(param_rel.get(name, ()))
+            fn = self.slot_fn(clause.expr, tuple(sorted(rel_set)))
+            clause_fns.append(
+                (clause.var if isinstance(clause, EqClause) else None, fn))
+
+        def run_pred(env: Dict[str, Any], db, wkey) -> bool:
+            values = {}
+            for param, fn in arg_fns:
+                values[param] = fn(env, env, db, wkey)
+            for var, fn in clause_fns:
+                if var is not None:
+                    if values[var] != fn(values, env, db, wkey):
+                        return False
+                elif not fn(values, env, db, wkey):
+                    return False
+            return True
+        return run_pred
 
 
 class BoundedChecker:
@@ -442,14 +478,6 @@ class BoundedChecker:
         self._replay_memo: Dict[Tuple[int, int], bool] = {}
         self._world_index = {id(world): idx
                              for idx, world in enumerate(worlds)}
-        # Static hypothesis guards: Bool hypotheses that mention no
-        # *derived* variable have the same truth value for every
-        # candidate sharing a derivation shape, so states falsifying
-        # one are vacuous for all of them.  Optimized mode evaluates
-        # such guards once while building a state list and filters
-        # those states out (their verdict — no violation — is what
-        # every candidate's check would conclude).
-        self._static_guard_cache: Dict[Tuple, List] = {}
 
     @property
     def cegis_cache_size(self) -> int:
@@ -486,7 +514,16 @@ class BoundedChecker:
         return sig_id
 
     def _plan(self, vc: VC, assignment: Assignment, sig_id: int) -> _VCPlan:
-        """The compiled plan for ``vc`` under this clause structure."""
+        """The compiled plan for ``vc`` under this clause structure.
+
+        Each hypothesis compiles to one of three places: a static guard
+        to ``guard_fns`` (fresh-scan state lists are already filtered
+        by it); an invariant application at the top level to
+        ``bounds_fn`` for its comparison clauses over underived
+        parameters and to ``hyp_fns`` for the rest; anything else,
+        applications under ``Or``/``NotF`` included, whole to
+        ``hyp_fns``.
+        """
         key = (vc.name, sig_id)
         plan = self._plan_cache.get(key)
         if plan is None:
@@ -497,18 +534,34 @@ class BoundedChecker:
             derivers = [builder.build_deriver(app, assignment[app.name])
                         for hyp in vc.hypotheses
                         for app in formula_pred_apps(hyp)]
-            # Static guards are enforced when the state list is built
-            # (_filter_static_guards), so the per-state loop skips
-            # them; they stay available for the replay path.
+            bound_fns = []
             hyp_fns = []
             guard_fns = []
             for hyp in vc.hypotheses:
                 if self._is_static_guard(hyp, derived_set):
                     guard_fns.append(self.evaluator.fn(hyp.expr))
+                elif isinstance(hyp, PredApp):
+                    clauses = assignment[hyp.name].clauses
+                    underived = {param for param, arg in zip(hyp.params,
+                                                             hyp.args)
+                                 if not T.free_vars(arg) & derived_set}
+                    bounds = [clause for clause in clauses
+                              if isinstance(clause, CmpClause)
+                              and T.free_vars(clause.expr) <= underived]
+                    if bounds:
+                        read = set()
+                        for clause in bounds:
+                            read |= T.free_vars(clause.expr)
+                        bound_fns.append(builder.build_app(hyp, bounds,
+                                                           read))
+                    hyp_fns.append(builder.build_app(
+                        hyp, [clause for clause in clauses
+                              if clause not in bounds], hyp.params))
                 else:
                     hyp_fns.append(builder.build_formula(hyp, assignment))
             concl_fn = builder.build_formula(vc.conclusion, assignment)
-            plan = _VCPlan(derivers, hyp_fns, concl_fn, guard_fns)
+            plan = _VCPlan(_all_of(bound_fns), derivers, hyp_fns, concl_fn,
+                           guard_fns)
             self._plan_cache[key] = plan
         return plan
 
@@ -614,10 +667,8 @@ class BoundedChecker:
                self._world_index[id(world)])
         envs = self._state_cache.get(key)
         if envs is None:
-            envs = self._filter_static_guards(
-                vc, world, self._generate_base_envs(vc, world, assignment),
-                derived)
-            self._state_cache[key] = envs
+            envs = self._state_cache[key] = self._guarded_states(
+                vc, world, enumerable, derived)
         return envs
 
     @staticmethod
@@ -626,55 +677,53 @@ class BoundedChecker:
         return isinstance(hyp, Bool) \
             and not (T.free_vars(hyp.expr) & derived_set)
 
-    def _filter_static_guards(self, vc: VC, world: World,
-                              envs: Iterable[Dict[str, Any]],
-                              derived: List[str]
-                              ) -> List[Dict[str, Any]]:
-        """Drop states falsified by candidate-independent guards.
+    def _guarded_states(self, vc: VC, world: World, enumerable: List[str],
+                        derived: List[str]) -> List[Dict[str, Any]]:
+        """The base environments that every static guard admits.
 
-        Such states make the VC vacuously true for every candidate with
-        this derivation shape, so filtering them once — while the state
-        list is built — replaces a per-candidate hypothesis evaluation.
-        Compiled plans omit the same guards (:meth:`_plan`), which is
-        sound exactly because every fresh-scan state they see passed
-        this filter; replayed CEGIS states may come from a different
-        shape, so the replay path re-checks the guards
-        (:meth:`_guards_hold`).
+        A static guard — a Bool hypothesis that mentions no derived
+        variable — has the same truth value for every candidate sharing
+        a derivation shape, so a state falsifying one is vacuous for all
+        of them; compiled plans omit such guards (:meth:`_plan`).  A
+        guard that mentions one enumerable filters that enumerable's
+        domain once, over the world's base bindings; the others filter
+        the product of the filtered domains.  The result is the seed
+        product (:meth:`_generate_base_envs`) filtered by the guards, in
+        the same order, but only the kept environments are built.
         """
-        guard_key = (vc.name, tuple(derived))
-        guards = self._static_guard_cache.get(guard_key)
-        if guards is None:
-            derived_set = set(derived)
-            guards = [self.evaluator.fn(hyp.expr) for hyp in vc.hypotheses
-                      if self._is_static_guard(hyp, derived_set)]
-            self._static_guard_cache[guard_key] = guards
-        if not guards:
-            return list(envs)
-        stats = self.evaluator.stats
+        base = self._world_base(world)
+        if base is None:
+            return []
+        derived_set = set(derived)
         db = world.db
-        kept: List[Dict[str, Any]] = []
-        for env in envs:
-            ok = True
-            for fn in guards:
-                stats.requests += 1
-                stats.executed += 1
-                try:
-                    if not fn(env, db):
-                        ok = False
-                        break
-                except EvalError:
-                    # Out of the axioms' domain: the unoptimized check
-                    # also concludes "no violation" for this state.
-                    ok = False
-                    break
-            if ok:
-                kept.append(env)
-        return kept
+        stats = self.evaluator.stats
+        bound = world.max_table_size() + 1
+        domains = {name: range(0, bound + 1) for name in enumerable}
+        product_guards = []
+        for hyp in vc.hypotheses:
+            if not self._is_static_guard(hyp, derived_set):
+                continue
+            fn = self.evaluator.fn(hyp.expr)
+            reads = T.free_vars(hyp.expr)
+            mentioned = [name for name in enumerable if name in reads]
+            if len(mentioned) != 1:
+                product_guards.append(fn)
+                continue
+            name = mentioned[0]
+            probe = dict(base)
+            kept = []
+            for value in domains[name]:
+                probe[name] = value
+                if _admits(fn, probe, db, stats):
+                    kept.append(value)
+            domains[name] = kept
+        return [env for env in _product_envs(
+                    base, enumerable, [domains[name] for name in enumerable])
+                if all(_admits(fn, env, db, stats) for fn in product_guards)]
 
-    def _generate_base_envs(self, vc: VC, world: World,
-                            assignment: Assignment
-                            ) -> Iterator[Dict[str, Any]]:
-        enumerable, _ = self._classify_free_vars(vc, assignment)
+    def _world_base(self, world: World) -> Optional[Dict[str, Any]]:
+        """The bindings every state of ``world`` shares, or None when a
+        loop-free derived relation is outside the world's domain."""
         world_key = self._world_index[id(world)]
         base: Dict[str, Any] = dict(world.inputs)
         for name, info in self.fragment.all_vars().items():
@@ -691,17 +740,23 @@ class BoundedChecker:
                         key=("exit", name, world_key) if self.optimized
                         else None)
                 except EvalError:
-                    return  # definition outside this world's domain
+                    return None
         for name, info in self.fragment.all_vars().items():
             if info.kind == "relation":
                 # Placeholder for benign unconstrained relations.
                 base.setdefault(name, ())
+        return base
+
+    def _generate_base_envs(self, vc: VC, world: World,
+                            assignment: Assignment
+                            ) -> Iterator[Dict[str, Any]]:
+        enumerable, _ = self._classify_free_vars(vc, assignment)
+        base = self._world_base(world)
+        if base is None:
+            return  # definition outside this world's domain
         bound = world.max_table_size() + 1
         domains = [range(0, bound + 1) for _ in enumerable]
-        for values in itertools.product(*domains):
-            env = dict(base)
-            env.update(zip(enumerable, values))
-            yield env
+        yield from _product_envs(base, enumerable, domains)
 
     # -- checking -----------------------------------------------------------
 
@@ -715,13 +770,13 @@ class BoundedChecker:
         """
         db = world.db
         wkey = self._world_index.get(id(world))
-        derivers, hyp_fns, concl_fn = plan.derivers, plan.hyp_fns, \
-            plan.concl_fn
+        bounds_fn, derive, hyp_fns, concl_fn = plan.bounds_fn, plan.derive, \
+            plan.hyp_fns, plan.concl_fn
         for env in envs:
-            full_env = dict(env)
             try:
-                for derive in derivers:
-                    derive(full_env, db, wkey)
+                if bounds_fn is not None and not bounds_fn(env, db, wkey):
+                    continue  # an invariant bound fails: vacuously true
+                full_env = derive(env, db, wkey)
                 for hyp_fn in hyp_fns:
                     if not hyp_fn(full_env, db, wkey):
                         break  # hypothesis false: vacuously true
@@ -859,15 +914,7 @@ class BoundedChecker:
         """
         stats = self.evaluator.stats
         db = world.db
-        for fn in plan.guard_fns:
-            stats.requests += 1
-            stats.executed += 1
-            try:
-                if not fn(env, db):
-                    return False
-            except EvalError:
-                return False
-        return True
+        return all(_admits(fn, env, db, stats) for fn in plan.guard_fns)
 
     def _remember(self, vc: VC, world: World, env: Dict[str, Any]) -> None:
         """Add a killer state to the CEGIS cache (deduplicated)."""
@@ -881,3 +928,34 @@ class BoundedChecker:
             except TypeError:
                 pass  # unhashable values: keep without deduplication
         self._cache.append((vc, world, dict(env), next(self._cache_serial)))
+
+
+def _admits(guard, env: Dict[str, Any], db, stats) -> bool:
+    """Whether a compiled static guard holds in ``env``; a guard outside
+    the axioms' domain admits nothing, as a false one does."""
+    stats.requests += 1
+    stats.executed += 1
+    try:
+        return bool(guard(env, db))
+    except EvalError:
+        return False
+
+
+def _product_envs(base: Dict[str, Any], names: List[str],
+                  domains: List[Iterable[int]]) -> Iterator[Dict[str, Any]]:
+    """``base`` extended by each combination of ``names``' domain values,
+    in ``itertools.product`` order."""
+    for values in itertools.product(*domains):
+        env = dict(base)
+        env.update(zip(names, values))
+        yield env
+
+
+def _all_of(fns: List[Callable]) -> Optional[Callable]:
+    """One closure ``fn(env, db, wkey)`` that holds when all of ``fns``
+    do, or None for no closures."""
+    if not fns:
+        return None
+    if len(fns) == 1:
+        return fns[0]
+    return lambda env, db, wkey: all(fn(env, db, wkey) for fn in fns)

@@ -104,23 +104,27 @@ class Prover:
         loops = analyze_loops(vcset.fragment)
         self.int_vars = {info.counter for info in loops.values()
                          if info.counter is not None}
-        # Three memos, all on under ``nf_cache`` and all living exactly
+        # Four memos, all on under ``nf_cache`` and all living exactly
         # as long as this prover (one fragment): normal forms and
         # single rewrite passes, both keyed on (expr, facts signature,
-        # bools signature), and entailment answers keyed on (facts
-        # signature, op, left, right), shared by every FactSet this
-        # prover builds.  Each is a pure function of its key (rewrite
-        # rules read the facts and never add to them), so results are
-        # shared across VCs, candidate assignments and case splits whose
-        # contexts coincide — and, for rewrite passes, across the passes
-        # of one fixpoint loop: a subterm already in normal form is not
-        # rewritten again on the next pass.  ``nf_cache=False`` is the
-        # oracle that decides every question afresh.
+        # bools signature); entailment answers keyed on (facts
+        # signature, op, left, right); and whether the facts alone are
+        # feasible, keyed on the facts signature.  The last two are
+        # shared by every FactSet this prover builds.  Each is a pure
+        # function of its key (rewrite rules read the facts and never
+        # add to them), so results are shared across VCs, candidate
+        # assignments and case splits whose contexts coincide — and,
+        # for rewrite passes, across the passes of one fixpoint loop: a
+        # subterm already in normal form is not rewritten again on the
+        # next pass.  ``nf_cache=False`` is the oracle that decides
+        # every question afresh.
         self.use_nf_cache = nf_cache
         self._nf_cache: Dict[Tuple, T.TorNode] = {}
         self._rewrite_memo: Optional[Dict[Tuple, T.TorNode]] = \
             {} if nf_cache else None
         self._entail_memo: Optional[Dict[Tuple, bool]] = \
+            {} if nf_cache else None
+        self._feasible_memo: Optional[Dict[Tuple, bool]] = \
             {} if nf_cache else None
         self.nf_cache_hits = 0
         self.nf_cache_misses = 0
@@ -128,10 +132,11 @@ class Prover:
     def new_facts(self) -> FactSet:
         """An empty FactSet over this prover's integer variables.
 
-        It answers entailment through this prover's memo (none when
+        It answers entailment through this prover's memos (none when
         ``nf_cache`` is off).
         """
-        return FactSet(int_vars=self.int_vars, memo=self._entail_memo)
+        return FactSet(int_vars=self.int_vars, memo=self._entail_memo,
+                       feasible_memo=self._feasible_memo)
 
     # -- public API ----------------------------------------------------------
 

@@ -21,7 +21,7 @@ analyses: it may reject transformable fragments, never mis-translate.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Set
+from typing import Dict, List, Set
 
 from repro.frontend.errors import FrontendRejection
 from repro.frontend.registry import AppRegistry
@@ -42,11 +42,16 @@ UPDATE_CALLS = {"save", "delete", "update", "persist", "merge", "flush",
 
 def check_fragment_safety(func: ast.FunctionDef,
                           registry: AppRegistry) -> None:
-    """Raise :class:`FrontendRejection` when the fragment is unsafe."""
-    tainted = _collect_tainted(func, registry)
-    aliases = _collect_aliases(func, tainted)
+    """Raise :class:`FrontendRejection` when the fragment is unsafe.
 
-    for node in ast.walk(func):
+    The fragment's AST is walked once; every pass reads the same node
+    list, in ``ast.walk`` order.
+    """
+    nodes = list(ast.walk(func))
+    tainted = _collect_tainted(nodes, registry)
+    aliases = _collect_aliases(nodes, tainted)
+
+    for node in nodes:
         # Escapement: self.x = tainted / global writes.
         if isinstance(node, ast.Assign):
             for target in node.targets:
@@ -82,7 +87,7 @@ def check_fragment_safety(func: ast.FunctionDef,
                 "modeled by TOR")
 
     # Alias-and-mutate: mutation through one name of an aliased pair.
-    for node in ast.walk(func):
+    for node in nodes:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             receiver = node.func.value
             if isinstance(receiver, ast.Name) and \
@@ -94,14 +99,14 @@ def check_fragment_safety(func: ast.FunctionDef,
                         % receiver.id)
 
 
-def _collect_tainted(func: ast.FunctionDef,
+def _collect_tainted(nodes: List[ast.AST],
                      registry: AppRegistry) -> Set[str]:
     """Fixpoint taint: query-call results and anything derived."""
     tainted: Set[str] = set()
     changed = True
     while changed:
         changed = False
-        for node in ast.walk(func):
+        for node in nodes:
             if not isinstance(node, ast.Assign) or len(node.targets) != 1:
                 continue
             target = node.targets[0]
@@ -118,11 +123,11 @@ def _collect_tainted(func: ast.FunctionDef,
     return tainted
 
 
-def _collect_aliases(func: ast.FunctionDef,
+def _collect_aliases(nodes: List[ast.AST],
                      tainted: Set[str]) -> Dict[str, Set[str]]:
     """Name -> alias group, for plain ``a = b`` copies of tainted lists."""
     groups: Dict[str, Set[str]] = {}
-    for node in ast.walk(func):
+    for node in nodes:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
             if isinstance(target, ast.Name) and \

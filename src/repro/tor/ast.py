@@ -47,8 +47,9 @@ class TorNode:
     A node's hash is computed once and kept on the instance: the prover
     and the synthesizer use the same subtrees as memo keys over and
     over, and a dataclass hash would walk the whole tree each time.
-    Pickles leave the cached hash out, because string hashes differ
-    from one process to the next.
+    :func:`free_vars` keeps its answer beside the hash, for the same
+    reason.  Pickles leave both out: string hashes differ from one
+    process to the next, and the variable set is cheap to recompute.
     """
 
     __slots__ = ()
@@ -72,6 +73,7 @@ class TorNode:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_hash", None)
+        state.pop("_free_vars", None)
         return state
 
     def children(self) -> Iterator["TorNode"]:
@@ -540,6 +542,10 @@ class Contains(TorNode):
 # ---------------------------------------------------------------------------
 
 
+#: Nodes without TorNode children: :func:`rebuild` returns them as they are.
+_LEAVES = (Var, Const, EmptyRelation)
+
+
 def substitute(expr: TorNode, mapping: dict) -> TorNode:
     """Return ``expr`` with every :class:`Var` named in ``mapping`` replaced.
 
@@ -558,6 +564,8 @@ def rebuild(expr: TorNode, fn) -> TorNode:
     record literals) are rebuilt element-wise.  Returns the original
     object when nothing changed, preserving identity for caching.
     """
+    if isinstance(expr, _LEAVES):
+        return expr
     changed = False
     new_values = []
     for name in _field_names(type(expr)):
@@ -583,8 +591,18 @@ def rebuild(expr: TorNode, fn) -> TorNode:
 
 
 def free_vars(expr: TorNode) -> set:
-    """The set of program variable names referenced by ``expr``."""
-    return {node.name for node in expr.walk() if isinstance(node, Var)}
+    """The set of program variable names referenced by ``expr``.
+
+    The names are collected once per node and kept on it; each call
+    returns a fresh set, which the caller may change.
+    """
+    try:
+        names = expr.__dict__["_free_vars"]
+    except KeyError:
+        names = frozenset([node.name for node in expr.walk()
+                           if isinstance(node, Var)])
+        object.__setattr__(expr, "_free_vars", names)
+    return set(names)
 
 
 def uses_operator(expr: TorNode, *node_types) -> bool:

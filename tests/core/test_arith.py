@@ -123,12 +123,45 @@ def test_fm_clears_non_integral_float_constants():
     assert not arith._feasible([low, Constraint(high.lin, strict=True)])
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_factset_entailment_matches_reference_engine(seed, monkeypatch):
-    """Tightening and implicit sizes on top: whole answers agree too."""
-    rng = random.Random(1000 + seed)
+def eliminate(factset, lin, strict, feasible=reference_feasible):
+    """Does ``factset`` entail ``lin >= 0`` (``> 0`` when strict)?
+
+    Elimination alone, over ``factset``'s stored constraints: add the
+    negated goal (integer tightening when every atom is an integer) and
+    a ``size >= 0`` row per size atom; the goal is entailed when that
+    system is infeasible.
+    """
+    neg = -lin
+    if strict:
+        goal = Constraint(neg)
+    elif all(arith._is_int_atom(a, factset.int_vars) for a in neg.atoms()):
+        goal = Constraint(neg.shift(-1))
+    else:
+        goal = Constraint(neg, strict=True)
+    system = factset.constraints + [goal]
+    sizes = {atom: None for con in system for atom in con.lin.terms
+             if isinstance(atom, T.Size)}
+    system += [Constraint(LinExpr({atom: 1})) for atom in sizes]
+    return not feasible(system)
+
+
+def reference_entails(factset, op, left, right):
+    """Is ``left op right`` entailed?  One or two :func:`eliminate`
+    questions over ``reference_feasible``."""
+    l, r = linearize(left), linearize(right)
+    if op == "=":
+        return eliminate(factset, r - l, False) \
+            and eliminate(factset, l - r, False)
+    if op == "!=":
+        return eliminate(factset, r - l, True) \
+            or eliminate(factset, l - r, True)
+    lin = {"<": r - l, "<=": r - l, ">": l - r, ">=": l - r}[op]
+    return eliminate(factset, lin, op in ("<", ">"))
+
+
+def _random_cases(rng, count):
     cases = []
-    for _ in range(60):
+    for _ in range(count):
         facts = []
         for _ in range(rng.randint(1, 6)):
             left, right = rng.sample(ATOMS[:8], 2)
@@ -140,20 +173,98 @@ def test_factset_entailment_matches_reference_engine(seed, monkeypatch):
                   *rng.sample(ATOMS[:8], 2)) for _ in range(6)]
         goals.append((">=", rng.choice(ATOMS[5:8]), T.Const(0)))
         cases.append((facts, goals))
+    return cases
 
-    def answers(memo):
-        out = []
+
+def _plus(atom, k):
+    return T.BinOp("+", atom, T.Const(k))
+
+
+def _shortcut_cases():
+    """Goals the engine decides without eliminating.
+
+    A goal that is a fact plus a constant ``k`` (strict or not, over a
+    strict or non-strict fact, over integer or real atoms), goals over
+    an atom no fact mentions (under feasible and infeasible facts), and
+    infeasible fact sets."""
+    i, j, x, y, z = (T.Var(name) for name in "ijxyz")
+    size_r = T.Size(T.Var("r"))
+    cases = []
+    for left, right in ((i, j), (x, y), (i, size_r), (x, size_r)):
+        for fact_op in ("<", "<=", "=", ">=", ">"):
+            goals = [(op, left, _plus(right, k))
+                     for op in ("<", "<=", ">", ">=", "=", "!=")
+                     for k in (-1, 0, 1)]
+            goals += [(op, _plus(left, k), right)
+                      for op in ("<", "<=", ">", ">=") for k in (-1, 0, 1)]
+            cases.append(([(fact_op, left, right)], goals))
+    free_goals = [(op, atom, other) for op in ("<", "<=", "=", "!=", ">=")
+                  for atom in (z, T.Var("k"), T.MaxOp(T.Var("s")))
+                  for other in (x, size_r, T.Const(0), _plus(i, 2))]
+    cases.append(([("<", x, y)], free_goals))
+    cases.append(([("<", x, y), (">", x, y)], free_goals))
+    cases.append(([("<", i, size_r), (">=", i, size_r)], free_goals))
+    cases.append(([("<", size_r, T.Const(0))], free_goals))
+    cases.append(([("<=", _plus(i, 1), j), ("<=", j, i)],
+                  [("<", i, j), (">=", z, x), ("=", i, j)]))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_factset_entailment_matches_reference_engine(seed):
+    """Tightening and implicit sizes on top, and every shortcut before
+    elimination: whole answers agree with elimination over the
+    reference engine, on seeded cases and on the hand-built ones.  They
+    are asked twice: once without memos, and once through one pair of
+    entailment and feasibility memos shared by every fact set, as a
+    prover shares its own."""
+    cases = _random_cases(random.Random(1000 + seed), 60) + _shortcut_cases()
+    outcomes = set()
+    for memo, feasible_memo in ((None, None), ({}, {})):
         for facts, goals in cases:
-            factset = FactSet(INT_VARS, memo)
+            factset = FactSet(INT_VARS, memo, feasible_memo)
             for fact in facts:
                 factset.add_comparison(*fact)
-            out.append([factset.entails(*goal) for goal in goals])
-        return out
+            for goal in goals:
+                expected = reference_entails(factset, *goal)
+                assert factset.entails(*goal) is expected, (facts, goal)
+                outcomes.add(expected)
+    assert outcomes == {True, False}
+    assert memo and feasible_memo
 
-    fresh = answers(None)
-    assert answers({}) == fresh
-    monkeypatch.setattr(arith, "_feasible", reference_feasible)
-    assert answers(None) == fresh
+
+def test_corpus_entailment_answers_match_elimination():
+    """One QBS pass over the corpus: every ``>=``/``>`` question the
+    prover asks gets the answer elimination alone gives.  Elimination
+    runs on the integer engine here, which the tests above pin to the
+    reference; the reference itself is too slow for the corpus's
+    denser systems."""
+    from repro.core.qbs import QBS
+    from repro.corpus.registry import ALL_FRAGMENTS, compile_fragment
+    from repro.frontend import FrontendRejection
+
+    decide = FactSet._entails_geq
+    asked = []
+
+    def checked(self, lin, strict):
+        answer = decide(self, lin, strict)
+        asked.append((answer, eliminate(self, lin, strict,
+                                         arith._feasible)))
+        return answer
+
+    qbs = QBS()
+    FactSet._entails_geq = checked
+    try:
+        for cf in ALL_FRAGMENTS:
+            try:
+                qbs.run(compile_fragment(cf))
+            except FrontendRejection:
+                continue
+    finally:
+        FactSet._entails_geq = decide
+    assert len(asked) > 1000
+    assert all(answer is expected for answer, expected in asked)
+    assert {answer for answer, _ in asked} == {True, False}
 
 
 # -- bool constants are not numbers -------------------------------------------

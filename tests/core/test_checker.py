@@ -7,10 +7,12 @@ checker must accept them and reject the obvious mutants.
 import pytest
 
 from repro.core.checker import BoundedChecker
-from repro.core.logic import CmpClause, EqClause, Predicate
-from repro.core.vcgen import generate_vcs
+from repro.core.logic import (Bool, CmpClause, EqClause, NotF, Or, PredApp,
+                              Predicate)
+from repro.core.vcgen import VC, VCSet, generate_vcs
 from repro.core.worlds import generate_worlds
 from repro.tor import ast as T
+from repro.tor.semantics import EvalError, evaluate
 
 from tests.helpers import running_example_fragment, selection_fragment
 
@@ -221,3 +223,194 @@ def test_a_synthesis_run_is_freed_without_the_cycle_collector():
         assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
+
+
+# -- the invariant-bounds pre-check ---------------------------------------------
+#
+# A comparison clause of an invariant applied at the top level of a VC's
+# hypotheses, over parameters bound to underived arguments, is checked
+# before derivation: a state failing it is vacuous.  Under Or or NotF
+# a failing clause does not make the hypothesis false, so such an
+# application gets no pre-check.
+
+
+def _bounded_inv():
+    """inv_loop0 = (i <= size(users) and result = its prefix's match)."""
+    return Predicate(params=("result", "users", "i"), clauses=(
+        CmpClause(T.BinOp("<=", T.Var("i"), T.Size(users_var()))),
+        EqClause("result", sigma_role(T.Top(users_var(), T.Var("i"))))))
+
+
+def _bounds_vc(shape):
+    """A hand-built VC over the selection fragment whose hypothesis
+    applies inv_loop0 in ``shape``; its conclusion is the invariant's
+    own bound, so exactly the states that fail the bound can falsify
+    it."""
+    frag = selection_fragment()
+    vcset = generate_vcs(frag)
+    app = PredApp("inv_loop0", ("result", "users", "i"),
+                  (T.Var("result"), users_var(), T.Var("i")))
+    beyond = Bool(T.BinOp(">", T.Var("i"), T.Size(users_var())))
+    hyp = {"top": app, "or": Or((app, beyond)), "not": NotF(app)}[shape]
+    vc = VC("bounds " + shape, (hyp,), Bool(T.BinOp(
+        "<=", T.Var("i"), T.Size(users_var()))))
+    return VCSet(frag, [vc], dict(vcset.unknowns)), frag
+
+
+@pytest.mark.parametrize("shape", ["or", "not"])
+def test_invariant_under_or_or_not_keeps_its_counterexample(shape):
+    vcset, frag = _bounds_vc(shape)
+    candidate = {"inv_loop0": _bounded_inv()}
+    worlds = generate_worlds(frag)
+    checker = BoundedChecker(vcset, worlds)
+    vc = vcset.vcs[0]
+    plan = checker._plan(vc, candidate, checker._sig_id(vc, candidate))
+    assert plan.bounds_fn is None
+    cex = checker.check(candidate)
+    seed = BoundedChecker(vcset, worlds, optimized=False).check(candidate)
+    assert cex is not None and seed is not None
+    assert (cex.vc_name, cex.env) == (seed.vc_name, seed.env)
+    assert cex.env["i"] > len(cex.env["users"])
+
+
+def test_invariant_at_top_level_is_prechecked():
+    # The same bound in conjunctive position makes every state beyond
+    # it vacuous: the pre-check runs, and nothing falsifies the VC.
+    vcset, frag = _bounds_vc("top")
+    candidate = {"inv_loop0": _bounded_inv()}
+    checker = BoundedChecker(vcset, generate_worlds(frag))
+    vc = vcset.vcs[0]
+    plan = checker._plan(vc, candidate, checker._sig_id(vc, candidate))
+    assert plan.bounds_fn is not None
+    assert checker.check(candidate) is None
+
+
+def _selection_shapes():
+    """Candidates for the selection fragment whose invariants differ in
+    clause shape: bounds or none, a bound over a derived parameter, and
+    one whose derived value disagrees with the placeholder a base
+    environment holds.  Each comes with a wrong and the right
+    postcondition."""
+    i, users, result = T.Var("i"), users_var(), T.Var("result")
+    prefix = sigma_role(T.Top(users, i))
+    wrong_pcon = Predicate(params=("result", "users"),
+                           clauses=(EqClause("result", users),))
+    invariants = [
+        (CmpClause(T.BinOp("<=", i, T.Size(users))),
+         EqClause("result", prefix)),
+        (EqClause("result", prefix),),
+        (CmpClause(T.BinOp("<", i, T.Size(users))),
+         EqClause("result", prefix)),
+        (CmpClause(T.BinOp(">=", i, T.Const(1))),
+         CmpClause(T.BinOp("<=", i, T.Size(users))),
+         EqClause("result", prefix)),
+        (CmpClause(T.BinOp("<=", i, T.Size(users))),
+         EqClause("result", prefix),
+         CmpClause(T.BinOp("=", T.Size(result), T.Size(prefix)))),
+        (CmpClause(T.BinOp("=", T.Size(result), T.Size(prefix))),
+         EqClause("result", T.Top(users, i))),
+    ]
+    out = []
+    for clauses in invariants:
+        inv = Predicate(params=("users", "i", "result"), clauses=clauses)
+        out.append({"inv_loop0": inv, "pcon": wrong_pcon})
+        out.append({"inv_loop0": inv,
+                    "pcon": selection_candidate()["pcon"]})
+    return out
+
+
+def test_replayed_states_keep_their_verdicts_across_clause_shapes():
+    """Killer states cached under one clause shape are replayed under
+    the next: every verdict, and so every counterexample, is the seed
+    checker's."""
+    frag = selection_fragment()
+    vcset, worlds = generate_vcs(frag), generate_worlds(frag)
+    optimized = BoundedChecker(vcset, worlds)
+    seed = BoundedChecker(vcset, worlds, optimized=False)
+    replayed = 0
+    for candidate in _selection_shapes() * 2:
+        cached = optimized.cegis_cache_size
+        got, want = optimized.check(candidate), seed.check(candidate)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.vc_name, worlds.index(got.world), got.env) == \
+                (want.vc_name, worlds.index(want.world), want.env)
+            replayed += optimized.cegis_cache_size == cached
+    assert replayed >= 6
+
+
+# -- state lists built from guard-filtered domains ------------------------------
+
+
+def _guard_filtered_product(checker, vc, world, assignment):
+    """The seed product of base environments, kept where every static
+    guard (a Bool hypothesis that reads no derived variable) holds under
+    the interpreter; a guard outside the axioms' domain admits nothing."""
+    _, derived = checker._classify_free_vars(vc, assignment)
+    guards = [hyp.expr for hyp in vc.hypotheses if isinstance(hyp, Bool)
+              and not T.free_vars(hyp.expr) & set(derived)]
+
+    def admits(env):
+        for guard in guards:
+            try:
+                if not evaluate(guard, env, world.db):
+                    return False
+            except EvalError:
+                return False
+        return True
+    return [env for env in checker._generate_base_envs(vc, world, assignment)
+            if admits(env)]
+
+
+def test_state_lists_equal_the_guard_filtered_product_over_the_corpus():
+    """Every compilable corpus fragment, under its synthesized
+    assignment: each VC's state list in each world is the seed product
+    filtered by the static guards, in the same order."""
+    from repro.core.synthesizer import Synthesizer
+    from repro.corpus.registry import ALL_FRAGMENTS, compile_fragment
+    from repro.frontend import FrontendRejection
+
+    lists = guarded = 0
+    for cf in ALL_FRAGMENTS:
+        try:
+            fragment = compile_fragment(cf)
+        except FrontendRejection:
+            continue
+        synthesizer = Synthesizer(fragment)
+        assignment = synthesizer.synthesize().assignment
+        if assignment is None:
+            continue
+        checker = BoundedChecker(synthesizer.vcset, synthesizer.worlds)
+        for vc in synthesizer.vcset.vcs:
+            for world in synthesizer.worlds:
+                want = _guard_filtered_product(checker, vc, world,
+                                               assignment)
+                assert checker._base_envs(vc, world, assignment) == want, \
+                    (cf.fragment_id, vc.name)
+                lists += 1
+                guarded += any(isinstance(hyp, Bool)
+                               for hyp in vc.hypotheses)
+    assert lists > 1000 and guarded > 500
+
+
+def test_guards_over_several_enumerables_or_none_filter_the_product():
+    """Corpus guards each read one enumerable; these read two, or none."""
+    frag = running_example_fragment()
+    vcset, worlds = generate_vcs(frag), generate_worlds(frag)
+    i, j = T.Var("i"), T.Var("j")
+    app = PredApp("inv_loop1", vcset.unknowns["inv_loop1"],
+                  tuple(T.Var(name) for name in vcset.unknowns["inv_loop1"]))
+    hyps = (app,
+            Bool(T.BinOp("<", i, j)),
+            Bool(T.BinOp("<", j, T.Size(T.Var("roles")))),
+            Bool(T.BinOp("<=", T.Size(T.Var("roles")), T.Const(2))))
+    vc = VC("guarded", hyps, Bool(T.Const(True)))
+    custom = VCSet(frag, [vc], dict(vcset.unknowns))
+    candidate = running_example_candidate()
+    checker = BoundedChecker(custom, worlds)
+    kept = 0
+    for world in worlds:
+        want = _guard_filtered_product(checker, vc, world, candidate)
+        assert checker._base_envs(vc, world, candidate) == want
+        kept += len(want)
+    assert kept > 0

@@ -12,6 +12,10 @@ join strategies than the greedy chain).
 
 Determinism: every case derives its own ``random.Random`` from a fixed
 seed and the case index, so a failing case index reproduces exactly.
+A second per-case ``random.Random`` decides which outer column
+references drop their alias (only where a single FROM source has the
+column), so that choice never shifts the tables, joins or predicates
+the first one draws.
 On failure the harness first *reduces* the dataset (dropping rows while
 the mismatch persists) and then prints a self-contained repro script.
 
@@ -83,7 +87,24 @@ def _build_tables(rng):
     return tables
 
 
-def _filter_sql(rng, sources, tables, params):
+def _column_namer(bare, sources, tables):
+    """``ref(alias, column)``: the SQL text of one outer column
+    reference.  A column that only one FROM source has is written bare
+    when ``bare`` (a ``random.Random``) says so, else as
+    ``alias.column``."""
+    owners = {}
+    for alias, tname in sources:
+        for column in tables[tname]["columns"]:
+            owners.setdefault(column, set()).add(alias)
+
+    def ref(alias, column):
+        if len(owners[column]) == 1 and bare.random() < 0.5:
+            return column
+        return "%s.%s" % (alias, column)
+    return ref
+
+
+def _filter_sql(rng, sources, tables, params, ref):
     """One WHERE conjunct over a random source column."""
     alias, tname = rng.choice(sources)
     column = rng.choice(tables[tname]["columns"])
@@ -95,19 +116,19 @@ def _filter_sql(rng, sources, tables, params):
         rhs = ":%s" % pname
     else:
         rhs = str(value)
-    clause = "%s.%s %s %s" % (alias, column, op, rhs)
+    clause = "%s %s %s" % (ref(alias, column), op, rhs)
     if rng.random() < 0.2:
-        other = "%s.%s %s %d" % (alias,
-                                 rng.choice(tables[tname]["columns"]),
-                                 rng.choice(COMPARISONS),
-                                 rng.choice((0, 2, 5, 40)))
+        other = "%s %s %d" % (ref(alias,
+                                  rng.choice(tables[tname]["columns"])),
+                              rng.choice(COMPARISONS),
+                              rng.choice((0, 2, 5, 40)))
         clause = "(%s OR %s)" % (clause, other)
     if rng.random() < 0.15:
         clause = "NOT %s" % clause
     return clause
 
 
-def _in_sql(rng, sources, tables):
+def _in_sql(rng, sources, tables, ref):
     """One uncorrelated IN-subquery conjunct over a random source
     column; the planned engine evaluates it through a per-row closure,
     the seed pipeline through its evaluator, once per candidate row."""
@@ -115,8 +136,8 @@ def _in_sql(rng, sources, tables):
     column = rng.choice(tables[tname]["columns"])
     inner = rng.choice(sorted(tables))
     inner_columns = tables[inner]["columns"]
-    clause = "%s.%s IN (SELECT b.%s FROM %s b" % (
-        alias, column, rng.choice(inner_columns), inner)
+    clause = "%s IN (SELECT b.%s FROM %s b" % (
+        ref(alias, column), rng.choice(inner_columns), inner)
     if rng.random() < 0.5:
         clause += " WHERE b.%s %s %d" % (rng.choice(inner_columns),
                                          rng.choice(COMPARISONS),
@@ -124,23 +145,25 @@ def _in_sql(rng, sources, tables):
     return clause + ")"
 
 
-def _agg_sql(rng, sources, tables, as_name):
+def _agg_sql(rng, sources, tables, as_name, ref):
     """One aggregate call over a random source column."""
     func = rng.choice(AGGREGATES)
     if func == "COUNT" and rng.random() < 0.5:
         return "COUNT(*) AS %s" % as_name
     alias, tname = rng.choice(sources)
     column = rng.choice(tables[tname]["columns"])
-    return "%s(%s.%s) AS %s" % (func, alias, column, as_name)
+    return "%s(%s) AS %s" % (func, ref(alias, column), as_name)
 
 
-def _build_query(rng, tables):
+def _build_query(rng, tables, bare):
     """One random SELECT over the generated tables; returns (sql,
-    params)."""
+    params).  ``bare`` decides which outer column references drop
+    their alias (:func:`_column_namer`)."""
     names = sorted(tables)
     n_sources = rng.randint(1, min(3, len(names) + 1))
     sources = [("a%d" % i, rng.choice(names)) for i in range(n_sources)]
     from_sql = ", ".join("%s %s" % (t, a) for a, t in sources)
+    ref = _column_namer(bare, sources, tables)
 
     params = {}
     conjuncts = []
@@ -150,13 +173,13 @@ def _build_query(rng, tables):
         if rng.random() < 0.85:
             left_alias, left_t = sources[j - 1]
             right_alias, right_t = sources[j]
-            conjuncts.append("%s.k%s = %s.k%s"
-                             % (right_alias, right_t[1:],
-                                left_alias, left_t[1:]))
+            conjuncts.append("%s = %s"
+                             % (ref(right_alias, "k" + right_t[1:]),
+                                ref(left_alias, "k" + left_t[1:])))
     for _ in range(rng.randint(0, 2)):
-        conjuncts.append(_filter_sql(rng, sources, tables, params))
+        conjuncts.append(_filter_sql(rng, sources, tables, params, ref))
     if rng.random() < 0.2:
-        conjuncts.append(_in_sql(rng, sources, tables))
+        conjuncts.append(_in_sql(rng, sources, tables, ref))
 
     mode = rng.choices(("plain", "whole_agg", "grouped"),
                        weights=(5, 2, 3))[0]
@@ -171,9 +194,8 @@ def _build_query(rng, tables):
             picked = []
             for _ in range(rng.randint(1, 3)):
                 alias, tname = rng.choice(sources)
-                picked.append("%s.%s"
-                              % (alias,
-                                 rng.choice(tables[tname]["columns"])))
+                picked.append(ref(alias,
+                                  rng.choice(tables[tname]["columns"])))
             items = ", ".join(picked)
             if rng.random() < 0.2 and len(picked) == 1:
                 items = "DISTINCT " + items
@@ -181,33 +203,34 @@ def _build_query(rng, tables):
             keys = []
             for _ in range(rng.randint(1, 2)):
                 alias, tname = rng.choice(sources)
-                keys.append("%s.%s%s"
-                            % (alias,
-                               rng.choice(tables[tname]["columns"]),
+                keys.append("%s%s"
+                            % (ref(alias,
+                                   rng.choice(tables[tname]["columns"])),
                                " DESC" if rng.random() < 0.4 else ""))
             order_limit = " ORDER BY " + ", ".join(keys)
             if rng.random() < 0.5:
                 order_limit += " LIMIT %d" % rng.randint(0, 9)
     elif mode == "whole_agg":
-        items = ", ".join(_agg_sql(rng, sources, tables, "c%d" % i)
+        items = ", ".join(_agg_sql(rng, sources, tables, "c%d" % i, ref)
                           for i in range(rng.randint(1, 3)))
         if rng.random() < 0.3:
             # Comparisons only over COUNT/SUM: never None, even on
             # empty input (SUM() of nothing is 0 by the seed's rule).
             func = rng.choice(("COUNT(*)",
-                               "SUM(%s.id)" % sources[0][0]))
+                               "SUM(%s)" % ref(sources[0][0], "id")))
             items += ", %s %s %d AS flag" % (
                 func, rng.choice(COMPARISONS), rng.randint(0, 20))
     else:
         group_keys = []
         for _ in range(rng.randint(1, 2)):
             alias, tname = rng.choice(sources)
-            key = "%s.%s" % (alias, rng.choice(tables[tname]["columns"]))
+            key = (alias, rng.choice(tables[tname]["columns"]))
             if key not in group_keys:
                 group_keys.append(key)
+        group_keys = [ref(*key) for key in group_keys]
         key_items = ["%s AS g%d" % (key, i)
                      for i, key in enumerate(group_keys)]
-        agg_items = [_agg_sql(rng, sources, tables, "c%d" % i)
+        agg_items = [_agg_sql(rng, sources, tables, "c%d" % i, ref)
                      for i in range(rng.randint(1, 2))]
         items = ", ".join(key_items + agg_items)
         having = ""
@@ -215,8 +238,8 @@ def _build_query(rng, tables):
             # Groups are never empty, so any aggregate compares safely.
             alias, tname = rng.choice(sources)
             calls = ["COUNT(*)",
-                     "SUM(%s.id)" % alias,
-                     "AVG(%s.%s)" % (alias,
+                     "SUM(%s)" % ref(alias, "id"),
+                     "AVG(%s)" % ref(alias,
                                      rng.choice(tables[tname]["columns"]))]
             clause = "%s %s %d" % (rng.choice(calls),
                                    rng.choice(COMPARISONS),
@@ -245,7 +268,7 @@ def build_case(index):
     """The deterministic (tables, sql, params) for one case index."""
     rng = random.Random(SEED * 1000003 + index)
     tables = _build_tables(rng)
-    sql, params = _build_query(rng, tables)
+    sql, params = _build_query(rng, tables, random.Random(SEED * 31 + index))
     return tables, sql, params
 
 
@@ -401,3 +424,5 @@ def test_generator_covers_the_clause_space():
                    "MIN", "MAX", ":p0", "a1.", "a2.", ".*",
                    "IN (SELECT"):
         assert needle in corpus, needle
+    # Bare column names (never an alias, table or output name).
+    assert re.search(r"[ (,][kvw]\d\b", corpus)
